@@ -71,12 +71,9 @@ from .numerics import (
     CholeskyFactor,
     NotPositiveDefiniteError,
     cholesky,
-    digamma,
     log_det,
-    log_gamma,
     mahalanobis_sq,
     mahalanobis_sq_batch,
-    multivariate_log_gamma,
 )
 from .predict import (
     ClassPosterior,
@@ -92,7 +89,6 @@ from .vb import (
     VbConfig,
     e_step,
     elbo,
-    expectations,
     fit,
     fit_ml_nu,
     m_step,

@@ -21,13 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from .numerics import (
     CholeskyFactor,
     as_psd,
     cholesky,
     log_det,
-    log_gamma,
     mahalanobis_sq,
     mahalanobis_sq_batch,
 )
@@ -76,11 +76,16 @@ class StudentParams:
 
 
 def log_t_kernel(delta_sq, logdet_sigma, dim, nu):
-    """Log Student-t density given a precomputed squared Mahalanobis distance."""
+    """Log Student-t density given a precomputed squared Mahalanobis distance.
+
+    The one place the Student-t log-normaliser is written out; at
+    ``delta_sq = 0`` the kernel is the normaliser itself, which is how
+    training and prediction take it.
+    """
     half = 0.5 * (nu + dim)
     return (
-        log_gamma(half)
-        - log_gamma(0.5 * nu)
+        gammaln(half)
+        - gammaln(0.5 * nu)
         - 0.5 * dim * math.log(math.pi * nu)
         - 0.5 * logdet_sigma
         - half * np.log1p(delta_sq / nu)
@@ -126,7 +131,7 @@ def quadrature_marginal_density(x, params, rel_tol=1e-8):
     d2 = mahalanobis_sq(x, params.mu, params._factor)
 
     # log integrand in t: const - coef * t - rate * exp(-t)
-    const = -0.5 * dim * _LOG_2PI - 0.5 * log_det(params._factor) + a * math.log(a) - log_gamma(a)
+    const = -0.5 * dim * _LOG_2PI - 0.5 * log_det(params._factor) + a * math.log(a) - gammaln(a)
     coef = 0.5 * dim + a
     rate = 0.5 * d2 + a
     t_star = math.log(rate / coef)

@@ -1,9 +1,10 @@
-"""Special functions and positive-definite matrix algebra.
+"""Positive-definite matrix algebra.
 
-Every density and posterior-update formula in this package reduces to a
-handful of primitives: the log-gamma and digamma functions, their
-multivariate extension, and Cholesky-based determinant / Mahalanobis
-computations on symmetric positive-definite matrices.
+Every density and posterior-update formula in this package evaluates
+determinants and Mahalanobis distances through the Cholesky factor of a
+symmetric positive-definite matrix; this module holds those primitives.
+The special functions (log-gamma, digamma and the multivariate log-gamma)
+come from ``scipy.special``.
 
 SPD matrices are plain ``numpy`` arrays validated on entry (see
 :func:`as_psd`); Cholesky factors are wrapped in :class:`CholeskyFactor`
@@ -12,17 +13,13 @@ so that downstream code cannot confuse a factor with the matrix itself.
 All functions here are pure and safe for concurrent use.
 """
 
-import math
-
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "NotPositiveDefiniteError",
     "CholeskyFactor",
-    "log_gamma",
-    "digamma",
-    "multivariate_log_gamma",
     "as_psd",
     "cholesky",
     "log_det",
@@ -30,18 +27,12 @@ __all__ = [
     "mahalanobis_sq_batch",
 ]
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
 # Relative tolerance for accepting a matrix as symmetric.
 SYMMETRY_RTOL = 1e-12
 
-# Diagonal jitter scale applied (once) when a factorization fails during
-# training; degenerate responsibilities can collapse scatter matrices.
-JITTER_SCALE = 1e-8
-
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
-    """Raised when a Cholesky pivot is non-positive.
+    """Raised when a Cholesky pivot is non-positive or not finite.
 
     Attributes
     ----------
@@ -69,115 +60,6 @@ class CholeskyFactor:
         return self.lower.shape[0]
 
 
-# Lanczos approximation (g = 7, 9 coefficients); accurate to ~1e-13 on the
-# log-gamma scale, with reflection handling x < 1/2.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def log_gamma(x):
-    """Natural logarithm of the gamma function for ``x > 0``.
-
-    Parameters
-    ----------
-    x : float
-        Strictly positive argument.
-
-    Returns
-    -------
-    float
-        ``ln(Gamma(x))``, relative error below 1e-12 for x in [1e-3, 1e6].
-
-    Raises
-    ------
-    ValueError
-        If ``x <= 0``.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # Reflection: Gamma(x) Gamma(1 - x) = pi / sin(pi x).
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * _LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
-
-
-def digamma(x):
-    """Derivative of :func:`log_gamma` for ``x > 0``.
-
-    Uses the recurrence ``psi(x) = psi(x + 1) - 1/x`` to shift the argument
-    above 10, then de Moivre's asymptotic series. Absolute error is below
-    1e-10 over the positive axis.
-
-    Raises
-    ------
-    ValueError
-        If ``x <= 0``.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"digamma requires x > 0, got {x!r}")
-    value = 0.0
-    while x < 10.0:
-        value -= 1.0 / x
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    series = inv2 * (
-        1.0 / 12.0
-        - inv2
-        * (
-            1.0 / 120.0
-            - inv2
-            * (
-                1.0 / 252.0
-                - inv2
-                * (1.0 / 240.0 - inv2 * (1.0 / 132.0 - inv2 * (691.0 / 32760.0)))
-            )
-        )
-    )
-    return value + math.log(x) - 0.5 * inv - series
-
-
-def multivariate_log_gamma(a, dims):
-    """Logarithm of the multivariate gamma function ``Gamma_D(a)``.
-
-    ``ln Gamma_D(a) = D(D-1)/4 * ln(pi) + sum_{j=1..D} ln Gamma(a + (1-j)/2)``.
-
-    Raises
-    ------
-    ValueError
-        If ``a <= (dims - 1) / 2`` (where the function is undefined).
-    """
-    a = float(a)
-    dims = int(dims)
-    if dims < 1:
-        raise ValueError(f"dims must be >= 1, got {dims}")
-    if not a > 0.5 * (dims - 1):
-        raise ValueError(
-            f"multivariate_log_gamma requires a > (dims - 1)/2 = {0.5 * (dims - 1)}, got {a!r}"
-        )
-    total = 0.25 * dims * (dims - 1) * math.log(math.pi)
-    for j in range(1, dims + 1):
-        total += log_gamma(a + 0.5 * (1 - j))
-    return total
-
-
 def as_psd(matrix):
     """Validate a symmetric matrix and return its symmetrized copy.
 
@@ -197,31 +79,13 @@ def as_psd(matrix):
     return 0.5 * (m + m.T)
 
 
-def _factor_lower(m):
-    d = m.shape[0]
-    lower = np.zeros_like(m)
-    for j in range(d):
-        pivot = m[j, j] - lower[j, :j] @ lower[j, :j]
-        if not (pivot > 0.0 and math.isfinite(pivot)):
-            raise NotPositiveDefiniteError(j)
-        ljj = math.sqrt(pivot)
-        lower[j, j] = ljj
-        if j + 1 < d:
-            lower[j + 1 :, j] = (m[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / ljj
-    return lower
-
-
-def cholesky(matrix, jitter=False):
+def cholesky(matrix):
     """Lower Cholesky factor of a symmetric positive-definite matrix.
 
     Parameters
     ----------
     matrix : array_like, shape (d, d)
         Symmetric positive-definite matrix.
-    jitter : bool, optional
-        If True and the factorization fails, ``JITTER_SCALE * trace / d``
-        is added to the diagonal once and the factorization is retried.
-        This is the training-time policy; validation paths leave it off.
 
     Returns
     -------
@@ -230,19 +94,17 @@ def cholesky(matrix, jitter=False):
     Raises
     ------
     NotPositiveDefiniteError
-        With the failing pivot index when the matrix is not positive
-        definite (after the jitter retry, if enabled).
+        With the index of the first failing pivot: one that is not
+        positive, or, since LAPACK lets them through, one that is NaN or
+        infinite.
     """
-    m = as_psd(matrix)
-    try:
-        return CholeskyFactor(_factor_lower(m))
-    except NotPositiveDefiniteError:
-        if not jitter:
-            raise
-    d = m.shape[0]
-    trace = float(np.trace(m))
-    bump = JITTER_SCALE * (trace / d if trace > 0 else 1.0)
-    return CholeskyFactor(_factor_lower(m + bump * np.eye(d)))
+    lower, info = dpotrf(as_psd(matrix), lower=1, clean=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(info - 1)
+    bad = np.flatnonzero(~np.isfinite(np.diag(lower)))
+    if bad.size:
+        raise NotPositiveDefiniteError(bad[0])
+    return CholeskyFactor(lower)
 
 
 def log_det(factor):

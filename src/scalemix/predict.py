@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .numerics import cholesky, log_det, log_gamma
+from .density import log_t_kernel
+from .numerics import cholesky, log_det
 
 __all__ = [
     "ClassPosterior",
@@ -81,12 +82,7 @@ class _Mixture:
             self.stacked_inv[j * d : (j + 1) * d] = inv_lower
             self.stacked_offset[j * d : (j + 1) * d, 0] = inv_lower @ comp.m
             self.nus[j] = nu
-            self.log_norms[j] = (
-                log_gamma(0.5 * (nu + d))
-                - log_gamma(0.5 * nu)
-                - 0.5 * d * math.log(math.pi * nu)
-                - 0.5 * log_det(f)
-            )
+            self.log_norms[j] = log_t_kernel(0.0, log_det(f), d, nu)
         self.half_exponents = 0.5 * (self.nus + d)
 
     def log_density_t(self, pts_t):

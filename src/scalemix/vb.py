@@ -22,33 +22,26 @@ for a given seed regardless of worker count.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.optimize import minimize_scalar
+from scipy.special import digamma, gammaln, multigammaln
 
+from .density import log_t_kernel
 from .model import (
     ClassModel,
     ComponentPosterior,
     LatentStatistics,
     TrainedClassifier,
 )
-from .numerics import (
-    cholesky,
-    digamma,
-    log_det,
-    log_gamma,
-    mahalanobis_sq,
-    mahalanobis_sq_batch,
-    multivariate_log_gamma,
-)
+from .numerics import cholesky, log_det, mahalanobis_sq, mahalanobis_sq_batch
 
 __all__ = [
     "VbConfig",
     "Responsibilities",
     "NumericalFailure",
-    "expectations",
     "e_step",
     "m_step",
     "statistics",
@@ -134,33 +127,11 @@ def _components_of(model):
     return model.components if isinstance(model, ClassModel) else tuple(model)
 
 
-def _log_sigma_tilde(comp, factor=None):
-    f = factor if factor is not None else cholesky(comp.W, jitter=True)
+def _log_sigma_tilde(comp):
+    f = cholesky(comp.W)
     d = comp.dim
-    total = -d * math.log(2.0) + log_det(f)
-    for j in range(1, d + 1):
-        total -= digamma(0.5 * (comp.eta + 1.0 - j))
-    return total, f
-
-
-def expectations(comp, x, alpha_hat=None):
-    """Posterior expectations entering the latent update at one point.
-
-    Returns ``(log_sigma_tilde, delta_sq_expect, log_pi_tilde)``: the
-    expected log-determinant of the component scale, the expected squared
-    Mahalanobis distance of ``x`` under the parameter posterior, and the
-    expected log mixing weight. ``alpha_hat`` is the Dirichlet total over
-    the class's components; for a single component it defaults to the
-    component's own ``alpha`` (making the log weight zero).
-    """
-    if not comp.eta + 1.0 - comp.dim > 0:
-        raise ValueError(f"eta = {comp.eta} too small for dim {comp.dim}")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    lsig, f = _log_sigma_tilde(comp)
-    d2 = comp.dim / comp.beta + comp.eta * mahalanobis_sq(x, comp.m, f)
-    ahat = comp.alpha if alpha_hat is None else float(alpha_hat)
-    lpi = digamma(comp.alpha) - digamma(ahat)
-    return lsig, d2, lpi
+    psi = digamma(0.5 * (comp.eta + 1.0 - np.arange(1, d + 1)))
+    return -d * math.log(2.0) + log_det(f) - float(psi.sum()), f
 
 
 def e_step(points, model):
@@ -182,18 +153,9 @@ def e_step(points, model):
         lsig, f = _log_sigma_tilde(comp)
         d2 = comp.dim / comp.beta + comp.eta * mahalanobis_sq_batch(x, comp.m, f)
         lpi = digamma(comp.alpha) - digamma(alpha_hat)
-        nu = comp.nu
-        half = 0.5 * (nu + d)
-        log_rho[:, j] = (
-            log_gamma(half)
-            - log_gamma(0.5 * nu)
-            - 0.5 * d * math.log(math.pi * nu)
-            + lpi
-            - 0.5 * lsig
-            - half * np.log1p(d2 / nu)
-        )
-        a[:, j] = half
-        b[:, j] = 0.5 * d2 + 0.5 * nu
+        log_rho[:, j] = lpi + log_t_kernel(d2, lsig, d, comp.nu)
+        a[:, j] = 0.5 * (comp.nu + d)
+        b[:, j] = 0.5 * d2 + 0.5 * comp.nu
     row_max = log_rho.max(axis=1)
     dead = ~np.isfinite(row_max)
     if np.any(dead):
@@ -229,15 +191,13 @@ def m_step(points, resp, prior):
     """Parameter update: closed-form posterior refresh from the statistics.
 
     A component with zero scale-weighted mass keeps the prior values so the
-    update never divides by zero. The shared degrees of freedom are read
-    back from the inverse-gamma shape (``nu = 2 a - dim``).
+    update never divides by zero. Every component carries the prior's fixed
+    degrees of freedom ``prior.nu_fixed`` unchanged.
     """
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    d = x.shape[1]
     stats = statistics(points, resp)
+    nu = prior.nu_fixed
     out = []
     for j in range(resp.n_components):
-        nu = 2.0 * float(resp.a[0, j]) - d if resp.r.size else prior.nu_fixed
         if stats.omega[j] <= 0.0:
             out.append(
                 ComponentPosterior(
@@ -302,7 +262,7 @@ def elbo(points, resp, posteriors, prior):
     nu = np.array([c.nu for c in comps])
     alpha_hat = float(alpha.sum())
 
-    lpi = np.array([digamma(av) - digamma(alpha_hat) for av in alpha])
+    lpi = digamma(alpha) - digamma(alpha_hat)
     lsig = np.empty(k)
     quad_prior = np.empty(k)  # eta_k (m_k - m0)' W_k^{-1} (m_k - m0)
     tr_prior = np.empty(k)  # tr(W0 W_k^{-1})
@@ -324,7 +284,7 @@ def elbo(points, resp, posteriors, prior):
         b = resp.b
         e_inv_u = a / b
         # a is constant down each column, so digamma is evaluated per column
-        psi_a = np.array([digamma(float(a[0, j])) for j in range(k)])
+        psi_a = digamma(a[0])
         e_log_u = np.log(b) - psi_a[None, :]
         counts = r.sum(axis=0)
 
@@ -340,7 +300,7 @@ def elbo(points, resp, posteriors, prior):
             )
         )
         half_nu = 0.5 * nu
-        lg_half_nu = np.array([log_gamma(v) for v in half_nu])
+        lg_half_nu = gammaln(half_nu)
         latent_prior = float(counts @ lpi) + float(
             np.sum(
                 r
@@ -353,7 +313,7 @@ def elbo(points, resp, posteriors, prior):
         )
         with np.errstate(divide="ignore", invalid="ignore"):
             rlogr = np.where(r > 0.0, r * np.log(np.where(r > 0.0, r, 1.0)), 0.0)
-        lg_a = np.array([log_gamma(float(a[0, j])) for j in range(k)])
+        lg_a = gammaln(a[0])
         latent_entropy = -float(np.sum(rlogr)) - float(
             np.sum(
                 r
@@ -371,10 +331,10 @@ def elbo(points, resp, posteriors, prior):
         latent_entropy = 0.0
 
     ld_w0 = log_det(cholesky(prior.W0))
-    lgd_eta0 = multivariate_log_gamma(0.5 * prior.eta0, d)
+    lgd_eta0 = multigammaln(0.5 * prior.eta0, d)
     param_prior = (
-        log_gamma(k * prior.alpha0)
-        - k * log_gamma(prior.alpha0)
+        gammaln(k * prior.alpha0)
+        - k * gammaln(prior.alpha0)
         + (prior.alpha0 - 1.0) * float(lpi.sum())
     )
     param_prior += float(
@@ -391,10 +351,10 @@ def elbo(points, resp, posteriors, prior):
         )
     )
 
-    lg_alpha = np.array([log_gamma(v) for v in alpha])
-    lgd_eta = np.array([multivariate_log_gamma(0.5 * v, d) for v in eta])
+    lg_alpha = gammaln(alpha)
+    lgd_eta = multigammaln(0.5 * eta, d)
     param_entropy = -(
-        log_gamma(alpha_hat) - float(lg_alpha.sum()) + float((alpha - 1.0) @ lpi)
+        gammaln(alpha_hat) - float(lg_alpha.sum()) + float((alpha - 1.0) @ lpi)
     )
     param_entropy -= float(
         np.sum(
@@ -418,31 +378,24 @@ def elbo(points, resp, posteriors, prior):
     return log_lik + latent_prior + param_prior + latent_entropy + param_entropy
 
 
-def _drop_components(resp, keep):
-    r = resp.r[:, keep]
-    rows = r.sum(axis=1, keepdims=True)
-    r = r / rows
-    return Responsibilities(r=r, a=resp.a[:, keep], b=resp.b[:, keep])
-
-
 def prune(posteriors, resp, threshold):
     """Remove components whose effective count fell below ``threshold``.
 
-    Responsibilities are renormalized per row. Refuses to prune the last
-    component: if no component clears the threshold an error is raised.
+    Responsibilities are renormalized per row. A class never loses its
+    last component: if none reaches the threshold, the one with the
+    largest effective count is kept.
     """
     comps = tuple(posteriors)
     counts = resp.effective_counts
     keep = counts >= threshold
     if not keep.any():
-        raise ValueError(
-            "refusing to prune every component; at least one effective count "
-            "must reach the threshold"
-        )
+        keep[int(np.argmax(counts))] = True
     if keep.all():
         return comps, resp
+    r = resp.r[:, keep]
+    r = r / r.sum(axis=1, keepdims=True)
     kept = tuple(c for c, flag in zip(comps, keep) if flag)
-    return kept, _drop_components(resp, keep)
+    return kept, Responsibilities(r=r, a=resp.a[:, keep], b=resp.b[:, keep])
 
 
 def _init_responsibilities(x, k, nu, rng, strategy):
@@ -458,30 +411,27 @@ def _init_responsibilities(x, k, nu, rng, strategy):
         r = np.zeros((n, k))
         r[np.arange(n), labels] = 1.0
     # unit-mean latent scales at initialization, with the shape already at
-    # its fixed-point value so the shared nu can be read back as 2a - dim
+    # its fixed-point value 0.5 * (nu + dim)
     a = np.full((n, r.shape[1]), 0.5 * (nu + d))
     return Responsibilities(r=r, a=a, b=a.copy())
 
 
-def _fit_class(x, prior, config, nu, class_id, rng, sink=None):
+def _fit_class(x, prior, config, class_id, rng, sink=None):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[0]
     if n == 0:
         raise ValueError(f"class {class_id} has no training rows")
     k0 = min(prior.k_init, max(n, 1))
-    resp = _init_responsibilities(x, k0, nu, rng, config.init_strategy)
+    resp = _init_responsibilities(x, k0, prior.nu_fixed, rng, config.init_strategy)
     posteriors = m_step(x, resp, prior)
     trace = []
     converged = False
     for iteration in range(1, config.max_iters + 1):
         resp = e_step(x, posteriors)
-        posteriors = m_step(x, resp, prior)
-        counts = resp.effective_counts
-        keep = counts >= config.prune_threshold
-        if not keep.any():
-            keep[int(np.argmax(counts))] = True
-        if not keep.all():
-            resp = _drop_components(resp, keep)
+        live = resp.n_components
+        posteriors, resp = prune(m_step(x, resp, prior), resp, config.prune_threshold)
+        if resp.n_components < live:
+            # renormalized responsibilities move the survivors' statistics
             posteriors = m_step(x, resp, prior)
         bound = elbo(x, resp, posteriors, prior)
         trace.append(bound)
@@ -515,6 +465,44 @@ def _class_log_prior(counts, mode):
     raise ValueError(f"unknown class_prior mode {mode!r}")
 
 
+def _fit_classes(data, prior, config, class_prior, threads, fit_one, log_sink=None):
+    """Fit every class with ``fit_one`` and assemble the classifier.
+
+    ``fit_one(rows, class_id, seed, sink)`` returns a :class:`ClassModel`;
+    ``seed`` is the class's own ``[config.seed, index]`` stream, so results
+    do not depend on ``threads``. Lines a fit sends to ``sink`` reach
+    ``log_sink`` in class order once every fit has finished.
+    """
+    class_ids = sorted(int(v) for v in np.unique(data.labels))
+    if not class_ids:
+        raise ValueError("training data has no rows")
+
+    def run(job):
+        idx, cid = job
+        lines = []
+        collector = lines.append if log_sink is not None else None
+        rows = data.features[data.labels == cid]
+        return fit_one(rows, cid, [config.seed, idx], collector), lines
+
+    jobs = list(enumerate(class_ids))
+    if threads > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, jobs))
+    else:
+        results = [run(job) for job in jobs]
+    if log_sink is not None:
+        for _, lines in results:
+            for line in lines:
+                log_sink(line)
+    counts = [int(np.sum(data.labels == cid)) for cid in class_ids]
+    return TrainedClassifier(
+        classes=tuple(cm for cm, _ in results),
+        class_log_prior=_class_log_prior(counts, class_prior),
+        dim=data.dim,
+        prior=prior,
+    )
+
+
 def fit(data, prior, config=None, class_prior="uniform", log_sink=None, threads=1):
     """Train one class model per distinct label and assemble a classifier.
 
@@ -527,40 +515,11 @@ def fit(data, prior, config=None, class_prior="uniform", log_sink=None, threads=
     (class id, iteration, bound, live component count).
     """
     config = config or VbConfig()
-    class_ids = sorted(int(v) for v in np.unique(data.labels))
-    if not class_ids:
-        raise ValueError("training data has no rows")
-    jobs = []
-    for idx, cid in enumerate(class_ids):
-        rows = data.features[data.labels == cid]
-        rng = np.random.default_rng([config.seed, idx])
-        jobs.append((cid, rows, rng))
 
-    def run(job):
-        cid, rows, rng = job
-        lines = []
-        collector = lines.append if log_sink is not None else None
-        cm = _fit_class(rows, prior, config, prior.nu_fixed, cid, rng, sink=collector)
-        return cm, lines
+    def fit_one(rows, cid, seed, sink):
+        return _fit_class(rows, prior, config, cid, np.random.default_rng(seed), sink)
 
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-    classes = []
-    for cm, lines in results:
-        classes.append(cm)
-        if log_sink is not None:
-            for line in lines:
-                log_sink(line)
-    counts = [int(np.sum(data.labels == cid)) for cid in class_ids]
-    return TrainedClassifier(
-        classes=tuple(classes),
-        class_log_prior=_class_log_prior(counts, class_prior),
-        dim=data.dim,
-        prior=prior,
-    )
+    return _fit_classes(data, prior, config, class_prior, threads, fit_one, log_sink)
 
 
 def fit_ml_nu(
@@ -580,18 +539,27 @@ def fit_ml_nu(
     variational stand-in for the log marginal likelihood). Selecting ``nu``
     this way is known to hurt generalization relative to a shared value;
     the mode exists to reproduce that comparison, not for production use.
+    Each class keeps the fit it scored best, which equals :func:`fit` at
+    that ``nu`` with the same seed.
     """
     config = config or VbConfig()
-    class_ids = sorted(int(v) for v in np.unique(data.labels))
     lo, hi = nu_bounds
     grid = np.geomspace(lo, hi, coarse_points)
 
-    def best_fit_for(idx, cid):
-        rows = data.features[data.labels == cid]
+    def best_fit_for(rows, cid, seed, sink):
+        fits = {}
 
         def fit_at(nu):
-            rng = np.random.default_rng([config.seed, idx])
-            return _fit_class(rows, prior, config, float(nu), cid, rng)
+            nu = float(nu)
+            if nu not in fits:
+                fits[nu] = _fit_class(
+                    rows,
+                    replace(prior, nu_fixed=nu),
+                    config,
+                    cid,
+                    np.random.default_rng(seed),
+                )
+            return fits[nu]
 
         scores = [fit_at(nu).elbo_trace[-1] for nu in grid]
         j = int(np.argmax(scores))
@@ -611,16 +579,4 @@ def fit_ml_nu(
             nu_best = grid[j]
         return fit_at(nu_best)
 
-    jobs = list(enumerate(class_ids))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            classes = list(pool.map(lambda jc: best_fit_for(*jc), jobs))
-    else:
-        classes = [best_fit_for(idx, cid) for idx, cid in jobs]
-    counts = [int(np.sum(data.labels == cid)) for cid in class_ids]
-    return TrainedClassifier(
-        classes=tuple(classes),
-        class_log_prior=_class_log_prior(counts, class_prior),
-        dim=data.dim,
-        prior=prior,
-    )
+    return _fit_classes(data, prior, config, class_prior, threads, best_fit_for)

@@ -7,6 +7,7 @@ from scalemix.density import (
     StudentParams,
     log_marginal_density,
     log_marginal_density_batch,
+    log_t_kernel,
     quadrature_marginal_density,
 )
 
@@ -47,6 +48,34 @@ class TestClosedForm:
         batch = log_marginal_density_batch(pts, p)
         for i in range(30):
             assert batch[i] == pytest.approx(log_marginal_density(pts[i], p), rel=1e-12)
+
+
+class TestLogNormaliser:
+    """The Student-t log-normaliser, read off the kernel at its center."""
+
+    def test_known_values(self):
+        # Gamma(1) = 1, Gamma(1/2) = sqrt(pi), Gamma(3/2) = sqrt(pi)/2, Gamma(5) = 24
+        assert log_t_kernel(0.0, 0.0, 1, 1.0) == pytest.approx(-math.log(math.pi), abs=1e-12)
+        assert log_t_kernel(0.0, 0.0, 1, 2.0) == pytest.approx(-1.5 * math.log(2.0), abs=1e-12)
+        assert log_t_kernel(0.0, 0.0, 2, 2.0) == pytest.approx(
+            -math.log(2.0 * math.pi), abs=1e-12
+        )
+        assert log_t_kernel(0.0, 0.0, 8, 2.0) == pytest.approx(
+            math.log(24.0) - 4.0 * math.log(2.0 * math.pi), abs=1e-12
+        )
+
+    def test_against_mpmath_over_wide_range(self):
+        # For large nu the log-gamma terms nearly cancel, so the error is
+        # measured relative to the largest term, as for log-gamma itself.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        for d in (1, 2, 8):
+            for nu in np.geomspace(1e-3, 1e6, 400):
+                n = mp.mpf(float(nu))
+                lg_half = mp.loggamma((n + d) / 2)
+                ref = lg_half - mp.loggamma(n / 2) - mp.mpf(d) / 2 * mp.log(mp.pi * n)
+                scale = max(1.0, abs(float(ref)), abs(float(lg_half)))
+                assert abs(log_t_kernel(0.0, 0.0, d, nu) - float(ref)) <= 1e-12 * scale
 
 
 class TestQuadratureOracle:

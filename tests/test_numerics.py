@@ -2,88 +2,14 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special as sp
 
 from scalemix.numerics import (
     NotPositiveDefiniteError,
     cholesky,
-    digamma,
     log_det,
-    log_gamma,
     mahalanobis_sq,
     mahalanobis_sq_batch,
-    multivariate_log_gamma,
 )
-
-EULER_MASCHERONI = 0.5772156649015329
-
-
-class TestLogGamma:
-    def test_known_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-12)
-        assert log_gamma(0.5) == pytest.approx(0.5723649429247001, abs=1e-12)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-12)
-
-    def test_against_reference_over_wide_range(self):
-        xs = np.geomspace(1e-3, 1e6, 5000)
-        for x in xs:
-            ref = sp.gammaln(x)
-            assert abs(log_gamma(x) - ref) <= 1e-12 * max(1.0, abs(ref))
-
-    def test_domain_error(self):
-        for bad in (0.0, -1.0, -0.5):
-            with pytest.raises(ValueError):
-                log_gamma(bad)
-
-
-class TestDigamma:
-    def test_known_values(self):
-        assert digamma(1.0) == pytest.approx(-EULER_MASCHERONI, abs=1e-10)
-        assert digamma(0.5) == pytest.approx(-EULER_MASCHERONI - 2 * math.log(2), abs=1e-10)
-        assert digamma(2.0) == pytest.approx(1.0 - EULER_MASCHERONI, abs=1e-10)
-
-    def test_against_reference(self):
-        for x in np.geomspace(1e-3, 1e6, 5000):
-            assert abs(digamma(x) - sp.digamma(x)) < 1e-10
-
-    def test_matches_finite_difference_of_log_gamma(self):
-        h = 1e-6
-        for x in np.linspace(0.1, 100.0, 500):
-            fd = (log_gamma(x + h) - log_gamma(x - h)) / (2 * h)
-            assert abs(digamma(x) - fd) < 1e-5
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            digamma(0.0)
-        with pytest.raises(ValueError):
-            digamma(-3.0)
-
-
-class TestMultivariateLogGamma:
-    def test_reduces_to_log_gamma_in_one_dimension(self):
-        for a in (0.7, 1.5, 3.0, 10.0):
-            assert multivariate_log_gamma(a, 1) == log_gamma(a)
-
-    def test_product_formula_values(self):
-        # frozen from the product formula evaluated with mpmath (50 digits)
-        assert multivariate_log_gamma(1.5, 2) == pytest.approx(0.4515827052894548, abs=1e-12)
-        assert multivariate_log_gamma(3.0, 3) == pytest.approx(2.6949248798069650, abs=1e-12)
-
-    def test_against_mpmath_oracle(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 50
-        for a, d in ((1.2, 2), (2.5, 4), (7.0, 5), (4.0, 8)):
-            ref = mp.mpf(d * (d - 1)) / 4 * mp.log(mp.pi)
-            for j in range(1, d + 1):
-                ref += mp.loggamma(mp.mpf(a) + mp.mpf(1 - j) / 2)
-            assert multivariate_log_gamma(a, d) == pytest.approx(float(ref), rel=1e-12)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            multivariate_log_gamma(0.5, 2)  # needs a > 1/2
-        with pytest.raises(ValueError):
-            multivariate_log_gamma(1.0, 3)
-
 
 class TestCholesky:
     def test_identity(self):
@@ -104,12 +30,22 @@ class TestCholesky:
         with pytest.raises(ValueError):
             cholesky([[1.0, 0.5], [0.2, 1.0]])
 
-    def test_jitter_recovers_singular_matrix(self):
-        singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(NotPositiveDefiniteError):
-            cholesky(singular)
-        f = cholesky(singular, jitter=True)
-        assert np.all(np.isfinite(f.lower))
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("pivot", [0, 1])
+    def test_non_finite_pivot_raises(self, pivot, value):
+        m = np.eye(2)
+        m[pivot, pivot] = value
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky(m)
+        assert err.value.pivot_index == pivot
+
+    def test_non_finite_pivot_raises_in_larger_matrix(self, rng):
+        a = rng.standard_normal((8, 8))
+        m = a @ a.T + 8 * np.eye(8)
+        m[5, 5] = np.nan
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky(m)
+        assert err.value.pivot_index == 5
 
     def test_random_spd_reconstruction(self, rng):
         for _ in range(25):

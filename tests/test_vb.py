@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,14 +7,13 @@ from scipy import stats
 
 from scalemix.data import FeatureDataset
 from scalemix.model import ComponentPosterior, PriorHyperparameters, build_default_prior
-from scalemix.numerics import digamma
 from scalemix.vb import (
     Responsibilities,
     VbConfig,
     e_step,
     elbo,
-    expectations,
     fit,
+    fit_ml_nu,
     m_step,
     prune,
     statistics,
@@ -50,22 +50,45 @@ def toy_state(seed=7):
     return x, resp, post, prior
 
 
+EULER_MASCHERONI = 0.5772156649015329
+
+
 class TestExpectations:
+    """Posterior expectations, read from the outputs of the latent update.
+
+    The scale rate ``b = E[delta^2] / 2 + nu / 2`` carries the expected
+    squared Mahalanobis distance; at a point on the shared mean, the log
+    ratio of two components' responsibilities carries the differences in
+    E[log |Sigma|] and E[log pi].
+    """
+
     def test_delta_sq_at_posterior_mean(self):
         comp = ComponentPosterior(1.0, 2.5, [0.4, -0.1], np.eye(2), 6.0, 5.0)
-        _, d2, _ = expectations(comp, [0.4, -0.1])
-        assert d2 == pytest.approx(2.0 / 2.5, rel=1e-12)
+        resp = e_step(np.array([[0.4, -0.1], [1.4, 0.9]]), [comp])
+        # dim / beta, plus eta times the squared distance (2 at the second point)
+        assert resp.b[0, 0] == pytest.approx(0.5 * (2.0 / 2.5) + 2.5, rel=1e-12)
+        assert resp.b[1, 0] == pytest.approx(0.5 * (2.0 / 2.5 + 6.0 * 2.0) + 2.5, rel=1e-12)
 
-    def test_single_component_log_weight_is_zero(self):
-        comp = ComponentPosterior(3.7, 1.0, [0.0], [[1.0]], 4.0, 5.0)
-        _, _, lpi = expectations(comp, [1.0])
-        assert lpi == 0.0
+    def test_log_weight_difference(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        comps = [
+            ComponentPosterior(alpha, 1.0, [0.0], [[1.0]], 4.0, 5.0) for alpha in (0.8, 1.9)
+        ]
+        resp = e_step(np.array([[0.0], [2.0]]), comps)
+        expected = float(mp.digamma(mp.mpf(0.8)) - mp.digamma(mp.mpf(1.9)))
+        log_ratio = np.log(resp.r[:, 0] / resp.r[:, 1])
+        assert np.allclose(log_ratio, expected, rtol=0.0, atol=1e-12)
 
     def test_log_sigma_tilde_formula(self):
-        comp = ComponentPosterior(1.0, 1.0, [0.0, 0.0], np.eye(2), 5.0, 5.0)
-        lsig, _, _ = expectations(comp, [0.0, 0.0])
-        expected = -digamma(2.5) - digamma(2.0) - 2.0 * math.log(2.0)
-        assert lsig == pytest.approx(expected, rel=1e-12)
+        # E[log |Sigma|] = -sum_j psi((eta + 1 - j) / 2) - d log 2 + log |W|;
+        # psi(2) = 1 - gamma, psi(3) = 3/2 - gamma, psi(7/2) = psi(5/2) + 2/5
+        narrow = ComponentPosterior(1.0, 1.0, [0.0, 0.0], np.eye(2), 5.0, 5.0)
+        wide = ComponentPosterior(1.0, 1.0, [0.0, 0.0], 2.0 * np.eye(2), 7.0, 5.0)
+        resp = e_step(np.zeros((1, 2)), [narrow, wide])
+        lsig_diff = 0.4 + 0.5 - 2.0 * math.log(2.0)  # narrow minus wide
+        log_ratio = math.log(resp.r[0, 0] / resp.r[0, 1])
+        assert log_ratio == pytest.approx(-0.5 * lsig_diff, abs=1e-12)
 
     def test_eta_precondition(self):
         # eta <= dim - 1 would break the digamma arguments; the parameter
@@ -223,6 +246,36 @@ class TestElbo:
         value = elbo(np.zeros((0, 2)), resp, posteriors, prior)
         assert value == pytest.approx(0.0, abs=1e-10)
 
+    def test_wishart_normaliser_against_mpmath(self):
+        # With no data and a posterior equal to the prior except in eta, the
+        # bound is minus the KL divergence between two inverse-Wisharts of one
+        # scale: (eta0 - eta)/2 sum_j psi((eta + 1 - j)/2) - ln G_d(eta0/2) + ln G_d(eta/2)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+
+        def log_multigamma(a, d):
+            out = mp.mpf(d * (d - 1)) / 4 * mp.log(mp.pi)
+            for j in range(1, d + 1):
+                out += mp.loggamma(mp.mpf(a) + mp.mpf(1 - j) / 2)
+            return out
+
+        for a, d in ((1.2, 2), (2.5, 4), (7.0, 5), (4.0, 8)):
+            base = simple_prior(d=d, k_init=1)
+            prior = replace(base, eta0=2.0 * a)
+            post = ComponentPosterior(
+                base.alpha0, base.beta0, base.m0, base.W0, base.eta0, base.nu_fixed
+            )
+            resp = Responsibilities(r=np.zeros((0, 1)), a=np.zeros((0, 1)), b=np.zeros((0, 1)))
+            value = elbo(np.zeros((0, d)), resp, [post], prior)
+
+            eta = mp.mpf(base.eta0)
+            psi_sum = sum(mp.digamma((eta + 1 - j) / 2) for j in range(1, d + 1))
+            lg_prior = log_multigamma(a, d)
+            lg_post = log_multigamma(eta / 2, d)
+            ref = (mp.mpf(2.0 * a) - eta) / 2 * psi_sum - lg_prior + lg_post
+            scale = max(1.0, abs(float(lg_prior)), abs(float(lg_post)))
+            assert abs(value - float(ref)) <= 1e-12 * scale
+
     def test_matches_monte_carlo_oracle(self):
         # independent estimate of E_q[ln p(X, Z, U, theta) - ln q(Z, U, theta)]
         x, resp, post, prior = toy_state(seed=7)
@@ -298,11 +351,17 @@ class TestPrune:
         assert new_resp is resp
 
     def test_refuses_to_prune_everything(self):
-        comps = [ComponentPosterior(0.001, 1.0, [0.0], [[1.0]], 3.0, 5.0)] * 2
-        r = np.full((1, 2), 0.5)
-        resp = Responsibilities(r, np.full((1, 2), 3.0), np.full((1, 2), 3.0))
-        with pytest.raises(ValueError):
-            prune(comps, resp, threshold=10.0)
+        # no component reaches the threshold: the largest one is kept
+        comps = [
+            ComponentPosterior(0.001, 1.0, [0.0], [[1.0]], 3.0, 5.0),
+            ComponentPosterior(0.002, 1.0, [1.0], [[1.0]], 3.0, 5.0),
+        ]
+        r = np.array([[0.3, 0.7]])
+        resp = Responsibilities(r, np.full((1, 2), 3.0), np.array([[3.0, 4.0]]))
+        kept, new_resp = prune(comps, resp, threshold=10.0)
+        assert kept == (comps[1],)
+        assert np.array_equal(new_resp.r, [[1.0]])
+        assert np.array_equal(new_resp.b, [[4.0]])
 
 
 class TestFit:
@@ -419,6 +478,36 @@ class TestFit:
         tc_emp = fit(unbalanced, prior, VbConfig(seed=0), class_prior="empirical")
         assert np.allclose(np.exp(tc_uni.class_log_prior), [0.5, 0.5])
         assert np.allclose(np.exp(tc_emp.class_log_prior), [100 / 150, 50 / 150])
+
+    @pytest.mark.parametrize("nu", [1e-3, 0.3, 5.0, 200.0])
+    def test_components_store_the_given_nu_exactly(self, nu):
+        rng = np.random.default_rng(8)
+        data = FeatureDataset(
+            features=rng.standard_normal((120, 8)),
+            labels=np.repeat([1, 2], 60),
+            trials=np.ones(120, int),
+            participants=np.ones(120, int),
+        )
+        prior = build_default_prior(data, nu_fixed=nu, k_init=3)
+        tc = fit(data, prior, VbConfig(seed=0, max_iters=15))
+        for cm in tc.classes:
+            assert all(c.nu == nu for c in cm.components)
+
+    def test_ml_nu_keeps_the_fit_at_each_chosen_nu(self):
+        data = two_blob_dataset(seed=91, n_per_class=60)
+        prior = build_default_prior(data, nu_fixed=5.0, k_init=2)
+        cfg = VbConfig(seed=4, max_iters=40)
+        tc = fit_ml_nu(data, prior, cfg, nu_bounds=(0.5, 50.0), coarse_points=5)
+        for i, cm in enumerate(tc.classes):
+            nu = cm.components[0].nu
+            direct = fit(data, replace(prior, nu_fixed=nu), cfg).classes[i]
+            assert cm.elbo_trace == direct.elbo_trace
+            assert cm.n_components == direct.n_components
+            for c, ref in zip(cm.components, direct.components):
+                assert c.nu == ref.nu == nu
+                assert (c.alpha, c.beta, c.eta) == (ref.alpha, ref.beta, ref.eta)
+                assert np.array_equal(c.m, ref.m)
+                assert np.array_equal(c.W, ref.W)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
