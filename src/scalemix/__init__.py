@@ -15,6 +15,7 @@ from .data import (
     FeatureDataset,
     SplitPlan,
     generate_simulation,
+    iter_csv,
     load_csv,
     save_csv,
     split_by_trials,

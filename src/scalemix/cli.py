@@ -11,6 +11,8 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure,
 """
 
 import argparse
+import itertools
+import os
 import sys
 import time
 import warnings
@@ -21,10 +23,12 @@ import numpy as np
 from .data import (
     DataFormatError,
     generate_simulation,
+    iter_csv,
     load_csv,
     save_csv,
     split_by_trials,
     subsample,
+    write_rows,
 )
 from .density import QuadratureError
 from .metrics import (
@@ -108,11 +112,7 @@ def _posterior_grid_rows(classifier, grid):
 def _write_boundary_csv(path, grid, post, labels):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x1,x2,posterior_c1,posterior_c2,argmax\n")
-        for i in range(grid.n_rows):
-            fh.write(
-                f"{float(grid.features[i, 0])!r},{float(grid.features[i, 1])!r},"
-                f"{float(post[i, 0])!r},{float(post[i, 1])!r},{int(labels[i])}\n"
-            )
+        write_rows(fh, grid.features, post, labels[:, None])
 
 
 def _heat_color(p):
@@ -276,7 +276,9 @@ def cmd_predict(args):
     if not cfg["model"] or not cfg["data"]:
         raise UsageError("--model and --data are required")
     classifier = load_model(cfg["model"])
-    data = load_csv(cfg["data"], schema=classifier.dim)
+    chunks = iter_csv(cfg["data"], schema=classifier.dim)
+    # the header and the first chunk are checked before anything is created
+    first = next(chunks)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     ids = classifier.class_ids
@@ -285,21 +287,22 @@ def cmd_predict(args):
         + ["label", "trial", "participant", "pred_label"]
         + [f"log_posterior_{cid}" for cid in ids]
     )
-    path = out / "predictions.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        if data.n_rows:
-            log_post, labels = predict_batch(classifier, data.features)
-            for i in range(data.n_rows):
-                cells = [repr(float(v)) for v in data.features[i]]
-                cells += [
-                    str(int(data.labels[i])),
-                    str(int(data.trials[i])),
-                    str(int(data.participants[i])),
-                    str(int(labels[i])),
-                ]
-                cells += [repr(float(v)) for v in log_post[i]]
-                fh.write(",".join(cells) + "\n")
+    # rows go to a temporary file that replaces predictions.csv only once
+    # every chunk has parsed, so a bad row leaves no partial output
+    partial = out / f".predictions.csv.{os.getpid()}.tmp"
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for chunk in itertools.chain([first], chunks):
+                if chunk.n_rows:
+                    log_post, labels = predict_batch(classifier, chunk.features)
+                    row_ids = np.column_stack(
+                        [chunk.labels, chunk.trials, chunk.participants, labels]
+                    )
+                    write_rows(fh, chunk.features, row_ids, log_post)
+        os.replace(partial, out / "predictions.csv")
+    finally:
+        partial.unlink(missing_ok=True)
     return EXIT_OK
 
 

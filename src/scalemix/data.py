@@ -6,6 +6,14 @@ label, a trial id, and a participant id. The CSV form uses the header
 ``f1,...,fD,label,trial,participant``; floats are rendered with repr
 semantics (up to 17 significant digits) so a save/load round trip is
 bit-exact.
+
+Files are read in chunks of ``CHUNK_ROWS`` data rows (blank lines are
+skipped and do not count), so memory stays bounded however long the file
+is. numpy parses each chunk of printable ASCII text: there it accepts no
+cell that Python's ``float`` and ``int`` reject, and reads the same values.
+When a chunk holds any other character, when numpy fails on it, or when it
+holds a non-finite feature, the chunk is parsed again row by row, and the
+first bad cell is reported by physical line number and column name.
 """
 
 import itertools
@@ -18,11 +26,25 @@ __all__ = [
     "FeatureDataset",
     "SplitPlan",
     "generate_simulation",
+    "iter_csv",
     "load_csv",
     "save_csv",
     "split_by_trials",
     "subsample",
+    "write_rows",
 ]
+
+# rows per chunk of CSV input; also the row block of batch prediction, so
+# a chunk-by-chunk predict runs the same matrix products as a whole-file one
+CHUNK_ROWS = 16384
+
+_ID_COLUMNS = ("label", "trial", "participant")
+
+# numpy's cell parser reads some text outside printable ASCII differently
+# from Python (it takes \x1c-\x1f for spaces and turns some non-ASCII
+# letters into digits), so a chunk holding any such character is parsed
+# row by row
+_PLAIN_ASCII = bytes(range(0x20, 0x7F)) + b"\n"
 
 
 class DataFormatError(ValueError):
@@ -161,37 +183,36 @@ def generate_simulation(seed=0, with_outliers=True, grid_step=0.05):
     return train, grid
 
 
+def write_rows(fh, *blocks):
+    """Write 2-D column blocks, placed side by side, as CSV rows.
+
+    Each cell is the ``repr`` of its ``tolist()`` value: the shortest text
+    that reads back to the same double, or a plain decimal integer.
+    """
+    rows = zip(*(block.tolist() for block in blocks))
+    fh.writelines(",".join(map(repr, itertools.chain(*row))) + "\n" for row in rows)
+
+
 def save_csv(dataset, path):
     """Write a dataset in the canonical CSV form."""
     d = dataset.dim
-    header = ",".join([f"f{i + 1}" for i in range(d)] + ["label", "trial", "participant"])
+    header = ",".join([f"f{i + 1}" for i in range(d)] + list(_ID_COLUMNS))
+    ids = np.column_stack([dataset.labels, dataset.trials, dataset.participants])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i in range(dataset.n_rows):
-            cells = [repr(float(v)) for v in dataset.features[i]]
-            cells += [
-                str(int(dataset.labels[i])),
-                str(int(dataset.trials[i])),
-                str(int(dataset.participants[i])),
-            ]
-            fh.write(",".join(cells) + "\n")
+        write_rows(fh, dataset.features, ids)
 
 
-def load_csv(path, schema=None):
-    """Read a dataset written in the canonical CSV form.
-
-    ``schema`` optionally pins the expected feature dimension. Errors name
-    the offending row and column; non-finite cells are rejected.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines:
+def _read_header(fh, path, schema):
+    """Feature column names of a canonical CSV header, checked."""
+    first = fh.readline()
+    if not first:
         raise DataFormatError(f"{path}: empty file (missing header)")
-    header = lines[0].split(",")
-    tail = ["label", "trial", "participant"]
-    if len(header) < 4 or header[-3:] != tail:
+    line = first.rstrip("\n")
+    header = line.split(",")
+    if len(header) < 4 or tuple(header[-3:]) != _ID_COLUMNS:
         raise DataFormatError(
-            f"{path}: header must end with {','.join(tail)}, got {lines[0]!r}"
+            f"{path}: header must end with {','.join(_ID_COLUMNS)}, got {line!r}"
         )
     d = len(header) - 3
     expected = [f"f{i + 1}" for i in range(d)]
@@ -201,51 +222,114 @@ def load_csv(path, schema=None):
         )
     if schema is not None and d != int(schema):
         raise DataFormatError(f"{path}: expected {schema} feature columns, found {d}")
-    feats = np.empty((len(lines) - 1, d))
-    labels = np.empty(len(lines) - 1, dtype=int)
-    trials = np.empty(len(lines) - 1, dtype=int)
-    parts = np.empty(len(lines) - 1, dtype=int)
-    row_count = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+    return header[:d]
+
+
+def _parse_rows(lines, first_lineno, path, names):
+    """Per-row parse of physical lines numbered from ``first_lineno``.
+
+    Blank lines are skipped. The first malformed cell raises a
+    ``DataFormatError`` naming its row (physical line) and column.
+    """
+    d = len(names)
+    feats = np.empty((len(lines), d))
+    ids = np.empty((len(lines), 3), dtype=np.int64)
+    row = 0
+    for lineno, line in enumerate(lines, start=first_lineno):
+        if line.isspace():
             continue
-        cells = line.split(",")
+        cells = line.rstrip("\n").split(",")
         if len(cells) != d + 3:
             raise DataFormatError(
                 f"{path}: row {lineno} has {len(cells)} cells, expected {d + 3}"
             )
-        for j in range(d):
+        for j, name in enumerate(names):
             try:
                 value = float(cells[j])
             except ValueError:
                 raise DataFormatError(
-                    f"{path}: row {lineno}, column {header[j]}: not a number ({cells[j]!r})"
+                    f"{path}: row {lineno}, column {name}: not a number ({cells[j]!r})"
                 ) from None
             if not np.isfinite(value):
                 raise DataFormatError(
-                    f"{path}: row {lineno}, column {header[j]}: non-finite value"
+                    f"{path}: row {lineno}, column {name}: non-finite value"
                 )
-            feats[row_count, j] = value
-        for j, name in enumerate(tail):
+            feats[row, j] = value
+        for j, name in enumerate(_ID_COLUMNS):
+            cell = cells[d + j]
             try:
-                cell = cells[d + j]
-                int_value = int(cell)
+                ids[row, j] = int(cell)
             except ValueError:
                 raise DataFormatError(
-                    f"{path}: row {lineno}, column {name}: not an integer ({cells[d + j]!r})"
+                    f"{path}: row {lineno}, column {name}: not an integer ({cell!r})"
                 ) from None
-            if name == "label":
-                labels[row_count] = int_value
-            elif name == "trial":
-                trials[row_count] = int_value
-            else:
-                parts[row_count] = int_value
-        row_count += 1
+            except OverflowError:
+                raise DataFormatError(
+                    f"{path}: row {lineno}, column {name}: integer out of range ({cell!r})"
+                ) from None
+        row += 1
+    return feats[:row], ids[:row]
+
+
+def _parse_chunk(lines, first_lineno, path, names):
+    """Features and id columns of one chunk: numpy first, per row on doubt."""
+    rows = [ln for ln in lines if not ln.isspace()]
+    text = "".join(rows)
+    if rows and text.isascii() and not text.encode("ascii").translate(None, _PLAIN_ASCII):
+        try:
+            table = np.loadtxt(
+                rows, delimiter=",", comments=None, ndmin=1,
+                dtype=[("f", float, (len(names),)), ("ids", np.int64, (3,))],
+            )
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if len(table) == len(rows) and np.isfinite(table["f"]).all():
+                return np.ascontiguousarray(table["f"]), np.ascontiguousarray(table["ids"])
+    return _parse_rows(lines, first_lineno, path, names)
+
+
+def iter_csv(path, schema=None):
+    """Read a canonical CSV file as a sequence of ``FeatureDataset`` chunks.
+
+    The header is checked once; ``schema`` optionally pins the feature
+    dimension. Each chunk holds ``CHUNK_ROWS`` data rows, except the last,
+    which holds fewer (possibly none), so there is always at least one.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        names = _read_header(fh, path, schema)
+        lineno = 2
+        while True:
+            lines = list(itertools.islice(fh, CHUNK_ROWS))
+            blank = sum(map(str.isspace, lines))
+            # top up past blank lines so every chunk but the last is full
+            while blank:
+                more = list(itertools.islice(fh, blank))
+                if not more:
+                    break
+                lines += more
+                blank = sum(map(str.isspace, more))
+            feats, ids = _parse_chunk(lines, lineno, path, names)
+            lineno += len(lines)
+            yield FeatureDataset(
+                features=feats, labels=ids[:, 0], trials=ids[:, 1], participants=ids[:, 2]
+            )
+            if feats.shape[0] < CHUNK_ROWS:
+                return
+
+
+def load_csv(path, schema=None):
+    """Read a dataset written in the canonical CSV form.
+
+    ``schema`` optionally pins the expected feature dimension. Errors name
+    the offending row and column; non-finite cells are rejected.
+    """
+    chunks = list(iter_csv(path, schema))
     return FeatureDataset(
-        features=feats[:row_count],
-        labels=labels[:row_count],
-        trials=trials[:row_count],
-        participants=parts[:row_count],
+        features=np.concatenate([c.features for c in chunks]),
+        labels=np.concatenate([c.labels for c in chunks]),
+        trials=np.concatenate([c.trials for c in chunks]),
+        participants=np.concatenate([c.participants for c in chunks]),
     )
 
 

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .numerics import (
@@ -122,6 +121,9 @@ def quadrature_marginal_density(x, params, rel_tol=1e-8):
         If the integrator reports a failure or the error estimate exceeds
         ``rel_tol`` relative to the result.
     """
+    # imported here: scipy.integrate pulls in scipy.stats, which the CLI never needs
+    from scipy.integrate import quad
+
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != params.dim:
         raise ValueError(f"x has dim {x.shape[0]}, params have dim {params.dim}")

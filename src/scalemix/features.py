@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .data import FeatureDataset
 
@@ -152,6 +151,9 @@ def rectify(block):
 
 
 def _apply(coeffs, block, zero_phase):
+    # imported here: scipy.signal pulls in scipy.stats, which the CLI never needs
+    from scipy.signal import lfilter
+
     x = block.samples
     b = np.asarray(coeffs.b)
     a = np.asarray(coeffs.a)

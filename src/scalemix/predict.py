@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .data import CHUNK_ROWS
 from .density import log_t_kernel
 from .numerics import cholesky, log_det
 
@@ -138,9 +139,8 @@ def predict_batch(classifier, points, nu_override=None):
     mixes = [_Mixture(cm, nu_override) for cm in classifier.classes]
     joint = np.empty((c, n))
     # chunking keeps each class's whitened coordinates resident in cache
-    chunk = 16384
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, n)
         pts_t = np.ascontiguousarray(pts[lo:hi].T)
         for i, mix in enumerate(mixes):
             joint[i, lo:hi] = mix.log_density_t(pts_t)

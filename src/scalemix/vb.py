@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.optimize import minimize_scalar
 from scipy.special import digamma, gammaln, multigammaln
 
 from .density import log_t_kernel
@@ -542,6 +541,9 @@ def fit_ml_nu(
     Each class keeps the fit it scored best, which equals :func:`fit` at
     that ``nu`` with the same seed.
     """
+    # imported here: only this training mode needs scipy.optimize
+    from scipy.optimize import minimize_scalar
+
     config = config or VbConfig()
     lo, hi = nu_bounds
     grid = np.geomspace(lo, hi, coarse_points)

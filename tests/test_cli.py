@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scalemix
 from scalemix.cli import (
     EXIT_DATA,
     EXIT_NO_CONVERGENCE,
@@ -12,7 +16,9 @@ from scalemix.cli import (
     EXIT_USAGE,
     main,
 )
-from scalemix.data import FeatureDataset, save_csv
+from scalemix.data import CHUNK_ROWS, FeatureDataset, save_csv
+from scalemix.model import load_model
+from scalemix.predict import predict_batch
 
 from conftest import two_blob_dataset
 
@@ -180,6 +186,15 @@ class TestTrain:
         )
         assert code == EXIT_DATA
 
+    def test_out_of_range_integer_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("f1,label,trial,participant\n1.5,99999999999999999999,1,1\n")
+        code = main(
+            ["train", "--data", str(data), "--model-out", str(tmp_path / "m.json"), "--nu", "5"]
+        )
+        assert code == EXIT_DATA
+        assert "row 2, column label" in capsys.readouterr().err
+
     def test_iteration_cap_gives_distinct_exit_code(self, tmp_path, train_csv):
         code = main(
             [
@@ -296,6 +311,63 @@ class TestPredict:
             == EXIT_DATA
         )
         assert "row 2" in capsys.readouterr().err
+
+    def test_multi_chunk_output_matches_row_by_row_reference(self, tmp_path, train_csv):
+        model = self.make_model(tmp_path, train_csv)
+        n = 2 * CHUNK_ROWS + 1
+        rng = np.random.default_rng(4)
+        data = FeatureDataset(
+            rng.standard_normal((n, 2)) * 3.0 + 2.0,
+            rng.integers(1, 3, n),
+            rng.integers(1, 5, n),
+            rng.integers(1, 3, n),
+        )
+        path = tmp_path / "long.csv"
+        save_csv(data, path)
+        out = tmp_path / "pred"
+        argv = ["predict", "--model", str(model), "--data", str(path), "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        # reference: one whole-file batch, written one numpy scalar at a time
+        classifier = load_model(model)
+        log_post, labels = predict_batch(classifier, data.features)
+        lines = ["f1,f2,label,trial,participant,pred_label,log_posterior_1,log_posterior_2"]
+        for i in range(n):
+            cells = [repr(float(v)) for v in data.features[i]]
+            cells += [
+                str(int(data.labels[i])),
+                str(int(data.trials[i])),
+                str(int(data.participants[i])),
+                str(int(labels[i])),
+            ]
+            cells += [repr(float(v)) for v in log_post[i]]
+            lines.append(",".join(cells))
+        expected = ("\n".join(lines) + "\n").encode()
+        assert (out / "predictions.csv").read_bytes() == expected
+
+    def test_data_error_leaves_no_partial_output(self, tmp_path, train_csv, capsys):
+        model = self.make_model(tmp_path, train_csv)
+        data = two_blob_dataset(seed=9, n_per_class=10_000)
+        path = tmp_path / "bad.csv"
+        save_csv(data, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(99, "\n")  # physical line 100 is blank
+        cells = lines[17999].split(",")
+        cells[1] = "abc"  # physical line 18000, column f2: past the first chunk
+        lines[17999] = ",".join(cells)
+        path.write_text("".join(lines))
+        argv = ["predict", "--model", str(model), "--data", str(path), "--out-dir"]
+
+        fresh = tmp_path / "fresh"
+        assert main(argv + [str(fresh)]) == EXIT_DATA
+        assert "row 18000, column f2" in capsys.readouterr().err
+        assert list(fresh.glob("*")) == []  # no predictions.csv, no temporary file
+
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "predictions.csv").write_bytes(b"earlier output\n")
+        assert main(argv + [str(kept)]) == EXIT_DATA
+        assert (kept / "predictions.csv").read_bytes() == b"earlier output\n"
+        assert sorted(p.name for p in kept.iterdir()) == ["predictions.csv"]
 
 
 class TestEvaluate:
@@ -435,3 +507,16 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_import_skips_unused_scipy_submodules(self):
+        probe = (
+            "import sys, scalemix.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules])"
+        )
+        src = str(Path(scalemix.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.stdout.strip() == "[]"

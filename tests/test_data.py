@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from scalemix.data import (
+    CHUNK_ROWS,
     DataFormatError,
     FeatureDataset,
     generate_simulation,
+    iter_csv,
     load_csv,
     save_csv,
     split_by_trials,
@@ -116,6 +118,95 @@ class TestCsvRoundTrip:
         ds = load_csv(path)
         assert ds.n_rows == 0
         assert ds.dim == 2
+
+
+class TestChunkedCsv:
+    """Files longer than one chunk, and cells the numpy fast path would misread."""
+
+    def dataset(self, rng, n, d=3):
+        return FeatureDataset(
+            rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, (n, d)),
+            rng.integers(1, 16, n),
+            rng.integers(1, 7, n),
+            rng.integers(1, 4, n),
+        )
+
+    def with_blank_lines(self, path, physical_lines):
+        lines = path.read_text().splitlines(keepends=True)
+        for lineno in sorted(physical_lines):
+            lines.insert(lineno - 1, "\n" if lineno % 2 else "  \t\n")
+        path.write_text("".join(lines))
+
+    def test_round_trip_bit_exact_across_chunks(self, tmp_path, rng):
+        ds = self.dataset(rng, 2 * CHUNK_ROWS + 5)
+        path = tmp_path / "long.csv"
+        save_csv(ds, path)
+        # data row r sits on physical line r + 1; straddle the first boundary
+        self.with_blank_lines(path, [CHUNK_ROWS, CHUNK_ROWS + 2, CHUNK_ROWS + 3, CHUNK_ROWS + 6])
+        back = load_csv(path)
+        assert np.array_equal(ds.features, back.features)
+        assert np.array_equal(np.signbit(ds.features), np.signbit(back.features))
+        assert np.array_equal(ds.labels, back.labels)
+        assert np.array_equal(ds.trials, back.trials)
+        assert np.array_equal(ds.participants, back.participants)
+
+    def test_chunks_hold_full_row_blocks_despite_blank_lines(self, tmp_path, rng):
+        ds = self.dataset(rng, 2 * CHUNK_ROWS + 5, d=1)
+        path = tmp_path / "long.csv"
+        save_csv(ds, path)
+        self.with_blank_lines(path, [3, 10, CHUNK_ROWS + 1, CHUNK_ROWS + 9])
+        sizes = [chunk.n_rows for chunk in iter_csv(path)]
+        assert sizes == [CHUNK_ROWS, CHUNK_ROWS, 5]
+
+    def test_exact_multiple_ends_with_empty_chunk(self, tmp_path, rng):
+        path = tmp_path / "exact.csv"
+        save_csv(self.dataset(rng, CHUNK_ROWS, d=1), path)
+        assert [chunk.n_rows for chunk in iter_csv(path)] == [CHUNK_ROWS, 0]
+
+    def test_nan_past_first_chunk_named_by_physical_line(self, tmp_path, rng):
+        path = tmp_path / "nan.csv"
+        save_csv(self.dataset(rng, CHUNK_ROWS + 100, d=2), path)
+        self.with_blank_lines(path, [50])
+        lines = path.read_text().splitlines(keepends=True)
+        target = CHUNK_ROWS + 40
+        cells = lines[target - 1].split(",")
+        cells[1] = "nan"
+        lines[target - 1] = ",".join(cells)
+        path.write_text("".join(lines))
+        with pytest.raises(DataFormatError, match=f"row {target}, column f2: non-finite"):
+            load_csv(path)
+
+    @pytest.mark.parametrize(
+        "cell, column",
+        [("\x1c3", "f1"), ("3\x1f", "label"), ("\u01fe3", "label"), ("3\u0903", "trial")],
+    )
+    def test_cells_numpy_alone_would_accept_are_rejected(self, tmp_path, cell, column):
+        cells = {"f1": "0.5", "label": "1", "trial": "1", "participant": "1"}
+        cells[column] = cell
+        path = tmp_path / "odd.csv"
+        path.write_text(
+            "f1,label,trial,participant\n1.5,1,1,1\n" + ",".join(cells.values()) + "\n"
+        )
+        with pytest.raises(DataFormatError, match=f"row 3, column {column}"):
+            load_csv(path)
+
+    def test_cells_only_python_accepts_are_read(self, tmp_path):
+        path = tmp_path / "python.csv"
+        path.write_text(
+            "f1,f2,label,trial,participant\n"
+            "1_0.5,\u00a02.5,\u0661,\u00a03 ,1_2\n"
+        )
+        ds = load_csv(path)
+        assert ds.features.tolist() == [[10.5, 2.5]]
+        assert (ds.labels.tolist(), ds.trials.tolist(), ds.participants.tolist()) == (
+            [1], [3], [12]
+        )
+
+    def test_out_of_range_integer_named(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("f1,label,trial,participant\n1.5,99999999999999999999,1,1\n")
+        with pytest.raises(DataFormatError, match="row 2, column label: integer out of range"):
+            load_csv(path)
 
 
 class TestSplitByTrials:
