@@ -157,7 +157,7 @@ def cmd_simulate(args):
         "no_outliers": (bool, False),
         "grid_step": (float, 0.05),
         "svg": (bool, False),
-        "threads": (int, 1),
+        "threads": (int, 1),  # accepted and ignored: training runs on one thread
     }
     cfg = _resolve(args, spec)
     out = Path(cfg["out_dir"])
@@ -176,9 +176,9 @@ def cmd_simulate(args):
         train, nu_fixed=1e6, k_init=cfg["k_init"], alpha0=cfg["alpha0"]
     )
     runs = {
-        "shared_nu": fit(train, shared_prior, vb_cfg, threads=cfg["threads"]),
-        "ml_nu": fit_ml_nu(train, shared_prior, vb_cfg, threads=cfg["threads"]),
-        "gaussian": fit(train, gaussian_prior, vb_cfg, threads=cfg["threads"]),
+        "shared_nu": fit(train, shared_prior, vb_cfg),
+        "ml_nu": fit_ml_nu(train, shared_prior, vb_cfg),
+        "gaussian": fit(train, gaussian_prior, vb_cfg),
     }
     for name, classifier in runs.items():
         post, labels = _posterior_grid_rows(classifier, grid)
@@ -210,7 +210,6 @@ def _train_classifier(data, cfg, log_sink=None, table_sink=None):
             search,
             vb_config=vb_cfg,
             table_sink=table_sink,
-            threads=cfg["threads"],
         )
         tune_s = time.perf_counter() - start
     elif nu is None:
@@ -218,7 +217,7 @@ def _train_classifier(data, cfg, log_sink=None, table_sink=None):
     prior = build_default_prior(
         data, nu_fixed=nu, k_init=cfg["k_init"], alpha0=cfg["alpha0"]
     )
-    classifier = fit(data, prior, vb_cfg, log_sink=log_sink, threads=cfg["threads"])
+    classifier = fit(data, prior, vb_cfg, log_sink=log_sink)
     return classifier, nu, tune_s
 
 
@@ -233,7 +232,7 @@ _TRAIN_SPEC = {
     "k_init": (int, 1),
     "alpha0": (float, 0.001),
     "seed": (int, 0),
-    "threads": (int, 1),
+    "threads": (int, 1),  # accepted and ignored: training runs on one thread
     "max_iters": (int, 500),
 }
 
@@ -475,7 +474,11 @@ def build_parser():
     def add_common(p):
         p.add_argument("--config", help="key = value config file (flags win)")
         p.add_argument("--seed", type=int, help="random seed (default 0)")
-        p.add_argument("--threads", type=int, help="worker threads (default 1)")
+        p.add_argument(
+            "--threads",
+            type=int,
+            help="accepted for compatibility; training runs on one thread",
+        )
 
     p = sub.add_parser("simulate", help="two-class synthetic benchmark and boundaries")
     add_common(p)

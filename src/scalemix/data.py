@@ -12,8 +12,9 @@ skipped and do not count), so memory stays bounded however long the file
 is. numpy parses each chunk of printable ASCII text: there it accepts no
 cell that Python's ``float`` and ``int`` reject, and reads the same values.
 When a chunk holds any other character, when numpy fails on it, or when it
-holds a non-finite feature, the chunk is parsed again row by row, and the
-first bad cell is reported by physical line number and column name.
+holds a non-finite feature or a label below 1, the chunk is parsed again
+row by row, and the first bad cell is reported by physical line number and
+column name.
 """
 
 import itertools
@@ -267,6 +268,10 @@ def _parse_rows(lines, first_lineno, path, names):
                 raise DataFormatError(
                     f"{path}: row {lineno}, column {name}: integer out of range ({cell!r})"
                 ) from None
+            if j == 0 and ids[row, j] < 1:
+                raise DataFormatError(
+                    f"{path}: row {lineno}, column {name}: not a positive integer ({cell!r})"
+                )
         row += 1
     return feats[:row], ids[:row]
 
@@ -284,7 +289,11 @@ def _parse_chunk(lines, first_lineno, path, names):
         except (ValueError, OverflowError):
             pass
         else:
-            if len(table) == len(rows) and np.isfinite(table["f"]).all():
+            if (
+                len(table) == len(rows)
+                and np.isfinite(table["f"]).all()
+                and (table["ids"][:, 0] >= 1).all()
+            ):
                 return np.ascontiguousarray(table["f"]), np.ascontiguousarray(table["ids"])
     return _parse_rows(lines, first_lineno, path, names)
 

@@ -105,7 +105,6 @@ def select_nu(
     vb_config=None,
     class_prior="uniform",
     table_sink=None,
-    threads=1,
 ):
     """Degrees of freedom minimizing held-out conditional entropy.
 
@@ -121,7 +120,7 @@ def select_nu(
     if table_sink is not None:
         table_sink("fold,nu,J")
     winners = []
-    pre_prior = replace_nu(prior, cfg.nu_pre)
+    pre_prior = replace(prior, nu_fixed=float(cfg.nu_pre))
     for fold in range(cfg.folds):
         held = fold_of == fold
         train_part = data.subset(~held)
@@ -130,9 +129,7 @@ def select_nu(
             raise ValueError(
                 f"fold {fold}: some class is absent from the training side"
             )
-        fold_model = fit(
-            train_part, pre_prior, vb_config, class_prior=class_prior, threads=threads
-        )
+        fold_model = fit(train_part, pre_prior, vb_config, class_prior=class_prior)
         scores = np.array(
             [conditional_entropy(nu, fold_model, valid_part) for nu in cfg.grid]
         )
@@ -142,8 +139,3 @@ def select_nu(
             for nu, score in zip(cfg.grid, scores):
                 table_sink(f"{fold},{float(nu)!r},{float(score)!r}")
     return min(winners)
-
-
-def replace_nu(prior, nu):
-    """Copy of a prior with a different fixed degrees-of-freedom value."""
-    return replace(prior, nu_fixed=float(nu))

@@ -15,13 +15,12 @@ convergence. Components whose effective count falls below a threshold are
 pruned, which a small Dirichlet concentration makes routine: redundant
 components starve and vanish, leaving the model to pick its own complexity.
 
-Per-class fits are independent and may run on separate threads; within a
-fit, all reductions use fixed summation order so results are reproducible
-for a given seed regardless of worker count.
+Classes are fit one after another, each from its own seeded stream; within
+a fit, all reductions use fixed summation order, so results are
+reproducible for a given seed.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,8 +51,6 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-INIT_STRATEGIES = ("random-responsibility", "kmeans-like")
-
 
 class NumericalFailure(ArithmeticError):
     """A non-finite quantity appeared during training."""
@@ -67,7 +64,6 @@ class VbConfig:
     elbo_rel_tol: float = 1e-6
     prune_threshold: float = 1e-3
     seed: int = 0
-    init_strategy: str = "random-responsibility"
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -76,10 +72,6 @@ class VbConfig:
             raise ValueError("elbo_rel_tol must be positive")
         if not self.prune_threshold > 0:
             raise ValueError("prune_threshold must be positive")
-        if self.init_strategy not in INIT_STRATEGIES:
-            raise ValueError(
-                f"init_strategy must be one of {INIT_STRATEGIES}, got {self.init_strategy!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -122,10 +114,6 @@ class Responsibilities:
         return self.r.sum(axis=0)
 
 
-def _components_of(model):
-    return model.components if isinstance(model, ClassModel) else tuple(model)
-
-
 def _log_sigma_tilde(comp):
     f = cholesky(comp.W)
     d = comp.dim
@@ -133,14 +121,14 @@ def _log_sigma_tilde(comp):
     return -d * math.log(2.0) + log_det(f) - float(psi.sum()), f
 
 
-def e_step(points, model):
+def e_step(points, posteriors):
     """Latent update: responsibilities and scale posteriors for class points.
 
-    ``model`` may be a :class:`ClassModel` or a sequence of component
-    posteriors. Responsibilities are computed in log space with row-max
-    subtraction; exact ties keep proportional weights.
+    ``posteriors`` is a sequence of component posteriors. Responsibilities
+    are computed in log space with row-max subtraction; exact ties keep
+    proportional weights.
     """
-    comps = _components_of(model)
+    comps = tuple(posteriors)
     x = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = x.shape
     k = len(comps)
@@ -397,18 +385,9 @@ def prune(posteriors, resp, threshold):
     return kept, Responsibilities(r=r, a=resp.a[:, keep], b=resp.b[:, keep])
 
 
-def _init_responsibilities(x, k, nu, rng, strategy):
+def _init_responsibilities(x, k, nu, rng):
     n, d = x.shape
-    if k == 1:
-        r = np.ones((n, 1))
-    elif strategy == "random-responsibility":
-        r = rng.dirichlet(np.ones(k), size=n)
-    else:  # kmeans-like: hard assignment to the nearest of k random centers
-        centers = x[rng.choice(n, size=k, replace=False)]  # k <= n by construction
-        dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = dist.argmin(axis=1)
-        r = np.zeros((n, k))
-        r[np.arange(n), labels] = 1.0
+    r = np.ones((n, 1)) if k == 1 else rng.dirichlet(np.ones(k), size=n)
     # unit-mean latent scales at initialization, with the shape already at
     # its fixed-point value 0.5 * (nu + dim)
     a = np.full((n, r.shape[1]), 0.5 * (nu + d))
@@ -421,7 +400,7 @@ def _fit_class(x, prior, config, class_id, rng, sink=None):
     if n == 0:
         raise ValueError(f"class {class_id} has no training rows")
     k0 = min(prior.k_init, max(n, 1))
-    resp = _init_responsibilities(x, k0, prior.nu_fixed, rng, config.init_strategy)
+    resp = _init_responsibilities(x, k0, prior.nu_fixed, rng)
     posteriors = m_step(x, resp, prior)
     trace = []
     converged = False
@@ -464,61 +443,45 @@ def _class_log_prior(counts, mode):
     raise ValueError(f"unknown class_prior mode {mode!r}")
 
 
-def _fit_classes(data, prior, config, class_prior, threads, fit_one, log_sink=None):
-    """Fit every class with ``fit_one`` and assemble the classifier.
+def _fit_classes(data, prior, config, class_prior, fit_one):
+    """Fit every class with ``fit_one``, in class order; assemble the classifier.
 
-    ``fit_one(rows, class_id, seed, sink)`` returns a :class:`ClassModel`;
-    ``seed`` is the class's own ``[config.seed, index]`` stream, so results
-    do not depend on ``threads``. Lines a fit sends to ``sink`` reach
-    ``log_sink`` in class order once every fit has finished.
+    ``fit_one(rows, class_id, seed)`` returns a :class:`ClassModel`;
+    ``seed`` is the class's own ``[config.seed, index]`` stream.
     """
     class_ids = sorted(int(v) for v in np.unique(data.labels))
     if not class_ids:
         raise ValueError("training data has no rows")
-
-    def run(job):
-        idx, cid = job
-        lines = []
-        collector = lines.append if log_sink is not None else None
-        rows = data.features[data.labels == cid]
-        return fit_one(rows, cid, [config.seed, idx], collector), lines
-
-    jobs = list(enumerate(class_ids))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-    if log_sink is not None:
-        for _, lines in results:
-            for line in lines:
-                log_sink(line)
+    classes = tuple(
+        fit_one(data.features[data.labels == cid], cid, [config.seed, idx])
+        for idx, cid in enumerate(class_ids)
+    )
     counts = [int(np.sum(data.labels == cid)) for cid in class_ids]
     return TrainedClassifier(
-        classes=tuple(cm for cm, _ in results),
+        classes=classes,
         class_log_prior=_class_log_prior(counts, class_prior),
         dim=data.dim,
         prior=prior,
     )
 
 
-def fit(data, prior, config=None, class_prior="uniform", log_sink=None, threads=1):
+def fit(data, prior, config=None, class_prior="uniform", log_sink=None):
     """Train one class model per distinct label and assemble a classifier.
 
     Deterministic for a fixed ``config.seed``: each class draws its
-    initialization from an independent seeded stream, so results do not
-    depend on ``threads``. A class that fails to converge within
-    ``max_iters`` is returned with ``converged=False`` rather than raising.
+    initialization from an independent seeded stream. A class that fails
+    to converge within ``max_iters`` is returned with ``converged=False``
+    rather than raising.
 
     ``log_sink``, when given, receives one line per iteration per class
-    (class id, iteration, bound, live component count).
+    (class id, iteration, bound, live component count), in class order.
     """
     config = config or VbConfig()
 
-    def fit_one(rows, cid, seed, sink):
-        return _fit_class(rows, prior, config, cid, np.random.default_rng(seed), sink)
+    def fit_one(rows, cid, seed):
+        return _fit_class(rows, prior, config, cid, np.random.default_rng(seed), log_sink)
 
-    return _fit_classes(data, prior, config, class_prior, threads, fit_one, log_sink)
+    return _fit_classes(data, prior, config, class_prior, fit_one)
 
 
 def fit_ml_nu(
@@ -528,7 +491,6 @@ def fit_ml_nu(
     class_prior="uniform",
     nu_bounds=(0.05, 1000.0),
     coarse_points=25,
-    threads=1,
 ):
     """Experimental mode: per-class degrees of freedom by likelihood search.
 
@@ -548,7 +510,7 @@ def fit_ml_nu(
     lo, hi = nu_bounds
     grid = np.geomspace(lo, hi, coarse_points)
 
-    def best_fit_for(rows, cid, seed, sink):
+    def best_fit_for(rows, cid, seed):
         fits = {}
 
         def fit_at(nu):
@@ -581,4 +543,4 @@ def fit_ml_nu(
             nu_best = grid[j]
         return fit_at(nu_best)
 
-    return _fit_classes(data, prior, config, class_prior, threads, best_fit_for)
+    return _fit_classes(data, prior, config, class_prior, best_fit_for)

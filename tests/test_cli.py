@@ -195,6 +195,18 @@ class TestTrain:
         assert code == EXIT_DATA
         assert "row 2, column label" in capsys.readouterr().err
 
+    def test_label_below_one_is_data_error_naming_row(self, tmp_path, capsys):
+        data = tmp_path / "zero.csv"
+        data.write_text("f1,label,trial,participant\n1.5,0,1,1\n2.5,1,1,1\n")
+        code = main(
+            ["train", "--data", str(data), "--model-out", str(tmp_path / "m.json"), "--nu", "5"]
+        )
+        assert code == EXIT_DATA
+        assert (
+            f"{data}: row 2, column label: not a positive integer ('0')"
+            in capsys.readouterr().err
+        )
+
     def test_iteration_cap_gives_distinct_exit_code(self, tmp_path, train_csv):
         code = main(
             [

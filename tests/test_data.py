@@ -99,6 +99,16 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError, match="row 2.*f1"):
             load_csv(path)
 
+    @pytest.mark.parametrize("label", ["0", "-2"])
+    def test_label_below_one_names_file_and_row(self, tmp_path, label):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f1,label,trial,participant\n1.5,{label},1,1\n2.5,1,1,1\n")
+        with pytest.raises(DataFormatError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == (
+            f"{path}: row 2, column label: not a positive integer ({label!r})"
+        )
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f1,label,trial\n1.0,1,1\n")
@@ -174,6 +184,19 @@ class TestChunkedCsv:
         lines[target - 1] = ",".join(cells)
         path.write_text("".join(lines))
         with pytest.raises(DataFormatError, match=f"row {target}, column f2: non-finite"):
+            load_csv(path)
+
+    def test_label_below_one_past_first_chunk_named_by_physical_line(self, tmp_path, rng):
+        path = tmp_path / "label.csv"
+        save_csv(self.dataset(rng, CHUNK_ROWS + 100, d=2), path)
+        self.with_blank_lines(path, [50])
+        lines = path.read_text().splitlines(keepends=True)
+        target = CHUNK_ROWS + 40
+        cells = lines[target - 1].split(",")
+        cells[2] = "0"
+        lines[target - 1] = ",".join(cells)
+        path.write_text("".join(lines))
+        with pytest.raises(DataFormatError, match=f"row {target}, column label: not a positive"):
             load_csv(path)
 
     @pytest.mark.parametrize(
