@@ -82,6 +82,7 @@ from .predict import (
     class_posterior,
     classify,
     predict_batch,
+    prepare,
     sample,
 )
 from .vb import (

@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure,
 
 import argparse
 import itertools
+import math
 import os
 import sys
 import time
@@ -41,7 +42,7 @@ from .metrics import (
 from .model import build_default_prior, load_model, save_model
 from .nu_select import NuSearchConfig, select_nu
 from .numerics import NotPositiveDefiniteError
-from .predict import predict_batch
+from .predict import predict_batch, prepare
 from .vb import NumericalFailure, VbConfig, fit, fit_ml_nu
 
 EXIT_OK = 0
@@ -94,6 +95,12 @@ def _resolve(args, spec):
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     return merged
+
+
+def _check_nu(nu):
+    """Reject a --nu value that no model can carry, before any data is read."""
+    if nu is not None and not (nu > 0 and math.isfinite(nu)):
+        raise UsageError(f"--nu must be positive and finite, got {nu!r}")
 
 
 def _parse_nu_grid(text):
@@ -160,6 +167,7 @@ def cmd_simulate(args):
         "threads": (int, 1),  # accepted and ignored: training runs on one thread
     }
     cfg = _resolve(args, spec)
+    _check_nu(cfg["nu"])
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     train, grid = generate_simulation(
@@ -243,6 +251,7 @@ def cmd_train(args):
         raise UsageError("--data and --model-out are required")
     if cfg["nu"] is not None and cfg["select_nu"]:
         raise UsageError("--nu and --select-nu are mutually exclusive")
+    _check_nu(cfg["nu"])
     data = load_csv(cfg["data"])
     if data.n_rows == 0:
         raise DataFormatError(f"{cfg['data']}: no training rows")
@@ -278,6 +287,7 @@ def cmd_predict(args):
     chunks = iter_csv(cfg["data"], schema=classifier.dim)
     # the header and the first chunk are checked before anything is created
     first = next(chunks)
+    prepared = prepare(classifier)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     ids = classifier.class_ids
@@ -294,7 +304,7 @@ def cmd_predict(args):
             fh.write(",".join(header) + "\n")
             for chunk in itertools.chain([first], chunks):
                 if chunk.n_rows:
-                    log_post, labels = predict_batch(classifier, chunk.features)
+                    log_post, labels = predict_batch(prepared, chunk.features)
                     row_ids = np.column_stack(
                         [chunk.labels, chunk.trials, chunk.participants, labels]
                     )
@@ -336,6 +346,7 @@ def cmd_evaluate(args):
         raise UsageError("--nu and --select-nu are mutually exclusive")
     if cfg["nu"] is None and not cfg["select_nu"]:
         raise UsageError("either --nu or --select-nu is required")
+    _check_nu(cfg["nu"])
     data = load_csv(cfg["data"])
     if data.n_rows == 0:
         raise DataFormatError(f"{cfg['data']}: no rows")

@@ -8,6 +8,7 @@ shareable across threads.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,8 @@ class PriorHyperparameters:
             raise ValueError("beta0 must be positive")
         if not self.eta0 > d - 1:
             raise ValueError(f"eta0 must exceed dim - 1 = {d - 1}, got {self.eta0}")
-        if not self.nu_fixed > 0:
-            raise ValueError("nu_fixed must be positive")
+        if not (self.nu_fixed > 0 and math.isfinite(self.nu_fixed)):
+            raise ValueError(f"nu_fixed must be positive and finite, got {self.nu_fixed!r}")
         if self.k_init < 1:
             raise ValueError("k_init must be at least 1")
         cholesky(self.W0)  # fail fast if W0 is not positive definite

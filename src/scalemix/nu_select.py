@@ -10,14 +10,17 @@ true labels under the plug-in predictive (swapping only the degrees of
 freedom, leaving every fitted posterior untouched). Each fold contributes
 its minimizer and the smallest one wins overall.
 
-Folds are independent; grid evaluations share an immutable fold model.
+The whole grid is scored from one whitening per fold: the validation
+points are whitened once per class, and each candidate value swaps only
+the normaliser of every component.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .predict import predict_batch
+from .predict import log_posteriors_over_nu
 from .vb import VbConfig, fit
 
 __all__ = [
@@ -47,10 +50,13 @@ class NuSearchConfig:
         grid = np.asarray(grid, dtype=float).reshape(-1)
         if self.folds < 2:
             raise ValueError("need at least 2 folds")
-        if not self.nu_pre > 0:
-            raise ValueError("nu_pre must be positive")
+        if not (self.nu_pre > 0 and math.isfinite(self.nu_pre)):
+            raise ValueError(f"nu_pre must be positive and finite, got {self.nu_pre!r}")
         if grid.size == 0:
             raise ValueError("grid must be nonempty")
+        bad = grid[~np.isfinite(grid)]
+        if bad.size:
+            raise ValueError(f"grid values must be finite, got {float(bad[0])!r}")
         if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
             raise ValueError("grid must be positive and strictly increasing")
         grid.setflags(write=False)
@@ -79,23 +85,31 @@ def stratified_folds(labels, n_folds, seed):
 
 
 def conditional_entropy(nu, fold_classifier, validation):
-    """Average negative log posterior of the true labels at a candidate value.
+    """Average negative log posterior of the true labels at candidate values.
 
-    The candidate degrees of freedom are swapped into every component's
+    ``nu`` is one value, which gives a float, or a 1-d grid, which gives
+    one score per value. Each candidate is swapped into every component's
     predictive density; the fitted posteriors (and the expected scale they
     induce) stay fixed. Nonnegative, zero only for a perfect classifier.
     """
     if validation.n_rows == 0:
         raise ValueError("validation fold is empty")
-    log_post, _ = predict_batch(fold_classifier, validation.features, nu_override=nu)
-    ids = fold_classifier.class_ids
-    col = {cid: i for i, cid in enumerate(ids)}
+    col = {cid: i for i, cid in enumerate(fold_classifier.class_ids)}
     try:
         idx = np.asarray([col[int(lbl)] for lbl in validation.labels])
     except KeyError as exc:
         raise ValueError(f"validation label {exc} missing from the fold model") from None
-    picked = log_post[np.arange(validation.n_rows), idx]
-    return float(-picked.mean())
+    rows = np.arange(validation.n_rows)
+    grid = np.asarray(nu, dtype=float)
+    scores = np.array(
+        [
+            -log_post[idx, rows].mean()
+            for log_post in log_posteriors_over_nu(
+                fold_classifier, validation.features, grid.reshape(-1)
+            )
+        ]
+    )
+    return float(scores[0]) if grid.ndim == 0 else scores
 
 
 def select_nu(
@@ -130,9 +144,7 @@ def select_nu(
                 f"fold {fold}: some class is absent from the training side"
             )
         fold_model = fit(train_part, pre_prior, vb_config, class_prior=class_prior)
-        scores = np.array(
-            [conditional_entropy(nu, fold_model, valid_part) for nu in cfg.grid]
-        )
+        scores = conditional_entropy(cfg.grid, fold_model, valid_part)
         best = int(np.argmin(scores))
         winners.append(float(cfg.grid[best]))
         if table_sink is not None:

@@ -8,12 +8,20 @@ rule over the per-class predictives and the class priors, all in log
 space; Student-t tails keep every class density finite at double
 precision for any reasonable query point.
 
-Batch prediction factors the per-component preparations out of the loop,
-which is what makes microsecond-scale per-record throughput possible.
+:func:`prepare` builds each class's mixture once (Cholesky factors,
+inverse factors and the stacked whitening of every component), and batch
+prediction reuses it for every block of rows, which is what makes
+microsecond-scale per-record throughput possible. The degrees of freedom
+enter only through three small per-component arrays, so
+:meth:`_Mixture.with_nu` swaps them without refactorising, and
+:func:`log_posteriors_over_nu` scores a grid of values from one whitening
+of the points.
 """
 
+import copy
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -24,10 +32,13 @@ from .numerics import cholesky, log_det
 
 __all__ = [
     "ClassPosterior",
+    "PreparedClassifier",
     "class_log_predictive",
     "class_posterior",
     "classify",
+    "log_posteriors_over_nu",
     "predict_batch",
+    "prepare",
     "sample",
 ]
 
@@ -48,11 +59,11 @@ class _Mixture:
     """
 
     __slots__ = (
-        "log_w", "means", "lowers", "stacked_inv", "stacked_offset",
+        "log_w", "means", "lowers", "log_dets", "stacked_inv", "stacked_offset",
         "log_norms", "nus", "half_exponents", "dim", "n_components",
     )
 
-    def __init__(self, cm, nu_override=None):
+    def __init__(self, cm):
         d = cm.dim
         k = cm.n_components
         self.dim = d
@@ -60,6 +71,7 @@ class _Mixture:
         self.log_w = np.empty(k)
         self.means = np.empty((k, d))
         self.lowers = []
+        self.log_dets = np.empty(k)
         self.log_norms = np.empty(k)
         self.nus = np.empty(k)
         # all component whitening transforms stacked so a batch Mahalanobis
@@ -73,7 +85,6 @@ class _Mixture:
                     f"component {j} of class {cm.class_id} has eta = {comp.eta}, "
                     f"needs eta > dim + 1 = {d + 1} for a finite expected scale"
                 )
-            nu = float(nu_override) if nu_override is not None else comp.nu
             sigma = comp.W / (comp.eta - d - 1.0)
             f = cholesky(sigma)
             inv_lower = solve_triangular(f.lower, eye, lower=True, check_finite=False)
@@ -82,22 +93,38 @@ class _Mixture:
             self.lowers.append(f.lower)
             self.stacked_inv[j * d : (j + 1) * d] = inv_lower
             self.stacked_offset[j * d : (j + 1) * d, 0] = inv_lower @ comp.m
-            self.nus[j] = nu
-            self.log_norms[j] = log_t_kernel(0.0, log_det(f), d, nu)
+            self.log_dets[j] = log_det(f)
+            self.nus[j] = comp.nu
+            self.log_norms[j] = log_t_kernel(0.0, self.log_dets[j], d, comp.nu)
         self.half_exponents = 0.5 * (self.nus + d)
 
-    def log_density_t(self, pts_t):
-        """Log mixture density given points already transposed to (dim, n)."""
-        n = pts_t.shape[1]
-        k = self.n_components
+    def with_nu(self, nu):
+        """The same mixture with every component's degrees of freedom at ``nu``.
+
+        Shares the whitening arrays with ``self``; only ``nus``,
+        ``log_norms`` and ``half_exponents`` are recomputed, bit-identical
+        to a mixture built from components that carry ``nu``.
+        """
+        nu = float(nu)
+        out = copy.copy(self)
+        out.nus = np.full(self.n_components, nu)
+        out.log_norms = log_t_kernel(0.0, self.log_dets, self.dim, nu)
+        out.half_exponents = 0.5 * (out.nus + self.dim)
+        return out
+
+    def whiten(self, pts_t):
+        """Squared Mahalanobis distances ``(k, n)`` of points given as ``(dim, n)``."""
         y = self.stacked_inv @ pts_t
         y -= self.stacked_offset
         y *= y
-        d2 = y.reshape(k, self.dim, n).sum(axis=1)
+        return y.reshape(self.n_components, self.dim, pts_t.shape[1]).sum(axis=1)
+
+    def log_density_d2(self, d2):
+        """Log mixture density from the squared distances :meth:`whiten` gives."""
         comp_log = np.log1p(d2 / self.nus[:, None])
         comp_log *= -self.half_exponents[:, None]
         comp_log += (self.log_w + self.log_norms)[:, None]
-        if k == 1:
+        if self.n_components == 1:
             return comp_log[0]
         top = comp_log.max(axis=0)
         comp_log -= top
@@ -108,43 +135,56 @@ class _Mixture:
         return total
 
     def log_density(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != self.dim:
-            raise ValueError(
-                f"points have dim {pts.shape[1]}, model has dim {self.dim}"
-            )
-        return self.log_density_t(np.ascontiguousarray(pts.T))
+        pts = _as_points(points, self.dim)
+        return self.log_density_d2(self.whiten(np.ascontiguousarray(pts.T)))
 
 
-def class_log_predictive(x, cm, nu_override=None):
-    """Log plug-in predictive density of one class at a single point."""
-    mix = _Mixture(cm, nu_override)
-    return float(mix.log_density(np.asarray(x, dtype=float)[None, :])[0])
+class PreparedClassifier(NamedTuple):
+    """A classifier's class mixtures, built once, with its log-priors and ids."""
+
+    mixtures: tuple
+    class_log_prior: np.ndarray
+    class_ids: np.ndarray
+
+    @property
+    def dim(self):
+        return self.mixtures[0].dim
 
 
-def predict_batch(classifier, points, nu_override=None):
-    """Log class posteriors and hard labels for a matrix of points.
+def prepare(classifier):
+    """Build every class's mixture once; a prepared classifier is returned as is."""
+    if isinstance(classifier, PreparedClassifier):
+        return classifier
+    return PreparedClassifier(
+        tuple(_Mixture(cm) for cm in classifier.classes),
+        classifier.class_log_prior,
+        np.asarray(classifier.class_ids),
+    )
 
-    Returns ``(log_posteriors, labels)`` where ``log_posteriors`` has one
-    column per class (normalized per row) and ``labels`` holds class ids,
-    ties resolved toward the lowest id.
-    """
+
+def _as_points(points, dim):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != classifier.dim:
-        raise ValueError(
-            f"points have dim {pts.shape[1]}, classifier has dim {classifier.dim}"
-        )
+    if pts.shape[1] != dim:
+        raise ValueError(f"points have dim {pts.shape[1]}, classifier has dim {dim}")
+    return pts
+
+
+def _column_blocks(pts):
+    """``(lo, hi, rows lo:hi transposed)`` for blocks of ``CHUNK_ROWS`` rows.
+
+    Every whitening goes through these blocks: the block width is the
+    column count of the matrix product, and OpenBLAS can round the last
+    bit differently when that count changes.
+    """
     n = pts.shape[0]
-    c = classifier.n_classes
-    mixes = [_Mixture(cm, nu_override) for cm in classifier.classes]
-    joint = np.empty((c, n))
-    # chunking keeps each class's whitened coordinates resident in cache
     for lo in range(0, n, CHUNK_ROWS):
         hi = min(lo + CHUNK_ROWS, n)
-        pts_t = np.ascontiguousarray(pts[lo:hi].T)
-        for i, mix in enumerate(mixes):
-            joint[i, lo:hi] = mix.log_density_t(pts_t)
-    joint += classifier.class_log_prior[:, None]
+        yield lo, hi, np.ascontiguousarray(pts[lo:hi].T)
+
+
+def _normalise(joint, class_log_prior):
+    """Class log posteriors, in place, from per-class log densities ``(c, n)``."""
+    joint += class_log_prior[:, None]
     top = joint.max(axis=0)
     shifted = joint - top
     np.exp(shifted, out=shifted)
@@ -152,9 +192,58 @@ def predict_batch(classifier, points, nu_override=None):
     np.log(log_norm, out=log_norm)
     log_norm += top
     joint -= log_norm
-    ids = np.asarray(classifier.class_ids)
-    labels = ids[np.argmax(joint, axis=0)]
+    return joint
+
+
+def class_log_predictive(x, cm):
+    """Log plug-in predictive density of one class at a single point."""
+    mix = _Mixture(cm)
+    return float(mix.log_density(np.asarray(x, dtype=float)[None, :])[0])
+
+
+def predict_batch(classifier, points):
+    """Log class posteriors and hard labels for a matrix of points.
+
+    ``classifier`` is a trained or a prepared classifier (see
+    :func:`prepare`); prepare it once when predicting many batches.
+    Returns ``(log_posteriors, labels)`` where ``log_posteriors`` has one
+    column per class (normalized per row) and ``labels`` holds class ids,
+    ties resolved toward the lowest id.
+    """
+    prepared = prepare(classifier)
+    pts = _as_points(points, prepared.dim)
+    joint = np.empty((len(prepared.mixtures), pts.shape[0]))
+    # blocking keeps each class's whitened coordinates resident in cache
+    for lo, hi, pts_t in _column_blocks(pts):
+        for i, mix in enumerate(prepared.mixtures):
+            joint[i, lo:hi] = mix.log_density_d2(mix.whiten(pts_t))
+    _normalise(joint, prepared.class_log_prior)
+    labels = prepared.class_ids[np.argmax(joint, axis=0)]
     return np.ascontiguousarray(joint.T), labels
+
+
+def log_posteriors_over_nu(classifier, points, nus):
+    """Class log posteriors ``(c, n)`` at each shared degrees of freedom in turn.
+
+    The points are whitened once per class; each value of ``nus`` then
+    swaps only the normalisers (:meth:`_Mixture.with_nu`). Each yielded
+    array equals, bit for bit, the transposed posteriors
+    :func:`predict_batch` gives for the classifier with that value in
+    every component.
+    """
+    prepared = prepare(classifier)
+    pts = _as_points(points, prepared.dim)
+    blocks = [
+        (lo, hi, [mix.whiten(pts_t) for mix in prepared.mixtures])
+        for lo, hi, pts_t in _column_blocks(pts)
+    ]
+    for nu in nus:
+        mixes = [mix.with_nu(nu) for mix in prepared.mixtures]
+        joint = np.empty((len(mixes), pts.shape[0]))
+        for lo, hi, d2s in blocks:
+            for i, (mix, d2) in enumerate(zip(mixes, d2s)):
+                joint[i, lo:hi] = mix.log_density_d2(d2)
+        yield _normalise(joint, prepared.class_log_prior)
 
 
 def class_posterior(x, classifier):

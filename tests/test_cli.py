@@ -171,6 +171,33 @@ class TestTrain:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--select-nu", "--nu-grid", "1,nan,3"], "got nan"),
+            (["--select-nu", "--nu-grid", "1,inf"], "got inf"),
+            (["--nu", "nan"], "got nan"),
+            (["--nu", "inf"], "got inf"),
+            (["--select-nu", "--nu-pre", "inf"], "got inf"),
+        ],
+    )
+    def test_non_finite_nu_is_usage_error_before_any_fit(
+        self, tmp_path, train_csv, capsys, monkeypatch, flags, named
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before the flags were checked")
+
+        monkeypatch.setattr("scalemix.cli.fit", no_fit)
+        monkeypatch.setattr("scalemix.nu_select.fit", no_fit)
+        code = main(
+            ["train", "--data", str(train_csv), "--model-out", str(tmp_path / "m.json")]
+            + flags
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and named in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_missing_nu_is_usage_error(self, tmp_path, train_csv):
         code = main(
             ["train", "--data", str(train_csv), "--model-out", str(tmp_path / "m.json")]

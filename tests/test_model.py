@@ -39,6 +39,11 @@ class TestPriorValidation:
         with pytest.raises(ValueError):
             PriorHyperparameters(0.1, 1.0, [0.0], [[1.0]], 1.5, 5.0, k_init=0)
 
+    @pytest.mark.parametrize("nu", [0.0, float("nan"), float("inf")])
+    def test_nu_fixed_must_be_positive_and_finite(self, nu):
+        with pytest.raises(ValueError, match="nu_fixed must be positive and finite"):
+            PriorHyperparameters(0.1, 1.0, [0.0], [[1.0]], 1.5, nu)
+
     def test_component_posterior_requires_pd_scale(self):
         with pytest.raises(Exception):
             ComponentPosterior(1.0, 1.0, [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]], 4.0, 5.0)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
+from scipy.stats import multivariate_t
 
-from scalemix.data import FeatureDataset
+from scalemix.data import CHUNK_ROWS, FeatureDataset
 from scalemix.model import PriorHyperparameters, TrainedClassifier, build_default_prior
 from scalemix.nu_select import (
     NuSearchConfig,
@@ -84,26 +86,44 @@ class TestConditionalEntropy:
         assert conditional_entropy(5.0, tc, valid) == pytest.approx(math.log(2.0), rel=1e-10)
 
     def test_matches_per_point_reference(self):
+        # independent oracle: scipy's multivariate t at each component's
+        # expected scale W / (eta - d - 1), with the candidate value swapped in
         tc = two_class_classifier(sep=3.0, nu=4.0)
         rng = np.random.default_rng(4)
         pts = rng.standard_normal((25, 2)) * 2 + 1.5
         lab = rng.integers(1, 3, size=25)
         valid = labeled(pts, lab)
-        from scalemix.predict import class_log_predictive
 
         nu_try = 1.3
-        total = 0.0
-        for x, c in zip(pts, lab):
-            logs = np.array(
+        logs = np.array(
+            [
                 [
-                    class_log_predictive(x, tc.classes[0], nu_override=nu_try),
-                    class_log_predictive(x, tc.classes[1], nu_override=nu_try),
+                    multivariate_t.logpdf(
+                        x, loc=comp.m, shape=comp.W / (comp.eta - 2 - 1), df=nu_try
+                    )
+                    for comp in (cm.components[0] for cm in tc.classes)
                 ]
-            ) + tc.class_log_prior
-            total -= logs[c - 1] - (logs.max() + np.log(np.exp(logs - logs.max()).sum()))
+                for x in pts
+            ]
+        ) + tc.class_log_prior
+        log_norm = logsumexp(logs, axis=1)
+        total = -np.sum(logs[np.arange(25), lab - 1] - log_norm)
         assert conditional_entropy(nu_try, tc, valid) == pytest.approx(
             total / 25, rel=1e-10
         )
+
+    def test_grid_scores_equal_single_value_calls(self):
+        # more validation rows than one whitening block, so the grid path must
+        # block its matrix products exactly as predict_batch does
+        tc = two_class_classifier(sep=2.0, nu=4.0)
+        rng = np.random.default_rng(8)
+        n = CHUNK_ROWS + 1
+        valid = labeled(rng.standard_normal((n, 2)) * 2 + 1.0, rng.integers(1, 3, size=n))
+        grid = default_nu_grid()
+        scores = conditional_entropy(grid, tc, valid)
+        assert scores.shape == grid.shape
+        singles = np.array([conditional_entropy(nu, tc, valid) for nu in grid])
+        assert np.array_equal(scores, singles)
 
     def test_empty_validation_rejected(self):
         tc = two_class_classifier(sep=3.0)
@@ -168,6 +188,16 @@ class TestSelectNu:
             NuSearchConfig(folds=1)
         with pytest.raises(ValueError):
             NuSearchConfig(grid=np.array([]))
+
+    @pytest.mark.parametrize("grid", [[1.0, math.nan, 3.0], [1.0, math.inf]])
+    def test_non_finite_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            NuSearchConfig(grid=np.array(grid))
+
+    @pytest.mark.parametrize("nu_pre", [math.inf, math.nan])
+    def test_non_finite_nu_pre_rejected(self, nu_pre):
+        with pytest.raises(ValueError, match="nu_pre must be positive and finite"):
+            NuSearchConfig(nu_pre=nu_pre)
 
     def test_default_grid_shape(self):
         grid = default_nu_grid()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,11 +11,15 @@ from scalemix.model import (
     PriorHyperparameters,
     TrainedClassifier,
 )
+from scalemix.data import CHUNK_ROWS
 from scalemix.predict import (
+    _Mixture,
     class_log_predictive,
     class_posterior,
     classify,
+    log_posteriors_over_nu,
     predict_batch,
+    prepare,
     sample,
 )
 
@@ -170,6 +175,104 @@ class TestClassify:
         tc = uniform_classifier([cm])
         with pytest.raises(ValueError):
             classify([0.0], tc)
+
+
+def random_spd(rng, d):
+    a = rng.standard_normal((d, d))
+    return a @ a.T + d * np.eye(d)
+
+
+class TestWithNu:
+    @pytest.mark.parametrize("nu", [1e-3, 0.3, 5.0, 200.0])
+    def test_matches_mixture_built_at_that_nu(self, rng, nu):
+        d = 8
+        cm = make_mixture_class(
+            mus=rng.standard_normal((3, d)),
+            sigmas=[random_spd(rng, d) for _ in range(3)],
+            nus=[2.0, 7.0, 40.0],
+            counts=[1.0, 2.5, 0.5],
+        )
+        at_nu = replace(cm, components=tuple(replace(c, nu=nu) for c in cm.components))
+        pts = rng.standard_normal((300, d)) * 3
+        swapped = _Mixture(cm).with_nu(nu)
+        assert np.array_equal(swapped.log_density(pts), _Mixture(at_nu).log_density(pts))
+
+    def test_shares_whitening_and_leaves_source_untouched(self, rng):
+        cm = make_mixture_class(
+            mus=[[0.0, 1.0], [2.0, -1.0]],
+            sigmas=[np.eye(2), random_spd(rng, 2)],
+            nus=[3.0, 3.0],
+            counts=[1.0, 1.0],
+        )
+        mix = _Mixture(cm)
+        before = mix.log_density([[0.5, 0.5]])
+        swapped = mix.with_nu(50.0)
+        assert swapped.stacked_inv is mix.stacked_inv
+        assert swapped.log_dets is mix.log_dets
+        assert np.all(swapped.nus == 50.0)
+        assert np.array_equal(mix.log_density([[0.5, 0.5]]), before)
+
+
+class TestLogPosteriorsOverNu:
+    def test_match_predict_batch_at_each_value(self, rng, monkeypatch):
+        # one row past a whitening block: a one-column product takes another
+        # BLAS path, so the grid must block its rows exactly as predict_batch
+        widths = []
+        whiten = _Mixture.whiten
+
+        def recording_whiten(mix, pts_t):
+            widths.append(pts_t.shape[1])
+            return whiten(mix, pts_t)
+
+        monkeypatch.setattr(_Mixture, "whiten", recording_whiten)
+        d = 8
+        cms = [
+            make_mixture_class(
+                mus=rng.standard_normal((2, d)) * 2,
+                sigmas=[random_spd(rng, d) for _ in range(2)],
+                nus=[5.0, 5.0],
+                counts=[1.0, 2.0],
+                class_id=i + 1,
+            )
+            for i in range(3)
+        ]
+        tc = uniform_classifier(cms)
+        pts = rng.standard_normal((CHUNK_ROWS + 1, d)) * 3
+        nus = [1e-3, 0.3, 5.0, 200.0]
+        predict_batch(tc, pts)
+        batch_widths = list(widths)
+        widths.clear()
+        grid = log_posteriors_over_nu(tc, pts, nus)
+        next(grid)  # every whitening happens before the first value is scored
+        assert widths == batch_widths == [CHUNK_ROWS] * 3 + [1] * 3
+        for nu, log_post in zip(nus, log_posteriors_over_nu(tc, pts, nus)):
+            at_nu = replace(
+                tc,
+                classes=tuple(
+                    replace(cm, components=tuple(replace(c, nu=nu) for c in cm.components))
+                    for cm in tc.classes
+                ),
+            )
+            expected, _ = predict_batch(at_nu, pts)
+            assert np.array_equal(log_post, expected.T)
+
+
+class TestPrepare:
+    def test_idempotent_and_same_predictions(self, rng):
+        cms = [
+            make_student_class(rng.standard_normal(3), np.eye(3), 4.0, class_id=i + 1)
+            for i in range(3)
+        ]
+        tc = uniform_classifier(cms)
+        prepared = prepare(tc)
+        assert prepare(prepared) is prepared
+        assert list(prepared.class_ids) == tc.class_ids
+        assert prepared.dim == 3
+        pts = rng.standard_normal((40, 3))
+        lp_a, lab_a = predict_batch(tc, pts)
+        lp_b, lab_b = predict_batch(prepared, pts)
+        assert np.array_equal(lp_a, lp_b)
+        assert np.array_equal(lab_a, lab_b)
 
 
 class TestSample:
