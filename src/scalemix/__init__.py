@@ -52,7 +52,6 @@ from .metrics import (
 from .model import (
     ClassModel,
     ComponentPosterior,
-    LatentStatistics,
     PriorHyperparameters,
     TrainedClassifier,
     build_default_prior,
@@ -87,7 +86,6 @@ from .predict import (
 )
 from .vb import (
     NumericalFailure,
-    Responsibilities,
     VbConfig,
     e_step,
     elbo,
@@ -95,7 +93,6 @@ from .vb import (
     fit_ml_nu,
     m_step,
     prune,
-    statistics,
 )
 
 __version__ = "0.1.0"

@@ -9,18 +9,17 @@ shareable across threads.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import as_psd, cholesky
+from .numerics import CholeskyFactor, as_psd, cholesky
 
 __all__ = [
     "PriorHyperparameters",
     "ComponentPosterior",
     "ClassModel",
     "TrainedClassifier",
-    "LatentStatistics",
     "build_default_prior",
     "classifier_to_dict",
     "classifier_from_dict",
@@ -52,6 +51,8 @@ class PriorHyperparameters:
     eta0 : inverse-Wishart degrees of freedom, must exceed dim - 1.
     nu_fixed : degrees of freedom shared by every class and component.
     k_init : initial number of components per class.
+
+    ``W0_factor`` is the Cholesky factor of ``W0``, kept from validation.
     """
 
     alpha0: float
@@ -61,6 +62,7 @@ class PriorHyperparameters:
     eta0: float
     nu_fixed: float
     k_init: int = 1
+    W0_factor: CholeskyFactor = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "m0", _frozen_array(self.m0, ndim=1))
@@ -81,7 +83,8 @@ class PriorHyperparameters:
             raise ValueError(f"nu_fixed must be positive and finite, got {self.nu_fixed!r}")
         if self.k_init < 1:
             raise ValueError("k_init must be at least 1")
-        cholesky(self.W0)  # fail fast if W0 is not positive definite
+        # fails fast if W0 is not positive definite
+        object.__setattr__(self, "W0_factor", cholesky(self.W0))
 
     @property
     def dim(self):
@@ -156,6 +159,20 @@ class ClassModel:
     def n_components(self):
         return len(self.components)
 
+    def check_expected_scale(self):
+        """Require ``eta > dim + 1`` of every component.
+
+        The plug-in predictive uses the expected scale ``W / (eta - dim - 1)``,
+        which is finite only then; a model that fails here cannot predict.
+        """
+        d = self.dim
+        for j, comp in enumerate(self.components):
+            if not comp.eta > d + 1:
+                raise ValueError(
+                    f"component {j} of class {self.class_id} has eta = {comp.eta}, "
+                    f"needs eta > dim + 1 = {d + 1} for a finite expected scale"
+                )
+
 
 @dataclass(frozen=True, eq=False)
 class TrainedClassifier:
@@ -191,24 +208,6 @@ class TrainedClassifier:
     @property
     def n_classes(self):
         return len(self.classes)
-
-
-@dataclass(frozen=True, eq=False)
-class LatentStatistics:
-    """Responsibility-weighted statistics produced between the two steps."""
-
-    N: np.ndarray
-    omega: np.ndarray
-    xbar: np.ndarray
-    S: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "N", _frozen_array(self.N, ndim=1))
-        object.__setattr__(self, "omega", _frozen_array(self.omega, ndim=1))
-        object.__setattr__(self, "xbar", _frozen_array(self.xbar, ndim=2))
-        object.__setattr__(self, "S", _frozen_array(self.S))
-        if np.any(self.N < 0) or np.any(self.omega < 0):
-            raise ValueError("effective counts and omega must be nonnegative")
 
 
 def build_default_prior(data, nu_fixed, k_init=1, alpha0=0.001):
@@ -326,16 +325,16 @@ def classifier_from_dict(payload):
             )
             for c in cm["components"]
         )
-        classes.append(
-            ClassModel(
-                class_id=cm["class_id"],
-                components=comps,
-                alpha_hat=cm["alpha_hat"],
-                elbo_trace=tuple(cm["elbo_trace"]),
-                n_pruned=cm["n_pruned"],
-                converged=cm["converged"],
-            )
+        class_model = ClassModel(
+            class_id=cm["class_id"],
+            components=comps,
+            alpha_hat=cm["alpha_hat"],
+            elbo_trace=tuple(cm["elbo_trace"]),
+            n_pruned=cm["n_pruned"],
+            converged=cm["converged"],
         )
+        class_model.check_expected_scale()
+        classes.append(class_model)
     return TrainedClassifier(
         classes=tuple(classes),
         class_log_prior=payload["class_log_prior"],

@@ -79,12 +79,8 @@ class _Mixture:
         self.stacked_inv = np.empty((k * d, d))
         self.stacked_offset = np.empty((k * d, 1))
         eye = np.eye(d)
+        cm.check_expected_scale()
         for j, comp in enumerate(cm.components):
-            if not comp.eta > d + 1:
-                raise ValueError(
-                    f"component {j} of class {cm.class_id} has eta = {comp.eta}, "
-                    f"needs eta > dim + 1 = {d + 1} for a finite expected scale"
-                )
             sigma = comp.W / (comp.eta - d - 1.0)
             f = cholesky(sigma)
             inv_lower = solve_triangular(f.lower, eye, lower=True, check_finite=False)

@@ -15,6 +15,17 @@ convergence. Components whose effective count falls below a threshold are
 pruned, which a small Dirichlet concentration makes routine: redundant
 components starve and vanish, leaving the model to pick its own complexity.
 
+Inside a fit the posteriors are one structure of stacked arrays
+(:class:`Posteriors`). After each parameter update, :func:`component_cache`
+factorises the whole stack once and derives every quantity both the bound
+at this iteration and the latent update at the next one read: log
+determinants, E[log |Sigma|], E[log pi] and the ``(n, k)`` matrix of
+expected squared Mahalanobis distances (the bound is assembled from the
+latent update's quantities, as in Bishop's construction). Pruning slices
+the latent posteriors before the one parameter update of an iteration.
+Validated :class:`ComponentPosterior` and :class:`ClassModel` records are
+built only for the returned model.
+
 Classes are fit one after another, each from its own seeded stream; within
 a fit, all reductions use fixed summation order, so results are
 reproducible for a given seed.
@@ -24,25 +35,22 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.special import digamma, gammaln, multigammaln
 
 from .density import log_t_kernel
-from .model import (
-    ClassModel,
-    ComponentPosterior,
-    LatentStatistics,
-    TrainedClassifier,
-)
-from .numerics import cholesky, log_det, mahalanobis_sq, mahalanobis_sq_batch
+from .model import ClassModel, ComponentPosterior, PriorHyperparameters, TrainedClassifier
+from .numerics import cholesky, log_det, mahalanobis_sq_batch
 
 __all__ = [
     "VbConfig",
-    "Responsibilities",
+    "Posteriors",
+    "ComponentCache",
+    "PriorTerms",
     "NumericalFailure",
+    "component_cache",
+    "prior_terms",
     "e_step",
     "m_step",
-    "statistics",
     "elbo",
     "prune",
     "fit",
@@ -75,74 +83,92 @@ class VbConfig:
 
 
 @dataclass(frozen=True)
-class Responsibilities:
-    """Latent posteriors for the points of one class.
+class Posteriors:
+    """Parameter posteriors of a class's ``k`` components, stacked.
 
-    ``r`` holds row-normalized component responsibilities; ``a`` and ``b``
-    the shape and rate of the inverse-gamma posterior over each point's
-    latent scale, conditional on the component assignment.
+    ``alpha (k,)`` Dirichlet concentrations, ``beta (k,)`` mean precision
+    scales, ``m (k, d)`` means, ``W (k, d, d)`` inverse-Wishart scales and
+    ``eta (k,)`` inverse-Wishart degrees of freedom.
     """
 
-    r: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if not (r.shape == a.shape == b.shape) or r.ndim != 2:
-            raise ValueError("r, a, b must share one (n_points, n_components) shape")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        if r.size:
-            rows = r.sum(axis=1)
-            if np.any(np.abs(rows - 1.0) > 1e-12):
-                raise ValueError("responsibility rows must sum to 1")
-            if np.any(r < 0) or np.any(r > 1):
-                raise ValueError("responsibilities must lie in [0, 1]")
-            if np.any(a <= 0) or np.any(b <= 0):
-                raise ValueError("inverse-gamma parameters must be positive")
-
-    @property
-    def n_components(self):
-        return self.r.shape[1]
-
-    @property
-    def effective_counts(self):
-        return self.r.sum(axis=0)
+    alpha: np.ndarray
+    beta: np.ndarray
+    m: np.ndarray
+    W: np.ndarray
+    eta: np.ndarray
 
 
-def _log_sigma_tilde(comp):
-    f = cholesky(comp.W)
-    d = comp.dim
-    psi = digamma(0.5 * (comp.eta + 1.0 - np.arange(1, d + 1)))
-    return -d * math.log(2.0) + log_det(f) - float(psi.sum()), f
+@dataclass(frozen=True)
+class ComponentCache:
+    """What one factorisation of a :class:`Posteriors` stack yields.
+
+    ``log_det_w`` is log |W_k|, ``log_sigma`` is E[log |Sigma_k|], ``log_pi`` is E[log pi_k], ``d2``
+    the ``(n, k)`` expected squared Mahalanobis distances
+    ``dim / beta_k + eta_k (x - m_k)' W_k^{-1} (x - m_k)``, ``quad_prior``
+    ``eta_k (m_k - m0)' W_k^{-1} (m_k - m0)`` and ``tr_prior``
+    ``tr(W0 W_k^{-1})``.
+    """
+
+    dim: int
+    log_det_w: np.ndarray
+    log_sigma: np.ndarray
+    log_pi: np.ndarray
+    d2: np.ndarray
+    quad_prior: np.ndarray
+    tr_prior: np.ndarray
 
 
-def e_step(points, posteriors):
+@dataclass(frozen=True)
+class PriorTerms:
+    """A prior with the constants of the bound that depend on it alone."""
+
+    prior: PriorHyperparameters
+    log_det_w0: float
+    log_gamma_eta0: float  # log Gamma_d(eta0 / 2)
+
+
+def prior_terms(prior):
+    """Per-fit constants of the bound (see :class:`PriorTerms`)."""
+    return PriorTerms(
+        prior, log_det(prior.W0_factor), multigammaln(0.5 * prior.eta0, prior.dim)
+    )
+
+
+def component_cache(points, post, prior):
+    """Factorise the stacked scales once and derive what the updates share.
+
+    The one Cholesky factorisation of an iteration happens here; the bound
+    of this iteration and the latent update of the next both read the
+    returned cache.
+    """
+    x = np.asarray(points, dtype=float)
+    d = post.m.shape[1]
+    factor = cholesky(post.W)
+    log_det_w = log_det(factor)
+    psi = digamma(0.5 * (post.eta[:, None] + 1.0 - np.arange(1, d + 1)))
+    log_sigma = -d * math.log(2.0) + log_det_w - psi.sum(axis=1)
+    # alpha_hat summed in order, as ClassModel.alpha_hat is
+    log_pi = digamma(post.alpha) - digamma(sum(post.alpha.tolist()))
+    d2 = d / post.beta + post.eta * mahalanobis_sq_batch(x, post.m, factor)
+    quad_prior = post.eta * mahalanobis_sq_batch(prior.m0, post.m, factor)[0]
+    # tr(W0 W^{-1}) is the sum of |L^{-1} c|^2 over the columns c of W0's factor
+    tr_prior = mahalanobis_sq_batch(
+        prior.W0_factor.lower.T, np.zeros_like(post.m), factor
+    ).sum(axis=0)
+    return ComponentCache(d, log_det_w, log_sigma, log_pi, d2, quad_prior, tr_prior)
+
+
+def e_step(cache, nu):
     """Latent update: responsibilities and scale posteriors for class points.
 
-    ``posteriors`` is a sequence of component posteriors. Responsibilities
-    are computed in log space with row-max subtraction; exact ties keep
+    Returns ``(r, a, b)``, each ``(n, k)``: row-normalized responsibilities
+    and the shape and rate of the inverse-gamma posterior over each point's
+    latent scale, conditional on the component. Responsibilities are
+    computed in log space with row-max subtraction; exact ties keep
     proportional weights.
     """
-    comps = tuple(posteriors)
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = x.shape
-    k = len(comps)
-    alpha_hat = sum(c.alpha for c in comps)
-    log_rho = np.empty((n, k))
-    a = np.empty((n, k))
-    b = np.empty((n, k))
-    for j, comp in enumerate(comps):
-        lsig, f = _log_sigma_tilde(comp)
-        d2 = comp.dim / comp.beta + comp.eta * mahalanobis_sq_batch(x, comp.m, f)
-        lpi = digamma(comp.alpha) - digamma(alpha_hat)
-        log_rho[:, j] = lpi + log_t_kernel(d2, lsig, d, comp.nu)
-        a[:, j] = 0.5 * (comp.nu + d)
-        b[:, j] = 0.5 * d2 + 0.5 * comp.nu
+    d = cache.dim
+    log_rho = cache.log_pi + log_t_kernel(cache.d2, cache.log_sigma, d, nu)
     row_max = log_rho.max(axis=1)
     dead = ~np.isfinite(row_max)
     if np.any(dead):
@@ -151,74 +177,46 @@ def e_step(points, posteriors):
         )
     shifted = np.exp(log_rho - row_max[:, None])
     r = shifted / shifted.sum(axis=1, keepdims=True)
-    return Responsibilities(r=r, a=a, b=b)
+    a = np.full(r.shape, 0.5 * (nu + d))
+    b = 0.5 * cache.d2 + 0.5 * nu
+    return r, a, b
 
 
-def statistics(points, resp):
-    """Responsibility-weighted counts, scale-weighted means and scatters."""
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = x.shape
-    k = resp.n_components
-    zeta = resp.r * (resp.a / resp.b)  # <z> <1/u>
-    counts = resp.r.sum(axis=0)
-    omega = zeta.sum(axis=0)
-    xbar = np.zeros((k, d))
-    scatter = np.zeros((k, d, d))
-    for j in range(k):
-        if omega[j] <= 0.0:
-            continue
-        xbar[j] = zeta[:, j] @ x / omega[j]
-        dev = x - xbar[j]
-        s = (zeta[:, j] * dev.T) @ dev / omega[j]
-        scatter[j] = 0.5 * (s + s.T)
-    return LatentStatistics(N=counts, omega=omega, xbar=xbar, S=scatter)
+def m_step(points, r, a, b, prior):
+    """Parameter update: closed-form posterior refresh from the latent posteriors.
 
-
-def m_step(points, resp, prior):
-    """Parameter update: closed-form posterior refresh from the statistics.
-
-    A component with zero scale-weighted mass keeps the prior values so the
-    update never divides by zero. Every component carries the prior's fixed
-    degrees of freedom ``prior.nu_fixed`` unchanged.
+    Accumulates the responsibility-weighted counts, scale-weighted means
+    and scatters of all components at once. A component with zero
+    scale-weighted mass keeps the prior values so the update never
+    divides by zero.
     """
-    stats = statistics(points, resp)
-    nu = prior.nu_fixed
-    out = []
-    for j in range(resp.n_components):
-        if stats.omega[j] <= 0.0:
-            out.append(
-                ComponentPosterior(
-                    alpha=prior.alpha0,
-                    beta=prior.beta0,
-                    m=prior.m0,
-                    W=prior.W0,
-                    eta=prior.eta0,
-                    nu=nu,
-                )
-            )
-            continue
-        count = stats.N[j]
-        omega = stats.omega[j]
-        xbar = stats.xbar[j]
-        beta = prior.beta0 + omega
-        m = (omega * xbar + prior.beta0 * prior.m0) / beta
-        offset = xbar - prior.m0
-        w = (
-            prior.W0
-            + omega * stats.S[j]
-            + (prior.beta0 * omega / beta) * np.outer(offset, offset)
-        )
-        out.append(
-            ComponentPosterior(
-                alpha=prior.alpha0 + count,
-                beta=beta,
-                m=m,
-                W=0.5 * (w + w.T),
-                eta=prior.eta0 + count,
-                nu=nu,
-            )
-        )
-    return out
+    x = np.asarray(points, dtype=float)
+    zeta = r * (a / b)  # <z> <1/u>
+    counts = r.sum(axis=0)
+    omega = zeta.sum(axis=0)
+    live = omega > 0.0
+    mass = np.where(live, omega, 1.0)
+    xbar = (zeta.T[:, None, :] @ x)[:, 0] / mass[:, None]
+    dev = x[None, :, :] - xbar[:, None, :]
+    s = ((zeta.T[:, None, :] * dev.transpose(0, 2, 1)) @ dev) / mass[:, None, None]
+    scatter = 0.5 * (s + s.transpose(0, 2, 1))
+    beta = prior.beta0 + omega
+    m = (omega[:, None] * xbar + prior.beta0 * prior.m0) / beta[:, None]
+    offset = xbar - prior.m0
+    w = (
+        prior.W0
+        + omega[:, None, None] * scatter
+        + (prior.beta0 * omega / beta)[:, None, None]
+        * (offset[:, :, None] * offset[:, None, :])
+    )
+    w = 0.5 * (w + w.transpose(0, 2, 1))
+    return Posteriors(
+        alpha=np.where(live, prior.alpha0 + counts, prior.alpha0),
+        beta=np.where(live, beta, prior.beta0),
+        m=np.where(live[:, None], m, prior.m0),
+        W=np.where(live[:, None, None], w, prior.W0),
+        eta=np.where(live, prior.eta0 + counts, prior.eta0),
+    )
 
 
 def _check_finite(term, name):
@@ -227,48 +225,26 @@ def _check_finite(term, name):
     return term
 
 
-def elbo(points, resp, posteriors, prior):
+def elbo(r, a, b, post, cache, terms):
     """Evidence lower bound of one class under the current posteriors.
 
-    Assembled from five pieces: the expected data log-likelihood, the
-    expected latent prior, the expected parameter prior, and the negative
-    entropies of the latent and parameter posteriors. With no data and
-    posteriors equal to the prior every piece cancels and the bound is 0.
+    ``r, a, b`` are the latent posteriors the parameter update ``post``
+    was computed from, ``cache`` is ``post``'s :func:`component_cache` and
+    ``terms`` the fit's :func:`prior_terms`. Assembled from five pieces:
+    the expected data log-likelihood, the expected latent prior, the
+    expected parameter prior, and the negative entropies of the latent and
+    parameter posteriors. With no data and posteriors equal to the prior
+    every piece cancels and the bound is 0.
     """
-    comps = tuple(posteriors)
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    if resp.r.shape[0] == 0:
-        n = 0
-        d = prior.dim
-    else:
-        n, d = x.shape
-    k = len(comps)
-    alpha = np.array([c.alpha for c in comps])
-    beta = np.array([c.beta for c in comps])
-    eta = np.array([c.eta for c in comps])
-    nu = np.array([c.nu for c in comps])
-    alpha_hat = float(alpha.sum())
-
-    lpi = digamma(alpha) - digamma(alpha_hat)
-    lsig = np.empty(k)
-    quad_prior = np.empty(k)  # eta_k (m_k - m0)' W_k^{-1} (m_k - m0)
-    tr_prior = np.empty(k)  # tr(W0 W_k^{-1})
-    logdet_w = np.empty(k)
-    d2 = np.empty((n, k))
-    for j, comp in enumerate(comps):
-        lsig[j], f = _log_sigma_tilde(comp)
-        logdet_w[j] = log_det(f)
-        quad_prior[j] = comp.eta * mahalanobis_sq(comp.m, prior.m0, f)
-        tr_prior[j] = float(np.trace(cho_solve((f.lower, True), prior.W0)))
-        if n:
-            d2[:, j] = comp.dim / comp.beta + comp.eta * mahalanobis_sq_batch(
-                x, comp.m, f
-            )
+    prior = terms.prior
+    d = prior.dim
+    n, k = r.shape
+    alpha, beta, eta = post.alpha, post.beta, post.eta
+    alpha_hat = sum(alpha.tolist())
+    lpi = cache.log_pi
+    lsig = cache.log_sigma
 
     if n:
-        r = resp.r
-        a = resp.a
-        b = resp.b
         e_inv_u = a / b
         # a is constant down each column, so digamma is evaluated per column
         psi_a = digamma(a[0])
@@ -282,19 +258,19 @@ def elbo(points, resp, posteriors, prior):
                     -0.5 * d * _LOG_2PI
                     - 0.5 * d * e_log_u
                     - 0.5 * lsig[None, :]
-                    - 0.5 * e_inv_u * d2
+                    - 0.5 * e_inv_u * cache.d2
                 )
             )
         )
-        half_nu = 0.5 * nu
+        half_nu = 0.5 * prior.nu_fixed
         lg_half_nu = gammaln(half_nu)
         latent_prior = float(counts @ lpi) + float(
             np.sum(
                 r
                 * (
-                    (half_nu * np.log(half_nu) - lg_half_nu)[None, :]
-                    - (half_nu + 1.0)[None, :] * e_log_u
-                    - half_nu[None, :] * e_inv_u
+                    (half_nu * np.log(half_nu) - lg_half_nu)
+                    - (half_nu + 1.0) * e_log_u
+                    - half_nu * e_inv_u
                 )
             )
         )
@@ -317,8 +293,6 @@ def elbo(points, resp, posteriors, prior):
         latent_prior = 0.0
         latent_entropy = 0.0
 
-    ld_w0 = log_det(cholesky(prior.W0))
-    lgd_eta0 = multigammaln(0.5 * prior.eta0, d)
     param_prior = (
         gammaln(k * prior.alpha0)
         - k * gammaln(prior.alpha0)
@@ -329,12 +303,12 @@ def elbo(points, resp, posteriors, prior):
             -0.5 * d * _LOG_2PI
             + 0.5 * d * math.log(prior.beta0)
             - 0.5 * lsig
-            - 0.5 * prior.beta0 * (d / beta + quad_prior)
-            + 0.5 * prior.eta0 * ld_w0
+            - 0.5 * prior.beta0 * (d / beta + cache.quad_prior)
+            + 0.5 * prior.eta0 * terms.log_det_w0
             - 0.5 * prior.eta0 * d * math.log(2.0)
-            - lgd_eta0
+            - terms.log_gamma_eta0
             - 0.5 * (prior.eta0 + d + 1.0) * lsig
-            - 0.5 * eta * tr_prior
+            - 0.5 * eta * cache.tr_prior
         )
     )
 
@@ -349,7 +323,7 @@ def elbo(points, resp, posteriors, prior):
             + 0.5 * d * np.log(beta)
             - 0.5 * lsig
             - 0.5 * d
-            + 0.5 * eta * logdet_w
+            + 0.5 * eta * cache.log_det_w
             - 0.5 * eta * d * math.log(2.0)
             - lgd_eta
             - 0.5 * (eta + d + 1.0) * lsig
@@ -365,24 +339,25 @@ def elbo(points, resp, posteriors, prior):
     return log_lik + latent_prior + param_prior + latent_entropy + param_entropy
 
 
-def prune(posteriors, resp, threshold):
-    """Remove components whose effective count fell below ``threshold``.
+def prune(r, a, b, threshold):
+    """Drop the components whose effective count fell below ``threshold``.
 
-    Responsibilities are renormalized per row. A class never loses its
-    last component: if none reaches the threshold, the one with the
-    largest effective count is kept.
+    Slices the latent posteriors ``(r, a, b)`` to the surviving columns and
+    renormalizes ``r`` per row. A class never loses its last component: if
+    none reaches the threshold, the one with the largest effective count
+    is kept. Components are independent in :func:`m_step`, so updating
+    the survivors of a pruned latent posterior equals updating all,
+    pruning and updating the survivors again.
     """
-    comps = tuple(posteriors)
-    counts = resp.effective_counts
+    counts = r.sum(axis=0)
     keep = counts >= threshold
     if not keep.any():
         keep[int(np.argmax(counts))] = True
     if keep.all():
-        return comps, resp
-    r = resp.r[:, keep]
+        return r, a, b
+    r = r[:, keep]
     r = r / r.sum(axis=1, keepdims=True)
-    kept = tuple(c for c, flag in zip(comps, keep) if flag)
-    return kept, Responsibilities(r=r, a=resp.a[:, keep], b=resp.b[:, keep])
+    return r, a[:, keep], b[:, keep]
 
 
 def _init_responsibilities(x, k, nu, rng):
@@ -391,7 +366,7 @@ def _init_responsibilities(x, k, nu, rng):
     # unit-mean latent scales at initialization, with the shape already at
     # its fixed-point value 0.5 * (nu + dim)
     a = np.full((n, r.shape[1]), 0.5 * (nu + d))
-    return Responsibilities(r=r, a=a, b=a.copy())
+    return r, a, a.copy()
 
 
 def _fit_class(x, prior, config, class_id, rng, sink=None):
@@ -400,35 +375,47 @@ def _fit_class(x, prior, config, class_id, rng, sink=None):
     if n == 0:
         raise ValueError(f"class {class_id} has no training rows")
     k0 = min(prior.k_init, max(n, 1))
-    resp = _init_responsibilities(x, k0, prior.nu_fixed, rng)
-    posteriors = m_step(x, resp, prior)
+    nu = prior.nu_fixed
+    terms = prior_terms(prior)
+    r, a, b = _init_responsibilities(x, k0, nu, rng)
+    post = m_step(x, r, a, b, prior)
+    cache = component_cache(x, post, prior)
     trace = []
     converged = False
     for iteration in range(1, config.max_iters + 1):
-        resp = e_step(x, posteriors)
-        live = resp.n_components
-        posteriors, resp = prune(m_step(x, resp, prior), resp, config.prune_threshold)
-        if resp.n_components < live:
-            # renormalized responsibilities move the survivors' statistics
-            posteriors = m_step(x, resp, prior)
-        bound = elbo(x, resp, posteriors, prior)
+        r, a, b = e_step(cache, nu)
+        r, a, b = prune(r, a, b, config.prune_threshold)
+        post = m_step(x, r, a, b, prior)
+        cache = component_cache(x, post, prior)
+        bound = elbo(r, a, b, post, cache, terms)
         trace.append(bound)
         if sink is not None:
             sink(
                 f"class={class_id} iter={iteration} elbo={bound:.10g} "
-                f"components={len(posteriors)}"
+                f"components={r.shape[1]}"
             )
         if len(trace) >= 2:
             prev = trace[-2]
             if abs(bound - prev) <= config.elbo_rel_tol * max(abs(bound), 1e-12):
                 converged = True
                 break
+    components = tuple(
+        ComponentPosterior(
+            alpha=post.alpha[j],
+            beta=post.beta[j],
+            m=post.m[j],
+            W=post.W[j],
+            eta=post.eta[j],
+            nu=nu,
+        )
+        for j in range(r.shape[1])
+    )
     return ClassModel(
         class_id=class_id,
-        components=tuple(posteriors),
-        alpha_hat=sum(c.alpha for c in posteriors),
+        components=components,
+        alpha_hat=sum(c.alpha for c in components),
         elbo_trace=tuple(trace),
-        n_pruned=k0 - len(posteriors),
+        n_pruned=k0 - len(components),
         converged=converged,
     )
 

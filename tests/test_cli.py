@@ -351,6 +351,23 @@ class TestPredict:
         )
         assert "row 2" in capsys.readouterr().err
 
+    def test_model_without_expected_scale_fails_before_reading_data(
+        self, tmp_path, train_csv, capsys
+    ):
+        model = self.make_model(tmp_path, train_csv)
+        payload = json.loads(model.read_text())
+        payload["classes"][1]["components"][0]["eta"] = 2.5
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "pred"
+        # the data file does not exist: reading it would fail with another message
+        argv = [
+            "predict", "--model", str(model), "--data", str(tmp_path / "absent.csv"),
+            "--out-dir", str(out),
+        ]
+        assert main(argv) == EXIT_DATA
+        assert "component 0 of class 2 has eta = 2.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_multi_chunk_output_matches_row_by_row_reference(self, tmp_path, train_csv):
         model = self.make_model(tmp_path, train_csv)
         n = 2 * CHUNK_ROWS + 1

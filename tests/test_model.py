@@ -136,6 +136,20 @@ class TestPersistence:
                 assert c_a.eta == c_b.eta
                 assert c_a.nu == c_b.nu
 
+    def test_load_rejects_eta_without_finite_expected_scale(self, tmp_path):
+        # eta in (dim - 1, dim + 1] is a valid posterior but has no plug-in
+        # predictive, so the file is refused when it is read
+        data = two_blob_dataset(seed=4, n_per_class=60)
+        tc = fit(data, build_default_prior(data, nu_fixed=2.0), VbConfig(seed=0))
+        payload = classifier_to_dict(tc)
+        payload["classes"][0]["components"][0]["eta"] = 2.5
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(
+            ValueError, match=r"component 0 of class 1 has eta = 2.5, needs eta > dim \+ 1 = 3"
+        ):
+            load_model(path)
+
     def test_version_check(self):
         with pytest.raises(ValueError):
             classifier_from_dict({"format_version": 999})

@@ -115,3 +115,60 @@ class TestMahalanobis:
         batch = mahalanobis_sq_batch(pts, center, f)
         for i in range(40):
             assert batch[i] == pytest.approx(mahalanobis_sq(pts[i], center, f), rel=1e-12)
+
+
+def spd_stack(rng, k, d):
+    a = rng.standard_normal((k, d, d))
+    return a @ a.transpose(0, 2, 1) + d * np.eye(d)
+
+
+class TestStackedFactorisation:
+    """A ``(k, d, d)`` stack is validated at once and factorised per member."""
+
+    def test_single_member_stack_equals_matrix_call(self, rng):
+        for d in (1, 2, 5, 8):
+            m = spd_stack(rng, 1, d)
+            stacked = cholesky(m)
+            assert stacked.lower.shape == (1, d, d)
+            assert np.array_equal(stacked.lower[0], cholesky(m[0]).lower)
+
+    def test_members_equal_matrix_calls(self, rng):
+        m = spd_stack(rng, 6, 4)
+        f = cholesky(m)
+        pts = rng.standard_normal((30, 4)) * 3.0
+        centers = rng.standard_normal((6, 4))
+        d2 = mahalanobis_sq_batch(pts, centers, f)
+        assert d2.shape == (30, 6)
+        dets = log_det(f)
+        for j in range(6):
+            single = cholesky(m[j])
+            assert np.array_equal(f.lower[j], single.lower)
+            assert dets[j] == log_det(single)
+            assert np.array_equal(d2[:, j], mahalanobis_sq_batch(pts, centers[j], single))
+
+    def test_non_positive_definite_member_is_named(self, rng):
+        m = spd_stack(rng, 4, 3)
+        m[2] = [[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky(m)
+        assert (err.value.component, err.value.pivot_index) == (2, 2)
+        assert "component 2" in str(err.value) and "pivot 2" in str(err.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_pivot_member_is_named(self, rng, value):
+        m = spd_stack(rng, 3, 4)
+        m[1, 3, 3] = value
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky(m)
+        assert (err.value.component, err.value.pivot_index) == (1, 3)
+
+    def test_asymmetric_member_is_named(self, rng):
+        m = spd_stack(rng, 3, 2)
+        m[1, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="component 1 is not symmetric"):
+            cholesky(m)
+
+    def test_matrix_error_names_no_component(self):
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky([[1.0, 2.0], [2.0, 1.0]])
+        assert err.value.component is None
