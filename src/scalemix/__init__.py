@@ -25,7 +25,6 @@ from .density import (
     QuadratureError,
     StudentParams,
     log_marginal_density,
-    log_marginal_density_batch,
     quadrature_marginal_density,
 )
 from .features import (
@@ -42,12 +41,10 @@ from .features import (
 )
 from .metrics import (
     MetricsReport,
-    Workload,
     accuracy,
     confusion_matrix,
     precision_recall,
     probability_of_superiority,
-    time_stages,
 )
 from .model import (
     ClassModel,
@@ -72,14 +69,9 @@ from .numerics import (
     NotPositiveDefiniteError,
     cholesky,
     log_det,
-    mahalanobis_sq,
     mahalanobis_sq_batch,
 )
 from .predict import (
-    ClassPosterior,
-    class_log_predictive,
-    class_posterior,
-    classify,
     predict_batch,
     prepare,
     sample,

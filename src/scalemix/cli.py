@@ -73,6 +73,9 @@ def _read_config_file(path):
     return values
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _resolve(args, spec):
     """Merge CLI values, config file values, and defaults (in that order)."""
     merged = {}
@@ -84,10 +87,8 @@ def _resolve(args, spec):
         elif key in file_values:
             raw = file_values[key]
             try:
-                merged[key] = (
-                    raw.lower() in ("1", "true", "yes") if coerce is bool else coerce(raw)
-                )
-            except ValueError:
+                merged[key] = _BOOLEANS[raw.lower()] if coerce is bool else coerce(raw)
+            except (KeyError, ValueError):
                 raise UsageError(f"config key {key}: cannot parse {raw!r}") from None
         else:
             merged[key] = default
@@ -315,14 +316,46 @@ def cmd_predict(args):
     return EXIT_OK
 
 
-def _load_baseline(path):
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    if not lines or lines[0] != "participant,accuracy":
+def _load_baseline(path, participants):
+    """Baseline accuracy per participant, checked line by line.
+
+    Blank lines are skipped, as in the data CSV. Every participant in
+    ``participants`` must have a row.
+    """
+    lines = [
+        (lineno, line)
+        for lineno, line in enumerate(
+            Path(path).read_text(encoding="utf-8").splitlines(), start=1
+        )
+        if line.strip()
+    ]
+    if not lines or lines[0][1] != "participant,accuracy":
         raise DataFormatError(f"{path}: expected header participant,accuracy")
     out = {}
-    for line in lines[1:]:
-        pid, acc = line.split(",")
-        out[int(pid)] = float(acc)
+    for lineno, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != 2:
+            raise DataFormatError(f"{path}: line {lineno}: {len(cells)} cells, expected 2")
+        try:
+            pid = int(cells[0])
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: line {lineno}: participant is not an integer ({cells[0]!r})"
+            ) from None
+        try:
+            acc = float(cells[1])
+        except ValueError:
+            acc = math.nan
+        if not 0.0 <= acc <= 1.0:
+            raise DataFormatError(
+                f"{path}: line {lineno}: accuracy must be a number in [0, 1] ({cells[1]!r})"
+            )
+        if pid in out:
+            raise DataFormatError(f"{path}: line {lineno}: participant {pid} is listed twice")
+        out[pid] = acc
+    missing = [pid for pid in participants if pid not in out]
+    if missing:
+        raise DataFormatError(f"{path}: baseline is missing participants {missing}")
     return out
 
 
@@ -350,6 +383,9 @@ def cmd_evaluate(args):
     data = load_csv(cfg["data"])
     if data.n_rows == 0:
         raise DataFormatError(f"{cfg['data']}: no rows")
+    participants = sorted(int(v) for v in np.unique(data.participants))
+    # the baseline is checked before any fit and before anything is created
+    baseline = _load_baseline(cfg["baseline"], participants) if cfg["baseline"] else None
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     all_class_ids = data.class_ids
@@ -360,7 +396,7 @@ def cmd_evaluate(args):
     per_participant = {}
     pooled_pred = []
     pooled_truth = []
-    for pid in sorted(int(v) for v in np.unique(data.participants)):
+    for pid in participants:
         part = data.subset(data.participants == pid)
         trial_ids = sorted(int(t) for t in np.unique(part.trials))
         t_count = len(trial_ids)
@@ -437,41 +473,25 @@ def cmd_evaluate(args):
         warnings.simplefilter("ignore")
         prec, rec = precision_recall(pred, truth, n_classes)
     conf = confusion_matrix(pred, truth, n_classes)
-    mean_tune = float(np.mean([r[2] for r in timing_rows]))
-    mean_train = float(np.mean([r[3] for r in timing_rows]))
-    mean_pred_us = float(np.mean([r[4] for r in timing_rows]))
     report = MetricsReport(
         accuracy=accuracy(pred, truth),
         per_class_precision=prec,
         per_class_recall=rec,
         confusion=conf,
-        timing=(mean_tune, mean_train, mean_pred_us),
     )
     metrics_lines = report.to_csv()
     participant_means = np.asarray([float(v.mean()) for v in per_participant.values()])
     metrics_lines += f"participant_accuracy_mean,{float(participant_means.mean())!r}\n"
     metrics_lines += f"participant_accuracy_std,{float(participant_means.std())!r}\n"
-    if cfg["baseline"]:
-        baseline = _load_baseline(cfg["baseline"])
-        ours, theirs = [], []
-        for pid, accs in per_participant.items():
-            if pid not in baseline:
-                raise DataFormatError(f"baseline is missing participant {pid}")
-            ours.append(float(accs.mean()))
-            theirs.append(baseline[pid])
-        ps = probability_of_superiority(ours, theirs)
+    if baseline is not None:
+        ps = probability_of_superiority(
+            [float(accs.mean()) for accs in per_participant.values()],
+            [baseline[pid] for pid in per_participant],
+        )
         metrics_lines += f"probability_of_superiority,{ps!r}\n"
-    timing_free = "\n".join(
-        ln for ln in metrics_lines.splitlines() if not ln.startswith(("tune_s", "train_s", "predict_us"))
-    )
-    (out / "metrics.csv").write_text(timing_free + "\n", encoding="utf-8")
+    (out / "metrics.csv").write_text(metrics_lines, encoding="utf-8")
     (out / "confusion.csv").write_text(report.confusion_csv(), encoding="utf-8")
-    # the human-readable table omits wall-clock rows so that timings.csv is
-    # the single artifact exempt from byte-reproducibility
-    table = "\n".join(
-        ln for ln in report.to_table().splitlines() if "time" not in ln and "us/record" not in ln
-    )
-    (out / "report.txt").write_text(table + "\n", encoding="utf-8")
+    (out / "report.txt").write_text(report.to_table(), encoding="utf-8")
     return EXIT_OK
 
 

@@ -27,7 +27,6 @@ from .numerics import (
     as_psd,
     cholesky,
     log_det,
-    mahalanobis_sq,
     mahalanobis_sq_batch,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "StudentParams",
     "QuadratureError",
     "log_marginal_density",
-    "log_marginal_density_batch",
     "quadrature_marginal_density",
 ]
 
@@ -96,14 +94,8 @@ def log_marginal_density(x, params):
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != params.dim:
         raise ValueError(f"x has dim {x.shape[0]}, params have dim {params.dim}")
-    d2 = mahalanobis_sq(x, params.mu, params._factor)
+    d2 = mahalanobis_sq_batch(x, params.mu, params._factor)[0]
     return float(log_t_kernel(d2, log_det(params._factor), params.dim, params.nu))
-
-
-def log_marginal_density_batch(points, params):
-    """Vectorized closed-form log density over the rows of ``points``."""
-    d2 = mahalanobis_sq_batch(points, params.mu, params._factor)
-    return log_t_kernel(d2, log_det(params._factor), params.dim, params.nu)
 
 
 def quadrature_marginal_density(x, params, rel_tol=1e-8):
@@ -130,7 +122,7 @@ def quadrature_marginal_density(x, params, rel_tol=1e-8):
     dim = params.dim
     nu = params.nu
     a = 0.5 * nu
-    d2 = mahalanobis_sq(x, params.mu, params._factor)
+    d2 = float(mahalanobis_sq_batch(x, params.mu, params._factor)[0])
 
     # log integrand in t: const - coef * t - rate * exp(-t)
     const = -0.5 * dim * _LOG_2PI - 0.5 * log_det(params._factor) + a * math.log(a) - gammaln(a)

@@ -1,7 +1,10 @@
 """Classification metrics, the probability-of-superiority effect size,
-confusion matrices, and a wall-clock timing harness."""
+and confusion matrices.
 
-import time
+Wall-clock timings are not metrics here: the CLI writes them to their own
+``timings.csv``, apart from the byte-reproducible reports.
+"""
+
 import warnings
 from dataclasses import dataclass
 
@@ -9,12 +12,10 @@ import numpy as np
 
 __all__ = [
     "MetricsReport",
-    "Workload",
     "accuracy",
     "confusion_matrix",
     "precision_recall",
     "probability_of_superiority",
-    "time_stages",
 ]
 
 
@@ -100,13 +101,12 @@ def probability_of_superiority(acc_a, acc_b):
 
 @dataclass(frozen=True, eq=False)
 class MetricsReport:
-    """Aggregate classification quality plus stage timings."""
+    """Aggregate classification quality."""
 
     accuracy: float
     per_class_precision: np.ndarray
     per_class_recall: np.ndarray
     confusion: np.ndarray
-    timing: tuple  # (tune_s, train_s, predict_us_per_record)
 
     def __post_init__(self):
         conf = np.asarray(self.confusion, dtype=int)
@@ -133,10 +133,6 @@ class MetricsReport:
             lines.append(f"precision_{i + 1},{float(self.per_class_precision[i])!r}")
         for i in range(c):
             lines.append(f"recall_{i + 1},{float(self.per_class_recall[i])!r}")
-        tune_s, train_s, pred_us = self.timing
-        lines.append(f"tune_s,{float(tune_s)!r}")
-        lines.append(f"train_s,{float(train_s)!r}")
-        lines.append(f"predict_us_per_record,{float(pred_us)!r}")
         return "\n".join(lines) + "\n"
 
     def confusion_csv(self):
@@ -154,9 +150,6 @@ class MetricsReport:
             f"accuracy              {self.accuracy:.4f}",
             f"macro precision       {float(self.per_class_precision.mean()):.4f}",
             f"macro recall          {float(self.per_class_recall.mean()):.4f}",
-            f"tune time (s)         {self.timing[0]:.3f}",
-            f"train time (s)        {self.timing[1]:.3f}",
-            f"predict (us/record)   {self.timing[2]:.3f}",
             "",
             "class  precision  recall",
         ]
@@ -166,39 +159,3 @@ class MetricsReport:
                 f"{self.per_class_recall[i]:>6.4f}"
             )
         return "\n".join(rows) + "\n"
-
-
-@dataclass(frozen=True)
-class Workload:
-    """Stages measured by :func:`time_stages`.
-
-    ``tune`` may be None (reported as 0 s). ``predict`` should classify
-    ``n_predict_records`` records in one call so the per-record figure is
-    amortized over a large batch (at least 10^4 records for a stable mean).
-    """
-
-    train: callable
-    predict: callable
-    n_predict_records: int
-    tune: callable = None
-
-
-def time_stages(workload):
-    """Run the workload stages under a monotonic clock.
-
-    Returns ``(tune_s, train_s, predict_us_per_record)``.
-    """
-    if workload.n_predict_records < 1:
-        raise ValueError("n_predict_records must be positive")
-    tune_s = 0.0
-    if workload.tune is not None:
-        start = time.perf_counter()
-        workload.tune()
-        tune_s = time.perf_counter() - start
-    start = time.perf_counter()
-    workload.train()
-    train_s = time.perf_counter() - start
-    start = time.perf_counter()
-    workload.predict()
-    predict_s = time.perf_counter() - start
-    return tune_s, train_s, predict_s * 1e6 / workload.n_predict_records

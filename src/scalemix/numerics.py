@@ -3,6 +3,8 @@
 Every density and posterior-update formula in this package evaluates
 determinants and Mahalanobis distances through the Cholesky factor of a
 symmetric positive-definite matrix; this module holds those primitives.
+:func:`mahalanobis_sq_batch` is the one Mahalanobis kernel: a single
+point is a one-row batch.
 The special functions (log-gamma, digamma and the multivariate log-gamma)
 come from ``scipy.special``.
 
@@ -20,7 +22,6 @@ All functions here are pure and safe for concurrent use.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "as_psd",
     "cholesky",
     "log_det",
-    "mahalanobis_sq",
     "mahalanobis_sq_batch",
 ]
 
@@ -139,22 +139,6 @@ def log_det(factor):
     One value for a factor, a ``(k,)`` array for a stack.
     """
     return 2.0 * np.sum(np.log(np.diagonal(factor.lower, axis1=-2, axis2=-1)), axis=-1)
-
-
-def mahalanobis_sq(x, center, factor):
-    """Squared Mahalanobis distance ``(x - c)^T M^{-1} (x - c)``.
-
-    Computed through a triangular solve against the factor of ``M``;
-    always nonnegative, zero exactly when ``x == center``.
-    """
-    x = np.asarray(x, dtype=float)
-    center = np.asarray(center, dtype=float)
-    if x.shape != center.shape or x.shape != (factor.dim,):
-        raise ValueError(
-            f"dimension mismatch: x {x.shape}, center {center.shape}, factor dim {factor.dim}"
-        )
-    y = solve_triangular(factor.lower, x - center, lower=True, check_finite=False)
-    return float(y @ y)
 
 
 def mahalanobis_sq_batch(points, center, factor):

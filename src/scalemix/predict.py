@@ -8,19 +8,20 @@ rule over the per-class predictives and the class priors, all in log
 space; Student-t tails keep every class density finite at double
 precision for any reasonable query point.
 
-:func:`prepare` builds each class's mixture once (Cholesky factors,
-inverse factors and the stacked whitening of every component), and batch
-prediction reuses it for every block of rows, which is what makes
-microsecond-scale per-record throughput possible. The degrees of freedom
-enter only through three small per-component arrays, so
-:meth:`_Mixture.with_nu` swaps them without refactorising, and
-:func:`log_posteriors_over_nu` scores a grid of values from one whitening
-of the points.
+:func:`predict_batch` is the one classification path: it takes a matrix
+of points (one row for a single point) and returns log posteriors and
+labels. :func:`prepare` builds each class's mixture once (one stacked
+Cholesky factorisation of the component scales, their inverse factors and
+the stacked whitening of every component), and batch prediction reuses it
+for every block of rows, which is what makes microsecond-scale per-record
+throughput possible. The degrees of freedom enter only through three
+small per-component arrays, so :meth:`_Mixture.with_nu` swaps them
+without refactorising, and :func:`log_posteriors_over_nu` scores a grid
+of values from one whitening of the points.
 """
 
 import copy
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,11 +32,7 @@ from .density import log_t_kernel
 from .numerics import cholesky, log_det
 
 __all__ = [
-    "ClassPosterior",
     "PreparedClassifier",
-    "class_log_predictive",
-    "class_posterior",
-    "classify",
     "log_posteriors_over_nu",
     "predict_batch",
     "prepare",
@@ -43,19 +40,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClassPosterior:
-    """Log posterior probabilities over classes and the winning index."""
-
-    log_probs: np.ndarray
-    argmax: int
-
-
 class _Mixture:
     """Precomputed plug-in mixture for one class model.
 
-    Stores the inverse Cholesky factor of each expected scale so a batch
-    Mahalanobis evaluation is a single matrix product per component.
+    Factorises the expected scales of all components in one stacked
+    :func:`cholesky` call and stores each member's inverse factor, so a
+    batch Mahalanobis evaluation is a single matrix product per class.
     """
 
     __slots__ = (
@@ -65,34 +55,30 @@ class _Mixture:
 
     def __init__(self, cm):
         d = cm.dim
-        k = cm.n_components
+        cm.check_expected_scale()
+        comps = cm.components
         self.dim = d
-        self.n_components = k
-        self.log_w = np.empty(k)
-        self.means = np.empty((k, d))
-        self.lowers = []
-        self.log_dets = np.empty(k)
-        self.log_norms = np.empty(k)
-        self.nus = np.empty(k)
+        self.n_components = len(comps)
+        f = cholesky(np.stack([c.W / (c.eta - d - 1.0) for c in comps]))
+        self.lowers = f.lower
+        self.log_dets = log_det(f)
+        self.log_w = np.array([math.log(c.alpha / cm.alpha_hat) for c in comps])
+        self.means = np.array([c.m for c in comps], dtype=float)
+        self.nus = np.array([c.nu for c in comps], dtype=float)
+        self.log_norms = np.array(
+            [log_t_kernel(0.0, ld, d, nu) for ld, nu in zip(self.log_dets, self.nus)]
+        )
+        self.half_exponents = 0.5 * (self.nus + d)
         # all component whitening transforms stacked so a batch Mahalanobis
         # evaluation is a single (k d, d) x (d, n) product
-        self.stacked_inv = np.empty((k * d, d))
-        self.stacked_offset = np.empty((k * d, 1))
         eye = np.eye(d)
-        cm.check_expected_scale()
-        for j, comp in enumerate(cm.components):
-            sigma = comp.W / (comp.eta - d - 1.0)
-            f = cholesky(sigma)
-            inv_lower = solve_triangular(f.lower, eye, lower=True, check_finite=False)
-            self.log_w[j] = math.log(comp.alpha / cm.alpha_hat)
-            self.means[j] = comp.m
-            self.lowers.append(f.lower)
-            self.stacked_inv[j * d : (j + 1) * d] = inv_lower
-            self.stacked_offset[j * d : (j + 1) * d, 0] = inv_lower @ comp.m
-            self.log_dets[j] = log_det(f)
-            self.nus[j] = comp.nu
-            self.log_norms[j] = log_t_kernel(0.0, self.log_dets[j], d, comp.nu)
-        self.half_exponents = 0.5 * (self.nus + d)
+        inv_lowers = [
+            solve_triangular(lower, eye, lower=True, check_finite=False) for lower in f.lower
+        ]
+        self.stacked_inv = np.concatenate(inv_lowers)
+        self.stacked_offset = np.concatenate(
+            [inv @ m for inv, m in zip(inv_lowers, self.means)]
+        )[:, None]
 
     def with_nu(self, nu):
         """The same mixture with every component's degrees of freedom at ``nu``.
@@ -129,10 +115,6 @@ class _Mixture:
         np.log(total, out=total)
         total += top
         return total
-
-    def log_density(self, points):
-        pts = _as_points(points, self.dim)
-        return self.log_density_d2(self.whiten(np.ascontiguousarray(pts.T)))
 
 
 class PreparedClassifier(NamedTuple):
@@ -191,12 +173,6 @@ def _normalise(joint, class_log_prior):
     return joint
 
 
-def class_log_predictive(x, cm):
-    """Log plug-in predictive density of one class at a single point."""
-    mix = _Mixture(cm)
-    return float(mix.log_density(np.asarray(x, dtype=float)[None, :])[0])
-
-
 def predict_batch(classifier, points):
     """Log class posteriors and hard labels for a matrix of points.
 
@@ -240,19 +216,6 @@ def log_posteriors_over_nu(classifier, points, nus):
             for i, (mix, d2) in enumerate(zip(mixes, d2s)):
                 joint[i, lo:hi] = mix.log_density_d2(d2)
         yield _normalise(joint, prepared.class_log_prior)
-
-
-def class_posterior(x, classifier):
-    """Normalized class posterior at one point."""
-    log_post, _ = predict_batch(classifier, np.asarray(x, dtype=float)[None, :])
-    row = log_post[0]
-    return ClassPosterior(log_probs=row, argmax=int(np.argmax(row)))
-
-
-def classify(x, classifier):
-    """Class id with the maximum posterior probability (ties: lowest id)."""
-    _, labels = predict_batch(classifier, np.asarray(x, dtype=float)[None, :])
-    return int(labels[0])
 
 
 def sample(cm, n, seed):

@@ -54,6 +54,12 @@ def make_mixture_class(mus, sigmas, nus, counts, class_id=1):
     )
 
 
+def mixture_log_density(mix, points):
+    """Log plug-in predictive of a prepared class mixture at each row of ``points``."""
+    pts_t = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)).T)
+    return mix.log_density_d2(mix.whiten(pts_t))
+
+
 def two_blob_dataset(seed, n_per_class=200, centers=((0.0, 0.0), (4.0, 4.0)), scale=0.7):
     rng = np.random.default_rng(seed)
     feats = []

@@ -287,6 +287,34 @@ class TestTrain:
         assert code == EXIT_USAGE
 
 
+    @pytest.mark.parametrize("value", ["ture", "on", "2", ""])
+    def test_unreadable_config_boolean_is_usage_error(self, tmp_path, train_csv, capsys, value):
+        config = tmp_path / "run.conf"
+        config.write_text(f"select_nu = {value}\nnu = 5\n")
+        model = tmp_path / "m.json"
+        code = main(
+            [
+                "train", "--data", str(train_csv), "--model-out", str(model),
+                "--config", str(config),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert f"config key select_nu: cannot parse {value!r}" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("value", ["No", "FALSE", "0"])
+    def test_config_boolean_spellings(self, tmp_path, train_csv, value):
+        config = tmp_path / "run.conf"
+        config.write_text(f"select_nu = {value}\nnu = 5\n")
+        code = main(
+            [
+                "train", "--data", str(train_csv), "--model-out",
+                str(tmp_path / "m.json"), "--config", str(config),
+            ]
+        )
+        assert code == EXIT_OK
+
+
 class TestPredict:
     def make_model(self, tmp_path, train_csv):
         model = tmp_path / "model.json"
@@ -518,6 +546,59 @@ class TestEvaluate:
             ln.split(",") for ln in (out / "metrics.csv").read_text().splitlines()[1:]
         )
         assert float(metrics["probability_of_superiority"]) == 1.0
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("1,0.5\n2,abc\n", "line 3: accuracy must be a number in [0, 1] ('abc')"),
+            ("1,0.5\n2,nan\n", "line 3: accuracy must be a number in [0, 1] ('nan')"),
+            ("1,1.7\n2,0.5\n", "line 2: accuracy must be a number in [0, 1] ('1.7')"),
+            ("1,0.5\n2,0.5,9\n", "line 3: 3 cells, expected 2"),
+            ("1,0.5\nx,0.5\n", "line 3: participant is not an integer ('x')"),
+            ("1,0.5\n2,0.5\n1,0.6\n", "line 4: participant 1 is listed twice"),
+            ("1,0.5\n", "baseline is missing participants [2]"),
+        ],
+        ids=["not_a_number", "nan", "above_one", "cell_count", "participant", "duplicate",
+             "missing"],
+    )
+    def test_bad_baseline_fails_before_any_fit(self, tmp_path, capsys, monkeypatch, rows, message):
+        import scalemix.cli as cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before the baseline was checked")
+
+        monkeypatch.setattr(cli, "fit", no_fit)
+        data_path = tmp_path / "proto.csv"
+        write_protocol_csv(data_path, trials=3)
+        baseline = tmp_path / "base.csv"
+        baseline.write_text("participant,accuracy\n" + rows)
+        out = tmp_path / "ev"
+        code = main(
+            [
+                "evaluate", "--data", str(data_path), "--nu", "5",
+                "--out-dir", str(out), "--baseline", str(baseline),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert f"data error: {baseline}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_baseline_blank_lines_are_skipped(self, tmp_path):
+        data_path = tmp_path / "proto.csv"
+        write_protocol_csv(data_path, trials=3)
+        baseline = tmp_path / "base.csv"
+        baseline.write_text("participant,accuracy\n1,0.5\n\n2,0.5\n")
+        out = tmp_path / "ev"
+        assert (
+            main(
+                [
+                    "evaluate", "--data", str(data_path), "--nu", "5",
+                    "--out-dir", str(out), "--baseline", str(baseline),
+                ]
+            )
+            == EXIT_OK
+        )
+        assert "probability_of_superiority,1.0" in (out / "metrics.csv").read_text()
 
     def test_insufficient_trials_is_data_error(self, tmp_path):
         data_path = tmp_path / "proto.csv"

@@ -1,16 +1,12 @@
-import time
-
 import numpy as np
 import pytest
 
 from scalemix.metrics import (
     MetricsReport,
-    Workload,
     accuracy,
     confusion_matrix,
     precision_recall,
     probability_of_superiority,
-    time_stages,
 )
 
 
@@ -110,9 +106,9 @@ class TestProbabilityOfSuperiority:
 class TestMetricsReport:
     def test_consistency_check(self):
         conf = np.array([[5, 0], [0, 5]])
-        MetricsReport(1.0, [1.0, 1.0], [1.0, 1.0], conf, (0.0, 1.0, 2.0))
+        MetricsReport(1.0, [1.0, 1.0], [1.0, 1.0], conf)
         with pytest.raises(ValueError):
-            MetricsReport(0.5, [1.0, 1.0], [1.0, 1.0], conf, (0.0, 1.0, 2.0))
+            MetricsReport(0.5, [1.0, 1.0], [1.0, 1.0], conf)
 
     def test_csv_and_table_render(self):
         conf = np.array([[4, 1], [2, 3]])
@@ -121,42 +117,18 @@ class TestMetricsReport:
             per_class_precision=[4 / 6, 3 / 4],
             per_class_recall=[0.8, 0.6],
             confusion=conf,
-            timing=(0.0, 0.5, 1.5),
         )
-        csv = report.to_csv()
-        assert "accuracy,0.7" in csv
-        assert "tune_s,0.0" in csv
+        # no wall-clock rows: both renderings are byte-reproducible
+        assert report.to_csv().splitlines() == [
+            "metric,value",
+            "accuracy,0.7",
+            f"precision_1,{4 / 6!r}",
+            "precision_2,0.75",
+            "recall_1,0.8",
+            "recall_2,0.6",
+        ]
         table = report.to_table()
         assert "accuracy" in table and "precision" in table
+        assert "time" not in table and "us/record" not in table
         conf_csv = report.confusion_csv()
         assert conf_csv.splitlines()[1] == "1,4,1"
-
-
-class TestTimeStages:
-    def test_no_tuning_stage_reports_zero(self):
-        w = Workload(train=lambda: None, predict=lambda: None, n_predict_records=10)
-        tune_s, train_s, pred_us = time_stages(w)
-        assert tune_s == 0.0
-        assert train_s >= 0.0
-        assert pred_us >= 0.0
-
-    def test_per_record_amortization(self):
-        w = Workload(
-            train=lambda: None,
-            predict=lambda: time.sleep(0.05),
-            n_predict_records=10000,
-        )
-        _, _, pred_us = time_stages(w)
-        assert pred_us == pytest.approx(5.0, rel=0.8)
-
-    def test_stage_order_and_tune(self):
-        calls = []
-        w = Workload(
-            tune=lambda: calls.append("tune"),
-            train=lambda: calls.append("train"),
-            predict=lambda: calls.append("predict"),
-            n_predict_records=1,
-        )
-        tune_s, _, _ = time_stages(w)
-        assert calls == ["tune", "train", "predict"]
-        assert tune_s >= 0.0

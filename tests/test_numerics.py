@@ -7,7 +7,6 @@ from scalemix.numerics import (
     NotPositiveDefiniteError,
     cholesky,
     log_det,
-    mahalanobis_sq,
     mahalanobis_sq_batch,
 )
 
@@ -80,15 +79,15 @@ class TestLogDet:
 class TestMahalanobis:
     def test_zero_at_center(self):
         f = cholesky([[2.0, 0.3], [0.3, 1.0]])
-        assert mahalanobis_sq([1.0, -2.0], [1.0, -2.0], f) == 0.0
+        assert mahalanobis_sq_batch([1.0, -2.0], [1.0, -2.0], f)[0] == 0.0
 
     def test_identity_metric(self):
         f = cholesky(np.eye(2))
-        assert mahalanobis_sq([3.0, 4.0], [0.0, 0.0], f) == pytest.approx(25.0)
+        assert mahalanobis_sq_batch([3.0, 4.0], [0.0, 0.0], f)[0] == pytest.approx(25.0)
 
     def test_analytic_inverse(self):
         f = cholesky([[4.0, 2.0], [2.0, 3.0]])
-        assert mahalanobis_sq([1.0, 0.0], [0.0, 0.0], f) == pytest.approx(0.375)
+        assert mahalanobis_sq_batch([1.0, 0.0], [0.0, 0.0], f)[0] == pytest.approx(0.375)
 
     def test_nonnegative_and_zero_only_at_center(self, rng):
         for _ in range(50):
@@ -97,7 +96,7 @@ class TestMahalanobis:
             f = cholesky(a @ a.T + d * np.eye(d))
             x = rng.standard_normal(d)
             c = rng.standard_normal(d)
-            v = mahalanobis_sq(x, c, f)
+            v = mahalanobis_sq_batch(x, c, f)[0]
             assert v >= 0.0
             if not np.allclose(x, c):
                 assert v > 0.0
@@ -105,7 +104,7 @@ class TestMahalanobis:
     def test_dimension_mismatch(self):
         f = cholesky(np.eye(2))
         with pytest.raises(ValueError):
-            mahalanobis_sq([1.0, 2.0, 3.0], [0.0, 0.0], f)
+            mahalanobis_sq_batch([1.0, 2.0, 3.0], [0.0, 0.0], f)
 
     def test_batch_matches_scalar(self, rng):
         a = rng.standard_normal((3, 3))
@@ -114,7 +113,9 @@ class TestMahalanobis:
         center = rng.standard_normal(3)
         batch = mahalanobis_sq_batch(pts, center, f)
         for i in range(40):
-            assert batch[i] == pytest.approx(mahalanobis_sq(pts[i], center, f), rel=1e-12)
+            one_row = mahalanobis_sq_batch(pts[i : i + 1], center, f)
+            assert one_row.shape == (1,)
+            assert batch[i] == pytest.approx(one_row[0], rel=1e-12)
 
 
 def spd_stack(rng, k, d):

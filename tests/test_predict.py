@@ -14,16 +14,18 @@ from scalemix.model import (
 from scalemix.data import CHUNK_ROWS
 from scalemix.predict import (
     _Mixture,
-    class_log_predictive,
-    class_posterior,
-    classify,
     log_posteriors_over_nu,
     predict_batch,
     prepare,
     sample,
 )
 
-from conftest import make_mixture_class, make_student_class
+from conftest import make_mixture_class, make_student_class, mixture_log_density
+
+
+def log_predictive(x, cm):
+    """Log plug-in predictive of one class at one point."""
+    return float(mixture_log_density(_Mixture(cm), x)[0])
 
 
 def uniform_classifier(class_models):
@@ -46,7 +48,7 @@ class TestClassLogPredictive:
         expected = log_marginal_density(
             [1.0, -1.0], StudentParams(mu=comp.m, sigma=sigma, nu=4.0)
         )
-        assert class_log_predictive([1.0, -1.0], cm) == pytest.approx(expected, rel=1e-12)
+        assert log_predictive([1.0, -1.0], cm) == pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_mixture_weight(self):
         # second component has negligible weight; the first one dominates
@@ -58,8 +60,8 @@ class TestClassLogPredictive:
         )
         solo = make_student_class([0.0], [[1.0]], nu=3.0)
         for x in ([0.0], [1.5], [-2.0]):
-            assert class_log_predictive(x, cm) == pytest.approx(
-                class_log_predictive(x, solo), abs=1e-9
+            assert log_predictive(x, cm) == pytest.approx(
+                log_predictive(x, solo), abs=1e-9
             )
 
     def test_matches_high_precision_mixture_sum(self):
@@ -85,7 +87,7 @@ class TestClassLogPredictive:
                     * (1 + d2 / nu) ** (-(nu + 1) / 2)
                 )
                 total += mp.mpf(weight) / 5 * dens
-            assert class_log_predictive([x], cm) == pytest.approx(
+            assert log_predictive([x], cm) == pytest.approx(
                 float(mp.log(total)), rel=1e-10
             )
 
@@ -93,7 +95,7 @@ class TestClassLogPredictive:
         comp = ComponentPosterior(1.0, 1.0, [0.0, 0.0], np.eye(2), 2.5, 5.0)
         cm = ClassModel(7, (comp,), 1.0, (0.0,), 0)
         with pytest.raises(ValueError, match="component 0 of class 7"):
-            class_log_predictive([0.0, 0.0], cm)
+            _Mixture(cm)
 
 
 class TestClassPosterior:
@@ -101,8 +103,8 @@ class TestClassPosterior:
         cm1 = make_student_class([0.0, 0.0], np.eye(2), 5.0, class_id=1)
         cm2 = make_student_class([0.0, 0.0], np.eye(2), 5.0, class_id=2)
         tc = uniform_classifier([cm1, cm2])
-        post = class_posterior([0.7, -0.3], tc)
-        assert np.allclose(np.exp(post.log_probs), [0.5, 0.5], atol=1e-12)
+        log_post, _ = predict_batch(tc, [[0.7, -0.3]])
+        assert np.allclose(np.exp(log_post[0]), [0.5, 0.5], atol=1e-12)
 
     def test_normalization(self, rng):
         cms = [
@@ -112,15 +114,15 @@ class TestClassPosterior:
         tc = uniform_classifier(cms)
         for _ in range(20):
             x = rng.standard_normal(2) * 4
-            post = class_posterior(x, tc)
-            assert np.exp(post.log_probs).sum() == pytest.approx(1.0, abs=1e-12)
+            log_post, _ = predict_batch(tc, [x])
+            assert np.exp(log_post[0]).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_finite_even_far_from_data(self):
         cm1 = make_student_class([0.0, 0.0], np.eye(2), 2.0, class_id=1)
         cm2 = make_student_class([4.0, 4.0], np.eye(2), 2.0, class_id=2)
         tc = uniform_classifier([cm1, cm2])
-        post = class_posterior([600.0, -700.0], tc)
-        assert np.all(np.isfinite(post.log_probs))
+        log_post, _ = predict_batch(tc, [[600.0, -700.0]])
+        assert np.all(np.isfinite(log_post))
 
     def test_uniform_rescaling_invariance_of_argmax(self, rng):
         # multiplying every class predictive density by the same positive
@@ -135,12 +137,12 @@ class TestClassPosterior:
         for x in rng.uniform(-2, 5, size=30):
             joint = np.array(
                 [
-                    base[0] + class_log_predictive([x], cm1),
-                    base[1] + class_log_predictive([x], cm2),
+                    base[0] + log_predictive([x], cm1),
+                    base[1] + log_predictive([x], cm2),
                 ]
             )
             for shift in (0.0, -700.0, 123.4):
-                assert classify([x], tc) == int(np.argmax(joint + shift)) + 1
+                assert predict_batch(tc, [[x]])[1][0] == int(np.argmax(joint + shift)) + 1
 
 
 class TestClassify:
@@ -148,14 +150,14 @@ class TestClassify:
         cm1 = make_student_class([0.0, 0.0], np.eye(2) * 0.5, 5.0, class_id=1)
         cm2 = make_student_class([5.0, 5.0], np.eye(2) * 0.5, 5.0, class_id=2)
         tc = uniform_classifier([cm1, cm2])
-        assert classify([0.0, 0.0], tc) == 1
-        assert classify([5.0, 5.0], tc) == 2
+        assert predict_batch(tc, [[0.0, 0.0]])[1][0] == 1
+        assert predict_batch(tc, [[5.0, 5.0]])[1][0] == 2
 
     def test_tie_breaks_to_lowest_class_id(self):
         cm1 = make_student_class([-1.0], [[1.0]], 5.0, class_id=1)
         cm2 = make_student_class([1.0], [[1.0]], 5.0, class_id=2)
         tc = uniform_classifier([cm1, cm2])
-        assert classify([0.0], tc) == 1
+        assert predict_batch(tc, [[0.0]])[1][0] == 1
 
     def test_batch_consistent_with_scalar(self, rng):
         cms = [
@@ -166,15 +168,15 @@ class TestClassify:
         pts = rng.standard_normal((50, 3)) * 2
         log_post, labels = predict_batch(tc, pts)
         for i in range(50):
-            assert classify(pts[i], tc) == labels[i]
-            row = class_posterior(pts[i], tc).log_probs
-            assert np.allclose(row, log_post[i], rtol=1e-12, atol=1e-12)
+            row, label = predict_batch(tc, pts[i : i + 1])
+            assert label[0] == labels[i]
+            assert np.allclose(row[0], log_post[i], rtol=1e-12, atol=1e-12)
 
     def test_dimension_mismatch(self):
         cm = make_student_class([0.0, 0.0], np.eye(2), 5.0)
         tc = uniform_classifier([cm])
         with pytest.raises(ValueError):
-            classify([0.0], tc)
+            predict_batch(tc, [[0.0]])
 
 
 def random_spd(rng, d):
@@ -195,7 +197,9 @@ class TestWithNu:
         at_nu = replace(cm, components=tuple(replace(c, nu=nu) for c in cm.components))
         pts = rng.standard_normal((300, d)) * 3
         swapped = _Mixture(cm).with_nu(nu)
-        assert np.array_equal(swapped.log_density(pts), _Mixture(at_nu).log_density(pts))
+        assert np.array_equal(
+            mixture_log_density(swapped, pts), mixture_log_density(_Mixture(at_nu), pts)
+        )
 
     def test_shares_whitening_and_leaves_source_untouched(self, rng):
         cm = make_mixture_class(
@@ -205,12 +209,59 @@ class TestWithNu:
             counts=[1.0, 1.0],
         )
         mix = _Mixture(cm)
-        before = mix.log_density([[0.5, 0.5]])
+        before = mixture_log_density(mix, [[0.5, 0.5]])
         swapped = mix.with_nu(50.0)
         assert swapped.stacked_inv is mix.stacked_inv
         assert swapped.log_dets is mix.log_dets
         assert np.all(swapped.nus == 50.0)
-        assert np.array_equal(mix.log_density([[0.5, 0.5]]), before)
+        assert np.array_equal(mixture_log_density(mix, [[0.5, 0.5]]), before)
+
+
+class TestMixtureBuild:
+    def test_one_factorisation_per_class(self, rng, monkeypatch):
+        import scalemix.predict as predict_module
+
+        calls = []
+        factorise = predict_module.cholesky
+
+        def counting_cholesky(matrix):
+            calls.append(np.shape(matrix))
+            return factorise(matrix)
+
+        monkeypatch.setattr(predict_module, "cholesky", counting_cholesky)
+        d = 4
+        cms = [
+            make_mixture_class(
+                mus=rng.standard_normal((3, d)),
+                sigmas=[random_spd(rng, d) for _ in range(3)],
+                nus=[5.0] * 3,
+                counts=[1.0, 2.0, 3.0],
+                class_id=i + 1,
+            )
+            for i in range(2)
+        ]
+        prepared = prepare(uniform_classifier(cms))
+        assert calls == [(3, d, d), (3, d, d)]
+        assert prepared.mixtures[0].lowers.shape == (3, d, d)
+
+    def test_components_match_single_component_mixtures(self, rng):
+        d = 5
+        cm = make_mixture_class(
+            mus=rng.standard_normal((3, d)),
+            sigmas=[random_spd(rng, d) for _ in range(3)],
+            nus=[2.0, 7.0, 40.0],
+            counts=[1.0, 2.5, 0.5],
+        )
+        mix = _Mixture(cm)
+        for j, comp in enumerate(cm.components):
+            solo = _Mixture(replace(cm, components=(comp,), alpha_hat=comp.alpha))
+            assert np.array_equal(mix.lowers[j], solo.lowers[0])
+            assert np.array_equal(mix.stacked_inv[j * d : (j + 1) * d], solo.stacked_inv)
+            assert np.array_equal(
+                mix.stacked_offset[j * d : (j + 1) * d], solo.stacked_offset
+            )
+            assert mix.log_dets[j] == solo.log_dets[0]
+            assert mix.log_norms[j] == solo.log_norms[0]
 
 
 class TestLogPosteriorsOverNu:

@@ -8,6 +8,7 @@ from scipy import stats
 import scalemix.vb as vb
 from scalemix.data import FeatureDataset
 from scalemix.model import ComponentPosterior, PriorHyperparameters, build_default_prior
+from scalemix.predict import predict_batch
 from scalemix.vb import (
     Posteriors,
     VbConfig,
@@ -402,11 +403,10 @@ class TestFit:
         )
         prior = build_default_prior(data, nu_fixed=5.0, k_init=1)
         tc = fit(data, prior, VbConfig(seed=0))
-        from scalemix.predict import class_posterior
-
         for _ in range(10):
             probe = rng.standard_normal(2) * 2
-            post = np.exp(class_posterior(probe, tc).log_probs)
+            log_post, _ = predict_batch(tc, probe[None, :])
+            post = np.exp(log_post[0])
             assert np.allclose(post, 0.5, atol=0.01)
 
     def test_surviving_components_bounded_on_unimodal_data(self):
