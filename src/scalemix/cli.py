@@ -98,10 +98,23 @@ def _resolve(args, spec):
     return merged
 
 
-def _check_nu(nu):
-    """Reject a --nu value that no model can carry, before any data is read."""
-    if nu is not None and not (nu > 0 and math.isfinite(nu)):
-        raise UsageError(f"--nu must be positive and finite, got {nu!r}")
+# the values no fit can use: flag -> (test, requirement)
+_RANGES = {
+    "nu": (lambda v: v > 0 and math.isfinite(v), "positive and finite"),
+    "k_init": (lambda v: v >= 1, "at least 1"),
+    "alpha0": (lambda v: v > 0 and math.isfinite(v), "positive and finite"),
+    "max_iters": (lambda v: v >= 1, "at least 1"),
+    "subsample": (lambda v: 0 < v <= 1, "in (0, 1]"),
+}
+
+
+def _check_ranges(cfg):
+    """Reject an out-of-range value, before any data is read or anything created."""
+    for key, (ok, requirement) in _RANGES.items():
+        value = cfg.get(key)
+        if value is not None and not ok(value):
+            flag = "--" + key.replace("_", "-")
+            raise UsageError(f"{flag} must be {requirement}, got {value!r}")
 
 
 def _parse_nu_grid(text):
@@ -168,7 +181,7 @@ def cmd_simulate(args):
         "threads": (int, 1),  # accepted and ignored: training runs on one thread
     }
     cfg = _resolve(args, spec)
-    _check_nu(cfg["nu"])
+    _check_ranges(cfg)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     train, grid = generate_simulation(
@@ -252,7 +265,7 @@ def cmd_train(args):
         raise UsageError("--data and --model-out are required")
     if cfg["nu"] is not None and cfg["select_nu"]:
         raise UsageError("--nu and --select-nu are mutually exclusive")
-    _check_nu(cfg["nu"])
+    _check_ranges(cfg)
     data = load_csv(cfg["data"])
     if data.n_rows == 0:
         raise DataFormatError(f"{cfg['data']}: no training rows")
@@ -379,7 +392,7 @@ def cmd_evaluate(args):
         raise UsageError("--nu and --select-nu are mutually exclusive")
     if cfg["nu"] is None and not cfg["select_nu"]:
         raise UsageError("either --nu or --select-nu is required")
-    _check_nu(cfg["nu"])
+    _check_ranges(cfg)
     data = load_csv(cfg["data"])
     if data.n_rows == 0:
         raise DataFormatError(f"{cfg['data']}: no rows")

@@ -5,24 +5,25 @@ determinants and Mahalanobis distances through the Cholesky factor of a
 symmetric positive-definite matrix; this module holds those primitives.
 :func:`mahalanobis_sq_batch` is the one Mahalanobis kernel: a single
 point is a one-row batch.
-The special functions (log-gamma, digamma and the multivariate log-gamma)
-come from ``scipy.special``.
+The special functions (log-gamma and digamma) come from ``scipy.special``.
 
 SPD matrices are plain ``numpy`` arrays validated on entry (see
 :func:`as_psd`); Cholesky factors are wrapped in :class:`CholeskyFactor`
 so that downstream code cannot confuse a factor with the matrix itself.
 :func:`as_psd`, :func:`cholesky`, :func:`log_det` and
 :func:`mahalanobis_sq_batch` also take a ``(k, d, d)`` stack of matrices
-(the scale matrices of a mixture's components): the symmetry check is
-vectorised over the stack, and each member is factorised and solved with
-the same LAPACK calls as a single matrix, so a member's factor is
-bit-identical to the factor of that matrix alone.
+(the scale matrices of a mixture's components). The symmetry and
+finiteness checks are vectorised over the stack, and each member is
+factorised by its own LAPACK call, so a member's factor is bit-identical
+to the factor of that matrix alone. Distances are whitened by inverse
+factors: one batched inverse of the whole stack, cached on the factor,
+then one batched matrix product for every member at once.
 
 All functions here are pure and safe for concurrent use.
 """
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
+from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -62,14 +63,26 @@ class CholeskyFactor:
     For a stack, ``lower`` is ``(k, d, d)`` and holds one factor per member.
     """
 
-    __slots__ = ("lower",)
+    __slots__ = ("lower", "_inverse")
 
     def __init__(self, lower):
         self.lower = np.asarray(lower, dtype=float)
+        self._inverse = None
 
     @property
     def dim(self):
         return self.lower.shape[-1]
+
+    @property
+    def inverse(self):
+        """``L^{-1}`` (of each member of a stack), from one batched inverse.
+
+        Computed on first use and kept, so every whitening under this
+        factor shares one inversion.
+        """
+        if self._inverse is None:
+            self._inverse = np.linalg.inv(self.lower)
+        return self._inverse
 
 
 def as_psd(matrix):
@@ -85,7 +98,10 @@ def as_psd(matrix):
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     mt = np.swapaxes(m, -1, -2)
     scale = np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1.0)
-    asym = np.max(np.abs(m - mt), axis=(-2, -1))
+    # inf - inf is NaN, which passes the check: a non-finite member is left
+    # to fail in the factorisation, which names it
+    with np.errstate(invalid="ignore"):
+        asym = np.max(np.abs(m - mt), axis=(-2, -1))
     bad = np.flatnonzero(asym > SYMMETRY_RTOL * scale)
     if bad.size:
         j = int(bad[0])
@@ -120,16 +136,23 @@ def cholesky(matrix):
         member.
     """
     sym = as_psd(matrix)
+    stacked = sym.ndim == 3
     stack = sym.reshape((-1,) + sym.shape[-2:])
     lower = np.empty_like(stack)
+    end, pivot = len(stack), None
     for j, member in enumerate(stack):
-        component = j if sym.ndim == 3 else None
         lower[j], info = dpotrf(member, lower=1, clean=1)
         if info > 0:
-            raise NotPositiveDefiniteError(info - 1, component)
-        bad = np.flatnonzero(~np.isfinite(np.diag(lower[j])))
-        if bad.size:
-            raise NotPositiveDefiniteError(bad[0], component)
+            end, pivot = j, info - 1
+            break
+    # LAPACK lets NaN and infinite pivots through; one in a member before
+    # the first failing pivot is the first failure
+    bad = np.argwhere(~np.isfinite(np.diagonal(lower[:end], axis1=-2, axis2=-1)))
+    if bad.size:
+        j, i = bad[0]
+        raise NotPositiveDefiniteError(i, j if stacked else None)
+    if pivot is not None:
+        raise NotPositiveDefiniteError(pivot, end if stacked else None)
     return CholeskyFactor(lower.reshape(sym.shape))
 
 
@@ -148,22 +171,21 @@ def mahalanobis_sq_batch(points, center, factor):
     one entry per point. With a stack of ``k`` factors, ``center`` is
     ``(k, d)`` and the result is ``(n, k)``: column ``j`` is the distance
     to ``center[j]`` under member ``j``, bit-identical to the one-factor
-    result for that member.
+    result for that member. Points are centred before they are whitened
+    by the factor's cached :attr:`~CholeskyFactor.inverse`, so a point
+    equal to its centre is at distance exactly 0.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != factor.dim:
         raise ValueError(
             f"dimension mismatch: points have dim {pts.shape[1]}, factor dim {factor.dim}"
         )
-    lowers = factor.lower.reshape((-1,) + factor.lower.shape[-2:])
-    centers = np.asarray(center, dtype=float).reshape(lowers.shape[0], -1)
-    diff = pts[None, :, :] - centers[:, None, :]
-    # y[j] holds member j's solve as (n, d) rows, so each distance is
-    # reduced over contiguous memory; the result is C-ordered because arrays
-    # derived from it inherit its layout, and numpy sums a column of a
-    # C-ordered array in another order than one of a Fortran-ordered array
-    y = np.empty_like(diff)
-    for j, lower in enumerate(lowers):
-        y[j] = dtrtrs(lower, diff[j].T, lower=1)[0].T
+    inverse = factor.inverse.reshape((-1,) + factor.lower.shape[-2:])
+    centers = np.asarray(center, dtype=float).reshape(inverse.shape[0], -1)
+    # y[j] holds member j's whitened differences as (n, d) rows
+    y = (pts[None, :, :] - centers[:, None, :]) @ np.swapaxes(inverse, 1, 2)
+    # C-ordered: arrays derived from the result inherit its layout, and
+    # numpy sums a column of a C-ordered array in another order than one of
+    # a Fortran-ordered array
     d2 = np.einsum("kji,kji->jk", y, y, order="C")
     return d2 if factor.lower.ndim == 3 else d2[:, 0]

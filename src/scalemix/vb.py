@@ -21,7 +21,11 @@ factorises the whole stack once and derives every quantity both the bound
 at this iteration and the latent update at the next one read: log
 determinants, E[log |Sigma|], E[log pi] and the ``(n, k)`` matrix of
 expected squared Mahalanobis distances (the bound is assembled from the
-latent update's quantities, as in Bishop's construction). Pruning slices
+latent update's quantities, as in Bishop's construction). Distances are
+whitened by the inverse factors, which one batched inverse of the stack
+gives: one product for the class's points and two small ones for the
+prior's terms, with no per-component solve. The latent posteriors share one shape per column, so the bound
+reduces its ``(n, k)`` arrays to a few per-column sums. Pruning slices
 the latent posteriors before the one parameter update of an iteration.
 Validated :class:`ComponentPosterior` and :class:`ClassModel` records are
 built only for the returned model.
@@ -35,7 +39,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import digamma, gammaln, multigammaln
+from scipy.special import digamma, gammaln, xlogy
 
 from .density import log_t_kernel
 from .model import ClassModel, ComponentPosterior, PriorHyperparameters, TrainedClassifier
@@ -58,6 +62,17 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _log_multigamma(a, d):
+    """log Gamma_d(a) elementwise, equal to ``scipy.special.multigammaln``.
+
+    The closed form, without that function's argument checks, which cost
+    more than the arithmetic at the sizes of a fit.
+    """
+    a = np.asarray(a, dtype=float)
+    j = np.arange(d).reshape((d,) + (1,) * a.ndim)
+    return (d * (d - 1) * 0.25) * np.log(np.pi) + gammaln(a - 0.5 * j).sum(axis=0)
 
 
 class NumericalFailure(ArithmeticError):
@@ -130,16 +145,16 @@ class PriorTerms:
 def prior_terms(prior):
     """Per-fit constants of the bound (see :class:`PriorTerms`)."""
     return PriorTerms(
-        prior, log_det(prior.W0_factor), multigammaln(0.5 * prior.eta0, prior.dim)
+        prior, log_det(prior.W0_factor), _log_multigamma(0.5 * prior.eta0, prior.dim)
     )
 
 
 def component_cache(points, post, prior):
     """Factorise the stacked scales once and derive what the updates share.
 
-    The one Cholesky factorisation of an iteration happens here; the bound
-    of this iteration and the latent update of the next both read the
-    returned cache.
+    The one Cholesky factorisation and the one batched inverse of its
+    factors of an iteration happen here; the bound of this iteration and
+    the latent update of the next both read the returned cache.
     """
     x = np.asarray(points, dtype=float)
     d = post.m.shape[1]
@@ -150,11 +165,12 @@ def component_cache(points, post, prior):
     # alpha_hat summed in order, as ClassModel.alpha_hat is
     log_pi = digamma(post.alpha) - digamma(sum(post.alpha.tolist()))
     d2 = d / post.beta + post.eta * mahalanobis_sq_batch(x, post.m, factor)
-    quad_prior = post.eta * mahalanobis_sq_batch(prior.m0, post.m, factor)[0]
-    # tr(W0 W^{-1}) is the sum of |L^{-1} c|^2 over the columns c of W0's factor
-    tr_prior = mahalanobis_sq_batch(
-        prior.W0_factor.lower.T, np.zeros_like(post.m), factor
-    ).sum(axis=0)
+    # the prior terms whiten m0 - m_k and W0's factor L0 by the same inverse
+    # factors: tr(W0 W^{-1}) = |L^{-1} L0|_F^2
+    inverse = factor.inverse
+    offset = inverse @ (prior.m0 - post.m)[:, :, None]
+    quad_prior = post.eta * np.square(offset).sum(axis=(1, 2))
+    tr_prior = np.square(inverse @ prior.W0_factor.lower).sum(axis=(1, 2))
     return ComponentCache(d, log_det_w, log_sigma, log_pi, d2, quad_prior, tr_prior)
 
 
@@ -245,48 +261,36 @@ def elbo(r, a, b, post, cache, terms):
     lsig = cache.log_sigma
 
     if n:
-        e_inv_u = a / b
-        # a is constant down each column, so digamma is evaluated per column
-        psi_a = digamma(a[0])
-        e_log_u = np.log(b) - psi_a[None, :]
+        # a is constant down each column, so every latent term but r log r
+        # folds into per-column sums of r, r <1/u>, r <1/u> d2 and r log b
+        a_col = a[0]
+        psi_a = digamma(a_col)
         counts = r.sum(axis=0)
+        zeta = r * (a / b)
+        s_inv_u = zeta.sum(axis=0)
+        s_inv_u_d2 = (zeta * cache.d2).sum(axis=0)
+        s_log_b = (r * np.log(b)).sum(axis=0)
+        # sum of r <log u>, with <log u> = log b - psi(a)
+        s_log_u = s_log_b - counts * psi_a
 
         log_lik = float(
             np.sum(
-                r
-                * (
-                    -0.5 * d * _LOG_2PI
-                    - 0.5 * d * e_log_u
-                    - 0.5 * lsig[None, :]
-                    - 0.5 * e_inv_u * cache.d2
-                )
+                counts * (-0.5 * d * _LOG_2PI - 0.5 * lsig)
+                - 0.5 * d * s_log_u
+                - 0.5 * s_inv_u_d2
             )
         )
         half_nu = 0.5 * prior.nu_fixed
-        lg_half_nu = gammaln(half_nu)
         latent_prior = float(counts @ lpi) + float(
             np.sum(
-                r
-                * (
-                    (half_nu * np.log(half_nu) - lg_half_nu)
-                    - (half_nu + 1.0) * e_log_u
-                    - half_nu * e_inv_u
-                )
+                counts * (half_nu * np.log(half_nu) - gammaln(half_nu))
+                - (half_nu + 1.0) * s_log_u
+                - half_nu * s_inv_u
             )
         )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rlogr = np.where(r > 0.0, r * np.log(np.where(r > 0.0, r, 1.0)), 0.0)
-        lg_a = gammaln(a[0])
-        latent_entropy = -float(np.sum(rlogr)) - float(
-            np.sum(
-                r
-                * (
-                    a * np.log(b)
-                    - lg_a[None, :]
-                    - (a + 1.0) * e_log_u
-                    - a
-                )
-            )
+        # minus the expected log of q(z) IG(u | a, b); its a log b terms cancel
+        latent_entropy = -float(xlogy(r, r).sum()) + float(
+            np.sum(s_log_b + counts * (gammaln(a_col) - (a_col + 1.0) * psi_a + a_col))
         )
     else:
         log_lik = 0.0
@@ -313,7 +317,7 @@ def elbo(r, a, b, post, cache, terms):
     )
 
     lg_alpha = gammaln(alpha)
-    lgd_eta = multigammaln(0.5 * eta, d)
+    lgd_eta = _log_multigamma(0.5 * eta, d)
     param_entropy = -(
         gammaln(alpha_hat) - float(lg_alpha.sum()) + float((alpha - 1.0) @ lpi)
     )

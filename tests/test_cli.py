@@ -657,3 +657,43 @@ class TestUsage:
             timeout=120, env=dict(os.environ, PYTHONPATH=src),
         )
         assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("train", "--k-init", "0"),
+            ("train", "--alpha0", "0"),
+            ("train", "--alpha0", "-1"),
+            ("train", "--alpha0", "inf"),
+            ("train", "--alpha0", "nan"),
+            ("train", "--max-iters", "0"),
+            ("evaluate", "--k-init", "-2"),
+            ("evaluate", "--alpha0", "-0.5"),
+            ("evaluate", "--max-iters", "0"),
+            ("evaluate", "--subsample", "0"),
+            ("evaluate", "--subsample", "-1"),
+            ("evaluate", "--subsample", "1.5"),
+            ("evaluate", "--subsample", "nan"),
+        ],
+    )
+    def test_out_of_range_value_is_usage_error_before_reading_data(
+        self, tmp_path, capsys, command, flag, value, source
+    ):
+        # --data names no file: reading it would be a data error
+        out = tmp_path / "out"
+        argv = [command, "--data", str(tmp_path / "missing.csv"), "--nu", "5"]
+        if command == "train":
+            argv += ["--model-out", str(out / "m.json")]
+        else:
+            argv += ["--out-dir", str(out)]
+        if source == "flag":
+            argv += [flag, value]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{flag[2:]} = {value}\n")
+            argv += ["--config", str(config)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and flag in err
+        assert not out.exists()

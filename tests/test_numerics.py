@@ -169,6 +169,28 @@ class TestStackedFactorisation:
         with pytest.raises(ValueError, match="component 1 is not symmetric"):
             cholesky(m)
 
+    def test_earlier_non_finite_member_is_named_before_a_later_pivot(self, rng):
+        # LAPACK passes the NaN member; the non-positive pivot of member 3
+        # stops the factorisation, and member 1 is still the first failure
+        m = spd_stack(rng, 5, 4)
+        m[1, 2, 2] = np.nan
+        m[3] = np.diag([1.0, 1.0, -1.0, 1.0])
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky(m)
+        assert (err.value.component, err.value.pivot_index) == (1, 2)
+
+    def test_point_on_a_member_center_is_at_exact_zero(self, rng):
+        f = cholesky(spd_stack(rng, 4, 5) * 1e3)
+        centers = rng.standard_normal((4, 5)) * 1e4
+        d2 = mahalanobis_sq_batch(np.vstack([centers, centers[2] + 1.0]), centers, f)
+        assert np.all(np.diag(d2[:4]) == 0.0)
+        assert np.all(d2[4] > 0.0)
+
+    def test_inverse_is_cached_and_inverts_each_member(self, rng):
+        f = cholesky(spd_stack(rng, 3, 4))
+        assert f.inverse is f.inverse
+        assert np.allclose(f.inverse @ f.lower, np.eye(4), rtol=0.0, atol=1e-14)
+
     def test_matrix_error_names_no_component(self):
         with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky([[1.0, 2.0], [2.0, 1.0]])

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import digamma, gammaln, multigammaln
 
 import scalemix.vb as vb
 from scalemix.data import FeatureDataset
@@ -73,6 +74,20 @@ def toy_state(seed=7):
     return x, (r, a, b), post, prior
 
 
+def random_state(rng, n, k, d):
+    """A prior, a stacked posterior and its latent update on ``n`` random points."""
+    x = rng.standard_normal((n, d)) * 2.0
+    a = rng.standard_normal((d, d))
+    prior = PriorHyperparameters(
+        alpha0=0.3, beta0=0.7, m0=rng.standard_normal(d), W0=a @ a.T + d * np.eye(d),
+        eta0=d + 2.5, nu_fixed=4.0, k_init=k,
+    )
+    r = rng.dirichlet(np.ones(k), size=n)
+    post = m_step(x, r, np.full((n, k), 3.0), rng.uniform(1.0, 5.0, (n, k)), prior)
+    r, a, b = e_step(component_cache(x, post, prior), prior.nu_fixed)
+    return x, (r, a, b), m_step(x, r, a, b, prior), prior
+
+
 EULER_MASCHERONI = 0.5772156649015329
 
 
@@ -118,6 +133,25 @@ class TestExpectations:
         # record already refuses to hold such a value
         with pytest.raises(ValueError):
             ComponentPosterior(1.0, 1.0, [0.0, 0.0], np.eye(2), 0.9, 5.0)
+
+
+class TestComponentCache:
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_whitened_terms_match_solve_reference(self, rng, k):
+        x, _, post, prior = random_state(rng, n=40, k=k, d=5)
+        cache = component_cache(x, post, prior)
+        for j in range(k):
+            w_inv = np.linalg.inv(post.W[j])
+            diff = x - post.m[j]
+            d2 = 5 / post.beta[j] + post.eta[j] * np.einsum(
+                "ni,ni->n", diff, np.linalg.solve(post.W[j], diff.T).T
+            )
+            off = post.m[j] - prior.m0
+            quad = post.eta[j] * off @ np.linalg.solve(post.W[j], off)
+            tr = np.trace(prior.W0 @ w_inv)
+            assert np.allclose(cache.d2[:, j], d2, rtol=1e-12, atol=0.0)
+            assert cache.quad_prior[j] == pytest.approx(quad, rel=1e-12)
+            assert cache.tr_prior[j] == pytest.approx(tr, rel=1e-12)
 
 
 class TestEStep:
@@ -360,6 +394,74 @@ class TestElbo:
             bound(x, r, a, np.full_like(b, np.inf), post, prior)
 
 
+def reference_elbo(r, a, b, post, cache, prior):
+    """The bound as a sum over every (point, component) element."""
+    d = prior.dim
+    k = r.shape[1]
+    lpi, lsig = cache.log_pi, cache.log_sigma
+    log_2pi = math.log(2.0 * math.pi)
+    e_inv_u = a / b
+    e_log_u = np.log(b) - digamma(a)
+    log_lik = np.sum(
+        r * (-0.5 * d * log_2pi - 0.5 * d * e_log_u - 0.5 * lsig - 0.5 * e_inv_u * cache.d2)
+    )
+    h = 0.5 * prior.nu_fixed
+    latent_prior = np.sum(r * lpi) + np.sum(
+        r * (h * math.log(h) - gammaln(h) - (h + 1.0) * e_log_u - h * e_inv_u)
+    )
+    rlogr = np.where(r > 0.0, r * np.log(np.where(r > 0.0, r, 1.0)), 0.0)
+    latent_entropy = -np.sum(rlogr) - np.sum(
+        r * (a * np.log(b) - gammaln(a) - (a + 1.0) * e_log_u - a)
+    )
+    alpha, beta, eta = post.alpha, post.beta, post.eta
+    log_det_w0 = np.linalg.slogdet(prior.W0)[1]
+    param_prior = (
+        gammaln(k * prior.alpha0) - k * gammaln(prior.alpha0)
+        + (prior.alpha0 - 1.0) * lpi.sum()
+        + np.sum(
+            -0.5 * d * log_2pi + 0.5 * d * math.log(prior.beta0) - 0.5 * lsig
+            - 0.5 * prior.beta0 * (d / beta + cache.quad_prior)
+            + 0.5 * prior.eta0 * log_det_w0 - 0.5 * prior.eta0 * d * math.log(2.0)
+            - multigammaln(0.5 * prior.eta0, d)
+            - 0.5 * (prior.eta0 + d + 1.0) * lsig - 0.5 * eta * cache.tr_prior
+        )
+    )
+    param_entropy = -(gammaln(alpha.sum()) - gammaln(alpha).sum() + (alpha - 1.0) @ lpi)
+    param_entropy -= np.sum(
+        -0.5 * d * log_2pi + 0.5 * d * np.log(beta) - 0.5 * lsig - 0.5 * d
+        + 0.5 * eta * cache.log_det_w - 0.5 * eta * d * math.log(2.0)
+        - multigammaln(0.5 * eta, d) - 0.5 * (eta + d + 1.0) * lsig - 0.5 * eta * d
+    )
+    return log_lik + latent_prior + param_prior + latent_entropy + param_entropy
+
+
+class TestElboColumnSums:
+    """The bound folds its latent terms into per-column sums."""
+
+    def test_matches_per_element_reference_on_toy_state(self):
+        x, (r, a, b), post, prior = toy_state()
+        cache = component_cache(x, post, prior)
+        value = elbo(r, a, b, post, cache, prior_terms(prior))
+        assert value == pytest.approx(reference_elbo(r, a, b, post, cache, prior), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_matches_per_element_reference(self, rng, k):
+        x, (r, a, b), post, prior = random_state(rng, n=60, k=k, d=4)
+        if k > 1:
+            r[0, 0] = 0.0  # an exactly empty cell: r log r is 0 there
+            r[0] /= r[0].sum()
+        cache = component_cache(x, post, prior)
+        value = elbo(r, a, b, post, cache, prior_terms(prior))
+        assert value == pytest.approx(reference_elbo(r, a, b, post, cache, prior), rel=1e-12)
+
+    def test_log_multigamma_equals_scipy(self, rng):
+        for d in range(1, 11):
+            eta = d - 1.0 + rng.gamma(2.0, 10.0, size=9)
+            assert np.array_equal(vb._log_multigamma(0.5 * eta, d), multigammaln(0.5 * eta, d))
+            one = vb._log_multigamma(0.5 * eta[0], d)
+            assert np.shape(one) == () and one == multigammaln(0.5 * eta[0], d)
+
+
 class TestPrune:
     def test_dead_component_removed(self):
         r = np.array([[1.0 - 1e-12, 1e-12]] * 300)
@@ -525,7 +627,10 @@ class TestFit:
 
     def test_one_factorisation_and_update_per_iteration(self, monkeypatch):
         # what the benchmark's spans around these module attributes count
-        calls = dict.fromkeys(("e_step", "m_step", "elbo", "cholesky"), 0)
+        calls = dict.fromkeys(
+            ("e_step", "m_step", "elbo", "cholesky", "component_cache", "mahalanobis_sq_batch"),
+            0,
+        )
         for name in calls:
             original = getattr(vb, name)
 
@@ -543,6 +648,8 @@ class TestFit:
         assert calls["e_step"] == calls["elbo"] == iterations
         assert calls["m_step"] == iterations + fits
         assert calls["cholesky"] <= iterations + fits
+        assert calls["component_cache"] == iterations + fits
+        assert calls["mahalanobis_sq_batch"] <= 2 * calls["component_cache"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
