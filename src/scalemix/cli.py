@@ -6,8 +6,8 @@ byte-reproducibility). Flag values take precedence over an optional
 ``key = value`` config file, which takes precedence over built-in
 defaults.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure,
-5 non-convergence.
+Exit codes: 0 success, 1 output-formatting worker failure, 2 usage error,
+3 data error, 4 numeric failure, 5 non-convergence.
 """
 
 import argparse
@@ -17,18 +17,21 @@ import os
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
     DataFormatError,
+    FormatWorkerError,
     generate_simulation,
     iter_csv,
     load_csv,
     save_csv,
     split_by_trials,
     subsample,
+    write_chunks,
     write_rows,
 )
 from .density import QuadratureError
@@ -46,6 +49,7 @@ from .predict import predict_batch, prepare
 from .vb import NumericalFailure, VbConfig, fit, fit_ml_nu
 
 EXIT_OK = 0
+EXIT_WORKER = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -118,7 +122,10 @@ def _check_ranges(cfg):
 
 
 def _parse_nu_grid(text):
-    values = [float(v) for v in text.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ValueError(f"nu_grid must list numbers, got {text!r}") from None
     if not values:
         raise ValueError("empty grid")
     return np.asarray(values)
@@ -210,19 +217,28 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _train_classifier(data, cfg, log_sink=None, table_sink=None):
-    """Shared train path: returns (classifier, nu_used, tune_seconds)."""
+def _search_config(cfg):
+    """ν search settings, None without --select-nu: checked before any data is read."""
+    if not cfg["select_nu"]:
+        return None
+    try:
+        grid = _parse_nu_grid(cfg["nu_grid"]) if cfg["nu_grid"] else None
+        return NuSearchConfig(
+            folds=cfg["folds"], nu_pre=cfg["nu_pre"], grid=grid, seed=cfg["seed"]
+        )
+    except ValueError as exc:
+        raise UsageError(f"invalid selection settings: {exc}") from None
+
+
+def _train_classifier(data, cfg, search, log_sink=None, table_sink=None):
+    """Shared train path: returns (classifier, nu_used, tune_seconds).
+
+    ``search`` is the ν search settings, or None to train at ``cfg["nu"]``.
+    """
     vb_cfg = VbConfig(seed=cfg["seed"], max_iters=cfg["max_iters"])
     tune_s = 0.0
     nu = cfg["nu"]
-    if cfg["select_nu"]:
-        try:
-            grid = _parse_nu_grid(cfg["nu_grid"]) if cfg["nu_grid"] else None
-            search = NuSearchConfig(
-                folds=cfg["folds"], nu_pre=cfg["nu_pre"], grid=grid, seed=cfg["seed"]
-            )
-        except ValueError as exc:
-            raise UsageError(f"invalid selection settings: {exc}") from None
+    if search is not None:
         start = time.perf_counter()
         nu = select_nu(
             data,
@@ -234,8 +250,6 @@ def _train_classifier(data, cfg, log_sink=None, table_sink=None):
             table_sink=table_sink,
         )
         tune_s = time.perf_counter() - start
-    elif nu is None:
-        raise UsageError("either --nu or --select-nu is required")
     prior = build_default_prior(
         data, nu_fixed=nu, k_init=cfg["k_init"], alpha0=cfg["alpha0"]
     )
@@ -265,7 +279,10 @@ def cmd_train(args):
         raise UsageError("--data and --model-out are required")
     if cfg["nu"] is not None and cfg["select_nu"]:
         raise UsageError("--nu and --select-nu are mutually exclusive")
+    if cfg["nu"] is None and not cfg["select_nu"]:
+        raise UsageError("either --nu or --select-nu is required")
     _check_ranges(cfg)
+    search = _search_config(cfg)
     data = load_csv(cfg["data"])
     if data.n_rows == 0:
         raise DataFormatError(f"{cfg['data']}: no training rows")
@@ -273,6 +290,7 @@ def cmd_train(args):
     classifier, nu, _ = _train_classifier(
         data,
         cfg,
+        search,
         log_sink=lambda line: print(line, file=sys.stderr),
         table_sink=table_lines.append,
     )
@@ -311,18 +329,23 @@ def cmd_predict(args):
         + [f"log_posterior_{cid}" for cid in ids]
     )
     # rows go to a temporary file that replaces predictions.csv only once
-    # every chunk has parsed, so a bad row leaves no partial output
+    # every row is written, so a bad row or a failed worker leaves no
+    # partial output
     partial = out / f".predictions.csv.{os.getpid()}.tmp"
+
+    def classified():
+        for chunk in itertools.chain([first], chunks):
+            if chunk.n_rows:
+                log_post, labels = predict_batch(prepared, chunk.features)
+                row_ids = np.column_stack(
+                    [chunk.labels, chunk.trials, chunk.participants, labels]
+                )
+                yield chunk.features, row_ids, log_post
+
     try:
         with open(partial, "w", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\n")
-            for chunk in itertools.chain([first], chunks):
-                if chunk.n_rows:
-                    log_post, labels = predict_batch(prepared, chunk.features)
-                    row_ids = np.column_stack(
-                        [chunk.labels, chunk.trials, chunk.participants, labels]
-                    )
-                    write_rows(fh, chunk.features, row_ids, log_post)
+            write_chunks(fh, classified())
         os.replace(partial, out / "predictions.csv")
     finally:
         partial.unlink(missing_ok=True)
@@ -393,6 +416,7 @@ def cmd_evaluate(args):
     if cfg["nu"] is None and not cfg["select_nu"]:
         raise UsageError("either --nu or --select-nu is required")
     _check_ranges(cfg)
+    search = _search_config(cfg)
     data = load_csv(cfg["data"])
     if data.n_rows == 0:
         raise DataFormatError(f"{cfg['data']}: no rows")
@@ -433,8 +457,9 @@ def cmd_evaluate(args):
                     f"missing some class; more trials are needed"
                 )
             run_cfg = dict(cfg, seed=child_seed)
+            run_search = replace(search, seed=child_seed) if search else None
             start = time.perf_counter()
-            classifier, nu, tune_s = _train_classifier(train_part, run_cfg)
+            classifier, nu, tune_s = _train_classifier(train_part, run_cfg, run_search)
             train_s = time.perf_counter() - start - tune_s
             start = time.perf_counter()
             _, pred = predict_batch(classifier, test_part.features)
@@ -592,6 +617,9 @@ def main(argv=None):
     except (NumericalFailure, NotPositiveDefiniteError, QuadratureError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except FormatWorkerError as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
+        return EXIT_WORKER
     except ValueError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

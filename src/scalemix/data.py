@@ -15,9 +15,17 @@ When a chunk holds any other character, when numpy fails on it, or when it
 holds a non-finite feature or a label below 1, the chunk is parsed again
 row by row, and the first bad cell is reported by physical line number and
 column name.
+
+Rows are written by one rule, ``format_rows``, in slices of ``FORMAT_ROWS``
+rows. ``write_chunks`` hands the slices of a long, chunked output (one
+whose first chunk is full) to forked worker processes, one per usable CPU,
+while the caller produces the next chunk, and writes their text in input
+order: the bytes are those ``write_rows`` gives, on any CPU count.
 """
 
 import itertools
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,19 +33,27 @@ import numpy as np
 __all__ = [
     "DataFormatError",
     "FeatureDataset",
+    "FormatWorkerError",
     "SplitPlan",
+    "format_rows",
     "generate_simulation",
     "iter_csv",
     "load_csv",
     "save_csv",
     "split_by_trials",
     "subsample",
+    "write_chunks",
     "write_rows",
 ]
 
 # rows per chunk of CSV input; also the row block of batch prediction, so
 # a chunk-by-chunk predict runs the same matrix products as a whole-file one
 CHUNK_ROWS = 16384
+
+# rows per formatting call; the text of one call and the floats of its
+# tolist() stay small, which also keeps a worker's reply through the pipe
+# from leaving large buffers behind in the caller
+FORMAT_ROWS = 1024
 
 _ID_COLUMNS = ("label", "trial", "participant")
 
@@ -184,14 +200,95 @@ def generate_simulation(seed=0, with_outliers=True, grid_step=0.05):
     return train, grid
 
 
-def write_rows(fh, *blocks):
-    """Write 2-D column blocks, placed side by side, as CSV rows.
+def format_rows(*blocks):
+    """CSV text of 2-D column blocks placed side by side, one line per row.
 
     Each cell is the ``repr`` of its ``tolist()`` value: the shortest text
     that reads back to the same double, or a plain decimal integer.
     """
     rows = zip(*(block.tolist() for block in blocks))
-    fh.writelines(",".join(map(repr, itertools.chain(*row))) + "\n" for row in rows)
+    return "".join(",".join(map(repr, itertools.chain(*row))) + "\n" for row in rows)
+
+
+def _row_slices(blocks):
+    """The column blocks cut into consecutive slices of ``FORMAT_ROWS`` rows."""
+    for start in range(0, blocks[0].shape[0], FORMAT_ROWS):
+        yield [block[start : start + FORMAT_ROWS] for block in blocks]
+
+
+def write_rows(fh, *blocks):
+    """Write column blocks as ``format_rows`` text, ``FORMAT_ROWS`` rows at a time."""
+    for piece in _row_slices(blocks):
+        fh.write(format_rows(*piece))
+
+
+class FormatWorkerError(RuntimeError):
+    """A worker process formatting output rows raised or died."""
+
+
+def _format_workers():
+    """Processes to format a long output in: one per usable CPU, where fork exists.
+
+    A forked worker starts with the package already imported; a spawned one
+    would import scipy again, which costs more than formatting a chunk.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return 1
+    import multiprocessing
+
+    return cpus if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+def write_chunks(fh, chunks):
+    """Write each chunk, a sequence of column blocks, as ``write_rows`` does, in order.
+
+    When the first chunk is full (``CHUNK_ROWS`` rows, so more may follow)
+    and more than one worker is available, the slices of ``FORMAT_ROWS``
+    rows are formatted in forked worker processes while ``chunks`` yields
+    the next chunk, with at most two slices per worker in flight; the text
+    is the same. An exception from ``chunks`` cancels the pending slices,
+    and a worker that raises or dies raises ``FormatWorkerError``; every
+    worker has exited when this returns or raises.
+    """
+    chunks = iter(chunks)
+    first = next(chunks, None)
+    if first is None:
+        return
+    chunks = itertools.chain([first], chunks)
+    workers = _format_workers() if first[0].shape[0] == CHUNK_ROWS else 1
+    if workers < 2:
+        for blocks in chunks:
+            write_rows(fh, *blocks)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork is safe here only because workers run nothing but format_rows:
+    # no BLAS call and no lock that another thread may hold at the fork
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pending = deque()
+
+    def write_oldest():
+        try:
+            text = pending.popleft().result()
+        except Exception as exc:
+            raise FormatWorkerError(f"formatting worker failed: {exc!r}") from exc
+        fh.write(text)
+
+    try:
+        for blocks in chunks:
+            for piece in _row_slices(blocks):
+                pending.append(pool.submit(format_rows, *piece))
+                if len(pending) == 2 * workers:
+                    write_oldest()
+        while pending:
+            write_oldest()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def save_csv(dataset, path):

@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,9 +16,10 @@ from scalemix.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_WORKER,
     main,
 )
-from scalemix.data import CHUNK_ROWS, FeatureDataset, save_csv
+from scalemix.data import CHUNK_ROWS, FORMAT_ROWS, FeatureDataset, format_rows, save_csv
 from scalemix.model import load_model
 from scalemix.predict import predict_batch
 
@@ -37,6 +40,20 @@ def write_protocol_csv(path, seed=5, participants=(1, 2), trials=4, n=20):
     ds = FeatureDataset(np.vstack(feats), labels, trial_col, part_col)
     save_csv(ds, path)
     return ds
+
+
+def _raise_on_short_slice(*blocks):
+    """``format_rows``, except that the short slice ending an input raises."""
+    if blocks[0].shape[0] < FORMAT_ROWS:
+        raise RuntimeError("formatter failed")
+    return format_rows(*blocks)
+
+
+def _exit_on_short_slice(*blocks):
+    """``format_rows``, except that the short slice ending an input ends the process."""
+    if blocks[0].shape[0] < FORMAT_ROWS:
+        os._exit(1)
+    return format_rows(*blocks)
 
 
 @pytest.fixture
@@ -428,7 +445,78 @@ class TestPredict:
         expected = ("\n".join(lines) + "\n").encode()
         assert (out / "predictions.csv").read_bytes() == expected
 
-    def test_data_error_leaves_no_partial_output(self, tmp_path, train_csv, capsys):
+    def three_chunk_input(self, tmp_path):
+        """2 full chunks and 5 rows, holding edge-case floats and large ids."""
+        n = 2 * CHUNK_ROWS + 5
+        rng = np.random.default_rng(12)
+        feats = rng.standard_normal((n, 2)) * 3.0 + 2.0
+        rows = [0, CHUNK_ROWS - 1, CHUNK_ROWS, n - 1]
+        feats[rows] = [[-0.0, 5e-324], [1e16, 1e-05], [-1e-05, -0.0], [5e-324, -1e16]]
+        trials = rng.integers(1, 5, n)
+        trials[rows] = 2**62
+        participants = rng.integers(1, 3, n)
+        participants[rows] = np.iinfo(np.int64).max
+        path = tmp_path / "edge.csv"
+        save_csv(FeatureDataset(feats, rng.integers(1, 3, n), trials, participants), path)
+        return path
+
+    def test_pooled_output_is_byte_identical_to_in_process(
+        self, tmp_path, train_csv, monkeypatch
+    ):
+        model = self.make_model(tmp_path, train_csv)
+        path = self.three_chunk_input(tmp_path)
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr("scalemix.data._format_workers", lambda: workers)
+            out = tmp_path / f"pred{workers}"
+            argv = ["predict", "--model", str(model), "--data", str(path), "--out-dir", str(out)]
+            assert main(argv) == EXIT_OK
+            assert multiprocessing.active_children() == []
+            outputs.append((out / "predictions.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        for line in outputs[0].splitlines()[1:]:
+            if line.startswith(b"-0.0,5e-324,"):
+                assert line.split(b",")[3:5] == [b"4611686018427387904", b"9223372036854775807"]
+                break
+        else:
+            raise AssertionError("the edge-case row is missing")
+
+    def test_single_chunk_predict_builds_no_pool(self, tmp_path, train_csv, monkeypatch):
+        model = self.make_model(tmp_path, train_csv)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built for one chunk")
+
+        monkeypatch.setattr("scalemix.data._format_workers", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "pred"
+        argv = ["predict", "--model", str(model), "--data", str(train_csv), "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        assert (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("formatter", [_raise_on_short_slice, _exit_on_short_slice])
+    def test_worker_failure_leaves_earlier_output(
+        self, tmp_path, train_csv, monkeypatch, capsys, formatter
+    ):
+        model = self.make_model(tmp_path, train_csv)
+        path = self.three_chunk_input(tmp_path)
+        monkeypatch.setattr("scalemix.data._format_workers", lambda: 2)
+        monkeypatch.setattr("scalemix.data.format_rows", formatter)
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "predictions.csv").write_bytes(b"earlier output\n")
+        argv = ["predict", "--model", str(model), "--data", str(path), "--out-dir", str(kept)]
+        assert main(argv) == EXIT_WORKER
+        assert "worker failure:" in capsys.readouterr().err
+        assert (kept / "predictions.csv").read_bytes() == b"earlier output\n"
+        assert sorted(p.name for p in kept.iterdir()) == ["predictions.csv"]
+        assert multiprocessing.active_children() == []
+
+    def test_data_error_leaves_no_partial_output(
+        self, tmp_path, train_csv, capsys, monkeypatch
+    ):
+        # the bad row lies past a full first chunk, so the pooled writer runs
+        monkeypatch.setattr("scalemix.data._format_workers", lambda: 2)
         model = self.make_model(tmp_path, train_csv)
         data = two_blob_dataset(seed=9, n_per_class=10_000)
         path = tmp_path / "bad.csv"
@@ -452,6 +540,7 @@ class TestPredict:
         assert main(argv + [str(kept)]) == EXIT_DATA
         assert (kept / "predictions.csv").read_bytes() == b"earlier output\n"
         assert sorted(p.name for p in kept.iterdir()) == ["predictions.csv"]
+        assert multiprocessing.active_children() == []
 
 
 class TestEvaluate:
@@ -646,11 +735,14 @@ class TestUsage:
         assert main(["--help"]) == 0
 
     def test_import_skips_unused_scipy_submodules(self):
-        probe = (
-            "import sys, scalemix.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules])"
+        # the process pool of predict is imported only when used; scipy.linalg
+        # already loads concurrent.futures itself (through numpy.testing), but
+        # not its process module
+        unused = (
+            "scipy.signal", "scipy.integrate", "scipy.optimize",
+            "multiprocessing", "concurrent.futures.process",
         )
+        probe = f"import sys, scalemix.cli; print([m for m in {unused!r} if m in sys.modules])"
         src = str(Path(scalemix.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
@@ -696,4 +788,36 @@ class TestUsage:
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--folds", "1", "folds"),
+            ("--nu-pre", "0", "nu_pre"),
+            ("--nu-grid", "abc", "nu_grid"),
+            ("--nu-grid", "5,1", "grid"),
+        ],
+    )
+    def test_bad_selection_setting_is_usage_error_before_reading_data(
+        self, tmp_path, capsys, command, flag, value, named, source
+    ):
+        # --data names no file: reading it would be a data error
+        out = tmp_path / "out"
+        argv = [command, "--data", str(tmp_path / "missing.csv"), "--select-nu"]
+        if command == "train":
+            argv += ["--model-out", str(out / "m.json")]
+        else:
+            argv += ["--out-dir", str(out)]
+        if source == "flag":
+            argv += [flag, value]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{flag[2:]} = {value}\n")
+            argv += ["--config", str(config)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and named in err
         assert not out.exists()

@@ -1,19 +1,25 @@
+import concurrent.futures
+import io
 import itertools
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from scalemix.data import (
     CHUNK_ROWS,
+    FORMAT_ROWS,
     DataFormatError,
     FeatureDataset,
+    format_rows,
     generate_simulation,
     iter_csv,
     load_csv,
     save_csv,
     split_by_trials,
     subsample,
+    write_chunks,
 )
 
 
@@ -230,6 +236,50 @@ class TestChunkedCsv:
         path.write_text("f1,label,trial,participant\n1.5,99999999999999999999,1,1\n")
         with pytest.raises(DataFormatError, match="row 2, column label: integer out of range"):
             load_csv(path)
+
+
+
+class TestWriteChunks:
+    class LineCounter(io.StringIO):
+        """An output that counts the rows written to it."""
+
+        lines = 0
+
+        def write(self, text):
+            self.lines += text.count("\n")
+            return super().write(text)
+
+    def test_pooled_writer_bounds_what_it_holds(self, rng, monkeypatch):
+        workers = 2
+        monkeypatch.setattr("scalemix.data._format_workers", lambda: workers)
+        fh = self.LineCounter()
+        held = []
+        submitted = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, *args):
+                submitted.append(args[1].shape[0])
+                held.append(("slices", len(submitted) - fh.lines // FORMAT_ROWS))
+                return super().submit(*args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        chunks = [
+            (rng.standard_normal((CHUNK_ROWS, 2)), rng.integers(1, 9, (CHUNK_ROWS, 1)))
+            for _ in range(5)
+        ]
+
+        def counting():
+            for pulled, chunk in enumerate(chunks, start=1):
+                # a chunk is held from when it is pulled until its last row is written
+                held.append(("chunks", pulled - fh.lines // CHUNK_ROWS))
+                yield chunk
+
+        write_chunks(fh, counting())
+        assert multiprocessing.active_children() == []
+        assert len(submitted) == 5 * CHUNK_ROWS // FORMAT_ROWS
+        assert max(n for kind, n in held if kind == "chunks") <= 2 * workers
+        assert max(n for kind, n in held if kind == "slices") <= 2 * workers
+        assert fh.getvalue() == "".join(format_rows(*chunk) for chunk in chunks)
 
 
 class TestSplitByTrials:
