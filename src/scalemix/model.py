@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import CholeskyFactor, as_psd, cholesky
+from .numerics import CholeskyFactor, NotPositiveDefiniteError, as_psd, cholesky
 
 __all__ = [
     "PriorHyperparameters",
@@ -231,22 +231,14 @@ def build_default_prior(data, nu_fixed, k_init=1, alpha0=0.001):
     else:
         w0 = np.eye(d)
     w0 = 0.5 * (w0 + w0.T)
+    fields = dict(alpha0=alpha0, beta0=1.0, m0=m0, eta0=d + 1.0, nu_fixed=nu_fixed, k_init=k_init)
+    # the constructor factorises W0; a failure after the jitter re-raises
     try:
-        cholesky(w0)
-    except np.linalg.LinAlgError:
+        return PriorHyperparameters(W0=w0, **fields)
+    except NotPositiveDefiniteError:
         trace = float(np.trace(w0))
         bump = 1e-8 * (trace / d if trace > 0 else 1.0)
-        w0 = w0 + bump * np.eye(d)
-        cholesky(w0)  # re-raise if still singular
-    return PriorHyperparameters(
-        alpha0=alpha0,
-        beta0=1.0,
-        m0=m0,
-        W0=w0,
-        eta0=d + 1.0,
-        nu_fixed=nu_fixed,
-        k_init=k_init,
-    )
+        return PriorHyperparameters(W0=w0 + bump * np.eye(d), **fields)
 
 
 def _matrix_to_rows(matrix):
@@ -297,48 +289,57 @@ def classifier_to_dict(classifier):
     }
 
 
+def _fields(record, where, *keys):
+    """``{key: record[key]}`` for a JSON object; a ``ValueError`` names a fault."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(record).__name__}")
+    for key in keys:
+        if key not in record:
+            raise ValueError(f"{where} has no {key!r} field")
+    return {key: record[key] for key in keys}
+
+
+def _records(value, where):
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def classifier_from_dict(payload):
-    """Inverse of :func:`classifier_to_dict`."""
-    version = payload.get("format_version")
+    """Inverse of :func:`classifier_to_dict`.
+
+    Raises ``ValueError`` naming the field that is missing or the record
+    that has the wrong JSON type.
+    """
+    version = _fields(payload, "model", "format_version")["format_version"]
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    p = payload["prior"]
+    top = _fields(payload, "model", "dim", "prior", "class_log_prior", "classes")
     prior = PriorHyperparameters(
-        alpha0=p["alpha0"],
-        beta0=p["beta0"],
-        m0=p["m0"],
-        W0=p["W0"],
-        eta0=p["eta0"],
-        nu_fixed=p["nu_fixed"],
-        k_init=p["k_init"],
+        **_fields(
+            top["prior"], "prior", "alpha0", "beta0", "m0", "W0", "eta0", "nu_fixed", "k_init"
+        )
     )
     classes = []
-    for cm in payload["classes"]:
-        comps = tuple(
+    for i, cm in enumerate(_records(top["classes"], "classes")):
+        where = f"class record {i}"
+        record = _fields(
+            cm, where, "class_id", "alpha_hat", "n_pruned", "converged", "elbo_trace",
+            "components",
+        )
+        record["components"] = tuple(
             ComponentPosterior(
-                alpha=c["alpha"],
-                beta=c["beta"],
-                m=c["m"],
-                W=c["W"],
-                eta=c["eta"],
-                nu=c["nu"],
+                **_fields(c, f"component {j} of {where}", "alpha", "beta", "m", "W", "eta", "nu")
             )
-            for c in cm["components"]
+            for j, c in enumerate(_records(record["components"], f"components of {where}"))
         )
-        class_model = ClassModel(
-            class_id=cm["class_id"],
-            components=comps,
-            alpha_hat=cm["alpha_hat"],
-            elbo_trace=tuple(cm["elbo_trace"]),
-            n_pruned=cm["n_pruned"],
-            converged=cm["converged"],
-        )
+        class_model = ClassModel(**record)
         class_model.check_expected_scale()
         classes.append(class_model)
     return TrainedClassifier(
         classes=tuple(classes),
-        class_log_prior=payload["class_log_prior"],
-        dim=payload["dim"],
+        class_log_prior=top["class_log_prior"],
+        dim=top["dim"],
         prior=prior,
     )
 

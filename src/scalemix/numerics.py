@@ -4,8 +4,8 @@ Every density and posterior-update formula in this package evaluates
 determinants and Mahalanobis distances through the Cholesky factor of a
 symmetric positive-definite matrix; this module holds those primitives.
 :func:`mahalanobis_sq_batch` is the one Mahalanobis kernel: a single
-point is a one-row batch.
-The special functions (log-gamma and digamma) come from ``scipy.special``.
+point is a one-row batch. ``numpy.linalg`` is the only linear-algebra
+backend.
 
 SPD matrices are plain ``numpy`` arrays validated on entry (see
 :func:`as_psd`); Cholesky factors are wrapped in :class:`CholeskyFactor`
@@ -13,17 +13,17 @@ so that downstream code cannot confuse a factor with the matrix itself.
 :func:`as_psd`, :func:`cholesky`, :func:`log_det` and
 :func:`mahalanobis_sq_batch` also take a ``(k, d, d)`` stack of matrices
 (the scale matrices of a mixture's components). The symmetry and
-finiteness checks are vectorised over the stack, and each member is
-factorised by its own LAPACK call, so a member's factor is bit-identical
-to the factor of that matrix alone. Distances are whitened by inverse
-factors: one batched inverse of the whole stack, cached on the factor,
-then one batched matrix product for every member at once.
+finiteness checks are vectorised over the stack, and one
+``np.linalg.cholesky`` call factorises each member by its own LAPACK
+call, so a member's factor is bit-identical to the factor of that matrix
+alone. Distances are whitened by inverse factors: one batched inverse
+of the whole stack, cached on the factor, then one batched matrix
+product for every member at once.
 
 All functions here are pure and safe for concurrent use.
 """
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
 __all__ = [
     "NotPositiveDefiniteError",
@@ -131,29 +131,30 @@ def cholesky(matrix):
     ------
     NotPositiveDefiniteError
         With the index of the first failing pivot: one that is not
-        positive, or, since LAPACK lets them through, one that is NaN or
+        positive, or, since numpy lets them through, one that is NaN or
         infinite. For a stack, also with the index of the first failing
         member.
     """
     sym = as_psd(matrix)
+    try:
+        lower = np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        lower = None
+    if lower is not None and np.isfinite(np.diagonal(lower, axis1=-2, axis2=-1)).all():
+        return CholeskyFactor(lower)
+    # numpy names neither the member nor the pivot: a member's first failing
+    # pivot is the smallest i whose leading (i + 1) x (i + 1) block does not
+    # factorise or has a non-finite last diagonal entry
     stacked = sym.ndim == 3
-    stack = sym.reshape((-1,) + sym.shape[-2:])
-    lower = np.empty_like(stack)
-    end, pivot = len(stack), None
-    for j, member in enumerate(stack):
-        lower[j], info = dpotrf(member, lower=1, clean=1)
-        if info > 0:
-            end, pivot = j, info - 1
-            break
-    # LAPACK lets NaN and infinite pivots through; one in a member before
-    # the first failing pivot is the first failure
-    bad = np.argwhere(~np.isfinite(np.diagonal(lower[:end], axis1=-2, axis2=-1)))
-    if bad.size:
-        j, i = bad[0]
-        raise NotPositiveDefiniteError(i, j if stacked else None)
-    if pivot is not None:
-        raise NotPositiveDefiniteError(pivot, end if stacked else None)
-    return CholeskyFactor(lower.reshape(sym.shape))
+    for j, member in enumerate(sym.reshape((-1,) + sym.shape[-2:])):
+        for i in range(member.shape[0]):
+            try:
+                pivot = np.linalg.cholesky(member[: i + 1, : i + 1])[i, i]
+            except np.linalg.LinAlgError:
+                pivot = np.nan
+            if not np.isfinite(pivot):
+                raise NotPositiveDefiniteError(i, j if stacked else None)
+    raise np.linalg.LinAlgError("the stack does not factorise, yet each member does alone")
 
 
 def log_det(factor):

@@ -11,13 +11,14 @@ precision for any reasonable query point.
 :func:`predict_batch` is the one classification path: it takes a matrix
 of points (one row for a single point) and returns log posteriors and
 labels. :func:`prepare` builds each class's mixture once (one stacked
-Cholesky factorisation of the component scales, their inverse factors and
-the stacked whitening of every component), and batch prediction reuses it
-for every block of rows, which is what makes microsecond-scale per-record
-throughput possible. The degrees of freedom enter only through three
-small per-component arrays, so :meth:`_Mixture.with_nu` swaps them
-without refactorising, and :func:`log_posteriors_over_nu` scores a grid
-of values from one whitening of the points.
+Cholesky factorisation of the component scales, their inverse factors
+from one batched ``CholeskyFactor.inverse`` and the stacked whitening of
+every component), and batch prediction reuses it for every block of
+rows, which is what makes microsecond-scale per-record throughput
+possible. The degrees of freedom enter only through three small
+per-component arrays, so :meth:`_Mixture.with_nu` swaps them without
+refactorising, and :func:`log_posteriors_over_nu` scores a grid of
+values from one whitening of the points.
 """
 
 import copy
@@ -25,7 +26,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .data import CHUNK_ROWS
 from .density import log_t_kernel
@@ -44,8 +44,9 @@ class _Mixture:
     """Precomputed plug-in mixture for one class model.
 
     Factorises the expected scales of all components in one stacked
-    :func:`cholesky` call and stores each member's inverse factor, so a
-    batch Mahalanobis evaluation is a single matrix product per class.
+    :func:`cholesky` call and stores the inverse factors that
+    :attr:`~scalemix.numerics.CholeskyFactor.inverse` gives, so a batch
+    Mahalanobis evaluation is a single matrix product per class.
     """
 
     __slots__ = (
@@ -71,14 +72,8 @@ class _Mixture:
         self.half_exponents = 0.5 * (self.nus + d)
         # all component whitening transforms stacked so a batch Mahalanobis
         # evaluation is a single (k d, d) x (d, n) product
-        eye = np.eye(d)
-        inv_lowers = [
-            solve_triangular(lower, eye, lower=True, check_finite=False) for lower in f.lower
-        ]
-        self.stacked_inv = np.concatenate(inv_lowers)
-        self.stacked_offset = np.concatenate(
-            [inv @ m for inv, m in zip(inv_lowers, self.means)]
-        )[:, None]
+        self.stacked_inv = f.inverse.reshape(-1, d)
+        self.stacked_offset = (f.inverse @ self.means[:, :, None]).reshape(-1, 1)
 
     def with_nu(self, nu):
         """The same mixture with every component's degrees of freedom at ``nu``.

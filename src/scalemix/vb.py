@@ -378,7 +378,7 @@ def _fit_class(x, prior, config, class_id, rng, sink=None):
     n = x.shape[0]
     if n == 0:
         raise ValueError(f"class {class_id} has no training rows")
-    k0 = min(prior.k_init, max(n, 1))
+    k0 = min(prior.k_init, n)
     nu = prior.nu_fixed
     terms = prior_terms(prior)
     r, a, b = _init_responsibilities(x, k0, nu, rng)

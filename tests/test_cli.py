@@ -413,6 +413,21 @@ class TestPredict:
         assert "component 0 of class 2 has eta = 2.5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [({"format_version": 1}, "model has no 'dim' field"), ([], "must be a JSON object")],
+    )
+    def test_malformed_model_file_is_a_data_error(
+        self, tmp_path, train_csv, capsys, payload, message
+    ):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "pred"
+        argv = ["predict", "--model", str(model), "--data", str(train_csv), "--out-dir", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_multi_chunk_output_matches_row_by_row_reference(self, tmp_path, train_csv):
         model = self.make_model(tmp_path, train_csv)
         n = 2 * CHUNK_ROWS + 1
@@ -735,11 +750,11 @@ class TestUsage:
         assert main(["--help"]) == 0
 
     def test_import_skips_unused_scipy_submodules(self):
-        # the process pool of predict is imported only when used; scipy.linalg
+        # the process pool of predict is imported only when used; scipy.special
         # already loads concurrent.futures itself (through numpy.testing), but
         # not its process module
         unused = (
-            "scipy.signal", "scipy.integrate", "scipy.optimize",
+            "scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.linalg",
             "multiprocessing", "concurrent.futures.process",
         )
         probe = f"import sys, scalemix.cli; print([m for m in {unused!r} if m in sys.modules])"

@@ -153,3 +153,21 @@ class TestPersistence:
     def test_version_check(self):
         with pytest.raises(ValueError):
             classifier_from_dict({"format_version": 999})
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"format_version": 1}, "model has no 'dim' field"),
+            ([], "model must be a JSON object, got list"),
+        ],
+    )
+    def test_malformed_payload_is_named(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            classifier_from_dict(payload)
+
+    def test_missing_component_field_names_its_record(self):
+        data = two_blob_dataset(seed=4, n_per_class=30)
+        payload = classifier_to_dict(fit(data, build_default_prior(data, 2.0), VbConfig(seed=0)))
+        del payload["classes"][1]["components"][0]["W"]
+        with pytest.raises(ValueError, match="component 0 of class record 1 has no 'W' field"):
+            classifier_from_dict(payload)

@@ -170,14 +170,29 @@ class TestStackedFactorisation:
             cholesky(m)
 
     def test_earlier_non_finite_member_is_named_before_a_later_pivot(self, rng):
-        # LAPACK passes the NaN member; the non-positive pivot of member 3
-        # stops the factorisation, and member 1 is still the first failure
+        # the factorisation passes the NaN member; the non-positive pivot of
+        # member 3 fails it, and member 1 is still the first failure
         m = spd_stack(rng, 5, 4)
         m[1, 2, 2] = np.nan
         m[3] = np.diag([1.0, 1.0, -1.0, 1.0])
         with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky(m)
         assert (err.value.component, err.value.pivot_index) == (1, 2)
+
+    def test_earlier_pivot_member_is_named_before_a_later_non_finite_one(self, rng):
+        m = spd_stack(rng, 5, 4)
+        m[1] = np.diag([1.0, -1.0, 1.0, 1.0])
+        m[3, 2, 2] = np.nan
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky(m)
+        assert (err.value.component, err.value.pivot_index) == (1, 1)
+
+    def test_non_finite_pivot_is_named_before_a_later_pivot_of_its_member(self, rng):
+        m = spd_stack(rng, 3, 4)
+        m[2] = np.diag([1.0, np.inf, 1.0, -1.0])
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky(m)
+        assert (err.value.component, err.value.pivot_index) == (2, 1)
 
     def test_point_on_a_member_center_is_at_exact_zero(self, rng):
         f = cholesky(spd_stack(rng, 4, 5) * 1e3)
