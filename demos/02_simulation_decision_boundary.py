@@ -49,7 +49,7 @@ for name, tc in models.items():
     flips = ts[1:][np.diff(labels) != 0]
     _, grid_labels = predict_batch(tc, grid.features)
     acc = accuracy(grid_labels, grid.labels)
-    nus = [round(cm.components[0].nu, 2) for cm in tc.classes]
+    nus = [round(float(cm.nu[0]), 2) for cm in tc.classes]
     print(f"{name:32s} flips at {np.round(flips, 3)}  grid agreement {acc:.3f}  nu {nus}")
 
 # %%

@@ -6,9 +6,9 @@ import numpy as np
 
 from scalemix import (
     ClassModel,
-    ComponentPosterior,
     FeatureDataset,
     NuSearchConfig,
+    Posteriors,
     VbConfig,
     build_default_prior,
     select_nu,
@@ -17,11 +17,16 @@ from scalemix.predict import sample
 
 
 def exact_student_class(mu, nu, class_id):
-    # large eta makes the plug-in scale equal the identity exactly
-    comp = ComponentPosterior(
-        alpha=1.0, beta=1.0, m=mu, W=np.eye(2) * 4096.0, eta=2 + 1 + 4096.0, nu=nu
+    # one component, stacked; a large eta makes the plug-in scale equal the
+    # identity exactly
+    post = Posteriors(
+        alpha=np.ones(1),
+        beta=np.ones(1),
+        m=np.array([mu]),
+        W=np.eye(2)[None] * 4096.0,
+        eta=np.full(1, 2 + 1 + 4096.0),
     )
-    return ClassModel(class_id, (comp,), 1.0, (0.0,), 0)
+    return ClassModel(class_id, post, np.full(1, nu), 1.0, (0.0,), 0)
 
 
 def make_data(nu, seed, n=400, sep=4.0):

@@ -48,7 +48,7 @@ from .metrics import (
 )
 from .model import (
     ClassModel,
-    ComponentPosterior,
+    Posteriors,
     PriorHyperparameters,
     TrainedClassifier,
     build_default_prior,

@@ -34,7 +34,6 @@ from .data import (
     write_chunks,
     write_rows,
 )
-from .density import QuadratureError
 from .metrics import (
     MetricsReport,
     accuracy,
@@ -131,12 +130,6 @@ def _parse_nu_grid(text):
     return np.asarray(values)
 
 
-def _posterior_grid_rows(classifier, grid):
-    log_post, labels = predict_batch(classifier, grid.features)
-    post = np.exp(log_post)
-    return post, labels
-
-
 def _write_boundary_csv(path, grid, post, labels):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x1,x2,posterior_c1,posterior_c2,argmax\n")
@@ -210,7 +203,8 @@ def cmd_simulate(args):
         "gaussian": fit(train, gaussian_prior, vb_cfg),
     }
     for name, classifier in runs.items():
-        post, labels = _posterior_grid_rows(classifier, grid)
+        log_post, labels = predict_batch(classifier, grid.features)
+        post = np.exp(log_post)
         _write_boundary_csv(out / f"boundary_{name}.csv", grid, post, labels)
         if cfg["svg"]:
             _write_svg_heatmap(out / f"heatmap_{name}.svg", grid, post[:, 0])
@@ -218,7 +212,11 @@ def cmd_simulate(args):
 
 
 def _search_config(cfg):
-    """ν search settings, None without --select-nu: checked before any data is read."""
+    """Check --nu xor --select-nu; the ν search settings, None without --select-nu."""
+    if cfg["nu"] is not None and cfg["select_nu"]:
+        raise UsageError("--nu and --select-nu are mutually exclusive")
+    if cfg["nu"] is None and not cfg["select_nu"]:
+        raise UsageError("either --nu or --select-nu is required")
     if not cfg["select_nu"]:
         return None
     try:
@@ -277,10 +275,6 @@ def cmd_train(args):
     cfg = _resolve(args, _TRAIN_SPEC)
     if not cfg["data"] or not cfg["model_out"]:
         raise UsageError("--data and --model-out are required")
-    if cfg["nu"] is not None and cfg["select_nu"]:
-        raise UsageError("--nu and --select-nu are mutually exclusive")
-    if cfg["nu"] is None and not cfg["select_nu"]:
-        raise UsageError("either --nu or --select-nu is required")
     _check_ranges(cfg)
     search = _search_config(cfg)
     data = load_csv(cfg["data"])
@@ -315,18 +309,17 @@ def cmd_predict(args):
     cfg = _resolve(args, spec)
     if not cfg["model"] or not cfg["data"]:
         raise UsageError("--model and --data are required")
-    classifier = load_model(cfg["model"])
-    chunks = iter_csv(cfg["data"], schema=classifier.dim)
+    # a model that cannot predict fails here, before --data is read
+    prepared = prepare(load_model(cfg["model"]))
+    chunks = iter_csv(cfg["data"], schema=prepared.dim)
     # the header and the first chunk are checked before anything is created
     first = next(chunks)
-    prepared = prepare(classifier)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    ids = classifier.class_ids
     header = (
-        [f"f{i + 1}" for i in range(classifier.dim)]
+        [f"f{i + 1}" for i in range(prepared.dim)]
         + ["label", "trial", "participant", "pred_label"]
-        + [f"log_posterior_{cid}" for cid in ids]
+        + [f"log_posterior_{cid}" for cid in prepared.class_ids.tolist()]
     )
     # rows go to a temporary file that replaces predictions.csv only once
     # every row is written, so a bad row or a failed worker leaves no
@@ -411,10 +404,6 @@ def cmd_evaluate(args):
     cfg = _resolve(args, spec)
     if not cfg["data"]:
         raise UsageError("--data is required")
-    if cfg["nu"] is not None and cfg["select_nu"]:
-        raise UsageError("--nu and --select-nu are mutually exclusive")
-    if cfg["nu"] is None and not cfg["select_nu"]:
-        raise UsageError("either --nu or --select-nu is required")
     _check_ranges(cfg)
     search = _search_config(cfg)
     data = load_csv(cfg["data"])
@@ -549,6 +538,16 @@ def build_parser():
             help="accepted for compatibility; training runs on one thread",
         )
 
+    def add_training(p):
+        p.add_argument("--nu", type=float, help="fixed shared degrees of freedom")
+        p.add_argument("--select-nu", dest="select_nu", action="store_true", default=None)
+        p.add_argument("--nu-pre", dest="nu_pre", type=float, help="pre-training nu (default 200)")
+        p.add_argument("--nu-grid", dest="nu_grid", help="comma-separated candidate grid")
+        p.add_argument("--folds", type=int, help="selection folds (default 5)")
+        p.add_argument("--k-init", dest="k_init", type=int, help="initial components")
+        p.add_argument("--alpha0", type=float, help="Dirichlet concentration")
+        p.add_argument("--max-iters", dest="max_iters", type=int, help="iteration cap")
+
     p = sub.add_parser("simulate", help="two-class synthetic benchmark and boundaries")
     add_common(p)
     p.add_argument("--out-dir", dest="out_dir", help="output directory")
@@ -564,14 +563,7 @@ def build_parser():
     add_common(p)
     p.add_argument("--data", help="training CSV")
     p.add_argument("--model-out", dest="model_out", help="output model path")
-    p.add_argument("--nu", type=float, help="fixed shared degrees of freedom")
-    p.add_argument("--select-nu", dest="select_nu", action="store_true", default=None)
-    p.add_argument("--nu-pre", dest="nu_pre", type=float, help="pre-training value (default 200)")
-    p.add_argument("--nu-grid", dest="nu_grid", help="comma-separated candidate grid")
-    p.add_argument("--folds", type=int, help="selection folds (default 5)")
-    p.add_argument("--k-init", dest="k_init", type=int, help="initial components")
-    p.add_argument("--alpha0", type=float, help="Dirichlet concentration")
-    p.add_argument("--max-iters", dest="max_iters", type=int, help="iteration cap")
+    add_training(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="classify a feature CSV with a saved model")
@@ -587,14 +579,7 @@ def build_parser():
     p.add_argument("--out-dir", dest="out_dir", help="output directory")
     p.add_argument("--trials-train", dest="trials_train", type=int, help="training trials per split (default floor(T/3))")
     p.add_argument("--subsample", type=float, help="training subsample fraction")
-    p.add_argument("--nu", type=float, help="fixed shared degrees of freedom")
-    p.add_argument("--select-nu", dest="select_nu", action="store_true", default=None)
-    p.add_argument("--nu-pre", dest="nu_pre", type=float)
-    p.add_argument("--nu-grid", dest="nu_grid")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--k-init", dest="k_init", type=int)
-    p.add_argument("--alpha0", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
+    add_training(p)
     p.add_argument("--baseline", help="per-participant accuracy CSV for the superiority effect size")
     p.set_defaults(func=cmd_evaluate)
     return parser
@@ -614,7 +599,7 @@ def main(argv=None):
     except (DataFormatError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalFailure, NotPositiveDefiniteError, QuadratureError) as exc:
+    except (NumericalFailure, NotPositiveDefiniteError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except FormatWorkerError as exc:

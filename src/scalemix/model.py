@@ -3,8 +3,9 @@
 The conjugate prior couples a Dirichlet over mixing weights with a
 Gaussian-inverse-Wishart over each component's mean and scale matrix; the
 degrees of freedom carry no prior and are fixed to a shared value during
-training. All records are immutable after construction and freely
-shareable across threads.
+training. A class's components are one stack of arrays (:class:`Posteriors`)
+from the variational fit to the predictor. Validated records are immutable
+after construction and freely shareable across threads.
 """
 
 import json
@@ -17,7 +18,7 @@ from .numerics import CholeskyFactor, NotPositiveDefiniteError, as_psd, cholesky
 
 __all__ = [
     "PriorHyperparameters",
-    "ComponentPosterior",
+    "Posteriors",
     "ClassModel",
     "TrainedClassifier",
     "build_default_prior",
@@ -73,6 +74,9 @@ class PriorHyperparameters:
         d = self.m0.shape[0]
         if self.W0.shape != (d, d):
             raise ValueError(f"W0 shape {self.W0.shape} does not match m0 dim {d}")
+        for name in ("alpha0", "beta0", "m0", "W0", "eta0"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if not self.alpha0 > 0:
             raise ValueError("alpha0 must be positive")
         if not self.beta0 > 0:
@@ -92,86 +96,95 @@ class PriorHyperparameters:
 
 
 @dataclass(frozen=True, eq=False)
-class ComponentPosterior:
-    """Variational posterior parameters of a single mixture component."""
+class Posteriors:
+    """Parameter posteriors of a class's ``k`` components, stacked.
 
-    alpha: float
-    beta: float
+    ``alpha (k,)`` Dirichlet concentrations, ``beta (k,)`` mean precision
+    scales, ``m (k, d)`` means, ``W (k, d, d)`` inverse-Wishart scales and
+    ``eta (k,)`` inverse-Wishart degrees of freedom. Not validated: the
+    variational fit builds one every iteration, and :class:`ClassModel`
+    checks the one it keeps.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
     m: np.ndarray
     W: np.ndarray
-    eta: float
-    nu: float
+    eta: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", _frozen_array(self.m, ndim=1))
-        object.__setattr__(self, "W", _frozen_array(as_psd(self.W)))
-        for name in ("alpha", "beta", "eta", "nu"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not (self.alpha > 0 and self.beta > 0 and self.nu > 0):
-            raise ValueError("alpha, beta, and nu must all be positive")
-        d = self.m.shape[0]
-        if self.W.shape != (d, d):
-            raise ValueError(f"W shape {self.W.shape} does not match m dim {d}")
-        if not self.eta > d - 1:
-            raise ValueError(f"eta must exceed dim - 1 = {d - 1}, got {self.eta}")
-        cholesky(self.W)  # scale matrix must be positive definite
 
-    @property
-    def dim(self):
-        return self.m.shape[0]
+def _require(ok, class_id, message, values=None):
+    """Raise ``ValueError`` naming the first component where ``ok`` is False."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        j = int(bad[0])
+        got = "" if values is None else f", got {values[j]}"
+        raise ValueError(f"component {j} of class {class_id}: {message}{got}")
 
 
 @dataclass(frozen=True, eq=False)
 class ClassModel:
-    """Surviving components of one class plus training bookkeeping."""
+    """Surviving components of one class, stacked, plus training bookkeeping.
+
+    ``nu (k,)`` holds the components' degrees of freedom. Construction
+    copies and freezes the arrays and checks the whole stack (one stacked
+    factorisation); an error names the class and the component.
+    """
 
     class_id: int
-    components: tuple
+    components: Posteriors
+    nu: np.ndarray
     alpha_hat: float
     elbo_trace: tuple
     n_pruned: int
     converged: bool = True
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("a class model needs at least one component")
-        object.__setattr__(self, "class_id", int(self.class_id))
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "alpha_hat", float(self.alpha_hat))
-        object.__setattr__(self, "elbo_trace", tuple(float(v) for v in self.elbo_trace))
-        object.__setattr__(self, "n_pruned", int(self.n_pruned))
-        object.__setattr__(self, "converged", bool(self.converged))
-        total = sum(c.alpha for c in comps)
-        if abs(total - self.alpha_hat) > 1e-10 * max(1.0, abs(total)):
+        cid = int(self.class_id)
+        arrays = {key: np.array(v, dtype=float) for key, v in vars(self.components).items()}
+        arrays["nu"] = np.array(self.nu, dtype=float)
+        k = arrays["alpha"].size
+        d = arrays["m"].shape[-1] if arrays["m"].ndim else 0
+        if not k:
+            raise ValueError(f"class {cid} has no components")
+        for key, arr in arrays.items():
+            shape = {"m": (k, d), "W": (k, d, d)}.get(key, (k,))
+            if arr.shape != shape:
+                raise ValueError(f"class {cid}: {key} has shape {arr.shape}, expected {shape}")
+            _require(np.isfinite(arr.reshape(k, -1)).all(axis=1), cid, f"{key} is not finite")
+        positive = (arrays["alpha"] > 0) & (arrays["beta"] > 0) & (arrays["nu"] > 0)
+        _require(positive, cid, "alpha, beta, and nu must all be positive")
+        _require(arrays["eta"] > d - 1, cid, f"eta must exceed dim - 1 = {d - 1}", arrays["eta"])
+        try:
+            arrays["W"] = as_psd(arrays["W"])
+            cholesky(arrays["W"])  # scale matrices must be positive definite
+        except ValueError as exc:  # NotPositiveDefiniteError is one too
+            raise ValueError(f"class {cid}: {exc}") from exc
+        total = sum(arrays["alpha"].tolist())
+        if not abs(total - self.alpha_hat) <= 1e-10 * max(1.0, abs(total)):
             raise ValueError(
-                f"alpha_hat {self.alpha_hat!r} does not match component sum {total!r}"
+                f"class {cid}: alpha_hat {self.alpha_hat!r} does not match component sum {total!r}"
             )
-        dims = {c.dim for c in comps}
-        if len(dims) != 1:
-            raise ValueError(f"components disagree on dimension: {sorted(dims)}")
+        trace = tuple(float(v) for v in self.elbo_trace)
+        if not all(map(math.isfinite, trace)):
+            raise ValueError(f"class {cid}: elbo_trace is not finite")
+        for arr in arrays.values():
+            arr.setflags(write=False)
+        nu = arrays.pop("nu")
+        for name, value in (
+            ("class_id", cid), ("components", Posteriors(**arrays)), ("nu", nu),
+            ("alpha_hat", float(self.alpha_hat)), ("elbo_trace", trace),
+            ("n_pruned", int(self.n_pruned)), ("converged", bool(self.converged)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self):
-        return self.components[0].dim
+        return self.components.m.shape[1]
 
     @property
     def n_components(self):
-        return len(self.components)
-
-    def check_expected_scale(self):
-        """Require ``eta > dim + 1`` of every component.
-
-        The plug-in predictive uses the expected scale ``W / (eta - dim - 1)``,
-        which is finite only then; a model that fails here cannot predict.
-        """
-        d = self.dim
-        for j, comp in enumerate(self.components):
-            if not comp.eta > d + 1:
-                raise ValueError(
-                    f"component {j} of class {self.class_id} has eta = {comp.eta}, "
-                    f"needs eta > dim + 1 = {d + 1} for a finite expected scale"
-                )
+        return self.components.alpha.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +205,8 @@ class TrainedClassifier:
         object.__setattr__(self, "dim", int(self.dim))
         if len(classes) != self.class_log_prior.shape[0]:
             raise ValueError("class_log_prior length does not match class count")
+        if not np.isfinite(self.class_log_prior).all():
+            raise ValueError("class_log_prior is not finite")
         total = float(np.sum(np.exp(self.class_log_prior)))
         if abs(total - 1.0) > 1e-12 * len(classes):
             raise ValueError(f"class priors must sum to 1, got {total!r}")
@@ -204,10 +219,6 @@ class TrainedClassifier:
     @property
     def class_ids(self):
         return [cm.class_id for cm in self.classes]
-
-    @property
-    def n_classes(self):
-        return len(self.classes)
 
 
 def build_default_prior(data, nu_fixed, k_init=1, alpha0=0.001):
@@ -241,30 +252,31 @@ def build_default_prior(data, nu_fixed, k_init=1, alpha0=0.001):
         return PriorHyperparameters(W0=w0 + bump * np.eye(d), **fields)
 
 
-def _matrix_to_rows(matrix):
-    return [[float(v) for v in row] for row in np.asarray(matrix)]
+_PRIOR_FIELDS = ("alpha0", "beta0", "m0", "W0", "eta0", "nu_fixed", "k_init")
+_COMPONENT_FIELDS = ("alpha", "beta", "m", "W", "eta", "nu")
+
+
+def _component_records(cm):
+    """One format-1 ``components`` record per component of a class model."""
+    post = cm.components
+    columns = (post.alpha, post.beta, post.m, post.W, post.eta, cm.nu)
+    return [dict(zip(_COMPONENT_FIELDS, values)) for values in zip(*(c.tolist() for c in columns))]
 
 
 def classifier_to_dict(classifier):
     """Self-describing dictionary form of a trained classifier.
 
+    Each class's stacked components are listed one record per component.
     Floats survive a JSON round trip bit-exactly: they are rendered with
     repr semantics (up to 17 significant digits).
     """
-    prior = classifier.prior
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "dim": classifier.dim,
         "prior": {
-            "alpha0": prior.alpha0,
-            "beta0": prior.beta0,
-            "m0": [float(v) for v in prior.m0],
-            "W0": _matrix_to_rows(prior.W0),
-            "eta0": prior.eta0,
-            "nu_fixed": prior.nu_fixed,
-            "k_init": prior.k_init,
+            key: np.asarray(getattr(classifier.prior, key)).tolist() for key in _PRIOR_FIELDS
         },
-        "class_log_prior": [float(v) for v in classifier.class_log_prior],
+        "class_log_prior": classifier.class_log_prior.tolist(),
         "classes": [
             {
                 "class_id": cm.class_id,
@@ -272,76 +284,95 @@ def classifier_to_dict(classifier):
                 "n_pruned": cm.n_pruned,
                 "converged": cm.converged,
                 "elbo_trace": list(cm.elbo_trace),
-                "components": [
-                    {
-                        "alpha": c.alpha,
-                        "beta": c.beta,
-                        "m": [float(v) for v in c.m],
-                        "W": _matrix_to_rows(c.W),
-                        "eta": c.eta,
-                        "nu": c.nu,
-                    }
-                    for c in cm.components
-                ],
+                "components": _component_records(cm),
             }
             for cm in classifier.classes
         ],
     }
 
 
-def _fields(record, where, *keys):
-    """``{key: record[key]}`` for a JSON object; a ``ValueError`` names a fault."""
+_KIND_NAMES = {bool: "boolean", int: "integer", float: "number", list: "array"}
+
+
+def _is(value, kind, shape=()):
+    """Whether ``value`` is a JSON ``kind``, or nested arrays of them.
+
+    ``kind`` is ``list``, ``bool``, ``int`` or ``float`` (an integer is
+    also a float); ``shape`` lists the array lengths, ``None`` for any.
+    """
+    if shape:
+        return (
+            isinstance(value, list)
+            and shape[0] in (None, len(value))
+            and all(_is(v, kind, shape[1:]) for v in value)
+        )
+    if kind in (bool, list) or isinstance(value, bool):
+        return type(value) is kind
+    if kind is float:  # an integer too large for a float is not a number here
+        return isinstance(value, float) or isinstance(value, int) and value.bit_length() < 1024
+    return isinstance(value, int)
+
+
+def _fields(record, where, **kinds):
+    """``{key: record[key]}`` for a JSON object; a ``ValueError`` names a fault.
+
+    Each key maps to the kind its value must have (see :func:`_is`), as
+    ``kind`` or ``(kind, shape)``, or to ``None`` for any JSON value.
+    """
     if not isinstance(record, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(record).__name__}")
-    for key in keys:
+    for key, kind in kinds.items():
         if key not in record:
             raise ValueError(f"{where} has no {key!r} field")
-    return {key: record[key] for key in keys}
-
-
-def _records(value, where):
-    if not isinstance(value, list):
-        raise ValueError(f"{where} must be a JSON array, got {type(value).__name__}")
-    return value
+        kind, shape = kind if isinstance(kind, tuple) else (kind, ())
+        if kind is not None and not _is(record[key], kind, shape):
+            what = f"array of {_KIND_NAMES[kind]}s" if shape else _KIND_NAMES[kind]
+            sized = f" of shape {shape}" if shape and None not in shape else ""
+            raise ValueError(f"{where}: {key!r} is not a JSON {what}{sized}")
+    return {key: record[key] for key in kinds}
 
 
 def classifier_from_dict(payload):
     """Inverse of :func:`classifier_to_dict`.
 
-    Raises ``ValueError`` naming the field that is missing or the record
-    that has the wrong JSON type.
+    Stacks each class's component records. Raises ``ValueError`` naming
+    the record at fault: a missing field, a value of the wrong JSON type,
+    a number that is not finite or a component that breaks a rule of
+    :class:`ClassModel`.
     """
-    version = _fields(payload, "model", "format_version")["format_version"]
+    version = _fields(payload, "model", format_version=None)["format_version"]
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    top = _fields(payload, "model", "dim", "prior", "class_log_prior", "classes")
-    prior = PriorHyperparameters(
-        **_fields(
-            top["prior"], "prior", "alpha0", "beta0", "m0", "W0", "eta0", "nu_fixed", "k_init"
-        )
+    top = _fields(
+        payload, "model", dim=int, prior=None, class_log_prior=(float, (None,)), classes=list
     )
+    vector, square = (float, (top["dim"],)), (float, (top["dim"], top["dim"]))
+    fields = _fields(
+        top["prior"], "prior", alpha0=float, beta0=float, m0=vector, W0=square, eta0=float,
+        nu_fixed=float, k_init=int,
+    )
+    try:
+        prior = PriorHyperparameters(**fields)
+    except ValueError as exc:  # NotPositiveDefiniteError is one too
+        raise ValueError(f"prior: {exc}") from exc
     classes = []
-    for i, cm in enumerate(_records(top["classes"], "classes")):
+    for i, cm in enumerate(top["classes"]):
         where = f"class record {i}"
         record = _fields(
-            cm, where, "class_id", "alpha_hat", "n_pruned", "converged", "elbo_trace",
-            "components",
+            cm, where, class_id=int, alpha_hat=float, n_pruned=int, converged=bool,
+            elbo_trace=(float, (None,)), components=list,
         )
-        record["components"] = tuple(
-            ComponentPosterior(
-                **_fields(c, f"component {j} of {where}", "alpha", "beta", "m", "W", "eta", "nu")
+        comps = [
+            _fields(
+                c, f"component {j} of {where}", alpha=float, beta=float, m=vector, W=square,
+                eta=float, nu=float,
             )
-            for j, c in enumerate(_records(record["components"], f"components of {where}"))
-        )
-        class_model = ClassModel(**record)
-        class_model.check_expected_scale()
-        classes.append(class_model)
-    return TrainedClassifier(
-        classes=tuple(classes),
-        class_log_prior=top["class_log_prior"],
-        dim=top["dim"],
-        prior=prior,
-    )
+            for j, c in enumerate(record.pop("components"))
+        ]
+        stack = {key: np.array([c[key] for c in comps], dtype=float) for key in _COMPONENT_FIELDS}
+        nu = stack.pop("nu")
+        classes.append(ClassModel(components=Posteriors(**stack), nu=nu, **record))
+    return TrainedClassifier(tuple(classes), top["class_log_prior"], top["dim"], prior)
 
 
 def save_model(classifier, path):

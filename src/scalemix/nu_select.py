@@ -25,6 +25,7 @@ from .vb import VbConfig, fit
 
 __all__ = [
     "NuSearchConfig",
+    "default_nu_grid",
     "stratified_folds",
     "conditional_entropy",
     "select_nu",

@@ -10,15 +10,15 @@ precision for any reasonable query point.
 
 :func:`predict_batch` is the one classification path: it takes a matrix
 of points (one row for a single point) and returns log posteriors and
-labels. :func:`prepare` builds each class's mixture once (one stacked
-Cholesky factorisation of the component scales, their inverse factors
-from one batched ``CholeskyFactor.inverse`` and the stacked whitening of
-every component), and batch prediction reuses it for every block of
-rows, which is what makes microsecond-scale per-record throughput
-possible. The degrees of freedom enter only through three small
-per-component arrays, so :meth:`_Mixture.with_nu` swaps them without
-refactorising, and :func:`log_posteriors_over_nu` scores a grid of
-values from one whitening of the points.
+labels. :func:`prepare` builds each class's mixture once from its stacked
+components (one stacked Cholesky factorisation of the expected scales,
+their inverse factors from one batched ``CholeskyFactor.inverse`` and the
+stacked whitening of every component), and batch prediction reuses it
+for every block of rows, which is what makes microsecond-scale
+per-record throughput possible. The degrees of freedom enter only
+through three small per-component arrays, so :meth:`_Mixture.with_nu`
+swaps them without refactorising, and :func:`log_posteriors_over_nu`
+scores a grid of values from one whitening of the points.
 """
 
 import copy
@@ -43,8 +43,9 @@ __all__ = [
 class _Mixture:
     """Precomputed plug-in mixture for one class model.
 
-    Factorises the expected scales of all components in one stacked
-    :func:`cholesky` call and stores the inverse factors that
+    Refuses a component with ``eta <= dim + 1``, whose expected scale is
+    not finite. Factorises the expected scales of all components in one
+    stacked :func:`cholesky` call and stores the inverse factors that
     :attr:`~scalemix.numerics.CholeskyFactor.inverse` gives, so a batch
     Mahalanobis evaluation is a single matrix product per class.
     """
@@ -56,16 +57,23 @@ class _Mixture:
 
     def __init__(self, cm):
         d = cm.dim
-        cm.check_expected_scale()
-        comps = cm.components
+        post = cm.components
+        if not np.all(post.eta > d + 1):
+            j = int(np.argmin(post.eta > d + 1))  # the first component at fault
+            raise ValueError(
+                f"component {j} of class {cm.class_id} has eta = {post.eta[j]}, "
+                f"needs eta > dim + 1 = {d + 1} for a finite expected scale"
+            )
         self.dim = d
-        self.n_components = len(comps)
-        f = cholesky(np.stack([c.W / (c.eta - d - 1.0) for c in comps]))
+        self.n_components = cm.n_components
+        f = cholesky(post.W / (post.eta - d - 1.0)[:, None, None])
         self.lowers = f.lower
         self.log_dets = log_det(f)
-        self.log_w = np.array([math.log(c.alpha / cm.alpha_hat) for c in comps])
-        self.means = np.array([c.m for c in comps], dtype=float)
-        self.nus = np.array([c.nu for c in comps], dtype=float)
+        # math.log, not np.log: the two differ in the last bit for some weights
+        self.log_w = np.array([math.log(w) for w in (post.alpha / cm.alpha_hat).tolist()])
+        self.means = post.m
+        self.nus = cm.nu
+        # log_t_kernel takes one nu at a time
         self.log_norms = np.array(
             [log_t_kernel(0.0, ld, d, nu) for ld, nu in zip(self.log_dets, self.nus)]
         )

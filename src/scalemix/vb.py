@@ -16,19 +16,19 @@ pruned, which a small Dirichlet concentration makes routine: redundant
 components starve and vanish, leaving the model to pick its own complexity.
 
 Inside a fit the posteriors are one structure of stacked arrays
-(:class:`Posteriors`). After each parameter update, :func:`component_cache`
-factorises the whole stack once and derives every quantity both the bound
-at this iteration and the latent update at the next one read: log
-determinants, E[log |Sigma|], E[log pi] and the ``(n, k)`` matrix of
-expected squared Mahalanobis distances (the bound is assembled from the
-latent update's quantities, as in Bishop's construction). Distances are
-whitened by the inverse factors, which one batched inverse of the stack
-gives: one product for the class's points and two small ones for the
-prior's terms, with no per-component solve. The latent posteriors share one shape per column, so the bound
-reduces its ``(n, k)`` arrays to a few per-column sums. Pruning slices
-the latent posteriors before the one parameter update of an iteration.
-Validated :class:`ComponentPosterior` and :class:`ClassModel` records are
-built only for the returned model.
+(:class:`~scalemix.model.Posteriors`). After each parameter update,
+:func:`component_cache` factorises the whole stack once and derives every
+quantity both the bound at this iteration and the latent update at the
+next one read: log determinants, E[log |Sigma|], E[log pi] and the
+``(n, k)`` matrix of expected squared Mahalanobis distances (the bound is
+assembled from the latent update's quantities, as in Bishop's
+construction). Distances are whitened by the inverse factors, which one
+batched inverse of the stack gives: one product for the class's points
+and two small ones for the prior's terms. The latent posteriors share one
+shape per column, so the bound reduces its ``(n, k)`` arrays to a few
+per-column sums. Pruning slices the latent posteriors before the one
+parameter update of an iteration. The fit returns its final stack as a
+:class:`~scalemix.model.ClassModel`, which validates it once.
 
 Classes are fit one after another, each from its own seeded stream; within
 a fit, all reductions use fixed summation order, so results are
@@ -42,12 +42,11 @@ import numpy as np
 from scipy.special import digamma, gammaln, xlogy
 
 from .density import log_t_kernel
-from .model import ClassModel, ComponentPosterior, PriorHyperparameters, TrainedClassifier
+from .model import ClassModel, Posteriors, PriorHyperparameters, TrainedClassifier
 from .numerics import cholesky, log_det, mahalanobis_sq_batch
 
 __all__ = [
     "VbConfig",
-    "Posteriors",
     "ComponentCache",
     "PriorTerms",
     "NumericalFailure",
@@ -98,27 +97,12 @@ class VbConfig:
 
 
 @dataclass(frozen=True)
-class Posteriors:
-    """Parameter posteriors of a class's ``k`` components, stacked.
-
-    ``alpha (k,)`` Dirichlet concentrations, ``beta (k,)`` mean precision
-    scales, ``m (k, d)`` means, ``W (k, d, d)`` inverse-Wishart scales and
-    ``eta (k,)`` inverse-Wishart degrees of freedom.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    m: np.ndarray
-    W: np.ndarray
-    eta: np.ndarray
-
-
-@dataclass(frozen=True)
 class ComponentCache:
-    """What one factorisation of a :class:`Posteriors` stack yields.
+    """What one factorisation of a :class:`~scalemix.model.Posteriors` stack yields.
 
-    ``log_det_w`` is log |W_k|, ``log_sigma`` is E[log |Sigma_k|], ``log_pi`` is E[log pi_k], ``d2``
-    the ``(n, k)`` expected squared Mahalanobis distances
+    ``log_det_w`` is log |W_k|, ``log_sigma`` is E[log |Sigma_k|],
+    ``log_pi`` is E[log pi_k], ``d2`` the ``(n, k)`` expected squared
+    Mahalanobis distances
     ``dim / beta_k + eta_k (x - m_k)' W_k^{-1} (x - m_k)``, ``quad_prior``
     ``eta_k (m_k - m0)' W_k^{-1} (m_k - m0)`` and ``tr_prior``
     ``tr(W0 W_k^{-1})``.
@@ -403,23 +387,13 @@ def _fit_class(x, prior, config, class_id, rng, sink=None):
             if abs(bound - prev) <= config.elbo_rel_tol * max(abs(bound), 1e-12):
                 converged = True
                 break
-    components = tuple(
-        ComponentPosterior(
-            alpha=post.alpha[j],
-            beta=post.beta[j],
-            m=post.m[j],
-            W=post.W[j],
-            eta=post.eta[j],
-            nu=nu,
-        )
-        for j in range(r.shape[1])
-    )
     return ClassModel(
         class_id=class_id,
-        components=components,
-        alpha_hat=sum(c.alpha for c in components),
+        components=post,
+        nu=np.full(r.shape[1], nu),
+        alpha_hat=sum(post.alpha.tolist()),
         elbo_trace=tuple(trace),
-        n_pruned=k0 - len(components),
+        n_pruned=k0 - r.shape[1],
         converged=converged,
     )
 

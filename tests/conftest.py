@@ -1,56 +1,57 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from scalemix.data import FeatureDataset
-from scalemix.model import ClassModel, ComponentPosterior
+from scalemix.model import ClassModel, Posteriors
 
 
-def make_student_class(mu, sigma, nu, class_id=1, weight_counts=None):
-    """ClassModel whose plug-in predictive is exactly Student-t(mu, sigma, nu).
+def make_mixture_class(mus, sigmas, nus, counts, class_id=1):
+    """ClassModel with several components, each an exact Student-t.
 
-    Uses a large eta so W / (eta - dim - 1) reproduces sigma to full
-    precision, with the Dirichlet weights set from ``weight_counts``.
+    Uses a large eta so W / (eta - dim - 1) reproduces each sigma to full
+    precision, with the Dirichlet weights set from ``counts``.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    d = mu.shape[0]
-    counts = weight_counts if weight_counts is not None else [1.0]
-    comps = []
-    for count in counts:
-        eta = d + 1.0 + 4096.0
-        comps.append(
-            ComponentPosterior(
-                alpha=count, beta=1.0, m=mu, W=sigma * 4096.0, eta=eta, nu=nu
-            )
-        )
+    mus = np.asarray(mus, dtype=float).reshape(len(counts), -1)
+    d = mus.shape[1]
+    k = mus.shape[0]
+    sigmas = np.asarray(sigmas, dtype=float).reshape(k, d, d)
     return ClassModel(
         class_id=class_id,
-        components=tuple(comps),
+        components=Posteriors(
+            alpha=np.asarray(counts, dtype=float),
+            beta=np.ones(k),
+            m=mus,
+            W=sigmas * 4096.0,
+            eta=np.full(k, d + 1.0 + 4096.0),
+        ),
+        nu=np.asarray(nus, dtype=float),
         alpha_hat=float(sum(counts)),
         elbo_trace=(0.0,),
         n_pruned=0,
     )
 
 
-def make_mixture_class(mus, sigmas, nus, counts, class_id=1):
-    """ClassModel with several components, each an exact Student-t."""
-    comps = []
-    for mu, sigma, nu, count in zip(mus, sigmas, nus, counts):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-        d = mu.shape[0]
-        comps.append(
-            ComponentPosterior(
-                alpha=float(count), beta=1.0, m=mu, W=sigma * 4096.0,
-                eta=d + 1.0 + 4096.0, nu=float(nu),
-            )
-        )
-    return ClassModel(
-        class_id=class_id,
-        components=tuple(comps),
-        alpha_hat=float(sum(counts)),
-        elbo_trace=(0.0,),
-        n_pruned=0,
+def make_student_class(mu, sigma, nu, class_id=1, weight_counts=None):
+    """ClassModel whose plug-in predictive is exactly Student-t(mu, sigma, nu)."""
+    counts = weight_counts if weight_counts is not None else [1.0]
+    k = len(counts)
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    return make_mixture_class([mu] * k, [sigma] * k, [nu] * k, counts, class_id)
+
+
+def components_of(cm, index):
+    """``cm`` keeping only the components at ``index`` (a slice or an index array)."""
+    post = cm.components
+    return replace(
+        cm,
+        components=Posteriors(
+            post.alpha[index], post.beta[index], post.m[index], post.W[index], post.eta[index]
+        ),
+        nu=cm.nu[index],
+        alpha_hat=sum(post.alpha[index].tolist()),
     )
 
 

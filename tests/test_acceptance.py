@@ -23,7 +23,7 @@ from scalemix.features import SignalBlock, butterworth2_lowpass
 from scalemix.metrics import accuracy
 from scalemix.model import (
     ClassModel,
-    ComponentPosterior,
+    Posteriors,
     PriorHyperparameters,
     TrainedClassifier,
     build_default_prior,
@@ -82,8 +82,7 @@ def test_c02_gaussian_limit_of_predictive():
         mu = rng.standard_normal(d)
         cm = make_student_class(mu, sigma, nu=1e6)
         mix = _Mixture(cm)
-        comp = cm.components[0]
-        plug_sigma = comp.W / (comp.eta - d - 1.0)
+        plug_sigma = cm.components.W[0] / (cm.components.eta[0] - d - 1.0)
         mvn = stats.multivariate_normal(mean=mu, cov=plug_sigma)
         inv = np.linalg.inv(plug_sigma)
         checked = 0
@@ -278,25 +277,25 @@ def test_c08_prediction_throughput():
     d, c, k = 8, 15, 3
     classes = []
     for cid in range(1, c + 1):
-        comps = []
+        alphas, means, scales = [], [], []
         for _ in range(k):
             a = rng.standard_normal((d, d)) * 0.2
-            w = (a @ a.T + np.eye(d)) * 500.0
-            comps.append(
-                ComponentPosterior(
-                    alpha=1.0 + rng.random(),
-                    beta=1.0,
-                    m=rng.standard_normal(d) * 3.0,
-                    W=w,
-                    eta=d + 1.0 + 500.0,
-                    nu=5.0,
-                )
-            )
+            scales.append((a @ a.T + np.eye(d)) * 500.0)
+            alphas.append(1.0 + rng.random())
+            means.append(rng.standard_normal(d) * 3.0)
+        post = Posteriors(
+            alpha=np.array(alphas),
+            beta=np.ones(k),
+            m=np.array(means),
+            W=np.array(scales),
+            eta=np.full(k, d + 1.0 + 500.0),
+        )
         classes.append(
             ClassModel(
                 class_id=cid,
-                components=tuple(comps),
-                alpha_hat=sum(cc.alpha for cc in comps),
+                components=post,
+                nu=np.full(k, 5.0),
+                alpha_hat=sum(alphas),
                 elbo_trace=(0.0,),
                 n_pruned=0,
             )

@@ -414,6 +414,72 @@ class TestPredict:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("dim",), None, "model: 'dim' is not a JSON integer"),
+            (("class_log_prior", 0), math.nan, "class_log_prior is not finite"),
+            (("prior", "alpha0"), math.nan, "prior: alpha0 must be finite"),
+            (("prior", "beta0"), None, "prior: 'beta0' is not a JSON number"),
+            (("prior", "m0", 0), math.inf, "prior: m0 must be finite"),
+            (("prior", "W0", 0, 1), math.nan, "prior: W0 must be finite"),
+            (("prior", "eta0"), "3", "prior: 'eta0' is not a JSON number"),
+            (("prior", "nu_fixed"), math.inf, "prior: nu_fixed must be positive and finite"),
+            (("prior", "k_init"), 1.5, "prior: 'k_init' is not a JSON integer"),
+            (("classes", 1, "class_id"), None, "class record 1: 'class_id' is not a JSON integer"),
+            (("classes", 1, "alpha_hat"), math.nan, "class 2: alpha_hat nan does not match"),
+            (("classes", 1, "n_pruned"), None, "class record 1: 'n_pruned' is not a JSON integer"),
+            (("classes", 1, "converged"), None, "class record 1: 'converged' is not a JSON bool"),
+            (("classes", 1, "converged"), "no", "class record 1: 'converged' is not a JSON bool"),
+            (
+                ("classes", 1, "elbo_trace", 0),
+                None,
+                "class record 1: 'elbo_trace' is not a JSON array of numbers",
+            ),
+            (("classes", 1, "elbo_trace", 0), math.nan, "class 2: elbo_trace is not finite"),
+            (
+                ("classes", 1, "components", 0, "alpha"),
+                None,
+                "component 0 of class record 1: 'alpha' is not a JSON number",
+            ),
+            (("classes", 1, "components", 0, "alpha"), math.inf, "component 0 of class 2: alpha"),
+            (
+                ("classes", 1, "components", 0, "alpha"),
+                10**400,
+                "component 0 of class record 1: 'alpha' is not a JSON number",
+            ),
+            (("prior", "eta0"), -(10**400), "prior: 'eta0' is not a JSON number"),
+            (("classes", 1, "components", 0, "beta"), math.nan, "component 0 of class 2: beta"),
+            (
+                ("classes", 1, "components", 0, "m", 0),
+                None,
+                "component 0 of class record 1: 'm' is not a JSON array of numbers of shape (2,)",
+            ),
+            (("classes", 1, "components", 0, "m", 1), math.nan, "component 0 of class 2: m"),
+            (("classes", 1, "components", 0, "W", 0, 1), math.nan, "component 0 of class 2: W"),
+            (("classes", 1, "components", 0, "eta"), math.nan, "component 0 of class 2: eta"),
+            (("classes", 1, "components", 0, "nu"), math.inf, "component 0 of class 2: nu"),
+        ],
+    )
+    def test_bad_model_leaf_fails_before_reading_data(
+        self, tmp_path, train_csv, capsys, path, value, message
+    ):
+        model = self.make_model(tmp_path, train_csv)
+        payload = json.loads(model.read_text())
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "pred"
+        argv = [
+            "predict", "--model", str(model), "--data", str(tmp_path / "absent.csv"),
+            "--out-dir", str(out),
+        ]
+        assert main(argv) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "payload, message",
         [({"format_version": 1}, "model has no 'dim' field"), ([], "must be a JSON object")],
     )

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from scalemix.data import FeatureDataset
 from scalemix.model import (
     ClassModel,
-    ComponentPosterior,
+    Posteriors,
     PriorHyperparameters,
     TrainedClassifier,
     build_default_prior,
@@ -15,10 +16,16 @@ from scalemix.model import (
     load_model,
     save_model,
 )
-from scalemix.predict import predict_batch
+from scalemix.predict import predict_batch, prepare
 from scalemix.vb import VbConfig, fit
 
 from conftest import two_blob_dataset
+
+
+def one_component_class(alpha, beta, m, W, eta, nu, alpha_hat=None, class_id=1):
+    post = Posteriors([alpha], [beta], [m], [W], [eta])
+    alpha_hat = alpha if alpha_hat is None else alpha_hat
+    return ClassModel(class_id, post, [nu], alpha_hat, (0.0,), 0)
 
 
 def tiny_dataset(rows, labels=None):
@@ -44,18 +51,58 @@ class TestPriorValidation:
         with pytest.raises(ValueError, match="nu_fixed must be positive and finite"):
             PriorHyperparameters(0.1, 1.0, [0.0], [[1.0]], 1.5, nu)
 
-    def test_component_posterior_requires_pd_scale(self):
-        with pytest.raises(Exception):
-            ComponentPosterior(1.0, 1.0, [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]], 4.0, 5.0)
+    def test_class_model_requires_pd_scale(self):
+        with pytest.raises(ValueError, match="class 1: component 0 is not positive definite"):
+            one_component_class(1.0, 1.0, [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]], 4.0, 5.0)
+
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_non_pd_member_names_component_and_class(self, j):
+        w = np.stack([np.eye(3)] * 3)
+        w[j] = np.diag([1.0, -1.0, 1.0])
+        post = Posteriors(np.ones(3), np.ones(3), np.zeros((3, 3)), w, np.full(3, 6.0))
+        with pytest.raises(
+            ValueError, match=rf"^class 4: component {j} is not positive definite \(pivot 1\)$"
+        ):
+            ClassModel(4, post, np.full(3, 5.0), 3.0, (0.0,), 0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("alpha", 0.0, "alpha, beta, and nu must all be positive"),
+            ("beta", -1.0, "alpha, beta, and nu must all be positive"),
+            ("nu", 0.0, "alpha, beta, and nu must all be positive"),
+            ("eta", 0.9, "eta must exceed dim - 1 = 1, got 0.9"),
+            ("alpha", np.nan, "alpha is not finite"),
+            ("nu", np.inf, "nu is not finite"),
+            ("m", [np.nan, 0.0], "m is not finite"),
+        ],
+    )
+    def test_class_model_constraints_name_component(self, field, value, message):
+        good = dict(alpha=1.0, beta=1.0, m=[0.0, 0.0], W=np.eye(2), eta=4.0, nu=5.0)
+        columns = {key: [v, v] for key, v in good.items()}
+        columns[field][1] = value
+        nu = columns.pop("nu")
+        post = Posteriors(**columns)
+        alpha_hat = sum(columns["alpha"])
+        with pytest.raises(ValueError, match=f"^component 1 of class 3: {re.escape(message)}$"):
+            ClassModel(3, post, nu, alpha_hat, (0.0,), 0)
+
+    def test_class_model_copies_and_freezes_its_arrays(self):
+        post = Posteriors(
+            np.ones(1), np.ones(1), np.zeros((1, 2)), np.eye(2)[None], np.full(1, 4.0)
+        )
+        cm = ClassModel(1, post, np.full(1, 5.0), 1.0, (0.0,), 0)
+        post.m[0, 0] = 7.0
+        assert cm.components.m[0, 0] == 0.0
+        for arr in (cm.components.alpha, cm.components.m, cm.components.W, cm.nu):
+            assert not arr.flags.writeable
 
     def test_class_model_checks_alpha_hat(self):
-        comp = ComponentPosterior(2.0, 1.0, [0.0], [[1.0]], 3.0, 5.0)
         with pytest.raises(ValueError):
-            ClassModel(1, (comp,), alpha_hat=3.0, elbo_trace=(0.0,), n_pruned=0)
+            one_component_class(2.0, 1.0, [0.0], [[1.0]], 3.0, 5.0, alpha_hat=3.0)
 
     def test_classifier_checks_prior_normalization(self):
-        comp = ComponentPosterior(2.0, 1.0, [0.0], [[1.0]], 3.0, 5.0)
-        cm = ClassModel(1, (comp,), alpha_hat=2.0, elbo_trace=(0.0,), n_pruned=0)
+        cm = one_component_class(2.0, 1.0, [0.0], [[1.0]], 3.0, 5.0)
         prior = PriorHyperparameters(0.1, 1.0, [0.0], [[1.0]], 1.5, 5.0)
         with pytest.raises(ValueError):
             TrainedClassifier((cm,), np.array([-0.5]), 1, prior)
@@ -128,17 +175,13 @@ class TestPersistence:
         back = classifier_from_dict(payload)
         for cm_a, cm_b in zip(tc.classes, back.classes):
             assert cm_a.class_id == cm_b.class_id
-            for c_a, c_b in zip(cm_a.components, cm_b.components):
-                assert c_a.alpha == c_b.alpha
-                assert c_a.beta == c_b.beta
-                assert np.array_equal(c_a.m, c_b.m)
-                assert np.array_equal(c_a.W, c_b.W)
-                assert c_a.eta == c_b.eta
-                assert c_a.nu == c_b.nu
+            for key in ("alpha", "beta", "m", "W", "eta"):
+                assert np.array_equal(getattr(cm_a.components, key), getattr(cm_b.components, key))
+            assert np.array_equal(cm_a.nu, cm_b.nu)
 
-    def test_load_rejects_eta_without_finite_expected_scale(self, tmp_path):
+    def test_prepare_rejects_eta_without_finite_expected_scale(self, tmp_path):
         # eta in (dim - 1, dim + 1] is a valid posterior but has no plug-in
-        # predictive, so the file is refused when it is read
+        # predictive, so the loaded model is refused when it is prepared
         data = two_blob_dataset(seed=4, n_per_class=60)
         tc = fit(data, build_default_prior(data, nu_fixed=2.0), VbConfig(seed=0))
         payload = classifier_to_dict(tc)
@@ -148,7 +191,7 @@ class TestPersistence:
         with pytest.raises(
             ValueError, match=r"component 0 of class 1 has eta = 2.5, needs eta > dim \+ 1 = 3"
         ):
-            load_model(path)
+            prepare(load_model(path))
 
     def test_version_check(self):
         with pytest.raises(ValueError):

@@ -99,9 +99,9 @@ class TestConditionalEntropy:
             [
                 [
                     multivariate_t.logpdf(
-                        x, loc=comp.m, shape=comp.W / (comp.eta - 2 - 1), df=nu_try
+                        x, loc=post.m[0], shape=post.W[0] / (post.eta[0] - 2 - 1), df=nu_try
                     )
-                    for comp in (cm.components[0] for cm in tc.classes)
+                    for post in (cm.components for cm in tc.classes)
                 ]
                 for x in pts
             ]

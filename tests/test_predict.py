@@ -7,7 +7,7 @@ import pytest
 from scalemix.density import StudentParams, log_marginal_density
 from scalemix.model import (
     ClassModel,
-    ComponentPosterior,
+    Posteriors,
     PriorHyperparameters,
     TrainedClassifier,
 )
@@ -20,7 +20,7 @@ from scalemix.predict import (
     sample,
 )
 
-from conftest import make_mixture_class, make_student_class, mixture_log_density
+from conftest import components_of, make_mixture_class, make_student_class, mixture_log_density
 
 
 def log_predictive(x, cm):
@@ -43,10 +43,10 @@ def uniform_classifier(class_models):
 class TestClassLogPredictive:
     def test_single_component_center_value(self):
         cm = make_student_class([1.0, -1.0], np.eye(2) * 0.5, nu=4.0)
-        comp = cm.components[0]
-        sigma = comp.W / (comp.eta - 2 - 1)
+        post = cm.components
+        sigma = post.W[0] / (post.eta[0] - 2 - 1)
         expected = log_marginal_density(
-            [1.0, -1.0], StudentParams(mu=comp.m, sigma=sigma, nu=4.0)
+            [1.0, -1.0], StudentParams(mu=post.m[0], sigma=sigma, nu=4.0)
         )
         assert log_predictive([1.0, -1.0], cm) == pytest.approx(expected, rel=1e-12)
 
@@ -75,10 +75,11 @@ class TestClassLogPredictive:
         )
         for x in (-1.0, 0.0, 2.5):
             total = mp.mpf(0)
-            for comp, weight in zip(cm.components, (2.0, 3.0)):
-                nu = mp.mpf(comp.nu)
-                sig = mp.mpf(float(comp.W[0, 0])) / mp.mpf(comp.eta - 2)
-                d2 = (mp.mpf(x) - mp.mpf(float(comp.m[0]))) ** 2 / sig
+            post = cm.components
+            for j, weight in enumerate((2.0, 3.0)):
+                nu = mp.mpf(float(cm.nu[j]))
+                sig = mp.mpf(float(post.W[j, 0, 0])) / mp.mpf(float(post.eta[j] - 2))
+                d2 = (mp.mpf(x) - mp.mpf(float(post.m[j, 0]))) ** 2 / sig
                 dens = (
                     mp.gamma((nu + 1) / 2)
                     / mp.gamma(nu / 2)
@@ -92,9 +93,14 @@ class TestClassLogPredictive:
             )
 
     def test_eta_guard_names_component(self):
-        comp = ComponentPosterior(1.0, 1.0, [0.0, 0.0], np.eye(2), 2.5, 5.0)
-        cm = ClassModel(7, (comp,), 1.0, (0.0,), 0)
-        with pytest.raises(ValueError, match="component 0 of class 7"):
+        post = Posteriors(
+            alpha=[1.0, 1.0], beta=[1.0, 1.0], m=np.zeros((2, 2)), W=[np.eye(2)] * 2,
+            eta=[5.0, 2.5],
+        )
+        cm = ClassModel(7, post, [5.0, 5.0], 2.0, (0.0,), 0)
+        with pytest.raises(
+            ValueError, match=r"component 1 of class 7 has eta = 2.5, needs eta > dim \+ 1 = 3"
+        ):
             _Mixture(cm)
 
 
@@ -194,7 +200,7 @@ class TestWithNu:
             nus=[2.0, 7.0, 40.0],
             counts=[1.0, 2.5, 0.5],
         )
-        at_nu = replace(cm, components=tuple(replace(c, nu=nu) for c in cm.components))
+        at_nu = replace(cm, nu=np.full(3, nu))
         pts = rng.standard_normal((300, d)) * 3
         swapped = _Mixture(cm).with_nu(nu)
         assert np.array_equal(
@@ -253,8 +259,8 @@ class TestMixtureBuild:
             counts=[1.0, 2.5, 0.5],
         )
         mix = _Mixture(cm)
-        for j, comp in enumerate(cm.components):
-            solo = _Mixture(replace(cm, components=(comp,), alpha_hat=comp.alpha))
+        for j in range(cm.n_components):
+            solo = _Mixture(components_of(cm, slice(j, j + 1)))
             assert np.array_equal(mix.lowers[j], solo.lowers[0])
             assert np.array_equal(mix.stacked_inv[j * d : (j + 1) * d], solo.stacked_inv)
             assert np.array_equal(
@@ -299,10 +305,7 @@ class TestLogPosteriorsOverNu:
         for nu, log_post in zip(nus, log_posteriors_over_nu(tc, pts, nus)):
             at_nu = replace(
                 tc,
-                classes=tuple(
-                    replace(cm, components=tuple(replace(c, nu=nu) for c in cm.components))
-                    for cm in tc.classes
-                ),
+                classes=tuple(replace(cm, nu=np.full(cm.n_components, nu)) for cm in tc.classes),
             )
             expected, _ = predict_batch(at_nu, pts)
             assert np.array_equal(log_post, expected.T)

@@ -8,10 +8,9 @@ from scipy.special import digamma, gammaln, multigammaln
 
 import scalemix.vb as vb
 from scalemix.data import FeatureDataset
-from scalemix.model import ComponentPosterior, PriorHyperparameters, build_default_prior
+from scalemix.model import ClassModel, Posteriors, PriorHyperparameters, build_default_prior
 from scalemix.predict import predict_batch
 from scalemix.vb import (
-    Posteriors,
     VbConfig,
     component_cache,
     e_step,
@@ -38,24 +37,22 @@ def simple_prior(d=1, alpha0=0.4, beta0=1.3, eta0=None, nu=3.0, k_init=2):
     )
 
 
-def stack(records):
-    """The stacked posteriors of a sequence of ComponentPosterior records."""
+def posteriors(alpha, beta, m, W, eta):
+    """Stacked posteriors from per-component values: scalars, vectors, matrices."""
     return Posteriors(
-        alpha=np.array([c.alpha for c in records]),
-        beta=np.array([c.beta for c in records]),
-        m=np.stack([c.m for c in records]),
-        W=np.stack([c.W for c in records]),
-        eta=np.array([c.eta for c in records]),
+        alpha=np.array(alpha, dtype=float),
+        beta=np.array(beta, dtype=float),
+        m=np.array(m, dtype=float),
+        W=np.array(W, dtype=float),
+        eta=np.array(eta, dtype=float),
     )
 
 
-def latent_update(points, records):
-    """``(r, a, b)`` of the latent update under the given component records."""
+def latent_update(points, post, nu):
+    """``(r, a, b)`` of the latent update under the stacked posteriors ``post``."""
     x = np.atleast_2d(np.asarray(points, dtype=float))
-    nus = {c.nu for c in records}
-    assert len(nus) == 1, "stacked components share one nu"
-    cache = component_cache(x, stack(records), simple_prior(d=x.shape[1]))
-    return e_step(cache, nus.pop())
+    cache = component_cache(x, post, simple_prior(d=x.shape[1]))
+    return e_step(cache, nu)
 
 
 def bound(x, r, a, b, post, prior):
@@ -101,8 +98,8 @@ class TestExpectations:
     """
 
     def test_delta_sq_at_posterior_mean(self):
-        comp = ComponentPosterior(1.0, 2.5, [0.4, -0.1], np.eye(2), 6.0, 5.0)
-        _, _, b = latent_update(np.array([[0.4, -0.1], [1.4, 0.9]]), [comp])
+        post = posteriors([1.0], [2.5], [[0.4, -0.1]], [np.eye(2)], [6.0])
+        _, _, b = latent_update(np.array([[0.4, -0.1], [1.4, 0.9]]), post, 5.0)
         # dim / beta, plus eta times the squared distance (2 at the second point)
         assert b[0, 0] == pytest.approx(0.5 * (2.0 / 2.5) + 2.5, rel=1e-12)
         assert b[1, 0] == pytest.approx(0.5 * (2.0 / 2.5 + 6.0 * 2.0) + 2.5, rel=1e-12)
@@ -110,10 +107,8 @@ class TestExpectations:
     def test_log_weight_difference(self):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50
-        comps = [
-            ComponentPosterior(alpha, 1.0, [0.0], [[1.0]], 4.0, 5.0) for alpha in (0.8, 1.9)
-        ]
-        r, _, _ = latent_update(np.array([[0.0], [2.0]]), comps)
+        post = posteriors([0.8, 1.9], [1.0, 1.0], [[0.0], [0.0]], [[[1.0]], [[1.0]]], [4.0, 4.0])
+        r, _, _ = latent_update(np.array([[0.0], [2.0]]), post, 5.0)
         expected = float(mp.digamma(mp.mpf(0.8)) - mp.digamma(mp.mpf(1.9)))
         log_ratio = np.log(r[:, 0] / r[:, 1])
         assert np.allclose(log_ratio, expected, rtol=0.0, atol=1e-12)
@@ -121,18 +116,21 @@ class TestExpectations:
     def test_log_sigma_tilde_formula(self):
         # E[log |Sigma|] = -sum_j psi((eta + 1 - j) / 2) - d log 2 + log |W|;
         # psi(2) = 1 - gamma, psi(3) = 3/2 - gamma, psi(7/2) = psi(5/2) + 2/5
-        narrow = ComponentPosterior(1.0, 1.0, [0.0, 0.0], np.eye(2), 5.0, 5.0)
-        wide = ComponentPosterior(1.0, 1.0, [0.0, 0.0], 2.0 * np.eye(2), 7.0, 5.0)
-        r, _, _ = latent_update(np.zeros((1, 2)), [narrow, wide])
+        # component 0 is narrow, component 1 wide
+        post = posteriors(
+            [1.0, 1.0], [1.0, 1.0], np.zeros((2, 2)), [np.eye(2), 2.0 * np.eye(2)], [5.0, 7.0]
+        )
+        r, _, _ = latent_update(np.zeros((1, 2)), post, 5.0)
         lsig_diff = 0.4 + 0.5 - 2.0 * math.log(2.0)  # narrow minus wide
         log_ratio = math.log(r[0, 0] / r[0, 1])
         assert log_ratio == pytest.approx(-0.5 * lsig_diff, abs=1e-12)
 
     def test_eta_precondition(self):
-        # eta <= dim - 1 would break the digamma arguments; the parameter
+        # eta <= dim - 1 would break the digamma arguments; the class model
         # record already refuses to hold such a value
-        with pytest.raises(ValueError):
-            ComponentPosterior(1.0, 1.0, [0.0, 0.0], np.eye(2), 0.9, 5.0)
+        with pytest.raises(ValueError, match="eta must exceed dim - 1"):
+            post = posteriors([1.0], [1.0], [[0.0, 0.0]], [np.eye(2)], [0.9])
+            ClassModel(1, post, [5.0], 1.0, (), 0)
 
 
 class TestComponentCache:
@@ -156,38 +154,34 @@ class TestComponentCache:
 
 class TestEStep:
     def test_single_component_gives_unit_responsibility(self):
-        comp = ComponentPosterior(1.0, 1.0, [0.0], [[1.0]], 3.0, 5.0)
-        r, a, _ = latent_update(np.array([[0.1], [5.0], [-2.0]]), [comp])
+        post = posteriors([1.0], [1.0], [[0.0]], [[[1.0]]], [3.0])
+        r, a, _ = latent_update(np.array([[0.1], [5.0], [-2.0]]), post, 5.0)
         assert np.allclose(r, 1.0)
         assert np.allclose(a, (5.0 + 1.0) / 2.0)
 
     def test_symmetric_components_on_axis(self):
-        left = ComponentPosterior(1.0, 2.0, [-1.0], [[1.0]], 3.0, 5.0)
-        right = ComponentPosterior(1.0, 2.0, [1.0], [[1.0]], 3.0, 5.0)
-        r, _, _ = latent_update(np.array([[0.0]]), [left, right])
+        post = posteriors([1.0, 1.0], [2.0, 2.0], [[-1.0], [1.0]], [[[1.0]], [[1.0]]], [3.0, 3.0])
+        r, _, _ = latent_update(np.array([[0.0]]), post, 5.0)
         assert r[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_high_precision_reference(self):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50
-        comps = [
-            ComponentPosterior(0.8, 1.5, [-0.5], [[0.9]], 3.2, 2.5),
-            ComponentPosterior(1.9, 0.7, [1.2], [[1.8]], 4.1, 2.5),
-        ]
+        post = posteriors([0.8, 1.9], [1.5, 0.7], [[-0.5], [1.2]], [[[0.9]], [[1.8]]], [3.2, 4.1])
         x = np.array([[0.0], [1.0], [-2.0]])
-        r, _, _ = latent_update(x, comps)
+        r, _, _ = latent_update(x, post, 2.5)
         alpha_hat = mp.mpf(0.8) + mp.mpf(1.9)
         rows = []
         for xi in x[:, 0]:
             vals = []
-            for c in comps:
-                eta = mp.mpf(c.eta)
-                beta = mp.mpf(c.beta)
-                w = mp.mpf(float(c.W[0, 0]))
-                nu = mp.mpf(c.nu)
+            for j in range(2):
+                eta = mp.mpf(float(post.eta[j]))
+                beta = mp.mpf(float(post.beta[j]))
+                w = mp.mpf(float(post.W[j, 0, 0]))
+                nu = mp.mpf(2.5)
                 lsig = -mp.digamma(eta / 2) - mp.log(2) + mp.log(w)
-                d2 = 1 / beta + eta * (mp.mpf(float(xi)) - mp.mpf(float(c.m[0]))) ** 2 / w
-                lpi = mp.digamma(mp.mpf(c.alpha)) - mp.digamma(alpha_hat)
+                d2 = 1 / beta + eta * (mp.mpf(float(xi)) - mp.mpf(float(post.m[j, 0]))) ** 2 / w
+                lpi = mp.digamma(mp.mpf(float(post.alpha[j]))) - mp.digamma(alpha_hat)
                 half = (nu + 1) / 2
                 rho = (
                     mp.loggamma(half)
@@ -203,13 +197,15 @@ class TestEStep:
         assert np.allclose(r, rows, rtol=1e-12, atol=1e-14)
 
     def test_rows_sum_to_one_and_counts_conserved(self, rng):
-        comps = [
-            ComponentPosterior(1.0, 1.0, rng.standard_normal(2), np.eye(2), 5.0, 4.0),
-            ComponentPosterior(2.0, 1.5, rng.standard_normal(2), 2 * np.eye(2), 6.0, 4.0),
-            ComponentPosterior(0.5, 0.5, rng.standard_normal(2), 0.5 * np.eye(2), 4.0, 4.0),
-        ]
+        post = posteriors(
+            [1.0, 2.0, 0.5],
+            [1.0, 1.5, 0.5],
+            [rng.standard_normal(2) for _ in range(3)],
+            [np.eye(2), 2 * np.eye(2), 0.5 * np.eye(2)],
+            [5.0, 6.0, 4.0],
+        )
         x = rng.standard_normal((200, 2)) * 3
-        r, _, _ = latent_update(x, comps)
+        r, _, _ = latent_update(x, post, 4.0)
         assert np.allclose(r.sum(axis=1), 1.0, atol=1e-12)
         assert r.sum(axis=0).sum() == pytest.approx(200.0, abs=1e-8)
 
@@ -308,11 +304,11 @@ class TestMStep:
 class TestElbo:
     def test_zero_with_no_data_and_prior_posteriors(self):
         prior = simple_prior(d=2, k_init=3)
-        record = ComponentPosterior(
-            prior.alpha0, prior.beta0, prior.m0, prior.W0, prior.eta0, prior.nu_fixed
+        post = posteriors(
+            [prior.alpha0] * 3, [prior.beta0] * 3, [prior.m0] * 3, [prior.W0] * 3, [prior.eta0] * 3
         )
         empty = np.zeros((0, 3))
-        value = bound(np.zeros((0, 2)), empty, empty, empty, stack([record] * 3), prior)
+        value = bound(np.zeros((0, 2)), empty, empty, empty, post, prior)
         assert value == pytest.approx(0.0, abs=1e-10)
 
     def test_wishart_normaliser_against_mpmath(self):
@@ -331,11 +327,9 @@ class TestElbo:
         for a, d in ((1.2, 2), (2.5, 4), (7.0, 5), (4.0, 8)):
             base = simple_prior(d=d, k_init=1)
             prior = replace(base, eta0=2.0 * a)
-            post = ComponentPosterior(
-                base.alpha0, base.beta0, base.m0, base.W0, base.eta0, base.nu_fixed
-            )
+            post = posteriors([base.alpha0], [base.beta0], [base.m0], [base.W0], [base.eta0])
             empty = np.zeros((0, 1))
-            value = bound(np.zeros((0, d)), empty, empty, empty, stack([post]), prior)
+            value = bound(np.zeros((0, d)), empty, empty, empty, post, prior)
 
             eta = mp.mpf(base.eta0)
             psi_sum = sum(mp.digamma((eta + 1 - j) / 2) for j in range(1, d + 1))
@@ -543,8 +537,8 @@ class TestFit:
         tc_a = fit(data, prior, cfg)
         tc_b = fit(shuffled, prior, cfg)
         for cm_a, cm_b in zip(tc_a.classes, tc_b.classes):
-            ms_a = sorted(tuple(c.m) for c in cm_a.components)
-            ms_b = sorted(tuple(c.m) for c in cm_b.components)
+            ms_a = sorted(tuple(m) for m in cm_a.components.m)
+            ms_b = sorted(tuple(m) for m in cm_b.components.m)
             assert len(ms_a) == len(ms_b)
             for va, vb_ in zip(ms_a, ms_b):
                 assert np.allclose(va, vb_, atol=1e-6)
@@ -556,9 +550,8 @@ class TestFit:
         b = fit(data, prior, VbConfig(seed=3))
         for cm_a, cm_b in zip(a.classes, b.classes):
             assert cm_a.elbo_trace == cm_b.elbo_trace
-            for c_a, c_b in zip(cm_a.components, cm_b.components):
-                assert np.array_equal(c_a.m, c_b.m)
-                assert np.array_equal(c_a.W, c_b.W)
+            assert np.array_equal(cm_a.components.m, cm_b.components.m)
+            assert np.array_equal(cm_a.components.W, cm_b.components.W)
 
     def test_training_log_lines(self):
         data = two_blob_dataset(seed=61, n_per_class=50)
@@ -607,7 +600,7 @@ class TestFit:
         prior = build_default_prior(data, nu_fixed=nu, k_init=3)
         tc = fit(data, prior, VbConfig(seed=0, max_iters=15))
         for cm in tc.classes:
-            assert all(c.nu == nu for c in cm.components)
+            assert np.all(cm.nu == nu)
 
     def test_ml_nu_keeps_the_fit_at_each_chosen_nu(self):
         data = two_blob_dataset(seed=91, n_per_class=60)
@@ -615,15 +608,13 @@ class TestFit:
         cfg = VbConfig(seed=4, max_iters=40)
         tc = fit_ml_nu(data, prior, cfg, nu_bounds=(0.5, 50.0), coarse_points=5)
         for i, cm in enumerate(tc.classes):
-            nu = cm.components[0].nu
+            nu = float(cm.nu[0])
             direct = fit(data, replace(prior, nu_fixed=nu), cfg).classes[i]
             assert cm.elbo_trace == direct.elbo_trace
             assert cm.n_components == direct.n_components
-            for c, ref in zip(cm.components, direct.components):
-                assert c.nu == ref.nu == nu
-                assert (c.alpha, c.beta, c.eta) == (ref.alpha, ref.beta, ref.eta)
-                assert np.array_equal(c.m, ref.m)
-                assert np.array_equal(c.W, ref.W)
+            assert np.all(cm.nu == nu) and np.all(direct.nu == nu)
+            for key in ("alpha", "beta", "eta", "m", "W"):
+                assert np.array_equal(getattr(cm.components, key), getattr(direct.components, key))
 
     def test_one_factorisation_and_update_per_iteration(self, monkeypatch):
         # what the benchmark's spans around these module attributes count
@@ -643,7 +634,7 @@ class TestFit:
         prior = build_default_prior(data, nu_fixed=5.0, k_init=6)
         tc = fit(data, prior, VbConfig(seed=21))
         iterations = sum(len(cm.elbo_trace) for cm in tc.classes)
-        fits = tc.n_classes
+        fits = len(tc.classes)
         assert sum(cm.n_pruned for cm in tc.classes) > 0  # the pruning path ran
         assert calls["e_step"] == calls["elbo"] == iterations
         assert calls["m_step"] == iterations + fits
