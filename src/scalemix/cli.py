@@ -2,9 +2,10 @@
 
 Every command is deterministic for a fixed seed and fixed flags (timing
 measurements land in a separate ``timings.csv``, the one file exempt from
-byte-reproducibility). Flag values take precedence over an optional
-``key = value`` config file, which takes precedence over built-in
-defaults.
+byte-reproducibility). Each setting is declared once, in
+:func:`build_parser`, with its type and default. A ``--config`` file of
+``key = value`` lines, keyed by the subcommand's own flag names, replaces
+those defaults; flags on the command line win over it.
 
 Exit codes: 0 success, 1 output-formatting worker failure, 2 usage error,
 3 data error, 4 numeric failure, 5 non-convergence.
@@ -79,26 +80,28 @@ def _read_config_file(path):
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _resolve(args, spec):
-    """Merge CLI values, config file values, and defaults (in that order)."""
-    merged = {}
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, (coerce, default) in spec.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None and cli_value is not False:
-            merged[key] = cli_value
-        elif key in file_values:
-            raw = file_values[key]
-            try:
-                merged[key] = _BOOLEANS[raw.lower()] if coerce is bool else coerce(raw)
-            except (KeyError, ValueError):
-                raise UsageError(f"config key {key}: cannot parse {raw!r}") from None
-        else:
-            merged[key] = default
-    unknown = set(file_values) - {k for k in spec}
+def _config_defaults(parser, path):
+    """The config file at ``path`` as defaults for a subcommand's ``parser``.
+
+    Its keys are the parser's options other than --help and --config. Each
+    value is read by its option's own type; a switch takes one of ``_BOOLEANS``.
+    """
+    settings = {a.dest: a for a in parser._actions if a.option_strings}
+    del settings["help"], settings["config"]
+    values = _read_config_file(path)
+    unknown = set(values) - set(settings)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    return merged
+    defaults = {}
+    for key, raw in values.items():
+        action = settings[key]
+        try:
+            defaults[key] = (
+                _BOOLEANS[raw.lower()] if action.nargs == 0 else (action.type or str)(raw)
+            )
+        except (KeyError, ValueError):
+            raise UsageError(f"config key {key}: cannot parse {raw!r}") from None
+    return defaults
 
 
 # the values no fit can use: flag -> (test, requirement)
@@ -108,13 +111,14 @@ _RANGES = {
     "alpha0": (lambda v: v > 0 and math.isfinite(v), "positive and finite"),
     "max_iters": (lambda v: v >= 1, "at least 1"),
     "subsample": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "trials_train": (lambda v: v >= 1, "at least 1"),
 }
 
 
-def _check_ranges(cfg):
+def _check_ranges(args):
     """Reject an out-of-range value, before any data is read or anything created."""
     for key, (ok, requirement) in _RANGES.items():
-        value = cfg.get(key)
+        value = getattr(args, key, None)
         if value is not None and not ok(value):
             flag = "--" + key.replace("_", "-")
             raise UsageError(f"{flag} must be {requirement}, got {value!r}")
@@ -169,33 +173,21 @@ def _write_svg_heatmap(path, grid, post1, cell_px=4):
 
 
 def cmd_simulate(args):
-    spec = {
-        "out_dir": (str, "."),
-        "seed": (int, 0),
-        "nu": (float, 5.0),
-        "k_init": (int, 1),
-        "alpha0": (float, 0.001),
-        "no_outliers": (bool, False),
-        "grid_step": (float, 0.05),
-        "svg": (bool, False),
-        "threads": (int, 1),  # accepted and ignored: training runs on one thread
-    }
-    cfg = _resolve(args, spec)
-    _check_ranges(cfg)
-    out = Path(cfg["out_dir"])
+    _check_ranges(args)
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train, grid = generate_simulation(
-        seed=cfg["seed"], with_outliers=not cfg["no_outliers"], grid_step=cfg["grid_step"]
+        seed=args.seed, with_outliers=not args.no_outliers, grid_step=args.grid_step
     )
     save_csv(train, out / "simulation_train.csv")
     save_csv(grid, out / "simulation_grid.csv")
-    vb_cfg = VbConfig(seed=cfg["seed"])
+    vb_cfg = VbConfig(seed=args.seed)
 
     shared_prior = build_default_prior(
-        train, nu_fixed=cfg["nu"], k_init=cfg["k_init"], alpha0=cfg["alpha0"]
+        train, nu_fixed=args.nu, k_init=args.k_init, alpha0=args.alpha0
     )
     gaussian_prior = build_default_prior(
-        train, nu_fixed=1e6, k_init=cfg["k_init"], alpha0=cfg["alpha0"]
+        train, nu_fixed=1e6, k_init=args.k_init, alpha0=args.alpha0
     )
     runs = {
         "shared_nu": fit(train, shared_prior, vb_cfg),
@@ -206,93 +198,73 @@ def cmd_simulate(args):
         log_post, labels = predict_batch(classifier, grid.features)
         post = np.exp(log_post)
         _write_boundary_csv(out / f"boundary_{name}.csv", grid, post, labels)
-        if cfg["svg"]:
+        if args.svg:
             _write_svg_heatmap(out / f"heatmap_{name}.svg", grid, post[:, 0])
     return EXIT_OK
 
 
-def _search_config(cfg):
+def _search_config(args):
     """Check --nu xor --select-nu; the ν search settings, None without --select-nu."""
-    if cfg["nu"] is not None and cfg["select_nu"]:
+    if args.nu is not None and args.select_nu:
         raise UsageError("--nu and --select-nu are mutually exclusive")
-    if cfg["nu"] is None and not cfg["select_nu"]:
+    if args.nu is None and not args.select_nu:
         raise UsageError("either --nu or --select-nu is required")
-    if not cfg["select_nu"]:
+    if not args.select_nu:
         return None
     try:
-        grid = _parse_nu_grid(cfg["nu_grid"]) if cfg["nu_grid"] else None
-        return NuSearchConfig(
-            folds=cfg["folds"], nu_pre=cfg["nu_pre"], grid=grid, seed=cfg["seed"]
-        )
+        grid = _parse_nu_grid(args.nu_grid) if args.nu_grid else None
+        return NuSearchConfig(folds=args.folds, nu_pre=args.nu_pre, grid=grid, seed=args.seed)
     except ValueError as exc:
         raise UsageError(f"invalid selection settings: {exc}") from None
 
 
-def _train_classifier(data, cfg, search, log_sink=None, table_sink=None):
+def _train_classifier(data, args, seed, search, log_sink=None, table_sink=None):
     """Shared train path: returns (classifier, nu_used, tune_seconds).
 
-    ``search`` is the ν search settings, or None to train at ``cfg["nu"]``.
+    ``search`` is the ν search settings, or None to train at ``args.nu``.
     """
-    vb_cfg = VbConfig(seed=cfg["seed"], max_iters=cfg["max_iters"])
+    vb_cfg = VbConfig(seed=seed, max_iters=args.max_iters)
     tune_s = 0.0
-    nu = cfg["nu"]
+    nu = args.nu
     if search is not None:
         start = time.perf_counter()
         nu = select_nu(
             data,
             build_default_prior(
-                data, nu_fixed=search.nu_pre, k_init=cfg["k_init"], alpha0=cfg["alpha0"]
+                data, nu_fixed=search.nu_pre, k_init=args.k_init, alpha0=args.alpha0
             ),
             search,
             vb_config=vb_cfg,
             table_sink=table_sink,
         )
         tune_s = time.perf_counter() - start
-    prior = build_default_prior(
-        data, nu_fixed=nu, k_init=cfg["k_init"], alpha0=cfg["alpha0"]
-    )
+    prior = build_default_prior(data, nu_fixed=nu, k_init=args.k_init, alpha0=args.alpha0)
     classifier = fit(data, prior, vb_cfg, log_sink=log_sink)
     return classifier, nu, tune_s
 
 
-_TRAIN_SPEC = {
-    "data": (str, None),
-    "model_out": (str, None),
-    "nu": (float, None),
-    "select_nu": (bool, False),
-    "nu_pre": (float, 200.0),
-    "nu_grid": (str, ""),
-    "folds": (int, 5),
-    "k_init": (int, 1),
-    "alpha0": (float, 0.001),
-    "seed": (int, 0),
-    "threads": (int, 1),  # accepted and ignored: training runs on one thread
-    "max_iters": (int, 500),
-}
-
-
 def cmd_train(args):
-    cfg = _resolve(args, _TRAIN_SPEC)
-    if not cfg["data"] or not cfg["model_out"]:
+    if not args.data or not args.model_out:
         raise UsageError("--data and --model-out are required")
-    _check_ranges(cfg)
-    search = _search_config(cfg)
-    data = load_csv(cfg["data"])
+    _check_ranges(args)
+    search = _search_config(args)
+    data = load_csv(args.data)
     if data.n_rows == 0:
-        raise DataFormatError(f"{cfg['data']}: no training rows")
+        raise DataFormatError(f"{args.data}: no training rows")
     table_lines = []
     classifier, nu, _ = _train_classifier(
         data,
-        cfg,
+        args,
+        args.seed,
         search,
         log_sink=lambda line: print(line, file=sys.stderr),
         table_sink=table_lines.append,
     )
-    if cfg["select_nu"]:
+    if args.select_nu:
         print(f"selected nu = {nu!r}", file=sys.stderr)
-        table_path = Path(str(cfg["model_out"]) + ".nu_search.csv")
+        table_path = Path(args.model_out + ".nu_search.csv")
         table_path.write_text("\n".join(table_lines) + "\n", encoding="utf-8")
-    save_model(classifier, cfg["model_out"])
+    save_model(classifier, args.model_out)
     if not all(cm.converged for cm in classifier.classes):
         bad = [cm.class_id for cm in classifier.classes if not cm.converged]
         print(f"warning: classes {bad} hit the iteration cap", file=sys.stderr)
@@ -301,20 +273,14 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    spec = {
-        "model": (str, None),
-        "data": (str, None),
-        "out_dir": (str, "."),
-    }
-    cfg = _resolve(args, spec)
-    if not cfg["model"] or not cfg["data"]:
+    if not args.model or not args.data:
         raise UsageError("--model and --data are required")
     # a model that cannot predict fails here, before --data is read
-    prepared = prepare(load_model(cfg["model"]))
-    chunks = iter_csv(cfg["data"], schema=prepared.dim)
+    prepared = prepare(load_model(args.model))
+    chunks = iter_csv(args.data, schema=prepared.dim)
     # the header and the first chunk are checked before anything is created
     first = next(chunks)
-    out = Path(cfg["out_dir"])
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = (
         [f"f{i + 1}" for i in range(prepared.dim)]
@@ -389,30 +355,25 @@ def _load_baseline(path, participants):
 
 
 def cmd_evaluate(args):
-    spec = dict(_TRAIN_SPEC)
-    spec.pop("data")
-    spec.pop("model_out")
-    spec.update(
-        {
-            "data": (str, None),
-            "out_dir": (str, "."),
-            "trials_train": (int, None),
-            "subsample": (float, 1.0),
-            "baseline": (str, None),
-        }
-    )
-    cfg = _resolve(args, spec)
-    if not cfg["data"]:
+    if not args.data:
         raise UsageError("--data is required")
-    _check_ranges(cfg)
-    search = _search_config(cfg)
-    data = load_csv(cfg["data"])
+    _check_ranges(args)
+    search = _search_config(args)
+    data = load_csv(args.data)
     if data.n_rows == 0:
-        raise DataFormatError(f"{cfg['data']}: no rows")
+        raise DataFormatError(f"{args.data}: no rows")
     participants = sorted(int(v) for v in np.unique(data.participants))
-    # the baseline is checked before any fit and before anything is created
-    baseline = _load_baseline(cfg["baseline"], participants) if cfg["baseline"] else None
-    out = Path(cfg["out_dir"])
+    # the split sizes and the baseline are checked before any fit and
+    # before anything is created
+    trials_train = {}
+    for pid in participants:
+        t_count = np.unique(data.trials[data.participants == pid]).size
+        s = args.trials_train if args.trials_train is not None else max(1, t_count // 3)
+        if not 0 < s < t_count:
+            raise DataFormatError(f"participant {pid}: cannot train on {s} of {t_count} trials")
+        trials_train[pid] = s
+    baseline = _load_baseline(args.baseline, participants) if args.baseline else None
+    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     all_class_ids = data.class_ids
     n_classes = max(all_class_ids)
@@ -424,31 +385,23 @@ def cmd_evaluate(args):
     pooled_truth = []
     for pid in participants:
         part = data.subset(data.participants == pid)
-        trial_ids = sorted(int(t) for t in np.unique(part.trials))
-        t_count = len(trial_ids)
-        s = cfg["trials_train"] if cfg["trials_train"] is not None else max(1, t_count // 3)
-        if not 0 < s < t_count:
-            raise DataFormatError(
-                f"participant {pid}: cannot train on {s} of {t_count} trials"
-            )
         accs = []
         for combo_idx, (plan, train_part, test_part) in enumerate(
-            split_by_trials(part, s)
+            split_by_trials(part, trials_train[pid])
         ):
             child_seed = int(
-                np.random.SeedSequence([cfg["seed"], pid, combo_idx]).generate_state(1)[0]
+                np.random.SeedSequence([args.seed, pid, combo_idx]).generate_state(1)[0]
             )
-            if cfg["subsample"] < 1.0:
-                train_part = subsample(train_part, cfg["subsample"], child_seed)
+            if args.subsample < 1.0:
+                train_part = subsample(train_part, args.subsample, child_seed)
             if sorted(train_part.class_ids) != all_class_ids:
                 raise DataFormatError(
                     f"participant {pid} combination {combo_idx}: training side is "
                     f"missing some class; more trials are needed"
                 )
-            run_cfg = dict(cfg, seed=child_seed)
             run_search = replace(search, seed=child_seed) if search else None
             start = time.perf_counter()
-            classifier, nu, tune_s = _train_classifier(train_part, run_cfg, run_search)
+            classifier, nu, tune_s = _train_classifier(train_part, args, child_seed, run_search)
             train_s = time.perf_counter() - start - tune_s
             start = time.perf_counter()
             _, pred = predict_batch(classifier, test_part.features)
@@ -531,38 +484,55 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--config", help="key = value config file (flags win)")
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
+        p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
         p.add_argument(
-            "--threads",
-            type=int,
+            "--threads", type=int, default=1,
             help="accepted for compatibility; training runs on one thread",
+        )
+
+    def add_out_dir(p):
+        p.add_argument("--out-dir", default=".", help="output directory (default %(default)s)")
+
+    def add_prior(p):
+        p.add_argument(
+            "--k-init", type=int, default=1, help="initial components (default %(default)s)"
+        )
+        p.add_argument(
+            "--alpha0", type=float, default=0.001,
+            help="Dirichlet concentration (default %(default)s)",
         )
 
     def add_training(p):
         p.add_argument("--nu", type=float, help="fixed shared degrees of freedom")
-        p.add_argument("--select-nu", dest="select_nu", action="store_true", default=None)
-        p.add_argument("--nu-pre", dest="nu_pre", type=float, help="pre-training nu (default 200)")
-        p.add_argument("--nu-grid", dest="nu_grid", help="comma-separated candidate grid")
-        p.add_argument("--folds", type=int, help="selection folds (default 5)")
-        p.add_argument("--k-init", dest="k_init", type=int, help="initial components")
-        p.add_argument("--alpha0", type=float, help="Dirichlet concentration")
-        p.add_argument("--max-iters", dest="max_iters", type=int, help="iteration cap")
+        p.add_argument("--select-nu", action="store_true")
+        p.add_argument(
+            "--nu-pre", type=float, default=200.0, help="pre-training nu (default %(default)s)"
+        )
+        p.add_argument("--nu-grid", help="comma-separated candidate grid")
+        p.add_argument(
+            "--folds", type=int, default=5, help="selection folds (default %(default)s)"
+        )
+        add_prior(p)
+        p.add_argument(
+            "--max-iters", type=int, default=500, help="iteration cap (default %(default)s)"
+        )
 
     p = sub.add_parser("simulate", help="two-class synthetic benchmark and boundaries")
     add_common(p)
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--nu", type=float, help="shared degrees of freedom (default 5)")
-    p.add_argument("--k-init", dest="k_init", type=int, help="initial components")
-    p.add_argument("--alpha0", type=float, help="Dirichlet concentration")
-    p.add_argument("--no-outliers", dest="no_outliers", action="store_true", default=None)
-    p.add_argument("--grid-step", dest="grid_step", type=float, help="grid step (default 0.05)")
-    p.add_argument("--svg", action="store_true", default=None, help="emit SVG heatmaps")
+    add_out_dir(p)
+    p.add_argument(
+        "--nu", type=float, default=5.0, help="shared degrees of freedom (default %(default)s)"
+    )
+    add_prior(p)
+    p.add_argument("--no-outliers", action="store_true")
+    p.add_argument("--grid-step", type=float, default=0.05, help="grid step (default %(default)s)")
+    p.add_argument("--svg", action="store_true", help="emit SVG heatmaps")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="fit a classifier from a feature CSV")
     add_common(p)
     p.add_argument("--data", help="training CSV")
-    p.add_argument("--model-out", dest="model_out", help="output model path")
+    p.add_argument("--model-out", help="output model path")
     add_training(p)
     p.set_defaults(func=cmd_train)
 
@@ -570,19 +540,29 @@ def build_parser():
     add_common(p)
     p.add_argument("--model", help="model path")
     p.add_argument("--data", help="input CSV")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
+    add_out_dir(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="trial-wise cross-participant protocol")
     add_common(p)
     p.add_argument("--data", help="dataset CSV with trial/participant columns")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--trials-train", dest="trials_train", type=int, help="training trials per split (default floor(T/3))")
-    p.add_argument("--subsample", type=float, help="training subsample fraction")
+    add_out_dir(p)
+    p.add_argument(
+        "--trials-train", type=int, help="training trials per split (default floor(T/3))"
+    )
+    p.add_argument(
+        "--subsample", type=float, default=1.0,
+        help="training subsample fraction (default %(default)s)",
+    )
     add_training(p)
     p.add_argument("--baseline", help="per-participant accuracy CSV for the superiority effect size")
     p.set_defaults(func=cmd_evaluate)
     return parser
+
+
+def _subcommands(parser):
+    """The subcommand parsers of :func:`build_parser`, by name."""
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
 
 def main(argv=None):
@@ -592,6 +572,11 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
+        if args.config:
+            # the file's values become the subcommand's defaults, so flags still win
+            command = _subcommands(parser)[args.command]
+            command.set_defaults(**_config_defaults(command, args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -141,6 +141,8 @@ class ClassModel:
 
     def __post_init__(self):
         cid = int(self.class_id)
+        if cid < 1:
+            raise ValueError(f"class {cid}: class_id must be at least 1")
         arrays = {key: np.array(v, dtype=float) for key, v in vars(self.components).items()}
         arrays["nu"] = np.array(self.nu, dtype=float)
         k = arrays["alpha"].size
@@ -210,11 +212,15 @@ class TrainedClassifier:
         total = float(np.sum(np.exp(self.class_log_prior)))
         if abs(total - 1.0) > 1e-12 * len(classes):
             raise ValueError(f"class priors must sum to 1, got {total!r}")
-        for cm in classes:
+        first = {}
+        for i, cm in enumerate(classes):
             if cm.dim != self.dim:
                 raise ValueError(
                     f"class {cm.class_id} has dim {cm.dim}, classifier has {self.dim}"
                 )
+            j = first.setdefault(cm.class_id, i)
+            if j != i:
+                raise ValueError(f"class records {j} and {i} both have class_id {cm.class_id}")
 
     @property
     def class_ids(self):

@@ -17,6 +17,8 @@ from scalemix.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_WORKER,
+    _subcommands,
+    build_parser,
     main,
 )
 from scalemix.data import CHUNK_ROWS, FORMAT_ROWS, FeatureDataset, format_rows, save_csv
@@ -426,6 +428,8 @@ class TestPredict:
             (("prior", "nu_fixed"), math.inf, "prior: nu_fixed must be positive and finite"),
             (("prior", "k_init"), 1.5, "prior: 'k_init' is not a JSON integer"),
             (("classes", 1, "class_id"), None, "class record 1: 'class_id' is not a JSON integer"),
+            (("classes", 1, "class_id"), 1, "class records 0 and 1 both have class_id 1"),
+            (("classes", 1, "class_id"), 0, "class 0: class_id must be at least 1"),
             (("classes", 1, "alpha_hat"), math.nan, "class 2: alpha_hat nan does not match"),
             (("classes", 1, "n_pruned"), None, "class record 1: 'n_pruned' is not a JSON integer"),
             (("classes", 1, "converged"), None, "class record 1: 'converged' is not a JSON bool"),
@@ -781,6 +785,31 @@ class TestEvaluate:
         )
         assert code == EXIT_DATA
 
+    def test_too_few_trials_for_any_participant_fails_before_any_fit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # participant 1 can train on 2 of its 4 trials, participant 2 not on 2 of 2
+        first, second = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        write_protocol_csv(first, participants=(1,), trials=4)
+        write_protocol_csv(second, participants=(2,), trials=2)
+        data_path = tmp_path / "proto.csv"
+        data_path.write_text(first.read_text() + second.read_text().split("\n", 1)[1])
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before every split was checked")
+
+        monkeypatch.setattr("scalemix.cli.fit", no_fit)
+        out = tmp_path / "ev"
+        code = main(
+            [
+                "evaluate", "--data", str(data_path), "--nu", "5",
+                "--out-dir", str(out), "--trials-train", "2",
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "participant 2: cannot train on 2 of 2 trials" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_artifacts_across_threads(self, tmp_path):
         data_path = tmp_path / "proto.csv"
         write_protocol_csv(data_path, trials=3)
@@ -808,12 +837,82 @@ class TestEvaluate:
         assert blobs[0] == blobs[1]
 
 
+def _options():
+    """(command, option) for every option a config file may set, from the parser."""
+    return [
+        (name, action)
+        for name, parser in _subcommands(build_parser()).items()
+        for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    ]
+
+
+def _failing_argv(command, tmp_path):
+    """``(junk, argv)``: ``command argv`` fails with a data error before any fit.
+
+    ``junk`` names a file that is no CSV, model or directory.
+    """
+    junk = str(tmp_path / "junk")
+    Path(junk).write_text("not a csv\n")
+    argv = {
+        "simulate": ["--out-dir", junk],
+        "train": ["--data", junk, "--model-out", str(tmp_path / "m.json"), "--nu", "5"],
+        "predict": ["--model", junk, "--data", junk],
+        "evaluate": ["--data", junk, "--nu", "5", "--out-dir", str(tmp_path / "ev")],
+    }[command]
+    return junk, [command] + argv
+
+
 class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "predict", "evaluate"])
+    def test_subcommand_help_shows_defaults(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        shown = [
+            action.help % {"default": action.default}
+            for name, action in _options()
+            if name == command and "%(default)s" in (action.help or "")
+        ]
+        assert shown and all(help_text in text for help_text in shown)
+
+    @pytest.mark.parametrize(
+        "command, action", [pytest.param(c, a, id=f"{c}-{a.dest}") for c, a in _options()]
+    )
+    def test_every_option_is_a_config_key(self, tmp_path, command, action):
+        junk, argv = _failing_argv(command, tmp_path)
+        (flag,) = action.option_strings
+        value = "yes" if action.nargs == 0 else {int: "2", float: "0.5"}.get(action.type, junk)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{flag[2:]} = {value}\n")
+        as_flag = [flag] if action.nargs == 0 else [flag, value]
+        assert main(argv + as_flag) == main(argv + ["--config", str(config)])
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "predict", "evaluate"])
+    @pytest.mark.parametrize("key", ["config", "help", "func", "wibble"])
+    def test_config_key_that_is_no_option_is_usage_error(self, tmp_path, command, key):
+        _, argv = _failing_argv(command, tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = x\n")
+        assert main(argv + ["--config", str(config)]) == EXIT_USAGE
+
+    def test_predict_ignores_seed_and_threads_from_config(self, tmp_path, train_csv):
+        model = tmp_path / "model.json"
+        main(["train", "--data", str(train_csv), "--model-out", str(model), "--nu", "5"])
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 3\nthreads = 2\n")
+        outputs = []
+        for name, extra in (("plain", []), ("configured", ["--config", str(config)])):
+            out = tmp_path / name
+            argv = ["predict", "--model", str(model), "--data", str(train_csv)]
+            assert main(argv + ["--out-dir", str(out)] + extra) == EXIT_OK
+            outputs.append((out / "predictions.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_import_skips_unused_scipy_submodules(self):
         # the process pool of predict is imported only when used; scipy.special
@@ -848,6 +947,8 @@ class TestUsage:
             ("evaluate", "--subsample", "-1"),
             ("evaluate", "--subsample", "1.5"),
             ("evaluate", "--subsample", "nan"),
+            ("evaluate", "--trials-train", "0"),
+            ("evaluate", "--trials-train", "-1"),
         ],
     )
     def test_out_of_range_value_is_usage_error_before_reading_data(

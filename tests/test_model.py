@@ -101,6 +101,27 @@ class TestPriorValidation:
         with pytest.raises(ValueError):
             one_component_class(2.0, 1.0, [0.0], [[1.0]], 3.0, 5.0, alpha_hat=3.0)
 
+    @pytest.mark.parametrize(
+        "class_ids, message",
+        [
+            ([1, 1, 3], "class records 0 and 1 both have class_id 1"),
+            ([1, -7, 3], "class -7: class_id must be at least 1"),
+        ],
+    )
+    def test_class_ids_must_be_distinct_and_positive(self, class_ids, message):
+        prior = PriorHyperparameters(0.1, 1.0, [0.0], [[1.0]], 1.5, 5.0)
+        classes = [
+            one_component_class(1.0, 1.0, [0.0], [[1.0]], 3.0, 5.0, class_id=cid)
+            for cid in (1, 2, 3)
+        ]
+        payload = classifier_to_dict(
+            TrainedClassifier(tuple(classes), np.log(np.full(3, 1 / 3)), 1, prior)
+        )
+        for record, cid in zip(payload["classes"], class_ids):
+            record["class_id"] = cid
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            classifier_from_dict(payload)
+
     def test_classifier_checks_prior_normalization(self):
         cm = one_component_class(2.0, 1.0, [0.0], [[1.0]], 3.0, 5.0)
         prior = PriorHyperparameters(0.1, 1.0, [0.0], [[1.0]], 1.5, 5.0)
