@@ -373,19 +373,13 @@ def cmd_evaluate(args):
             raise DataFormatError(f"participant {pid}: cannot train on {s} of {t_count} trials")
         trials_train[pid] = s
     baseline = _load_baseline(args.baseline, participants) if args.baseline else None
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     all_class_ids = data.class_ids
     n_classes = max(all_class_ids)
-
-    combo_rows = []
-    timing_rows = []
-    per_participant = {}
-    pooled_pred = []
-    pooled_truth = []
+    # every combination's training side is drawn and checked before any fit
+    runs = {}
     for pid in participants:
         part = data.subset(data.participants == pid)
-        accs = []
+        runs[pid] = []
         for combo_idx, (plan, train_part, test_part) in enumerate(
             split_by_trials(part, trials_train[pid])
         ):
@@ -399,6 +393,18 @@ def cmd_evaluate(args):
                     f"participant {pid} combination {combo_idx}: training side is "
                     f"missing some class; more trials are needed"
                 )
+            runs[pid].append((plan, train_part, test_part, child_seed))
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
+    combo_rows = []
+    timing_rows = []
+    per_participant = {}
+    pooled_pred = []
+    pooled_truth = []
+    for pid, combos in runs.items():
+        accs = []
+        for combo_idx, (plan, train_part, test_part, child_seed) in enumerate(combos):
             run_search = replace(search, seed=child_seed) if search else None
             start = time.perf_counter()
             classifier, nu, tune_s = _train_classifier(train_part, args, child_seed, run_search)

@@ -11,14 +11,15 @@ SPD matrices are plain ``numpy`` arrays validated on entry (see
 :func:`as_psd`); Cholesky factors are wrapped in :class:`CholeskyFactor`
 so that downstream code cannot confuse a factor with the matrix itself.
 :func:`as_psd`, :func:`cholesky`, :func:`log_det` and
-:func:`mahalanobis_sq_batch` also take a ``(k, d, d)`` stack of matrices
-(the scale matrices of a mixture's components). The symmetry and
-finiteness checks are vectorised over the stack, and one
-``np.linalg.cholesky`` call factorises each member by its own LAPACK
-call, so a member's factor is bit-identical to the factor of that matrix
-alone. Distances are whitened by inverse factors: one batched inverse
-of the whole stack, cached on the factor, then one batched matrix
-product for every member at once.
+:func:`mahalanobis_sq_batch` also take a ``(k, d, d)`` stack of matrices:
+the scale matrices of a mixture's components, or of several mixtures one
+after another, whose points :func:`mahalanobis_sq_batch` then takes with
+a leading batch axis. The symmetry and finiteness checks are vectorised
+over the stack, and one ``np.linalg.cholesky`` call factorises each
+member by its own LAPACK call, so a member's factor is bit-identical to
+the factor of that matrix alone. Distances are whitened by inverse
+factors: one batched inverse of the whole stack, cached on the factor,
+then one batched matrix product for every member at once.
 
 All functions here are pure and safe for concurrent use.
 """
@@ -172,21 +173,25 @@ def mahalanobis_sq_batch(points, center, factor):
     one entry per point. With a stack of ``k`` factors, ``center`` is
     ``(k, d)`` and the result is ``(n, k)``: column ``j`` is the distance
     to ``center[j]`` under member ``j``, bit-identical to the one-factor
-    result for that member. Points are centred before they are whitened
-    by the factor's cached :attr:`~CholeskyFactor.inverse`, so a point
-    equal to its centre is at distance exactly 0.
+    result for that member. Points may also carry a leading batch axis,
+    ``(B, n, d)``: the stack then holds ``B * k`` factors, ``k`` per batch
+    member in member order, ``center`` is ``(B, k, d)`` and the result is
+    ``(B, n, k)``, each member's points against its own ``k`` factors.
+    Points are centred before they are whitened by the factor's cached
+    :attr:`~CholeskyFactor.inverse`, so a point equal to its centre is at
+    distance exactly 0.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] != factor.dim:
+    if pts.shape[-1] != factor.dim:
         raise ValueError(
-            f"dimension mismatch: points have dim {pts.shape[1]}, factor dim {factor.dim}"
+            f"dimension mismatch: points have dim {pts.shape[-1]}, factor dim {factor.dim}"
         )
-    inverse = factor.inverse.reshape((-1,) + factor.lower.shape[-2:])
-    centers = np.asarray(center, dtype=float).reshape(inverse.shape[0], -1)
-    # y[j] holds member j's whitened differences as (n, d) rows
-    y = (pts[None, :, :] - centers[:, None, :]) @ np.swapaxes(inverse, 1, 2)
+    inverse = factor.inverse.reshape(pts.shape[:-2] + (-1,) + factor.lower.shape[-2:])
+    centers = np.asarray(center, dtype=float).reshape(inverse.shape[:-1])
+    # y[..., j, :, :] holds member j's whitened differences as (n, d) rows
+    y = (pts[..., None, :, :] - centers[..., :, None, :]) @ np.swapaxes(inverse, -1, -2)
     # C-ordered: arrays derived from the result inherit its layout, and
     # numpy sums a column of a C-ordered array in another order than one of
     # a Fortran-ordered array
-    d2 = np.einsum("kji,kji->jk", y, y, order="C")
+    d2 = np.einsum("...kji,...kji->...jk", y, y, order="C")
     return d2 if factor.lower.ndim == 3 else d2[:, 0]

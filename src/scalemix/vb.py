@@ -1,6 +1,6 @@
 """Variational Bayesian learning of per-class scale mixture models.
 
-Each class is fit independently. One iteration alternates two updates:
+Each class has its own model. One iteration alternates two updates:
 
 1. Latent update. Given the current parameter posteriors, compute per-point
    responsibilities ``r`` (a categorical posterior over components) and the
@@ -15,38 +15,56 @@ convergence. Components whose effective count falls below a threshold are
 pruned, which a small Dirichlet concentration makes routine: redundant
 components starve and vanish, leaving the model to pick its own complexity.
 
-Inside a fit the posteriors are one structure of stacked arrays
-(:class:`~scalemix.model.Posteriors`). After each parameter update,
-:func:`component_cache` factorises the whole stack once and derives every
-quantity both the bound at this iteration and the latent update at the
-next one read: log determinants, E[log |Sigma|], E[log pi] and the
-``(n, k)`` matrix of expected squared Mahalanobis distances (the bound is
-assembled from the latent update's quantities, as in Bishop's
-construction). Distances are whitened by the inverse factors, which one
-batched inverse of the stack gives: one product for the class's points
-and two small ones for the prior's terms. The latent posteriors share one
-shape per column, so the bound reduces its ``(n, k)`` arrays to a few
-per-column sums. Pruning slices the latent posteriors before the one
-parameter update of an iteration. The fit returns its final stack as a
-:class:`~scalemix.model.ClassModel`, which validates it once.
+The classes of one :func:`fit` call train in lockstep, in batches of
+consecutive classes: each update runs once per iteration for a whole
+batch, and no update mixes two classes. Small classes all share one
+batch; a batch grows only while its padded arrays stay small, since past
+that the padding costs more arithmetic than lockstep saves in per-call
+overhead, and a large class trains alone. A :class:`ClassBatch` pads every class to the longest one with
+zero-weight rows, so the latent posteriors are ``(B, n, k)`` arrays and
+the parameter posteriors one :class:`~scalemix.model.Posteriors` stack
+with a leading class axis. A class starts with ``min(k_init, n)``
+components, and a class's live components are always its first columns.
+Pruning moves a class's survivors to the front, in order, and the batch
+keeps as many columns as its widest class; the columns past a class's
+own are masked: they hold no responsibility, the parameter update leaves
+them at the prior and the bound skips them.
 
-Classes are fit one after another, each from its own seeded stream; within
-a fit, all reductions use fixed summation order, so results are
-reproducible for a given seed.
+After each parameter update, :func:`component_cache` factorises the whole
+``(B * k, d, d)`` stack once and derives every quantity both the bound at
+this iteration and the latent update at the next one read: log
+determinants, E[log |Sigma|], E[log pi] and the ``(B, n, k)`` expected
+squared Mahalanobis distances (the bound is assembled from the latent
+update's quantities, as in Bishop's construction). Distances are whitened
+by the inverse factors, which one batched inverse of the stack gives. The
+latent posteriors share one shape per column, so the bound reduces its
+``(n, k)`` arrays to a few per-column sums.
+
+Each class keeps its own bound trace, convergence flag and pruned count.
+A class that converges leaves the batch, so the cost of an iteration
+follows the classes still running; its surviving components become a
+:class:`~scalemix.model.ClassModel`, which validates them once.
+
+Each class draws its initialization from its own seeded stream, and all
+reductions use a fixed summation order, so results are reproducible for a
+given seed. Padding and masking change the order in which numpy and BLAS
+sum some terms, so a class fit in a batch agrees with the same class fit
+alone (a batch of one) to about 1e-13 relative, not bit for bit.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import digamma, gammaln, xlogy
 
 from .density import log_t_kernel
 from .model import ClassModel, Posteriors, PriorHyperparameters, TrainedClassifier
-from .numerics import cholesky, log_det, mahalanobis_sq_batch
+from .numerics import NotPositiveDefiniteError, cholesky, log_det, mahalanobis_sq_batch
 
 __all__ = [
     "VbConfig",
+    "ClassBatch",
     "ComponentCache",
     "PriorTerms",
     "NumericalFailure",
@@ -74,6 +92,24 @@ def _log_multigamma(a, d):
     return (d * (d - 1) * 0.25) * np.log(np.pi) + gammaln(a - 0.5 * j).sum(axis=0)
 
 
+def _sum_rows(values):
+    """Per-class column sums of a ``(B, n, k)`` array, rows added in order.
+
+    Equal to ``values.sum(axis=1)`` for ``k > 1`` and several times faster
+    at the sizes of a fit; numpy's own loop runs once per row.
+    """
+    return np.einsum("bnk->bk", values)
+
+
+def _alpha_hat(alpha, live):
+    """Per-class sum of the live components' alpha, in component order.
+
+    ``cumsum`` adds in order, as ``ClassModel.alpha_hat`` is summed; a
+    masked component adds an exact zero.
+    """
+    return np.cumsum(np.where(live, alpha, 0.0), axis=-1)[..., -1]
+
+
 class NumericalFailure(ArithmeticError):
     """A non-finite quantity appeared during training."""
 
@@ -96,25 +132,71 @@ class VbConfig:
             raise ValueError("prune_threshold must be positive")
 
 
+@dataclass(frozen=True, eq=False)
+class ClassBatch:
+    """The training rows of the classes fit together, padded to one length.
+
+    ``x (B, n, d)`` holds class ``b``'s ``n_rows[b]`` rows, then copies of
+    its first row up to the longest class; ``weight (B, n, 1)`` is 1 on a
+    class's own rows and 0 on the copies, which therefore carry no
+    responsibility and no weight in any update.
+    """
+
+    class_ids: tuple
+    x: np.ndarray
+    n_rows: np.ndarray
+    weight: np.ndarray
+
+    @classmethod
+    def pad(cls, blocks, class_ids):
+        """The batch of the row blocks ``blocks``, one ``(n_b, d)`` block per class."""
+        blocks = [np.atleast_2d(np.asarray(rows, dtype=float)) for rows in blocks]
+        n_rows = np.array([rows.shape[0] for rows in blocks])
+        n = int(n_rows.max())
+        x = np.stack(
+            [np.concatenate([rows, np.repeat(rows[:1], n - len(rows), axis=0)]) for rows in blocks]
+        )
+        weight = (np.arange(n) < n_rows[:, None]).astype(float)[:, :, None]
+        return cls(tuple(int(cid) for cid in class_ids), x, n_rows, weight)
+
+    def take(self, keep):
+        """The batch of the classes where the boolean ``keep`` is True."""
+        ids = tuple(cid for cid, kept in zip(self.class_ids, keep.tolist()) if kept)
+        return ClassBatch(ids, self.x[keep], self.n_rows[keep], self.weight[keep])
+
+
 @dataclass(frozen=True)
 class ComponentCache:
-    """What one factorisation of a :class:`~scalemix.model.Posteriors` stack yields.
+    """What one factorisation of a batch's :class:`~scalemix.model.Posteriors` stack yields.
 
-    ``log_det_w`` is log |W_k|, ``log_sigma`` is E[log |Sigma_k|],
-    ``log_pi`` is E[log pi_k], ``d2`` the ``(n, k)`` expected squared
-    Mahalanobis distances
-    ``dim / beta_k + eta_k (x - m_k)' W_k^{-1} (x - m_k)``, ``quad_prior``
-    ``eta_k (m_k - m0)' W_k^{-1} (m_k - m0)`` and ``tr_prior``
-    ``tr(W0 W_k^{-1})``.
+    ``batch`` is the :class:`ClassBatch` and ``live (B, k)`` the component
+    mask the cache was computed for. Per class and component, ``log_det_w``
+    is log |W_k|, ``log_sigma`` E[log |Sigma_k|], ``log_pi`` E[log pi_k]
+    over the live components (-inf for a masked one, which has no weight),
+    ``quad_prior`` ``eta_k (m_k - m0)' W_k^{-1} (m_k - m0)`` and
+    ``tr_prior`` ``tr(W0 W_k^{-1})``. ``d2`` holds the ``(B, n, k)``
+    expected squared Mahalanobis distances
+    ``dim / beta_k + eta_k (x - m_k)' W_k^{-1} (x - m_k)``.
     """
 
     dim: int
+    batch: ClassBatch
+    live: np.ndarray
     log_det_w: np.ndarray
     log_sigma: np.ndarray
     log_pi: np.ndarray
     d2: np.ndarray
     quad_prior: np.ndarray
     tr_prior: np.ndarray
+
+    def take(self, keep):
+        """The cache of the batch's classes where the boolean ``keep`` is True."""
+        arrays = {
+            f.name: getattr(self, f.name)[keep]
+            for f in fields(self)
+            if f.name not in ("dim", "batch")
+        }
+        return replace(self, batch=self.batch.take(keep), **arrays)
 
 
 @dataclass(frozen=True)
@@ -133,50 +215,69 @@ def prior_terms(prior):
     )
 
 
-def component_cache(points, post, prior):
+def component_cache(batch, post, prior, live):
     """Factorise the stacked scales once and derive what the updates share.
 
-    The one Cholesky factorisation and the one batched inverse of its
+    ``post`` is the batch's ``(B, k, ...)`` posterior stack and ``live``
+    its ``(B, k)`` component mask. The one Cholesky factorisation of the
+    whole ``(B * k, d, d)`` stack and the one batched inverse of its
     factors of an iteration happen here; the bound of this iteration and
     the latent update of the next both read the returned cache.
     """
-    x = np.asarray(points, dtype=float)
-    d = post.m.shape[1]
-    factor = cholesky(post.W)
-    log_det_w = log_det(factor)
-    psi = digamma(0.5 * (post.eta[:, None] + 1.0 - np.arange(1, d + 1)))
-    log_sigma = -d * math.log(2.0) + log_det_w - psi.sum(axis=1)
-    # alpha_hat summed in order, as ClassModel.alpha_hat is
-    log_pi = digamma(post.alpha) - digamma(sum(post.alpha.tolist()))
-    d2 = d / post.beta + post.eta * mahalanobis_sq_batch(x, post.m, factor)
+    n_classes, k, d = post.m.shape
+    try:
+        factor = cholesky(post.W.reshape(-1, d, d))
+    except NotPositiveDefiniteError as exc:
+        member, component = divmod(exc.component, k)
+        raise NumericalFailure(
+            f"class {batch.class_ids[member]}: component {component} is not positive "
+            f"definite (pivot {exc.pivot_index})"
+        ) from exc
+    log_det_w = log_det(factor).reshape(n_classes, k)
+    psi = digamma(0.5 * (post.eta[:, :, None] + 1.0 - np.arange(1, d + 1)))
+    log_sigma = -d * math.log(2.0) + log_det_w - psi.sum(axis=2)
+    log_pi = np.where(
+        live, digamma(post.alpha) - digamma(_alpha_hat(post.alpha, live))[:, None], -np.inf
+    )
+    d2 = d / post.beta[:, None, :] + post.eta[:, None, :] * mahalanobis_sq_batch(
+        batch.x, post.m, factor
+    )
     # the prior terms whiten m0 - m_k and W0's factor L0 by the same inverse
     # factors: tr(W0 W^{-1}) = |L^{-1} L0|_F^2
-    inverse = factor.inverse
-    offset = inverse @ (prior.m0 - post.m)[:, :, None]
-    quad_prior = post.eta * np.square(offset).sum(axis=(1, 2))
-    tr_prior = np.square(inverse @ prior.W0_factor.lower).sum(axis=(1, 2))
-    return ComponentCache(d, log_det_w, log_sigma, log_pi, d2, quad_prior, tr_prior)
+    inverse = factor.inverse.reshape(n_classes, k, d, d)
+    offset = inverse @ (prior.m0 - post.m)[:, :, :, None]
+    quad_prior = post.eta * np.square(offset).sum(axis=(2, 3))
+    tr_prior = np.square(inverse @ prior.W0_factor.lower).sum(axis=(2, 3))
+    return ComponentCache(
+        d, batch, live, log_det_w, log_sigma, log_pi, d2, quad_prior, tr_prior
+    )
 
 
 def e_step(cache, nu):
-    """Latent update: responsibilities and scale posteriors for class points.
+    """Latent update: responsibilities and scale posteriors for a batch's rows.
 
-    Returns ``(r, a, b)``, each ``(n, k)``: row-normalized responsibilities
-    and the shape and rate of the inverse-gamma posterior over each point's
-    latent scale, conditional on the component. Responsibilities are
-    computed in log space with row-max subtraction; exact ties keep
+    Returns ``(r, a, b)``, each ``(B, n, k)``: row-normalized
+    responsibilities and the shape and rate of the inverse-gamma posterior
+    over each point's latent scale, conditional on the component. Masked
+    components and padding rows get zero responsibility. Responsibilities
+    are computed in log space with row-max subtraction; exact ties keep
     proportional weights.
     """
     d = cache.dim
-    log_rho = cache.log_pi + log_t_kernel(cache.d2, cache.log_sigma, d, nu)
-    row_max = log_rho.max(axis=1)
+    log_rho = cache.log_pi[:, None, :] + log_t_kernel(
+        cache.d2, cache.log_sigma[:, None, :], d, nu
+    )
+    row_max = log_rho.max(axis=2)
     dead = ~np.isfinite(row_max)
     if np.any(dead):
+        # a padding row repeats its class's first row, so the first dead row
+        # of the first failing class is one of the class's own
+        member, row = np.argwhere(dead)[0].tolist()
         raise NumericalFailure(
-            f"every component vanished for row {int(np.flatnonzero(dead)[0])}"
+            f"class {cache.batch.class_ids[member]}: every component vanished for row {row}"
         )
-    shifted = np.exp(log_rho - row_max[:, None])
-    r = shifted / shifted.sum(axis=1, keepdims=True)
+    shifted = np.exp(log_rho - row_max[:, :, None])
+    r = shifted / shifted.sum(axis=2, keepdims=True) * cache.batch.weight
     a = np.full(r.shape, 0.5 * (nu + d))
     b = 0.5 * cache.d2 + 0.5 * nu
     return r, a, b
@@ -185,217 +286,283 @@ def e_step(cache, nu):
 def m_step(points, r, a, b, prior):
     """Parameter update: closed-form posterior refresh from the latent posteriors.
 
-    Accumulates the responsibility-weighted counts, scale-weighted means
-    and scatters of all components at once. A component with zero
-    scale-weighted mass keeps the prior values so the update never
-    divides by zero.
+    ``points`` is a batch's ``(B, n, d)`` rows and ``r, a, b`` its
+    ``(B, n, k)`` latent posteriors; returns the ``(B, k, ...)`` posterior
+    stack. Accumulates the responsibility-weighted counts, scale-weighted
+    means and scatters of all components at once. A component with zero
+    scale-weighted mass (a masked one among them) keeps the prior values
+    so the update never divides by zero.
     """
     x = np.asarray(points, dtype=float)
     zeta = r * (a / b)  # <z> <1/u>
-    counts = r.sum(axis=0)
-    omega = zeta.sum(axis=0)
+    counts = _sum_rows(r)
+    omega = _sum_rows(zeta)
     live = omega > 0.0
     mass = np.where(live, omega, 1.0)
-    xbar = (zeta.T[:, None, :] @ x)[:, 0] / mass[:, None]
-    dev = x[None, :, :] - xbar[:, None, :]
-    s = ((zeta.T[:, None, :] * dev.transpose(0, 2, 1)) @ dev) / mass[:, None, None]
-    scatter = 0.5 * (s + s.transpose(0, 2, 1))
+    zeta_t = zeta.transpose(0, 2, 1)
+    xbar = (zeta_t[:, :, None, :] @ x[:, None, :, :])[:, :, 0] / mass[:, :, None]
+    dev = x[:, None, :, :] - xbar[:, :, None, :]
+    s = ((zeta_t[:, :, None, :] * dev.transpose(0, 1, 3, 2)) @ dev) / mass[:, :, None, None]
+    scatter = 0.5 * (s + s.transpose(0, 1, 3, 2))
     beta = prior.beta0 + omega
-    m = (omega[:, None] * xbar + prior.beta0 * prior.m0) / beta[:, None]
+    m = (omega[:, :, None] * xbar + prior.beta0 * prior.m0) / beta[:, :, None]
     offset = xbar - prior.m0
     w = (
         prior.W0
-        + omega[:, None, None] * scatter
-        + (prior.beta0 * omega / beta)[:, None, None]
-        * (offset[:, :, None] * offset[:, None, :])
+        + omega[:, :, None, None] * scatter
+        + (prior.beta0 * omega / beta)[:, :, None, None]
+        * (offset[:, :, :, None] * offset[:, :, None, :])
     )
-    w = 0.5 * (w + w.transpose(0, 2, 1))
+    w = 0.5 * (w + w.transpose(0, 1, 3, 2))
     return Posteriors(
         alpha=np.where(live, prior.alpha0 + counts, prior.alpha0),
         beta=np.where(live, beta, prior.beta0),
-        m=np.where(live[:, None], m, prior.m0),
-        W=np.where(live[:, None, None], w, prior.W0),
+        m=np.where(live[:, :, None], m, prior.m0),
+        W=np.where(live[:, :, None, None], w, prior.W0),
         eta=np.where(live, prior.eta0 + counts, prior.eta0),
     )
 
 
-def _check_finite(term, name):
-    if not np.isfinite(term):
-        raise NumericalFailure(f"ELBO term {name!r} is not finite ({term!r})")
-    return term
+_ELBO_TERMS = ("log_likelihood", "latent_prior", "param_prior", "latent_entropy", "param_entropy")
 
 
 def elbo(r, a, b, post, cache, terms):
-    """Evidence lower bound of one class under the current posteriors.
+    """Evidence lower bound of each class of a batch under the current posteriors.
 
-    ``r, a, b`` are the latent posteriors the parameter update ``post``
-    was computed from, ``cache`` is ``post``'s :func:`component_cache` and
-    ``terms`` the fit's :func:`prior_terms`. Assembled from five pieces:
-    the expected data log-likelihood, the expected latent prior, the
-    expected parameter prior, and the negative entropies of the latent and
-    parameter posteriors. With no data and posteriors equal to the prior
-    every piece cancels and the bound is 0.
+    ``r, a, b`` are the ``(B, n, k)`` latent posteriors the parameter
+    update ``post`` was computed from, ``cache`` is ``post``'s
+    :func:`component_cache` and ``terms`` the fit's :func:`prior_terms`;
+    returns one bound per class, summed over its live components.
+    Assembled from five pieces: the expected data log-likelihood, the
+    expected latent prior, the expected parameter prior, and the negative
+    entropies of the latent and parameter posteriors. With no data and
+    posteriors equal to the prior every piece cancels and the bound is 0.
     """
     prior = terms.prior
     d = prior.dim
-    n, k = r.shape
+    live = cache.live
+    k = live.sum(axis=1)
     alpha, beta, eta = post.alpha, post.beta, post.eta
-    alpha_hat = sum(alpha.tolist())
-    lpi = cache.log_pi
+    lpi = np.where(live, cache.log_pi, 0.0)
     lsig = cache.log_sigma
 
-    if n:
+    def over_live(values):
+        return np.where(live, values, 0.0).sum(axis=1)
+
+    if r.shape[1]:
         # a is constant down each column, so every latent term but r log r
-        # folds into per-column sums of r, r <1/u>, r <1/u> d2 and r log b
-        a_col = a[0]
+        # folds into per-column sums of r, r <1/u>, r <1/u> d2 and r log b;
+        # a masked component's sums are all 0
+        a_col = a[:, 0]
         psi_a = digamma(a_col)
-        counts = r.sum(axis=0)
+        counts = _sum_rows(r)
         zeta = r * (a / b)
-        s_inv_u = zeta.sum(axis=0)
-        s_inv_u_d2 = (zeta * cache.d2).sum(axis=0)
-        s_log_b = (r * np.log(b)).sum(axis=0)
+        s_inv_u = _sum_rows(zeta)
+        s_inv_u_d2 = _sum_rows(zeta * cache.d2)
+        s_log_b = _sum_rows(r * np.log(b))
         # sum of r <log u>, with <log u> = log b - psi(a)
         s_log_u = s_log_b - counts * psi_a
 
-        log_lik = float(
-            np.sum(
-                counts * (-0.5 * d * _LOG_2PI - 0.5 * lsig)
-                - 0.5 * d * s_log_u
-                - 0.5 * s_inv_u_d2
-            )
-        )
+        log_lik = (
+            counts * (-0.5 * d * _LOG_2PI - 0.5 * lsig) - 0.5 * d * s_log_u - 0.5 * s_inv_u_d2
+        ).sum(axis=1)
         half_nu = 0.5 * prior.nu_fixed
-        latent_prior = float(counts @ lpi) + float(
-            np.sum(
-                counts * (half_nu * np.log(half_nu) - gammaln(half_nu))
-                - (half_nu + 1.0) * s_log_u
-                - half_nu * s_inv_u
-            )
-        )
+        latent_prior = (
+            counts * (lpi + half_nu * math.log(half_nu) - gammaln(half_nu))
+            - (half_nu + 1.0) * s_log_u
+            - half_nu * s_inv_u
+        ).sum(axis=1)
         # minus the expected log of q(z) IG(u | a, b); its a log b terms cancel
-        latent_entropy = -float(xlogy(r, r).sum()) + float(
-            np.sum(s_log_b + counts * (gammaln(a_col) - (a_col + 1.0) * psi_a + a_col))
-        )
+        latent_entropy = (
+            s_log_b
+            - _sum_rows(xlogy(r, r))
+            + counts * (gammaln(a_col) - (a_col + 1.0) * psi_a + a_col)
+        ).sum(axis=1)
     else:
-        log_lik = 0.0
-        latent_prior = 0.0
-        latent_entropy = 0.0
+        log_lik = latent_prior = latent_entropy = np.zeros(k.shape)
 
-    param_prior = (
-        gammaln(k * prior.alpha0)
-        - k * gammaln(prior.alpha0)
-        + (prior.alpha0 - 1.0) * float(lpi.sum())
-    )
-    param_prior += float(
-        np.sum(
-            -0.5 * d * _LOG_2PI
-            + 0.5 * d * math.log(prior.beta0)
-            - 0.5 * lsig
-            - 0.5 * prior.beta0 * (d / beta + cache.quad_prior)
-            + 0.5 * prior.eta0 * terms.log_det_w0
-            - 0.5 * prior.eta0 * d * math.log(2.0)
-            - terms.log_gamma_eta0
-            - 0.5 * (prior.eta0 + d + 1.0) * lsig
-            - 0.5 * eta * cache.tr_prior
-        )
+    param_prior = gammaln(k * prior.alpha0) - k * gammaln(prior.alpha0)
+    param_prior += over_live(
+        (prior.alpha0 - 1.0) * lpi
+        - 0.5 * d * _LOG_2PI
+        + 0.5 * d * math.log(prior.beta0)
+        + 0.5 * prior.eta0 * terms.log_det_w0
+        - 0.5 * prior.eta0 * d * math.log(2.0)
+        - terms.log_gamma_eta0
+        - 0.5 * lsig
+        - 0.5 * prior.beta0 * (d / beta + cache.quad_prior)
+        - 0.5 * (prior.eta0 + d + 1.0) * lsig
+        - 0.5 * eta * cache.tr_prior
     )
 
-    lg_alpha = gammaln(alpha)
-    lgd_eta = _log_multigamma(0.5 * eta, d)
-    param_entropy = -(
-        gammaln(alpha_hat) - float(lg_alpha.sum()) + float((alpha - 1.0) @ lpi)
-    )
-    param_entropy -= float(
-        np.sum(
-            -0.5 * d * _LOG_2PI
-            + 0.5 * d * np.log(beta)
-            - 0.5 * lsig
-            - 0.5 * d
-            + 0.5 * eta * cache.log_det_w
-            - 0.5 * eta * d * math.log(2.0)
-            - lgd_eta
-            - 0.5 * (eta + d + 1.0) * lsig
-            - 0.5 * eta * d
-        )
+    # minus the expected log of q(pi) and of each q(mu_k, Sigma_k)
+    param_entropy = -gammaln(_alpha_hat(alpha, live))
+    param_entropy -= over_live(
+        (alpha - 1.0) * lpi
+        - gammaln(alpha)
+        - 0.5 * d * _LOG_2PI
+        - 0.5 * d
+        + 0.5 * d * np.log(beta)
+        - 0.5 * lsig
+        + 0.5 * eta * cache.log_det_w
+        - 0.5 * eta * d * math.log(2.0)
+        - _log_multigamma(0.5 * eta, d)
+        - 0.5 * (eta + d + 1.0) * lsig
+        - 0.5 * eta * d
     )
 
-    _check_finite(log_lik, "log_likelihood")
-    _check_finite(latent_prior, "latent_prior")
-    _check_finite(param_prior, "param_prior")
-    _check_finite(latent_entropy, "latent_entropy")
-    _check_finite(param_entropy, "param_entropy")
-    return log_lik + latent_prior + param_prior + latent_entropy + param_entropy
+    pieces = (log_lik, latent_prior, param_prior, latent_entropy, param_entropy)
+    total = log_lik + latent_prior + param_prior + latent_entropy + param_entropy
+    if not np.isfinite(total).all():
+        # a non-finite piece makes its class's total non-finite too
+        for member, cid in enumerate(cache.batch.class_ids):
+            for name, piece in zip(_ELBO_TERMS, pieces):
+                if not np.isfinite(piece[member]):
+                    raise NumericalFailure(
+                        f"class {cid}: ELBO term {name!r} is not finite "
+                        f"({float(piece[member])!r})"
+                    )
+    return total
 
 
-def prune(r, a, b, threshold):
+def prune(r, a, b, live, threshold):
     """Drop the components whose effective count fell below ``threshold``.
 
-    Slices the latent posteriors ``(r, a, b)`` to the surviving columns and
-    renormalizes ``r`` per row. A class never loses its last component: if
-    none reaches the threshold, the one with the largest effective count
-    is kept. Components are independent in :func:`m_step`, so updating
-    the survivors of a pruned latent posterior equals updating all,
-    pruning and updating the survivors again.
+    ``r, a, b`` are a batch's ``(B, n, k)`` latent posteriors and ``live``
+    its ``(B, k)`` component mask, where each class's live components are
+    its first columns. Returns ``(r, a, b, live)`` in the same layout: a
+    class that lost components has its survivors moved to its first
+    columns, in order, and its rows renormalized over them; the batch
+    keeps as many columns as its widest class, and the columns past a
+    class's survivors are masked with zero responsibility. A class never
+    loses its last component: if none reaches the threshold, the one with
+    the largest effective count is kept. Components are independent in
+    :func:`m_step`, so updating the survivors of a pruned latent posterior
+    equals updating all, pruning and updating the survivors again.
     """
-    counts = r.sum(axis=0)
-    keep = counts >= threshold
-    if not keep.any():
-        keep[int(np.argmax(counts))] = True
-    if keep.all():
-        return r, a, b
-    r = r[:, keep]
-    r = r / r.sum(axis=1, keepdims=True)
-    return r, a[:, keep], b[:, keep]
+    counts = _sum_rows(r)
+    keep = live & (counts >= threshold)
+    if np.array_equal(keep, live):
+        return r, a, b, live
+    lost = np.flatnonzero(~keep.any(axis=1))
+    keep[lost, np.argmax(counts[lost], axis=1)] = True
+    cut = (live & ~keep).any(axis=1)
+    if not cut.any():
+        return r, a, b, live
+    # a stable sort puts each class's survivors first, in order
+    order = np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(axis=1).max()]
+    keep = np.take_along_axis(keep, order, axis=1)
+    r, a, b = (np.take_along_axis(v, order[:, None, :], axis=2) for v in (r, a, b))
+    kept = np.where(keep[cut][:, None, :], r[cut], 0.0)
+    # a padding row holds no responsibility and stays at zero
+    held = r[cut].any(axis=2, keepdims=True)
+    r[cut] = kept / np.where(held, kept.sum(axis=2, keepdims=True), 1.0)
+    return r, a, b, keep
 
 
-def _init_responsibilities(x, k, nu, rng):
-    n, d = x.shape
-    r = np.ones((n, 1)) if k == 1 else rng.dirichlet(np.ones(k), size=n)
+def _init_latent(batch, k0, nu, seeds):
+    """Initial latent posteriors: each class's draws from its own seeded stream."""
+    n_classes, n, d = batch.x.shape
+    r = np.zeros((n_classes, n, int(k0.max())))
+    for member, (rows, k, seed) in enumerate(zip(batch.n_rows.tolist(), k0.tolist(), seeds)):
+        if k > 1:
+            r[member, :rows, :k] = np.random.default_rng(seed).dirichlet(np.ones(k), size=rows)
+        else:
+            r[member, :rows, 0] = 1.0
     # unit-mean latent scales at initialization, with the shape already at
     # its fixed-point value 0.5 * (nu + dim)
-    a = np.full((n, r.shape[1]), 0.5 * (nu + d))
+    a = np.full(r.shape, 0.5 * (nu + d))
     return r, a, a.copy()
 
 
-def _fit_class(x, prior, config, class_id, rng, sink=None):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError(f"class {class_id} has no training rows")
-    k0 = min(prior.k_init, n)
+def _fit_lockstep(blocks, class_ids, seeds, prior, config, sink=None):
+    """Fit the classes with row blocks ``blocks`` as one batch; a ClassModel each.
+
+    ``seeds[i]`` seeds class ``i``'s initialization. ``sink`` receives each
+    class's iteration lines, in class order, when the batch ends.
+    """
+    batch = ClassBatch.pad(blocks, class_ids)
     nu = prior.nu_fixed
     terms = prior_terms(prior)
-    r, a, b = _init_responsibilities(x, k0, nu, rng)
-    post = m_step(x, r, a, b, prior)
-    cache = component_cache(x, post, prior)
-    trace = []
-    converged = False
-    for iteration in range(1, config.max_iters + 1):
-        r, a, b = e_step(cache, nu)
-        r, a, b = prune(r, a, b, config.prune_threshold)
-        post = m_step(x, r, a, b, prior)
-        cache = component_cache(x, post, prior)
-        bound = elbo(r, a, b, post, cache, terms)
-        trace.append(bound)
-        if sink is not None:
-            sink(
-                f"class={class_id} iter={iteration} elbo={bound:.10g} "
-                f"components={r.shape[1]}"
-            )
-        if len(trace) >= 2:
-            prev = trace[-2]
-            if abs(bound - prev) <= config.elbo_rel_tol * max(abs(bound), 1e-12):
-                converged = True
+    k0 = np.minimum(prior.k_init, batch.n_rows)
+    r, a, b = _init_latent(batch, k0, nu, seeds)
+    post = m_step(batch.x, r, a, b, prior)
+    cache = component_cache(batch, post, prior, np.arange(r.shape[2]) < k0[:, None])
+    traces = [[] for _ in batch.class_ids]
+    lines = [[] for _ in batch.class_ids]
+    models = [None] * len(traces)
+    active = list(range(len(traces)))  # batch member j is class active[j]
+    try:
+        for iteration in range(1, config.max_iters + 1):
+            r, a, b = e_step(cache, nu)
+            r, a, b, live = prune(r, a, b, cache.live, config.prune_threshold)
+            post = m_step(cache.batch.x, r, a, b, prior)
+            cache = component_cache(cache.batch, post, prior, live)
+            bounds = elbo(r, a, b, post, cache, terms).tolist()
+            n_live = live.sum(axis=1).tolist()
+            done = []
+            for j, i in enumerate(active):
+                trace = traces[i]
+                trace.append(bounds[j])
+                if sink is not None:
+                    lines[i].append(
+                        f"class={batch.class_ids[i]} iter={iteration} "
+                        f"elbo={bounds[j]:.10g} components={n_live[j]}"
+                    )
+                converged = len(trace) >= 2 and abs(bounds[j] - trace[-2]) <= (
+                    config.elbo_rel_tol * max(abs(bounds[j]), 1e-12)
+                )
+                if converged or iteration == config.max_iters:
+                    models[i] = ClassModel(
+                        class_id=batch.class_ids[i],
+                        components=Posteriors(
+                            **{key: v[j, : n_live[j]] for key, v in vars(post).items()}
+                        ),
+                        nu=np.full(n_live[j], nu),
+                        alpha_hat=sum(post.alpha[j, : n_live[j]].tolist()),
+                        elbo_trace=tuple(trace),
+                        n_pruned=int(k0[i]) - n_live[j],
+                        converged=converged,
+                    )
+                    done.append(j)
+            if len(done) == len(active):
                 break
-    return ClassModel(
-        class_id=class_id,
-        components=post,
-        nu=np.full(r.shape[1], nu),
-        alpha_hat=sum(post.alpha.tolist()),
-        elbo_trace=tuple(trace),
-        n_pruned=k0 - r.shape[1],
-        converged=converged,
-    )
+            if done:
+                keep = np.ones(len(active), dtype=bool)
+                keep[done] = False
+                cache = cache.take(keep)
+                active = [i for i, kept in zip(active, keep.tolist()) if kept]
+    finally:
+        if sink is not None:
+            for class_lines in lines:
+                for line in class_lines:
+                    sink(line)
+    return models
+
+
+# Lockstep saves the fixed cost of each numpy call, which dominates small
+# fits, but pads every class of a batch to the longest and widest one, which
+# costs arithmetic that dominates large fits. Classes share a batch while its
+# (B, k, n, d) temporaries hold at most this many numbers (512 KB).
+_BATCH_NUMBERS = 2**16
+
+
+def _lockstep_groups(blocks, k_init):
+    """Split the classes, in order, into runs that train as one batch each.
+
+    A run grows while ``B * n * k * d`` of its padded batch stays within
+    ``_BATCH_NUMBERS``; a class larger than that trains alone.
+    """
+    groups, n_max, k_max = [], 0, 0
+    for i, rows in enumerate(blocks):
+        n, d = rows.shape
+        n_max, k_max = max(n_max, n), max(k_max, min(k_init, n))
+        if groups and (len(groups[-1]) + 1) * n_max * k_max * d <= _BATCH_NUMBERS:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+            n_max, k_max = n, min(k_init, n)
+    return groups
 
 
 def _class_log_prior(counts, mode):
@@ -408,23 +575,20 @@ def _class_log_prior(counts, mode):
     raise ValueError(f"unknown class_prior mode {mode!r}")
 
 
-def _fit_classes(data, prior, config, class_prior, fit_one):
-    """Fit every class with ``fit_one``, in class order; assemble the classifier.
+def _fit_classes(data, prior, config, class_prior, fit_all):
+    """Fit every class with ``fit_all``, in class order; assemble the classifier.
 
-    ``fit_one(rows, class_id, seed)`` returns a :class:`ClassModel`;
-    ``seed`` is the class's own ``[config.seed, index]`` stream.
+    ``fit_all(blocks, class_ids, seeds)`` returns one :class:`ClassModel`
+    per class; ``seeds[i]`` is class ``i``'s own ``[config.seed, i]`` stream.
     """
     class_ids = sorted(int(v) for v in np.unique(data.labels))
     if not class_ids:
         raise ValueError("training data has no rows")
-    classes = tuple(
-        fit_one(data.features[data.labels == cid], cid, [config.seed, idx])
-        for idx, cid in enumerate(class_ids)
-    )
-    counts = [int(np.sum(data.labels == cid)) for cid in class_ids]
+    blocks = [data.features[data.labels == cid] for cid in class_ids]
+    classes = fit_all(blocks, class_ids, [[config.seed, idx] for idx in range(len(class_ids))])
     return TrainedClassifier(
-        classes=classes,
-        class_log_prior=_class_log_prior(counts, class_prior),
+        classes=tuple(classes),
+        class_log_prior=_class_log_prior([len(rows) for rows in blocks], class_prior),
         dim=data.dim,
         prior=prior,
     )
@@ -433,20 +597,33 @@ def _fit_classes(data, prior, config, class_prior, fit_one):
 def fit(data, prior, config=None, class_prior="uniform", log_sink=None):
     """Train one class model per distinct label and assemble a classifier.
 
-    Deterministic for a fixed ``config.seed``: each class draws its
-    initialization from an independent seeded stream. A class that fails
-    to converge within ``max_iters`` is returned with ``converged=False``
-    rather than raising.
+    The classes train in lockstep, as one batch (see the module
+    docstring). Deterministic for a fixed ``config.seed``: each class draws
+    its initialization from an independent seeded stream. A class that
+    fails to converge within ``max_iters`` is returned with
+    ``converged=False`` rather than raising.
 
     ``log_sink``, when given, receives one line per iteration per class
-    (class id, iteration, bound, live component count), in class order.
+    (class id, iteration, bound, live component count), in class order,
+    once the batch has finished.
     """
     config = config or VbConfig()
 
-    def fit_one(rows, cid, seed):
-        return _fit_class(rows, prior, config, cid, np.random.default_rng(seed), log_sink)
+    def fit_all(blocks, class_ids, seeds):
+        return [
+            model
+            for group in _lockstep_groups(blocks, prior.k_init)
+            for model in _fit_lockstep(
+                [blocks[i] for i in group],
+                [class_ids[i] for i in group],
+                [seeds[i] for i in group],
+                prior,
+                config,
+                log_sink,
+            )
+        ]
 
-    return _fit_classes(data, prior, config, class_prior, fit_one)
+    return _fit_classes(data, prior, config, class_prior, fit_all)
 
 
 def fit_ml_nu(
@@ -465,8 +642,9 @@ def fit_ml_nu(
     variational stand-in for the log marginal likelihood). Selecting ``nu``
     this way is known to hurt generalization relative to a shared value;
     the mode exists to reproduce that comparison, not for production use.
-    Each class keeps the fit it scored best, which equals :func:`fit` at
-    that ``nu`` with the same seed.
+    Each class keeps the fit it scored best: its fit alone (a batch of
+    one) at that ``nu`` with the same seed, which :func:`fit` at that
+    ``nu`` matches up to the last bits (see the module docstring).
     """
     # imported here: only this training mode needs scipy.optimize
     from scipy.optimize import minimize_scalar
@@ -481,13 +659,9 @@ def fit_ml_nu(
         def fit_at(nu):
             nu = float(nu)
             if nu not in fits:
-                fits[nu] = _fit_class(
-                    rows,
-                    replace(prior, nu_fixed=nu),
-                    config,
-                    cid,
-                    np.random.default_rng(seed),
-                )
+                fits[nu] = _fit_lockstep(
+                    [rows], [cid], [seed], replace(prior, nu_fixed=nu), config
+                )[0]
             return fits[nu]
 
         scores = [fit_at(nu).elbo_trace[-1] for nu in grid]
@@ -508,4 +682,7 @@ def fit_ml_nu(
             nu_best = grid[j]
         return fit_at(nu_best)
 
-    return _fit_classes(data, prior, config, class_prior, best_fit_for)
+    def fit_all(blocks, class_ids, seeds):
+        return [best_fit_for(*args) for args in zip(blocks, class_ids, seeds)]
+
+    return _fit_classes(data, prior, config, class_prior, fit_all)

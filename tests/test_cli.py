@@ -810,6 +810,41 @@ class TestEvaluate:
         assert "participant 2: cannot train on 2 of 2 trials" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_missing_class_on_a_training_side_fails_before_any_fit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # one participant; trial 2 holds no row of class 3, so the combination
+        # that trains on trial 2 alone lacks a class
+        data_path = tmp_path / "proto.csv"
+        write_protocol_csv(data_path, participants=(1,), trials=3)
+        lines = data_path.read_text().splitlines()
+        header = lines[0].split(",")
+        label, trial = header.index("label"), header.index("trial")
+        kept = [
+            ln for ln in lines[1:]
+            if not (ln.split(",")[label] == "3" and ln.split(",")[trial] == "2")
+        ]
+        assert len(kept) < len(lines) - 1
+        data_path.write_text("\n".join([lines[0]] + kept) + "\n")
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before every training side was checked")
+
+        monkeypatch.setattr("scalemix.cli.fit", no_fit)
+        out = tmp_path / "ev"
+        code = main(
+            [
+                "evaluate", "--data", str(data_path), "--nu", "5",
+                "--out-dir", str(out), "--trials-train", "1",
+            ]
+        )
+        assert code == EXIT_DATA
+        assert (
+            "participant 1 combination 1: training side is missing some class"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_deterministic_artifacts_across_threads(self, tmp_path):
         data_path = tmp_path / "proto.csv"
         write_protocol_csv(data_path, trials=3)

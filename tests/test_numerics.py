@@ -147,6 +147,21 @@ class TestStackedFactorisation:
             assert dets[j] == log_det(single)
             assert np.array_equal(d2[:, j], mahalanobis_sq_batch(pts, centers[j], single))
 
+    def test_batched_points_equal_per_member_stacks(self, rng):
+        # a leading batch axis on the points: member b's points against its
+        # own k factors, which sit at b * k ... b * k + k - 1 in the stack
+        n_batch, k, d = 3, 4, 5
+        m = spd_stack(rng, n_batch * k, d)
+        f = cholesky(m)
+        pts = rng.standard_normal((n_batch, 20, d)) * 3.0
+        centers = rng.standard_normal((n_batch, k, d))
+        d2 = mahalanobis_sq_batch(pts, centers, f)
+        assert d2.shape == (n_batch, 20, k)
+        assert d2.flags.c_contiguous
+        for b in range(n_batch):
+            alone = mahalanobis_sq_batch(pts[b], centers[b], cholesky(m[b * k : (b + 1) * k]))
+            assert np.array_equal(d2[b], alone)
+
     def test_non_positive_definite_member_is_named(self, rng):
         m = spd_stack(rng, 4, 3)
         m[2] = [[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]]

@@ -11,6 +11,8 @@ from scalemix.data import FeatureDataset
 from scalemix.model import ClassModel, Posteriors, PriorHyperparameters, build_default_prior
 from scalemix.predict import predict_batch
 from scalemix.vb import (
+    ClassBatch,
+    NumericalFailure,
     VbConfig,
     component_cache,
     e_step,
@@ -48,15 +50,45 @@ def posteriors(alpha, beta, m, W, eta):
     )
 
 
+def batched(post):
+    """One class's stacked posteriors as a batch of one."""
+    return Posteriors(**{key: value[None] for key, value in vars(post).items()})
+
+
+def member(post, j=0):
+    """Batch member ``j`` of a batched posterior stack."""
+    return Posteriors(**{key: value[j] for key, value in vars(post).items()})
+
+
+def cache_of(points, post, prior):
+    """The batch-of-one :func:`component_cache` of one class, every component live."""
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    live = np.ones((1, post.alpha.shape[0]), dtype=bool)
+    return component_cache(ClassBatch.pad([x], [1]), batched(post), prior, live)
+
+
+def one_class_m_step(x, r, a, b, prior):
+    """:func:`m_step` of one class, through a batch of one."""
+    return member(m_step(x[None], r[None], a[None], b[None], prior))
+
+
+def one_class_e_step(x, post, prior):
+    """:func:`e_step` of one class under ``prior.nu_fixed``, through a batch of one."""
+    r, a, b = e_step(cache_of(x, post, prior), prior.nu_fixed)
+    return r[0], a[0], b[0]
+
+
 def latent_update(points, post, nu):
     """``(r, a, b)`` of the latent update under the stacked posteriors ``post``."""
     x = np.atleast_2d(np.asarray(points, dtype=float))
-    cache = component_cache(x, post, simple_prior(d=x.shape[1]))
-    return e_step(cache, nu)
+    return one_class_e_step(x, post, replace(simple_prior(d=x.shape[1]), nu_fixed=nu))
 
 
 def bound(x, r, a, b, post, prior):
-    return elbo(r, a, b, post, component_cache(x, post, prior), prior_terms(prior))
+    value = elbo(
+        r[None], a[None], b[None], batched(post), cache_of(x, post, prior), prior_terms(prior)
+    )
+    return float(value[0])
 
 
 def toy_state(seed=7):
@@ -65,9 +97,9 @@ def toy_state(seed=7):
     x = np.array([[0.3], [1.7], [-0.4], [2.2], [0.9]])
     prior = simple_prior()
     r = rng.dirichlet(np.ones(2), size=5)
-    post = m_step(x, r, np.full((5, 2), 2.0), np.full((5, 2), 2.0), prior)
-    r, a, b = e_step(component_cache(x, post, prior), prior.nu_fixed)
-    post = m_step(x, r, a, b, prior)
+    post = one_class_m_step(x, r, np.full((5, 2), 2.0), np.full((5, 2), 2.0), prior)
+    r, a, b = one_class_e_step(x, post, prior)
+    post = one_class_m_step(x, r, a, b, prior)
     return x, (r, a, b), post, prior
 
 
@@ -80,9 +112,9 @@ def random_state(rng, n, k, d):
         eta0=d + 2.5, nu_fixed=4.0, k_init=k,
     )
     r = rng.dirichlet(np.ones(k), size=n)
-    post = m_step(x, r, np.full((n, k), 3.0), rng.uniform(1.0, 5.0, (n, k)), prior)
-    r, a, b = e_step(component_cache(x, post, prior), prior.nu_fixed)
-    return x, (r, a, b), m_step(x, r, a, b, prior), prior
+    post = one_class_m_step(x, r, np.full((n, k), 3.0), rng.uniform(1.0, 5.0, (n, k)), prior)
+    r, a, b = one_class_e_step(x, post, prior)
+    return x, (r, a, b), one_class_m_step(x, r, a, b, prior), prior
 
 
 EULER_MASCHERONI = 0.5772156649015329
@@ -137,7 +169,7 @@ class TestComponentCache:
     @pytest.mark.parametrize("k", [1, 10])
     def test_whitened_terms_match_solve_reference(self, rng, k):
         x, _, post, prior = random_state(rng, n=40, k=k, d=5)
-        cache = component_cache(x, post, prior)
+        cache = cache_of(x, post, prior)
         for j in range(k):
             w_inv = np.linalg.inv(post.W[j])
             diff = x - post.m[j]
@@ -147,9 +179,9 @@ class TestComponentCache:
             off = post.m[j] - prior.m0
             quad = post.eta[j] * off @ np.linalg.solve(post.W[j], off)
             tr = np.trace(prior.W0 @ w_inv)
-            assert np.allclose(cache.d2[:, j], d2, rtol=1e-12, atol=0.0)
-            assert cache.quad_prior[j] == pytest.approx(quad, rel=1e-12)
-            assert cache.tr_prior[j] == pytest.approx(tr, rel=1e-12)
+            assert np.allclose(cache.d2[0, :, j], d2, rtol=1e-12, atol=0.0)
+            assert cache.quad_prior[0, j] == pytest.approx(quad, rel=1e-12)
+            assert cache.tr_prior[0, j] == pytest.approx(tr, rel=1e-12)
 
 
 class TestEStep:
@@ -218,7 +250,7 @@ class TestMStep:
         a = np.full((3, 2), 2.0)
         b = np.array([[2.0, 2.0], [4.0, 1.0], [2.0, 2.0]])
         prior = simple_prior(alpha0=0.5, beta0=2.0, eta0=3.0)
-        post = m_step(x, r, a, b, prior)
+        post = one_class_m_step(x, r, a, b, prior)
         assert np.allclose(post.alpha - prior.alpha0, [1.5, 1.5])
         assert np.allclose(post.eta - prior.eta0, [1.5, 1.5])
         # zeta = r * a / b per column
@@ -240,7 +272,8 @@ class TestMStep:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((100, 2))
         prior = simple_prior(d=2, alpha0=0.001, eta0=3.0)
-        post = m_step(x, np.ones((100, 1)), np.full((100, 1), 3.5), np.full((100, 1), 3.5), prior)
+        scale = np.full((100, 1), 3.5)
+        post = one_class_m_step(x, np.ones((100, 1)), scale, scale.copy(), prior)
         assert post.alpha[0] == pytest.approx(100.001, rel=1e-12)
         assert post.eta[0] == pytest.approx(103.0, rel=1e-12)
 
@@ -251,7 +284,7 @@ class TestMStep:
         a = np.array([[2.0, 2.0]] * 4)
         b = np.array([[1.5, 2.5], [2.0, 1.0], [3.0, 2.0], [1.0, 4.0]])
         prior = simple_prior(alpha0=0.5, beta0=2.0, eta0=3.0, nu=3.0)
-        post = m_step(x, r, a, b, prior)
+        post = one_class_m_step(x, r, a, b, prior)
         for k in range(2):
             zeta = r[:, k] * (a[:, k] / b[:, k])
             count = r[:, k].sum()
@@ -275,9 +308,9 @@ class TestMStep:
         a = np.full((40, 4), 2.5)
         b = rng.uniform(1.0, 4.0, size=(40, 4))
         prior = simple_prior(d=3)
-        full = m_step(x, r, a, b, prior)
+        full = one_class_m_step(x, r, a, b, prior)
         keep = np.array([True, False, True, True])
-        part = m_step(x, r[:, keep], a[:, keep], b[:, keep], prior)
+        part = one_class_m_step(x, r[:, keep], a[:, keep], b[:, keep], prior)
         for name, values in vars(part).items():
             assert np.allclose(values, getattr(full, name)[keep], rtol=1e-14, atol=0), name
 
@@ -287,7 +320,7 @@ class TestMStep:
         r = np.array([[1.0, 0.0], [1.0, 0.0]])
         a = np.full((2, 2), 2.0)
         b = np.full((2, 2), 2.0)
-        post = m_step(x, r, a, b, prior)
+        post = one_class_m_step(x, r, a, b, prior)
         assert post.alpha[1] == prior.alpha0
         assert post.beta[1] == prior.beta0
         assert np.array_equal(post.m[1], prior.m0)
@@ -297,7 +330,8 @@ class TestMStep:
         # with one data point the posterior mean is a convex combination
         prior = simple_prior(d=1, beta0=1.0, nu=5.0, k_init=1)
         x = np.array([[4.0]])
-        post = m_step(x, np.ones((1, 1)), np.full((1, 1), 3.0), np.full((1, 1), 3.0), prior)
+        scale = np.full((1, 1), 3.0)
+        post = one_class_m_step(x, np.ones((1, 1)), scale, scale.copy(), prior)
         assert prior.m0[0] <= post.m[0, 0] <= 4.0
 
 
@@ -384,20 +418,26 @@ class TestElbo:
 
     def test_non_finite_term_is_named(self):
         x, (r, a, b), post, prior = toy_state()
-        with np.errstate(all="ignore"), pytest.raises(ArithmeticError):
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericalFailure, match=r"^class 1: ELBO term 'log_likelihood' is not finite"
+        ):
             bound(x, r, a, np.full_like(b, np.inf), post, prior)
 
 
 def reference_elbo(r, a, b, post, cache, prior):
-    """The bound as a sum over every (point, component) element."""
+    """The bound of one class as a sum over every (point, component) element.
+
+    ``cache`` is the class's batch-of-one :func:`component_cache`.
+    """
     d = prior.dim
     k = r.shape[1]
-    lpi, lsig = cache.log_pi, cache.log_sigma
+    lpi, lsig = cache.log_pi[0], cache.log_sigma[0]
+    d2, quad_prior, tr_prior = cache.d2[0], cache.quad_prior[0], cache.tr_prior[0]
     log_2pi = math.log(2.0 * math.pi)
     e_inv_u = a / b
     e_log_u = np.log(b) - digamma(a)
     log_lik = np.sum(
-        r * (-0.5 * d * log_2pi - 0.5 * d * e_log_u - 0.5 * lsig - 0.5 * e_inv_u * cache.d2)
+        r * (-0.5 * d * log_2pi - 0.5 * d * e_log_u - 0.5 * lsig - 0.5 * e_inv_u * d2)
     )
     h = 0.5 * prior.nu_fixed
     latent_prior = np.sum(r * lpi) + np.sum(
@@ -414,16 +454,16 @@ def reference_elbo(r, a, b, post, cache, prior):
         + (prior.alpha0 - 1.0) * lpi.sum()
         + np.sum(
             -0.5 * d * log_2pi + 0.5 * d * math.log(prior.beta0) - 0.5 * lsig
-            - 0.5 * prior.beta0 * (d / beta + cache.quad_prior)
+            - 0.5 * prior.beta0 * (d / beta + quad_prior)
             + 0.5 * prior.eta0 * log_det_w0 - 0.5 * prior.eta0 * d * math.log(2.0)
             - multigammaln(0.5 * prior.eta0, d)
-            - 0.5 * (prior.eta0 + d + 1.0) * lsig - 0.5 * eta * cache.tr_prior
+            - 0.5 * (prior.eta0 + d + 1.0) * lsig - 0.5 * eta * tr_prior
         )
     )
     param_entropy = -(gammaln(alpha.sum()) - gammaln(alpha).sum() + (alpha - 1.0) @ lpi)
     param_entropy -= np.sum(
         -0.5 * d * log_2pi + 0.5 * d * np.log(beta) - 0.5 * lsig - 0.5 * d
-        + 0.5 * eta * cache.log_det_w - 0.5 * eta * d * math.log(2.0)
+        + 0.5 * eta * cache.log_det_w[0] - 0.5 * eta * d * math.log(2.0)
         - multigammaln(0.5 * eta, d) - 0.5 * (eta + d + 1.0) * lsig - 0.5 * eta * d
     )
     return log_lik + latent_prior + param_prior + latent_entropy + param_entropy
@@ -434,9 +474,9 @@ class TestElboColumnSums:
 
     def test_matches_per_element_reference_on_toy_state(self):
         x, (r, a, b), post, prior = toy_state()
-        cache = component_cache(x, post, prior)
-        value = elbo(r, a, b, post, cache, prior_terms(prior))
-        assert value == pytest.approx(reference_elbo(r, a, b, post, cache, prior), rel=1e-12)
+        value = bound(x, r, a, b, post, prior)
+        reference = reference_elbo(r, a, b, post, cache_of(x, post, prior), prior)
+        assert value == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 6])
     def test_matches_per_element_reference(self, rng, k):
@@ -444,9 +484,9 @@ class TestElboColumnSums:
         if k > 1:
             r[0, 0] = 0.0  # an exactly empty cell: r log r is 0 there
             r[0] /= r[0].sum()
-        cache = component_cache(x, post, prior)
-        value = elbo(r, a, b, post, cache, prior_terms(prior))
-        assert value == pytest.approx(reference_elbo(r, a, b, post, cache, prior), rel=1e-12)
+        value = bound(x, r, a, b, post, prior)
+        reference = reference_elbo(r, a, b, post, cache_of(x, post, prior), prior)
+        assert value == pytest.approx(reference, rel=1e-12)
 
     def test_log_multigamma_equals_scipy(self, rng):
         for d in range(1, 11):
@@ -458,26 +498,64 @@ class TestElboColumnSums:
 
 class TestPrune:
     def test_dead_component_removed(self):
-        r = np.array([[1.0 - 1e-12, 1e-12]] * 300)
-        a = np.tile([3.0, 4.0], (300, 1))
-        r, a, b = prune(r, a, a.copy(), threshold=1e-3)
-        assert r.shape == (300, 1)
+        r = np.array([[[1.0 - 1e-12, 1e-12]] * 300])
+        a = np.tile([3.0, 4.0], (1, 300, 1))
+        r, a, b, live = prune(r, a, a.copy(), np.ones((1, 2), dtype=bool), threshold=1e-3)
+        assert r.shape == a.shape == b.shape == (1, 300, 1)
         assert np.allclose(r, 1.0)
-        assert np.array_equal(a, np.full((300, 1), 3.0))
+        assert np.array_equal(a, np.full((1, 300, 1), 3.0))
+        assert np.array_equal(live, [[True]])
 
     def test_no_op_when_all_alive(self):
-        r = np.full((20, 2), 0.5)
-        a = np.full((20, 2), 3.0)
-        b = np.full((20, 2), 3.0)
-        out = prune(r, a, b, threshold=1e-3)
-        assert out[0] is r and out[1] is a and out[2] is b
+        r = np.full((1, 20, 2), 0.5)
+        a = np.full((1, 20, 2), 3.0)
+        b = np.full((1, 20, 2), 3.0)
+        live = np.ones((1, 2), dtype=bool)
+        out = prune(r, a, b, live, threshold=1e-3)
+        assert all(got is given for got, given in zip(out, (r, a, b, live)))
 
     def test_refuses_to_prune_everything(self):
         # no component reaches the threshold: the largest one is kept
-        r = np.array([[0.3, 0.7]])
-        r, a, b = prune(r, np.full((1, 2), 3.0), np.array([[3.0, 4.0]]), threshold=10.0)
-        assert np.array_equal(r, [[1.0]])
-        assert np.array_equal(b, [[4.0]])
+        r, _, b, live = prune(
+            np.array([[[0.3, 0.7]]]),
+            np.full((1, 1, 2), 3.0),
+            np.array([[[3.0, 4.0]]]),
+            np.ones((1, 2), dtype=bool),
+            threshold=10.0,
+        )
+        assert np.array_equal(r, [[[1.0]]])
+        assert np.array_equal(b, [[[4.0]]])
+        assert np.array_equal(live, [[True]])
+
+    def test_classes_prune_on_their_own(self, rng):
+        # member 0 loses its second component, so its third moves to the
+        # second column; member 1, whose last two rows are padding and whose
+        # third column is masked, loses none. Two columns remain.
+        r0 = np.tile([0.6, 1e-9, 0.4 - 1e-9], (5, 1))
+        r1 = np.vstack([rng.dirichlet(np.ones(2), size=3), np.zeros((2, 2))])
+        r = np.stack([r0, np.hstack([r1, np.zeros((5, 1))])])
+        b = rng.uniform(1.0, 4.0, r.shape)
+        live = np.array([[True, True, True], [True, True, False]])
+        out, _, b_out, kept = prune(r, np.full(r.shape, 2.5), b, live, threshold=1e-3)
+        assert np.array_equal(kept, [[True, True], [True, True]])
+        assert np.array_equal(out[1], r[1, :, :2])
+        assert np.array_equal(b_out[0], b[0][:, [0, 2]])
+        assert np.array_equal(b_out[1], b[1, :, :2])
+        assert np.allclose(out[0], np.tile([0.6, 0.4], (5, 1)), rtol=1e-8, atol=0.0)
+        assert np.allclose(out[0].sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        # the input is left as it was
+        assert r[0, 0, 1] == 1e-9
+
+    def test_narrower_class_keeps_masked_columns(self):
+        # member 0 keeps two components, member 1 one: member 1's second
+        # column is masked with zero responsibility
+        r = np.array([[[0.5, 0.5, 0.0]] * 4, [[1.0 - 1e-9, 1e-9, 0.0]] * 4])
+        live = np.array([[True, True, False], [True, True, False]])
+        a = np.full(r.shape, 2.0)
+        out, _, _, kept = prune(r, a, a.copy(), live, threshold=1e-3)
+        assert np.array_equal(kept, [[True, True], [True, False]])
+        assert np.array_equal(out[0], r[0, :, :2])
+        assert np.array_equal(out[1], np.tile([1.0, 0.0], (4, 1)))
 
 
 class TestFit:
@@ -519,12 +597,12 @@ class TestFit:
         rows = data.features[data.labels == 1]
         r = np.random.default_rng(0).dirichlet(np.ones(4), size=rows.shape[0])
         a = np.full((rows.shape[0], 4), 2.5)
-        post = m_step(rows, r, a, a.copy(), prior)
+        post = one_class_m_step(rows, r, a, a.copy(), prior)
         for _ in range(5):
-            r, a, b = e_step(component_cache(rows, post, prior), prior.nu_fixed)
+            r, a, b = one_class_e_step(rows, post, prior)
             assert np.allclose(r.sum(axis=1), 1.0, atol=1e-12)
             assert r.sum(axis=0).sum() == pytest.approx(rows.shape[0], abs=1e-8)
-            post = m_step(rows, r, a, b, prior)
+            post = one_class_m_step(rows, r, a, b, prior)
 
     def test_permutation_equivariance_at_convergence(self, rng):
         data = two_blob_dataset(seed=31, n_per_class=200, centers=((0, 0), (6, 6)))
@@ -609,15 +687,15 @@ class TestFit:
         tc = fit_ml_nu(data, prior, cfg, nu_bounds=(0.5, 50.0), coarse_points=5)
         for i, cm in enumerate(tc.classes):
             nu = float(cm.nu[0])
+            # fit_ml_nu fits each class alone, fit all of them in one batch
             direct = fit(data, replace(prior, nu_fixed=nu), cfg).classes[i]
-            assert cm.elbo_trace == direct.elbo_trace
-            assert cm.n_components == direct.n_components
             assert np.all(cm.nu == nu) and np.all(direct.nu == nu)
-            for key in ("alpha", "beta", "eta", "m", "W"):
-                assert np.array_equal(getattr(cm.components, key), getattr(direct.components, key))
+            assert_fits_agree(direct, cm)
 
     def test_one_factorisation_and_update_per_iteration(self, monkeypatch):
-        # what the benchmark's spans around these module attributes count
+        # what the benchmark's spans around these module attributes count: the
+        # classes train in lockstep, so each update runs once per iteration of
+        # the batch, whose length is that of the longest-running class
         calls = dict.fromkeys(
             ("e_step", "m_step", "elbo", "cholesky", "component_cache", "mahalanobis_sq_batch"),
             0,
@@ -633,13 +711,12 @@ class TestFit:
         data = two_blob_dataset(seed=21, n_per_class=150)
         prior = build_default_prior(data, nu_fixed=5.0, k_init=6)
         tc = fit(data, prior, VbConfig(seed=21))
-        iterations = sum(len(cm.elbo_trace) for cm in tc.classes)
-        fits = len(tc.classes)
+        iterations = max(len(cm.elbo_trace) for cm in tc.classes)
         assert sum(cm.n_pruned for cm in tc.classes) > 0  # the pruning path ran
+        assert len({len(cm.elbo_trace) for cm in tc.classes}) > 1  # a class left early
         assert calls["e_step"] == calls["elbo"] == iterations
-        assert calls["m_step"] == iterations + fits
-        assert calls["cholesky"] <= iterations + fits
-        assert calls["component_cache"] == iterations + fits
+        assert calls["m_step"] == calls["component_cache"] == iterations + 1
+        assert calls["cholesky"] == calls["component_cache"]
         assert calls["mahalanobis_sq_batch"] <= 2 * calls["component_cache"]
 
     def test_config_validation(self):
@@ -649,3 +726,162 @@ class TestFit:
             VbConfig(elbo_rel_tol=0.0)
         with pytest.raises(ValueError):
             VbConfig(prune_threshold=-1.0)
+
+
+def class_sizes_dataset(seed, sizes, spreads, d=2):
+    """Classes of the given sizes, each two sub-blobs ``3 * spread`` apart."""
+    rng = np.random.default_rng(seed)
+    feats, labels = [], []
+    for cid, (n, spread) in enumerate(zip(sizes, spreads), start=1):
+        side = np.where(rng.integers(0, 2, n) == 1, 1.5, -1.5)[:, None]
+        feats.append(4.0 * rng.standard_normal(d) + spread * side + rng.standard_normal((n, d)))
+        labels.append(np.full(n, cid))
+    ones = np.ones(sum(sizes), int)
+    return FeatureDataset(np.vstack(feats), np.concatenate(labels), ones, ones)
+
+
+def assert_fits_agree(got, want):
+    """A class fit in a batch against its fit alone: the same iterations, pruning
+    and convergence, bounds within 1e-12 relative, and each posterior array
+    within 1e-12 of its largest entry. Padding and masking change the order
+    in which numpy sums some terms, so equality is not bit for bit."""
+    assert len(got.elbo_trace) == len(want.elbo_trace)
+    assert (got.n_pruned, got.converged) == (want.n_pruned, want.converged)
+    assert np.allclose(got.elbo_trace, want.elbo_trace, rtol=1e-12, atol=0.0)
+    for key, expected in vars(want.components).items():
+        actual = getattr(got.components, key)
+        assert actual.shape == expected.shape, key
+        assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max(), key
+
+
+def assert_classes_match_their_fits_alone(tc, data, prior, config):
+    """Each class of a batched fit against the fit of that class alone (a batch of one)."""
+    for idx, cm in enumerate(tc.classes):
+        rows = data.features[data.labels == cm.class_id]
+        (alone,) = vb._fit_lockstep([rows], [cm.class_id], [[config.seed, idx]], prior, config)
+        assert_fits_agree(cm, alone)
+
+
+class TestLockstep:
+    """The classes of one fit train as a batch; each matches its fit alone."""
+
+    def test_unequal_class_sizes(self):
+        data = class_sizes_dataset(0, (40, 90, 25), (0.0, 2.0, 1.0))
+        prior = build_default_prior(data, nu_fixed=5.0, k_init=6)
+        config = VbConfig(seed=0)
+        assert_classes_match_their_fits_alone(fit(data, prior, config), data, prior, config)
+
+    def test_class_with_fewer_rows_than_initial_components(self):
+        data = class_sizes_dataset(0, (40, 90, 4), (0.0, 2.0, 1.0))
+        prior = build_default_prior(data, nu_fixed=5.0, k_init=6)
+        config = VbConfig(seed=0)
+        tc = fit(data, prior, config)
+        # the small class starts with 4 components, the others with 6
+        assert [cm.n_components + cm.n_pruned for cm in tc.classes] == [6, 6, 4]
+        assert_classes_match_their_fits_alone(tc, data, prior, config)
+
+    def test_classes_converging_far_apart(self):
+        data = class_sizes_dataset(3, (40, 90, 30), (0.0, 2.0, 1.0))
+        prior = build_default_prior(data, nu_fixed=5.0, k_init=6)
+        config = VbConfig(seed=3)
+        tc = fit(data, prior, config)
+        lengths = [len(cm.elbo_trace) for cm in tc.classes]
+        assert max(lengths) - min(lengths) >= 10
+        assert all(cm.converged for cm in tc.classes)
+        assert_classes_match_their_fits_alone(tc, data, prior, config)
+
+    def test_one_class_hits_the_cap_while_others_converge(self):
+        data = class_sizes_dataset(3, (40, 90, 30), (0.0, 2.0, 1.0))
+        prior = build_default_prior(data, nu_fixed=5.0, k_init=6)
+        lengths = sorted(len(cm.elbo_trace) for cm in fit(data, prior, VbConfig(seed=3)).classes)
+        config = VbConfig(seed=3, max_iters=lengths[-2] + 2)
+        tc = fit(data, prior, config)
+        assert [cm.converged for cm in tc.classes].count(False) == 1
+        assert max(len(cm.elbo_trace) for cm in tc.classes) == config.max_iters
+        assert_classes_match_their_fits_alone(tc, data, prior, config)
+
+    def test_training_log_matches_the_fits_alone(self):
+        data = class_sizes_dataset(3, (40, 90, 30), (0.0, 2.0, 1.0))
+        prior = build_default_prior(data, nu_fixed=5.0, k_init=6)
+        config = VbConfig(seed=3)
+        lines = []
+        fit(data, prior, config, log_sink=lines.append)
+        alone = []
+        for idx, cid in enumerate(data.class_ids):
+            rows = data.features[data.labels == cid]
+            vb._fit_lockstep([rows], [cid], [[3, idx]], prior, config, alone.append)
+        assert lines == alone
+
+
+    def test_padding_rows_carry_no_weight(self):
+        batch, _, prior, cache = two_class_state()
+        assert batch.n_rows.tolist() == [6, 4]
+        assert np.array_equal(batch.x[1, 4:], np.repeat(batch.x[1, :1], 2, axis=0))
+        r, _, _ = e_step(cache, prior.nu_fixed)
+        assert np.array_equal(r[1, 4:], np.zeros((2, 2)))
+        assert np.allclose(r[0].sum(axis=1), 1.0) and np.allclose(r[1, :4].sum(axis=1), 1.0)
+
+    def test_classes_are_batched_within_the_size_budget(self):
+        # B * n * k * d of a batch stays within vb._BATCH_NUMBERS (2**16)
+        blocks = [np.zeros((n, 8)) for n in (50, 50, 2000, 40, 30)]
+        assert vb._lockstep_groups(blocks, k_init=10) == [[0, 1], [2], [3, 4]]
+        assert vb._lockstep_groups(blocks, k_init=1) == [[0, 1, 2, 3], [4]]
+
+    def test_split_batches_match_one_batch(self, monkeypatch):
+        data = class_sizes_dataset(3, (40, 90, 30), (0.0, 2.0, 1.0))
+        prior = build_default_prior(data, nu_fixed=5.0, k_init=6)
+        config = VbConfig(seed=3)
+        one_lines, split_lines = [], []
+        one = fit(data, prior, config, log_sink=one_lines.append)
+        monkeypatch.setattr(vb, "_BATCH_NUMBERS", 1)  # every class trains alone
+        split = fit(data, prior, config, log_sink=split_lines.append)
+        assert split_lines == one_lines
+        for got, want in zip(split.classes, one.classes):
+            assert_fits_agree(got, want)
+
+
+def two_class_state(ids=(3, 7)):
+    """A batch of two classes (6 and 4 rows, so two padding rows) and its cache."""
+    rng = np.random.default_rng(5)
+    prior = simple_prior(d=2, k_init=2)
+    batch = ClassBatch.pad([rng.standard_normal((6, 2)), rng.standard_normal((4, 2))], ids)
+    r = np.full((2, 6, 2), 0.5) * batch.weight
+    a = np.full(r.shape, 2.0)
+    post = m_step(batch.x, r, a, a.copy(), prior)
+    live = np.ones((2, 2), dtype=bool)
+    return batch, post, prior, component_cache(batch, post, prior, live)
+
+
+class TestFailuresNameTheClass:
+    """A numerical failure names its class: the lowest id when several fail."""
+
+    @pytest.mark.parametrize("dead, message", [
+        ([(1, 2)], "class 7: every component vanished for row 2"),
+        ([(1, 1), (0, 4)], "class 3: every component vanished for row 4"),
+    ])
+    def test_dead_row(self, dead, message):
+        _, _, prior, cache = two_class_state()
+        d2 = cache.d2.copy()
+        for member_index, row in dead:
+            d2[member_index, row] = np.inf
+        with pytest.raises(NumericalFailure, match=f"^{message}$"):
+            e_step(replace(cache, d2=d2), prior.nu_fixed)
+
+    @pytest.mark.parametrize("bad, cid", [([1], 7), ([1, 0], 3)])
+    def test_non_finite_bound(self, bad, cid):
+        _, post, prior, cache = two_class_state()
+        r, a, b = e_step(cache, prior.nu_fixed)
+        b[bad] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericalFailure, match=f"^class {cid}: ELBO term 'log_likelihood' is not finite"
+        ):
+            elbo(r, a, b, post, cache, prior_terms(prior))
+
+    def test_scale_that_is_not_positive_definite(self):
+        batch, post, prior, cache = two_class_state()
+        w = post.W.copy()
+        w[1, 1] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(
+            NumericalFailure, match=r"^class 7: component 1 is not positive definite \(pivot 1\)$"
+        ):
+            component_cache(batch, replace(post, W=w), prior, cache.live)
