@@ -375,25 +375,16 @@ def cmd_evaluate(args):
     baseline = _load_baseline(args.baseline, participants) if args.baseline else None
     all_class_ids = data.class_ids
     n_classes = max(all_class_ids)
-    # every combination's training side is drawn and checked before any fit
-    runs = {}
+    # every combination's training side is checked for every class before
+    # any fit; subsampling keeps at least one row of each class
     for pid in participants:
         part = data.subset(data.participants == pid)
-        runs[pid] = []
-        for combo_idx, (plan, train_part, test_part) in enumerate(
-            split_by_trials(part, trials_train[pid])
-        ):
-            child_seed = int(
-                np.random.SeedSequence([args.seed, pid, combo_idx]).generate_state(1)[0]
-            )
-            if args.subsample < 1.0:
-                train_part = subsample(train_part, args.subsample, child_seed)
+        for combo_idx, (_, train_part, _) in enumerate(split_by_trials(part, trials_train[pid])):
             if sorted(train_part.class_ids) != all_class_ids:
                 raise DataFormatError(
                     f"participant {pid} combination {combo_idx}: training side is "
                     f"missing some class; more trials are needed"
                 )
-            runs[pid].append((plan, train_part, test_part, child_seed))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -402,9 +393,17 @@ def cmd_evaluate(args):
     per_participant = {}
     pooled_pred = []
     pooled_truth = []
-    for pid, combos in runs.items():
+    for pid in participants:
+        part = data.subset(data.participants == pid)
         accs = []
-        for combo_idx, (plan, train_part, test_part, child_seed) in enumerate(combos):
+        for combo_idx, (plan, train_part, test_part) in enumerate(
+            split_by_trials(part, trials_train[pid])
+        ):
+            child_seed = int(
+                np.random.SeedSequence([args.seed, pid, combo_idx]).generate_state(1)[0]
+            )
+            if args.subsample < 1.0:
+                train_part = subsample(train_part, args.subsample, child_seed)
             run_search = replace(search, seed=child_seed) if search else None
             start = time.perf_counter()
             classifier, nu, tune_s = _train_classifier(train_part, args, child_seed, run_search)

@@ -557,6 +557,24 @@ class TestPrune:
         assert np.array_equal(out[0], r[0, :, :2])
         assert np.array_equal(out[1], np.tile([1.0, 0.0], (4, 1)))
 
+    def test_cut_class_is_renormalised_as_if_alone(self, rng):
+        # member 0 loses its middle component while member 1 keeps all three,
+        # so member 0 is narrower than the batch; its survivors hold the same
+        # bits as when it is pruned alone, which is the plain column slice
+        r0 = rng.dirichlet(np.ones(3), size=6)
+        r0[:, 1] = 1e-9
+        r = np.stack([r0, rng.dirichlet(np.ones(3), size=6)])
+        b = rng.uniform(1.0, 4.0, r.shape)
+        live = np.ones((2, 3), dtype=bool)
+        out, _, b_out, kept = prune(r, np.full(r.shape, 2.5), b, live, threshold=1e-3)
+        alone, _, _, _ = prune(r[:1], np.full((1, 6, 3), 2.5), b[:1], live[:1], threshold=1e-3)
+        sliced = r0[:, [0, 2]]
+        assert np.array_equal(kept, [[True, True, False], [True, True, True]])
+        assert np.array_equal(out[0, :, :2], sliced / sliced.sum(axis=1, keepdims=True))
+        assert np.array_equal(out[0, :, :2], alone[0])
+        assert np.array_equal(out[0, :, 2], np.zeros(6))
+        assert np.array_equal(out[1], r[1]) and np.array_equal(b_out[1], b[1])
+
 
 class TestFit:
     def test_elbo_traces_non_decreasing(self):
@@ -687,10 +705,18 @@ class TestFit:
         tc = fit_ml_nu(data, prior, cfg, nu_bounds=(0.5, 50.0), coarse_points=5)
         for i, cm in enumerate(tc.classes):
             nu = float(cm.nu[0])
-            # fit_ml_nu fits each class alone, fit all of them in one batch
-            direct = fit(data, replace(prior, nu_fixed=nu), cfg).classes[i]
-            assert np.all(cm.nu == nu) and np.all(direct.nu == nu)
-            assert_fits_agree(direct, cm)
+            rows = data.features[data.labels == cm.class_id]
+            # fit_ml_nu keeps the fit of the class alone (a batch of one) at nu
+            (alone,) = vb._fit_lockstep(
+                [rows], [cm.class_id], [[cfg.seed, i]], replace(prior, nu_fixed=nu), cfg
+            )
+            assert cm.elbo_trace == alone.elbo_trace
+            assert cm.n_components == alone.n_components
+            assert np.all(cm.nu == nu) and np.all(alone.nu == nu)
+            for key in ("alpha", "beta", "eta", "m", "W"):
+                assert np.array_equal(getattr(cm.components, key), getattr(alone.components, key))
+            # fit trains all classes in one batch, which agrees up to the last bits
+            assert_fits_agree(fit(data, replace(prior, nu_fixed=nu), cfg).classes[i], cm)
 
     def test_one_factorisation_and_update_per_iteration(self, monkeypatch):
         # what the benchmark's spans around these module attributes count: the
@@ -811,7 +837,6 @@ class TestLockstep:
             rows = data.features[data.labels == cid]
             vb._fit_lockstep([rows], [cid], [[3, idx]], prior, config, alone.append)
         assert lines == alone
-
 
     def test_padding_rows_carry_no_weight(self):
         batch, _, prior, cache = two_class_state()
