@@ -13,7 +13,6 @@ metrics, and a command-line interface round out the package.
 from .data import (
     DataFormatError,
     FeatureDataset,
-    SplitPlan,
     generate_simulation,
     iter_csv,
     load_csv,

@@ -104,7 +104,7 @@ def _config_defaults(parser, path):
     return defaults
 
 
-# the values no fit can use: flag -> (test, requirement)
+# the values no command can use: flag -> (test, requirement)
 _RANGES = {
     "nu": (lambda v: v > 0 and math.isfinite(v), "positive and finite"),
     "k_init": (lambda v: v >= 1, "at least 1"),
@@ -112,6 +112,8 @@ _RANGES = {
     "max_iters": (lambda v: v >= 1, "at least 1"),
     "subsample": (lambda v: 0 < v <= 1, "in (0, 1]"),
     "trials_train": (lambda v: v >= 1, "at least 1"),
+    "seed": (lambda v: v >= 0, "at least 0"),
+    "grid_step": (lambda v: v > 0 and math.isfinite(v), "positive and finite"),
 }
 
 
@@ -396,7 +398,7 @@ def cmd_evaluate(args):
     for pid in participants:
         part = data.subset(data.participants == pid)
         accs = []
-        for combo_idx, (plan, train_part, test_part) in enumerate(
+        for combo_idx, (train_trials, train_part, test_part) in enumerate(
             split_by_trials(part, trials_train[pid])
         ):
             child_seed = int(
@@ -419,7 +421,7 @@ def cmd_evaluate(args):
                 (
                     pid,
                     combo_idx,
-                    ";".join(str(t) for t in sorted(plan.train_trials)),
+                    ";".join(map(str, train_trials)),
                     train_part.n_rows,
                     test_part.n_rows,
                     acc,
@@ -560,7 +562,9 @@ def build_parser():
         help="training subsample fraction (default %(default)s)",
     )
     add_training(p)
-    p.add_argument("--baseline", help="per-participant accuracy CSV for the superiority effect size")
+    p.add_argument(
+        "--baseline", help="per-participant accuracy CSV for the superiority effect size"
+    )
     p.set_defaults(func=cmd_evaluate)
     return parser
 

@@ -34,7 +34,6 @@ __all__ = [
     "DataFormatError",
     "FeatureDataset",
     "FormatWorkerError",
-    "SplitPlan",
     "format_rows",
     "generate_simulation",
     "iter_csv",
@@ -124,22 +123,6 @@ class FeatureDataset:
             trials=self.trials[mask],
             participants=self.participants[mask],
         )
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """Disjoint train/test trial id sets covering every trial in scope."""
-
-    train_trials: frozenset
-    test_trials: frozenset
-
-    def __post_init__(self):
-        train = frozenset(int(t) for t in self.train_trials)
-        test = frozenset(int(t) for t in self.test_trials)
-        if train & test:
-            raise ValueError(f"trial ids leak across the split: {sorted(train & test)}")
-        object.__setattr__(self, "train_trials", train)
-        object.__setattr__(self, "test_trials", test)
 
 
 SIMULATION_MEANS = ((2.5, 2.5), (5.0, 5.0))
@@ -424,13 +407,13 @@ def iter_csv(path, schema=None):
                 return
 
 
-def load_csv(path, schema=None):
-    """Read a dataset written in the canonical CSV form.
+def load_csv(path):
+    """Read a dataset written in the canonical CSV form, whole.
 
-    ``schema`` optionally pins the expected feature dimension. Errors name
-    the offending row and column; non-finite cells are rejected.
+    The feature dimension is the header's. Errors name the offending row
+    and column; non-finite cells are rejected.
     """
-    chunks = list(iter_csv(path, schema))
+    chunks = list(iter_csv(path))
     return FeatureDataset(
         features=np.concatenate([c.features for c in chunks]),
         labels=np.concatenate([c.labels for c in chunks]),
@@ -442,9 +425,10 @@ def load_csv(path, schema=None):
 def split_by_trials(dataset, s):
     """All train/test partitions using ``s`` of the distinct trials for training.
 
-    Returns one ``(plan, train, test)`` entry per size-``s`` combination of
-    trial ids, in lexicographic order of the sorted ids. No trial ever
-    appears on both sides.
+    Returns a list of one ``(train_trials, train, test)`` entry per
+    size-``s`` combination of trial ids, in lexicographic order of the
+    sorted ids; ``train_trials`` is that combination, a sorted tuple. The
+    test side holds every other trial, so no trial appears on both sides.
     """
     trial_ids = sorted(int(t) for t in np.unique(dataset.trials))
     t = len(trial_ids)
@@ -452,11 +436,8 @@ def split_by_trials(dataset, s):
         raise ValueError(f"need 0 < s < {t} distinct trials, got s = {s}")
     out = []
     for combo in itertools.combinations(trial_ids, s):
-        train_set = frozenset(combo)
-        test_set = frozenset(trial_ids) - train_set
-        plan = SplitPlan(train_trials=train_set, test_trials=test_set)
         mask = np.isin(dataset.trials, list(combo))
-        out.append((plan, dataset.subset(mask), dataset.subset(~mask)))
+        out.append((combo, dataset.subset(mask), dataset.subset(~mask)))
     return out
 
 

@@ -113,17 +113,11 @@ def conditional_entropy(nu, fold_classifier, validation):
     return float(scores[0]) if grid.ndim == 0 else scores
 
 
-def select_nu(
-    data,
-    prior,
-    cfg=None,
-    vb_config=None,
-    class_prior="uniform",
-    table_sink=None,
-):
+def select_nu(data, prior, cfg=None, vb_config=None, table_sink=None):
     """Degrees of freedom minimizing held-out conditional entropy.
 
-    For each fold, fits on the complement with the preset value, scans the
+    For each fold, fits on the complement with the preset value (uniform
+    class prior, as :func:`~scalemix.vb.fit` always trains), scans the
     grid on the held-out fold, and records the per-fold minimizer; the
     smallest minimizer across folds is returned (always a grid member).
     Deterministic for fixed seeds. ``table_sink``, when given, receives
@@ -144,7 +138,7 @@ def select_nu(
             raise ValueError(
                 f"fold {fold}: some class is absent from the training side"
             )
-        fold_model = fit(train_part, pre_prior, vb_config, class_prior=class_prior)
+        fold_model = fit(train_part, pre_prior, vb_config)
         scores = conditional_entropy(cfg.grid, fold_model, valid_part)
         best = int(np.argmin(scores))
         winners.append(float(cfg.grid[best]))

@@ -82,6 +82,12 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# a component whose effective count falls below this is pruned
+_PRUNE_THRESHOLD = 1e-3
+
+# fit_ml_nu's coarse grid of nu values, refined around its best point
+_ML_NU_GRID = np.geomspace(0.05, 1000.0, 25)
+
 
 def _log_multigamma(a, d):
     """log Gamma_d(a) elementwise, equal to ``scipy.special.multigammaln``.
@@ -113,7 +119,6 @@ class VbConfig:
 
     max_iters: int = 500
     elbo_rel_tol: float = 1e-6
-    prune_threshold: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
@@ -121,8 +126,6 @@ class VbConfig:
             raise ValueError("max_iters must be at least 1")
         if not self.elbo_rel_tol > 0:
             raise ValueError("elbo_rel_tol must be positive")
-        if not self.prune_threshold > 0:
-            raise ValueError("prune_threshold must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,7 +518,7 @@ def _fit_lockstep(blocks, class_ids, seeds, prior, config, sink=None):
     try:
         for iteration in range(1, config.max_iters + 1):
             r, a, b = e_step(cache, nu)
-            r, a, b, live = prune(r, a, b, cache.live, config.prune_threshold)
+            r, a, b, live = prune(r, a, b, cache.live, _PRUNE_THRESHOLD)
             post = m_step(cache.batch.x, r, a, b, prior)
             cache = component_cache(cache.batch, post, prior, live)
             bounds = elbo(r, a, b, post, cache, terms).tolist()
@@ -588,17 +591,7 @@ def _lockstep_groups(blocks, k_init):
     return groups
 
 
-def _class_log_prior(counts, mode):
-    counts = np.asarray(counts, dtype=float)
-    c = counts.shape[0]
-    if mode == "uniform":
-        return np.full(c, -math.log(c))
-    if mode == "empirical":
-        return np.log(counts / counts.sum())
-    raise ValueError(f"unknown class_prior mode {mode!r}")
-
-
-def _fit_classes(data, prior, config, class_prior, fit_all):
+def _fit_classes(data, prior, config, fit_all):
     """Fit every class with ``fit_all``, in class order; assemble the classifier.
 
     ``fit_all(blocks, class_ids, seeds)`` returns one :class:`ClassModel`
@@ -611,20 +604,21 @@ def _fit_classes(data, prior, config, class_prior, fit_all):
     classes = fit_all(blocks, class_ids, [[config.seed, idx] for idx in range(len(class_ids))])
     return TrainedClassifier(
         classes=tuple(classes),
-        class_log_prior=_class_log_prior([len(rows) for rows in blocks], class_prior),
+        class_log_prior=np.full(len(class_ids), -math.log(len(class_ids))),
         dim=data.dim,
         prior=prior,
     )
 
 
-def fit(data, prior, config=None, class_prior="uniform", log_sink=None):
+def fit(data, prior, config=None, log_sink=None):
     """Train one class model per distinct label and assemble a classifier.
 
     The classes train in lockstep, as one batch (see the module
-    docstring). Deterministic for a fixed ``config.seed``: each class draws
-    its initialization from an independent seeded stream. A class that
-    fails to converge within ``max_iters`` is returned with
-    ``converged=False`` rather than raising.
+    docstring), and the classifier's class prior is uniform.
+    Deterministic for a fixed ``config.seed``: each class draws its
+    initialization from an independent seeded stream. A class that fails
+    to converge within ``max_iters`` is returned with ``converged=False``
+    rather than raising.
 
     ``log_sink``, when given, receives one line per iteration per class
     (class id, iteration, bound, live component count), in class order,
@@ -646,35 +640,28 @@ def fit(data, prior, config=None, class_prior="uniform", log_sink=None):
             )
         ]
 
-    return _fit_classes(data, prior, config, class_prior, fit_all)
+    return _fit_classes(data, prior, config, fit_all)
 
 
-def fit_ml_nu(
-    data,
-    prior,
-    config=None,
-    class_prior="uniform",
-    nu_bounds=(0.05, 1000.0),
-    coarse_points=25,
-):
+def fit_ml_nu(data, prior, config=None):
     """Experimental mode: per-class degrees of freedom by likelihood search.
 
-    For each class, runs the variational fit across a logarithmic grid of
-    ``nu`` values and refines the best one with a bounded scalar search,
-    scoring each candidate by the converged evidence lower bound (the
-    variational stand-in for the log marginal likelihood). Selecting ``nu``
-    this way is known to hurt generalization relative to a shared value;
-    the mode exists to reproduce that comparison, not for production use.
-    Each class keeps the fit it scored best: its fit alone (a batch of
-    one) at that ``nu`` with the same seed, which :func:`fit` at that
-    ``nu`` matches up to the last bits (see the module docstring).
+    For each class, runs the variational fit at 25 logarithmically spaced
+    ``nu`` values on [0.05, 1000] and refines the best one with a bounded
+    scalar search between its neighbours, scoring each candidate by the
+    converged evidence lower bound (the variational stand-in for the log
+    marginal likelihood). Selecting ``nu`` this way is known to hurt
+    generalization relative to a shared value; the mode exists to
+    reproduce that comparison, not for production use. Each class keeps
+    the fit it scored best: its fit alone (a batch of one) at that ``nu``
+    with the same seed, which :func:`fit` at that ``nu`` matches up to the
+    last bits (see the module docstring). The class prior is uniform, as
+    in :func:`fit`.
     """
     # imported here: only this training mode needs scipy.optimize
     from scipy.optimize import minimize_scalar
 
     config = config or VbConfig()
-    lo, hi = nu_bounds
-    grid = np.geomspace(lo, hi, coarse_points)
 
     def best_fit_for(rows, cid, seed):
         fits = {}
@@ -687,25 +674,19 @@ def fit_ml_nu(
                 )[0]
             return fits[nu]
 
-        scores = [fit_at(nu).elbo_trace[-1] for nu in grid]
+        scores = [fit_at(nu).elbo_trace[-1] for nu in _ML_NU_GRID]
         j = int(np.argmax(scores))
-        left = grid[max(j - 1, 0)]
-        right = grid[min(j + 1, len(grid) - 1)]
-        if right > left:
-            res = minimize_scalar(
-                lambda t: -fit_at(math.exp(t)).elbo_trace[-1],
-                bounds=(math.log(left), math.log(right)),
-                method="bounded",
-                options={"xatol": 1e-3},
-            )
-            nu_best = math.exp(res.x)
-            if -res.fun < scores[j]:
-                nu_best = grid[j]
-        else:
-            nu_best = grid[j]
-        return fit_at(nu_best)
+        left = _ML_NU_GRID[max(j - 1, 0)]
+        right = _ML_NU_GRID[min(j + 1, len(_ML_NU_GRID) - 1)]
+        res = minimize_scalar(
+            lambda t: -fit_at(math.exp(t)).elbo_trace[-1],
+            bounds=(math.log(left), math.log(right)),
+            method="bounded",
+            options={"xatol": 1e-3},
+        )
+        return fit_at(_ML_NU_GRID[j] if -res.fun < scores[j] else math.exp(res.x))
 
     def fit_all(blocks, class_ids, seeds):
         return [best_fit_for(*args) for args in zip(blocks, class_ids, seeds)]
 
-    return _fit_classes(data, prior, config, class_prior, fit_all)
+    return _fit_classes(data, prior, config, fit_all)

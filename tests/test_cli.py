@@ -684,6 +684,22 @@ class TestEvaluate:
             seen.add(train_trials)
             assert len(train_trials.split(";")) == 2
 
+    def test_combinations_list_their_training_trials_in_order(self, tmp_path):
+        data_path = tmp_path / "proto.csv"
+        write_protocol_csv(data_path, participants=(1,), trials=4)
+        out = tmp_path / "ev"
+        assert (
+            main(
+                [
+                    "evaluate", "--data", str(data_path), "--nu", "5",
+                    "--out-dir", str(out), "--trials-train", "2",
+                ]
+            )
+            == EXIT_OK
+        )
+        combos = (out / "combinations.csv").read_text().splitlines()[1:]
+        assert ",".join(ln.split(",")[2] for ln in combos) == "1;2,1;3,1;4,2;3,2;4,3;4"
+
     def test_subsample_keeps_all_classes(self, tmp_path):
         data_path = tmp_path / "proto.csv"
         write_protocol_csv(data_path, participants=(1,), trials=4, n=40)
@@ -975,6 +991,7 @@ class TestUsage:
             ("train", "--alpha0", "inf"),
             ("train", "--alpha0", "nan"),
             ("train", "--max-iters", "0"),
+            ("train", "--seed", "-1"),
             ("evaluate", "--k-init", "-2"),
             ("evaluate", "--alpha0", "-0.5"),
             ("evaluate", "--max-iters", "0"),
@@ -984,6 +1001,7 @@ class TestUsage:
             ("evaluate", "--subsample", "nan"),
             ("evaluate", "--trials-train", "0"),
             ("evaluate", "--trials-train", "-1"),
+            ("evaluate", "--seed", "-1"),
         ],
     )
     def test_out_of_range_value_is_usage_error_before_reading_data(
@@ -996,6 +1014,27 @@ class TestUsage:
             argv += ["--model-out", str(out / "m.json")]
         else:
             argv += ["--out-dir", str(out)]
+        if source == "flag":
+            argv += [flag, value]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{flag[2:]} = {value}\n")
+            argv += ["--config", str(config)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and flag in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed", "-1"), ("--grid-step", "0"), ("--grid-step", "-0.5"), ("--grid-step", "nan")],
+    )
+    def test_simulate_out_of_range_value_is_usage_error_before_creating_output(
+        self, tmp_path, capsys, flag, value, source
+    ):
+        out = tmp_path / "sim"
+        argv = ["simulate", "--out-dir", str(out)]
         if source == "flag":
             argv += [flag, value]
         else:

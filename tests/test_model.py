@@ -188,6 +188,21 @@ class TestPersistence:
         assert np.array_equal(lab_a, lab_b)
         assert np.array_equal(lp_a, lp_b)  # bit-exact round trip
 
+    def test_non_uniform_class_prior_loads_and_predicts(self, tmp_path):
+        # training writes a uniform prior; a model file may hold any normalised one
+        classes = tuple(
+            one_component_class(2.0, 1.0, [0.0], [[1.0]], 3.0, 5.0, class_id=cid)
+            for cid in (1, 2)
+        )
+        prior = PriorHyperparameters(0.1, 1.0, [0.0], [[1.0]], 1.5, 5.0)
+        path = tmp_path / "model.json"
+        save_model(TrainedClassifier(classes, np.log([0.75, 0.25]), 1, prior), path)
+        back = load_model(path)
+        assert np.array_equal(back.class_log_prior, np.log([0.75, 0.25]))
+        log_post, _ = predict_batch(back, [[0.3]])
+        # identical classes: the posterior is the class prior
+        assert np.allclose(np.exp(log_post[0]), [0.75, 0.25], atol=1e-12)
+
     def test_dict_round_trip_preserves_parameters(self):
         data = two_blob_dataset(seed=4, n_per_class=60)
         prior = build_default_prior(data, nu_fixed=2.0)

@@ -670,7 +670,7 @@ class TestFit:
         tc = fit(data, prior, VbConfig(seed=0, max_iters=2))
         assert any(not cm.converged for cm in tc.classes)
 
-    def test_empirical_class_prior_option(self):
+    def test_class_prior_is_uniform_on_unbalanced_data(self):
         data = two_blob_dataset(seed=81, n_per_class=100)
         unbalanced = FeatureDataset(
             data.features[:150],
@@ -679,10 +679,8 @@ class TestFit:
             data.participants[:150],
         )  # 100 rows of class 1, 50 of class 2
         prior = build_default_prior(unbalanced, nu_fixed=5.0, k_init=1)
-        tc_uni = fit(unbalanced, prior, VbConfig(seed=0), class_prior="uniform")
-        tc_emp = fit(unbalanced, prior, VbConfig(seed=0), class_prior="empirical")
-        assert np.allclose(np.exp(tc_uni.class_log_prior), [0.5, 0.5])
-        assert np.allclose(np.exp(tc_emp.class_log_prior), [100 / 150, 50 / 150])
+        tc = fit(unbalanced, prior, VbConfig(seed=0))
+        assert np.allclose(np.exp(tc.class_log_prior), [0.5, 0.5])
 
     @pytest.mark.parametrize("nu", [1e-3, 0.3, 5.0, 200.0])
     def test_components_store_the_given_nu_exactly(self, nu):
@@ -702,7 +700,7 @@ class TestFit:
         data = two_blob_dataset(seed=91, n_per_class=60)
         prior = build_default_prior(data, nu_fixed=5.0, k_init=2)
         cfg = VbConfig(seed=4, max_iters=40)
-        tc = fit_ml_nu(data, prior, cfg, nu_bounds=(0.5, 50.0), coarse_points=5)
+        tc = fit_ml_nu(data, prior, cfg)
         for i, cm in enumerate(tc.classes):
             nu = float(cm.nu[0])
             rows = data.features[data.labels == cm.class_id]
@@ -750,8 +748,6 @@ class TestFit:
             VbConfig(max_iters=0)
         with pytest.raises(ValueError):
             VbConfig(elbo_rel_tol=0.0)
-        with pytest.raises(ValueError):
-            VbConfig(prune_threshold=-1.0)
 
 
 def class_sizes_dataset(seed, sizes, spreads, d=2):
