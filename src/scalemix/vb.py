@@ -15,19 +15,21 @@ convergence. Components whose effective count falls below a threshold are
 pruned, which a small Dirichlet concentration makes routine: redundant
 components starve and vanish, leaving the model to pick its own complexity.
 
-The classes of one :func:`fit` call train in lockstep, in batches of
-consecutive classes: each update runs once per iteration for a whole
-batch, and no update mixes two classes. Small classes all share one
-batch; a batch grows only while its padded arrays stay small, since
-past that the padded arithmetic costs more than lockstep saves in
-per-call overhead, and a large class trains alone. A
-:class:`ClassBatch` pads every class to the longest one with zero-weight
-rows, so the latent posteriors are ``(B, n, k)`` arrays and the
-parameter posteriors one :class:`~scalemix.model.Posteriors` stack with
-a leading class axis. A class starts with ``min(k_init, n)`` components,
-and a class's live components are always its first columns. Pruning
-moves a class's survivors to the front, in order, and the batch keeps as
-many columns as its widest class; the columns past a class's own are
+The classes of one :func:`fit_each` call, across all its training sets
+(set by set, in class order within each), train in lockstep, in batches
+of consecutive classes; :func:`fit` is the call with one set. Each
+update runs once per iteration for a whole batch, and no update mixes
+two classes. Small classes all share one batch; a batch grows only
+while its padded arrays stay small, since past that the padded
+arithmetic costs more than lockstep saves in per-call overhead, and a
+large class trains alone. A :class:`ClassBatch` pads every class to the
+longest one with zero-weight rows, so the latent posteriors are
+``(B, n, k)`` arrays and the parameter posteriors one
+:class:`~scalemix.model.Posteriors` stack with a leading class axis. A
+class starts with ``min(k_init, n)`` components, and a class's live
+components are always its first columns. Pruning moves a class's
+survivors to the front, in order, and the batch keeps as many columns
+as its widest class; the columns past a class's own are
 masked: they hold no responsibility, the parameter update leaves them at
 the prior and the bound skips them. A batch with no padding row or no
 masked column skips the padding or the masking.
@@ -77,6 +79,7 @@ __all__ = [
     "elbo",
     "prune",
     "fit",
+    "fit_each",
     "fit_ml_nu",
 ]
 
@@ -591,56 +594,74 @@ def _lockstep_groups(blocks, k_init):
     return groups
 
 
-def _fit_classes(data, prior, config, fit_all):
-    """Fit every class with ``fit_all``, in class order; assemble the classifier.
-
-    ``fit_all(blocks, class_ids, seeds)`` returns one :class:`ClassModel`
-    per class; ``seeds[i]`` is class ``i``'s own ``[config.seed, i]`` stream.
-    """
+def _class_blocks(data):
+    """The sorted class ids of ``data`` and each class's rows, in that order."""
     class_ids = sorted(int(v) for v in np.unique(data.labels))
     if not class_ids:
         raise ValueError("training data has no rows")
-    blocks = [data.features[data.labels == cid] for cid in class_ids]
-    classes = fit_all(blocks, class_ids, [[config.seed, idx] for idx in range(len(class_ids))])
+    return class_ids, [data.features[data.labels == cid] for cid in class_ids]
+
+
+def _classifier(data, prior, classes):
+    """The classifier of ``data``'s class models, with a uniform class prior."""
     return TrainedClassifier(
         classes=tuple(classes),
-        class_log_prior=np.full(len(class_ids), -math.log(len(class_ids))),
+        class_log_prior=np.full(len(classes), -math.log(len(classes))),
         dim=data.dim,
         prior=prior,
     )
 
 
+def fit_each(datasets, prior, config=None, log_sink=None):
+    """Train a classifier on each training set of ``datasets``; one per set, in order.
+
+    The class blocks of every set, in set order and then class order,
+    train in lockstep, in batches (see the module docstring), so the sets
+    share batches as the classes of one set do; no update mixes two
+    classes. Class ``i`` of every set draws its initialization from its
+    own ``[config.seed, i]`` stream, as in a :func:`fit` of that set
+    alone, and each classifier's class prior is uniform. A class that
+    fails to converge within ``max_iters`` is returned with
+    ``converged=False`` rather than raising.
+
+    ``log_sink``, when given, receives one line per iteration per class
+    (class id, iteration, bound, live component count), in block order,
+    as each batch finishes.
+    """
+    config = config or VbConfig()
+    sets = [_class_blocks(data) for data in datasets]
+    class_ids = [cid for ids, _ in sets for cid in ids]
+    blocks = [rows for _, set_blocks in sets for rows in set_blocks]
+    seeds = [[config.seed, i] for ids, _ in sets for i in range(len(ids))]
+    models = [
+        model
+        for group in _lockstep_groups(blocks, prior.k_init)
+        for model in _fit_lockstep(
+            [blocks[i] for i in group],
+            [class_ids[i] for i in group],
+            [seeds[i] for i in group],
+            prior,
+            config,
+            log_sink,
+        )
+    ]
+    classifiers, start = [], 0
+    for data, (ids, _) in zip(datasets, sets):
+        classifiers.append(_classifier(data, prior, models[start : start + len(ids)]))
+        start += len(ids)
+    return classifiers
+
+
 def fit(data, prior, config=None, log_sink=None):
     """Train one class model per distinct label and assemble a classifier.
 
-    The classes train in lockstep, as one batch (see the module
-    docstring), and the classifier's class prior is uniform.
-    Deterministic for a fixed ``config.seed``: each class draws its
-    initialization from an independent seeded stream. A class that fails
-    to converge within ``max_iters`` is returned with ``converged=False``
-    rather than raising.
-
-    ``log_sink``, when given, receives one line per iteration per class
-    (class id, iteration, bound, live component count), in class order,
-    once the batch has finished.
+    The same as ``fit_each([data], prior, config, log_sink)[0]``: the
+    classes train in lockstep (see the module docstring), each from its
+    own seeded stream, so the fit is deterministic for a fixed
+    ``config.seed``, and the class prior is uniform. ``log_sink`` receives
+    the iteration lines in class order.
     """
-    config = config or VbConfig()
-
-    def fit_all(blocks, class_ids, seeds):
-        return [
-            model
-            for group in _lockstep_groups(blocks, prior.k_init)
-            for model in _fit_lockstep(
-                [blocks[i] for i in group],
-                [class_ids[i] for i in group],
-                [seeds[i] for i in group],
-                prior,
-                config,
-                log_sink,
-            )
-        ]
-
-    return _fit_classes(data, prior, config, fit_all)
+    return fit_each([data], prior, config, log_sink)[0]
 
 
 def fit_ml_nu(data, prior, config=None):
@@ -686,7 +707,9 @@ def fit_ml_nu(data, prior, config=None):
         )
         return fit_at(_ML_NU_GRID[j] if -res.fun < scores[j] else math.exp(res.x))
 
-    def fit_all(blocks, class_ids, seeds):
-        return [best_fit_for(*args) for args in zip(blocks, class_ids, seeds)]
-
-    return _fit_classes(data, prior, config, fit_all)
+    class_ids, blocks = _class_blocks(data)
+    classes = [
+        best_fit_for(rows, cid, [config.seed, i])
+        for i, (rows, cid) in enumerate(zip(blocks, class_ids))
+    ]
+    return _classifier(data, prior, classes)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import scalemix.vb as vb
 from scalemix.data import FeatureDataset
 from scalemix.model import ClassModel, Posteriors
 
@@ -81,3 +82,17 @@ def two_blob_dataset(seed, n_per_class=200, centers=((0.0, 0.0), (4.0, 4.0)), sc
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def lockstep_batches(monkeypatch):
+    """The size of each batch that ``vb._fit_lockstep`` trains, in call order."""
+    sizes = []
+    original = vb._fit_lockstep
+
+    def counted(blocks, *args, **kwargs):
+        sizes.append(len(blocks))
+        return original(blocks, *args, **kwargs)
+
+    monkeypatch.setattr(vb, "_fit_lockstep", counted)
+    return sizes

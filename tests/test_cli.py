@@ -207,7 +207,7 @@ class TestTrain:
             raise AssertionError("a fit ran before the flags were checked")
 
         monkeypatch.setattr("scalemix.cli.fit", no_fit)
-        monkeypatch.setattr("scalemix.nu_select.fit", no_fit)
+        monkeypatch.setattr("scalemix.nu_select.fit_each", no_fit)
         code = main(
             ["train", "--data", str(train_csv), "--model-out", str(tmp_path / "m.json")]
             + flags

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from scalemix.nu_select import (
     stratified_folds,
 )
 from scalemix.predict import sample
-from scalemix.vb import VbConfig
+from scalemix.vb import VbConfig, fit
 
 from conftest import make_student_class
 
@@ -64,6 +65,18 @@ class TestStratifiedFolds:
         a = stratified_folds(labels, 4, seed=9)
         b = stratified_folds(labels, 4, seed=9)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n_folds", [2, 3, 4, 5])
+    def test_every_complement_holds_every_class(self, n_folds):
+        # one class per size r in [L, 3L]: a fold holds at most ceil(r / L) < r
+        # of a class's rows, so the other folds keep at least one
+        sizes = range(n_folds, 3 * n_folds + 1)
+        classes = list(range(1, len(sizes) + 1))
+        labels = np.repeat(classes, sizes)
+        for seed in range(3):
+            fold_of = stratified_folds(labels, n_folds, seed)
+            for fold in range(n_folds):
+                assert np.unique(labels[fold_of != fold]).tolist() == classes
 
 
 class TestConditionalEntropy:
@@ -170,16 +183,39 @@ class TestSelectNu:
         assert select_nu(data, prior, cfg, vb_config=VbConfig(seed=0)) == 3.7
 
     def test_table_sink_lines(self):
+        # the table equals per-fold fits scored one fold at a time, in fold order
         data = scale_mixture_dataset(nu=5.0, seed=50, n_per_class=60)
-        prior = build_default_prior(data, nu_fixed=200.0, k_init=1)
-        cfg = NuSearchConfig(folds=2, grid=np.array([1.0, 10.0]), seed=0)
+        prior = build_default_prior(data, nu_fixed=200.0, k_init=3)
+        cfg = NuSearchConfig(folds=3, grid=np.array([0.3, 1.0, 10.0, 100.0]), seed=0)
         lines = []
-        select_nu(data, prior, cfg, vb_config=VbConfig(seed=0), table_sink=lines.append)
+        nu_hat = select_nu(data, prior, cfg, vb_config=VbConfig(seed=0), table_sink=lines.append)
         assert lines[0] == "fold,nu,J"
-        assert len(lines) == 1 + 2 * 2  # header + folds x grid
-        for ln in lines[1:]:
-            fold, nu, j = ln.split(",")
-            assert float(j) >= 0.0
+        rows = [ln.split(",") for ln in lines[1:]]
+        fold_of = stratified_folds(data.labels, cfg.folds, cfg.seed)
+        pre_prior = replace(prior, nu_fixed=cfg.nu_pre)
+        want = []
+        for fold in range(cfg.folds):
+            model = fit(data.subset(fold_of != fold), pre_prior, VbConfig(seed=0))
+            scores = conditional_entropy(cfg.grid, model, data.subset(fold_of == fold))
+            want.extend((str(fold), repr(float(nu)), j) for nu, j in zip(cfg.grid, scores))
+        assert [tuple(row[:2]) for row in rows] == [w[:2] for w in want]
+        table = np.array([float(row[2]) for row in rows])
+        assert np.allclose(table, [w[2] for w in want], rtol=1e-12, atol=0.0)
+        assert np.all(table >= 0.0)
+        per_fold = table.reshape(cfg.folds, cfg.grid.size)
+        assert nu_hat == min(cfg.grid[np.argmin(per_fold, axis=1)])
+
+    def test_all_folds_fit_in_one_batch(self, lockstep_batches):
+        # 3 classes x 5 folds x 40 training rows, k_init 10, d = 8: the 15 class
+        # blocks hold 15 * 40 * 10 * 8 = 48000 numbers, within one batch's budget
+        rng = np.random.default_rng(6)
+        centres = 3.0 * rng.standard_normal((3, 8))
+        data = labeled(
+            np.repeat(centres, 50, axis=0) + rng.standard_normal((150, 8)), np.repeat([1, 2, 3], 50)
+        )
+        prior = build_default_prior(data, nu_fixed=200.0, k_init=10)
+        select_nu(data, prior, NuSearchConfig(folds=5, seed=0), vb_config=VbConfig(seed=0))
+        assert lockstep_batches == [15]
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -861,6 +861,41 @@ class TestLockstep:
             assert_fits_agree(got, want)
 
 
+class TestFitEach:
+    """The classes of several training sets train in shared batches."""
+
+    def test_fold_batch_matches_the_fits_alone(self, lockstep_batches):
+        data = class_sizes_dataset(3, (40, 90, 30), (0.0, 2.0, 1.0))
+        prior = build_default_prior(data, nu_fixed=5.0, k_init=6)
+        config = VbConfig(seed=3)
+        fold_of = np.arange(data.n_rows) % 3
+        sets = [data.subset(fold_of != fold) for fold in range(3)]
+        together = vb.fit_each(sets, prior, config)
+        assert lockstep_batches == [9]  # all three sets' classes in one batch
+        for got, part in zip(together, sets):
+            want = fit(part, prior, config)
+            assert got.class_ids == want.class_ids == [1, 2, 3]
+            assert np.array_equal(got.class_log_prior, want.class_log_prior)
+            for got_class, want_class in zip(got.classes, want.classes):
+                assert_fits_agree(got_class, want_class)
+
+    def test_fit_is_fit_each_of_one_set(self):
+        data = class_sizes_dataset(3, (40, 90, 30), (0.0, 2.0, 1.0))
+        prior = build_default_prior(data, nu_fixed=5.0, k_init=6)
+        config = VbConfig(seed=3)
+        fit_lines, each_lines = [], []
+        one = fit(data, prior, config, log_sink=fit_lines.append)
+        (each,) = vb.fit_each([data], prior, config, log_sink=each_lines.append)
+        assert fit_lines == each_lines
+        assert np.array_equal(one.class_log_prior, each.class_log_prior)
+        for a, b in zip(one.classes, each.classes, strict=True):
+            assert (a.class_id, a.n_pruned, a.converged) == (b.class_id, b.n_pruned, b.converged)
+            assert a.elbo_trace == b.elbo_trace and a.alpha_hat == b.alpha_hat
+            assert np.array_equal(a.nu, b.nu)
+            for key, value in vars(a.components).items():
+                assert np.array_equal(value, getattr(b.components, key)), key
+
+
 def two_class_state(ids=(3, 7)):
     """A batch of two classes (6 and 4 rows, so two padding rows) and its cache."""
     rng = np.random.default_rng(5)
