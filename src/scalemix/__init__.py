@@ -31,11 +31,8 @@ from .features import (
     SignalBlock,
     butter2_coeffs,
     butterworth2_lowpass,
-    first_order_coeffs,
-    first_order_lowpass,
     mav_window,
     pipeline_rect_smooth,
-    read_signal_csv,
     rectify,
 )
 from .metrics import (

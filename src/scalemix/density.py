@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# largest quadrature error estimate accepted, relative to the integral
+_QUAD_REL_TOL = 1e-8
 
 
 class QuadratureError(ArithmeticError):
@@ -98,7 +100,7 @@ def log_marginal_density(x, params):
     return float(log_t_kernel(d2, log_det(params._factor), params.dim, params.nu))
 
 
-def quadrature_marginal_density(x, params, rel_tol=1e-8):
+def quadrature_marginal_density(x, params):
     """Density at ``x`` by numerical integration over the latent scale.
 
     Integrates ``N(x | mu, u Sigma) IG(u | nu/2, nu/2)`` over ``u`` in
@@ -111,7 +113,7 @@ def quadrature_marginal_density(x, params, rel_tol=1e-8):
     ------
     QuadratureError
         If the integrator reports a failure or the error estimate exceeds
-        ``rel_tol`` relative to the result.
+        ``_QUAD_REL_TOL`` (1e-8) relative to the result.
     """
     # imported here: scipy.integrate pulls in scipy.stats, which the CLI never needs
     from scipy.integrate import quad
@@ -143,9 +145,9 @@ def quadrature_marginal_density(x, params, rel_tol=1e-8):
     )
     if not (np.isfinite(value) and value > 0.0):
         raise QuadratureError(f"quadrature returned non-positive value {value!r}")
-    if err_est > rel_tol * value:
+    if err_est > _QUAD_REL_TOL * value:
         raise QuadratureError(
-            f"quadrature error estimate {err_est:.3e} exceeds {rel_tol:.1e} "
+            f"quadrature error estimate {err_est:.3e} exceeds {_QUAD_REL_TOL:.1e} "
             f"relative to value {value:.6e}"
         )
     return math.exp(g_star) * value

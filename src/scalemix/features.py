@@ -4,10 +4,9 @@ mean absolute value.
 Multichannel signal blocks are filtered per channel with small IIR
 low-pass filters designed from the analog Butterworth prototype through
 the bilinear transform (cutoff prewarped). Filtering is causal and
-single-pass by default, matching a real-time envelope follower; a
-zero-phase forward-backward variant is available behind a flag. Filter
-state starts at the steady-state response of the first sample, which
-suppresses the startup transient on short records.
+single-pass, matching a real-time envelope follower. Filter state starts
+at the steady-state response of the first sample, which suppresses the
+startup transient on short records.
 """
 
 from dataclasses import dataclass
@@ -21,13 +20,10 @@ __all__ = [
     "SignalBlock",
     "FilterCoeffs",
     "butter2_coeffs",
-    "first_order_coeffs",
     "rectify",
     "butterworth2_lowpass",
-    "first_order_lowpass",
     "mav_window",
     "pipeline_rect_smooth",
-    "read_signal_csv",
 ]
 
 
@@ -46,13 +42,13 @@ class SignalBlock:
     participant: int = 1
 
     def __post_init__(self):
-        samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
+        samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2:
             raise ValueError("samples must be a (time, channels) matrix")
         if not np.all(np.isfinite(samples)):
             raise ValueError("samples must be finite")
-        if not self.fs > 0:
-            raise ValueError("sampling rate must be positive")
+        if not 0 < self.fs < math.inf:
+            raise ValueError("sampling rate must be positive and finite")
         labels = self.labels
         if labels is not None:
             labels = np.asarray(labels, dtype=int)
@@ -132,51 +128,23 @@ def butter2_coeffs(fc, fs):
     return FilterCoeffs(b=b, a=(1.0, a1, a2))
 
 
-def first_order_coeffs(fc, fs):
-    """Single-pole low-pass from the same bilinear construction.
-
-    Padded to biquad shape so the filtering path is uniform.
-    """
-    if not 0 < fc < fs / 2:
-        raise ValueError(f"cutoff must satisfy 0 < fc < fs/2, got fc={fc}, fs={fs}")
-    k = math.tan(math.pi * fc / fs)
-    a1 = (k - 1.0) / (k + 1.0)
-    a_sum = 1.0 + a1
-    return FilterCoeffs(b=(a_sum / 2.0, a_sum / 2.0, 0.0), a=(1.0, a1, 0.0))
-
-
 def rectify(block):
     """Elementwise absolute value; shape preserved, idempotent."""
     return block.with_samples(np.abs(block.samples))
 
 
-def _apply(coeffs, block, zero_phase):
+def butterworth2_lowpass(block, fc):
+    """Per-channel second-order Butterworth low-pass smoothing."""
+    coeffs = butter2_coeffs(fc, block.fs)
+    x = block.samples
+    if not x.shape[0]:
+        return block.with_samples(x)
     # imported here: scipy.signal pulls in scipy.stats, which the CLI never needs
     from scipy.signal import lfilter
 
-    x = block.samples
-    b = np.asarray(coeffs.b)
-    a = np.asarray(coeffs.a)
-    zi = np.outer(coeffs.steady_state(), x[0]) if x.shape[0] else None
-    if zi is None:
-        return block.with_samples(x)
-    y, _ = lfilter(b, a, x, axis=0, zi=zi)
-    if zero_phase:
-        y = y[::-1]
-        zi = np.outer(coeffs.steady_state(), y[0])
-        y, _ = lfilter(b, a, y, axis=0, zi=zi)
-        y = y[::-1]
+    zi = np.outer(coeffs.steady_state(), x[0])
+    y, _ = lfilter(coeffs.b, coeffs.a, x, axis=0, zi=zi)
     return block.with_samples(y)
-
-
-def butterworth2_lowpass(block, fc, zero_phase=False):
-    """Per-channel second-order Butterworth low-pass smoothing."""
-    return _apply(butter2_coeffs(fc, block.fs), block, zero_phase)
-
-
-def first_order_lowpass(block, fc, zero_phase=False):
-    """Per-channel single-pole low-pass smoothing."""
-    return _apply(first_order_coeffs(fc, block.fs), block, zero_phase)
 
 
 def _majority_label(values):
@@ -194,9 +162,11 @@ def mav_window(block, window_ms, step_ms):
     if block.labels is None:
         raise ValueError("mav_window needs per-sample labels")
     window = int(round(window_ms * block.fs / 1000.0))
-    step = max(1, int(round(step_ms * block.fs / 1000.0)))
+    step = int(round(step_ms * block.fs / 1000.0))
     if window < 1:
         raise ValueError(f"window of {window_ms} ms spans no samples at fs={block.fs}")
+    if step < 1:
+        raise ValueError(f"step of {step_ms} ms spans no samples at fs={block.fs}")
     t = block.n_samples
     if window > t:
         raise ValueError(f"window of {window} samples exceeds signal length {t}")
@@ -217,41 +187,14 @@ def mav_window(block, window_ms, step_ms):
     )
 
 
-def pipeline_rect_smooth(block, fc=2.0, zero_phase=False):
+def pipeline_rect_smooth(block, fc=2.0):
     """Rectify then low-pass; every sample becomes one feature row."""
     if block.labels is None:
         raise ValueError("pipeline_rect_smooth needs per-sample labels")
-    smooth = butterworth2_lowpass(rectify(block), fc, zero_phase=zero_phase)
+    smooth = butterworth2_lowpass(rectify(block), fc)
     return FeatureDataset(
         features=smooth.samples,
         labels=block.labels,
         trials=np.full(block.n_samples, block.trial),
         participants=np.full(block.n_samples, block.participant),
     )
-
-
-def read_signal_csv(path):
-    """Read raw-signal CSV (columns t, ch1..chD, label, trial) into blocks.
-
-    Rows are grouped by trial id; the sampling rate is inferred from the
-    median spacing of the time column within each block.
-    """
-    raw = np.genfromtxt(path, delimiter=",", names=True)
-    if raw.size == 0:
-        raise ValueError(f"{path}: no data rows")
-    names = list(raw.dtype.names)
-    if names[0] != "t" or "label" not in names or "trial" not in names:
-        raise ValueError(f"{path}: expected columns t, ch1..chD, label, trial")
-    channel_cols = [n for n in names if n.startswith("ch")]
-    blocks = []
-    trials = np.asarray(raw["trial"], dtype=int)
-    for trial in sorted(set(trials.tolist())):
-        rows = trials == trial
-        t = np.asarray(raw["t"][rows], dtype=float)
-        if t.shape[0] < 2:
-            raise ValueError(f"{path}: trial {trial} has fewer than 2 samples")
-        fs = 1.0 / float(np.median(np.diff(t)))
-        samples = np.column_stack([np.asarray(raw[c][rows], dtype=float) for c in channel_cols])
-        labels = np.asarray(raw["label"][rows], dtype=int)
-        blocks.append(SignalBlock(samples=samples, fs=fs, labels=labels, trial=trial))
-    return blocks

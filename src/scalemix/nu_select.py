@@ -90,14 +90,17 @@ def stratified_folds(labels, n_folds, seed):
     return fold_of
 
 
-def conditional_entropy(nu, fold_classifier, validation):
-    """Average negative log posterior of the true labels at candidate values.
+def conditional_entropy(nus, fold_classifier, validation):
+    """Average negative log posterior of the true labels, one per value of ``nus``.
 
-    ``nu`` is one value, which gives a float, or a 1-d grid, which gives
-    one score per value. Each candidate is swapped into every component's
-    predictive density; the fitted posteriors (and the expected scale they
-    induce) stay fixed. Nonnegative, zero only for a perfect classifier.
+    ``nus`` is a 1-d grid of candidate degrees of freedom. Each candidate
+    is swapped into every component's predictive density; the fitted
+    posteriors (and the expected scale they induce) stay fixed.
+    Nonnegative, zero only for a perfect classifier.
     """
+    grid = np.asarray(nus, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"nus must be a 1-d grid, got shape {grid.shape}")
     if validation.n_rows == 0:
         raise ValueError("validation fold is empty")
     col = {cid: i for i, cid in enumerate(fold_classifier.class_ids)}
@@ -106,16 +109,12 @@ def conditional_entropy(nu, fold_classifier, validation):
     except KeyError as exc:
         raise ValueError(f"validation label {exc} missing from the fold model") from None
     rows = np.arange(validation.n_rows)
-    grid = np.asarray(nu, dtype=float)
-    scores = np.array(
+    return np.array(
         [
             -log_post[idx, rows].mean()
-            for log_post in log_posteriors_over_nu(
-                fold_classifier, validation.features, grid.reshape(-1)
-            )
+            for log_post in log_posteriors_over_nu(fold_classifier, validation.features, grid)
         ]
     )
-    return float(scores[0]) if grid.ndim == 0 else scores
 
 
 def select_nu(data, prior, cfg=None, vb_config=None, table_sink=None):

@@ -86,7 +86,7 @@ class TestConditionalEntropy:
             np.array([[0.0, 0.0], [60.0, 60.0], [0.1, -0.1], [59.9, 60.1]]),
             [1, 2, 1, 2],
         )
-        j = conditional_entropy(100.0, tc, valid)
+        j = conditional_entropy([100.0], tc, valid)[0]
         assert 0.0 <= j < 1e-8
 
     def test_uniform_posterior_gives_log_c(self):
@@ -96,7 +96,7 @@ class TestConditionalEntropy:
         prior = PriorHyperparameters(0.001, 1.0, np.zeros(2), np.eye(2), 3.0, 5.0)
         tc = TrainedClassifier((cm1, cm2), np.full(2, -math.log(2.0)), 2, prior)
         valid = labeled(np.random.default_rng(0).standard_normal((40, 2)), [1, 2] * 20)
-        assert conditional_entropy(5.0, tc, valid) == pytest.approx(math.log(2.0), rel=1e-10)
+        assert conditional_entropy([5.0], tc, valid)[0] == pytest.approx(math.log(2.0), rel=1e-10)
 
     def test_matches_per_point_reference(self):
         # independent oracle: scipy's multivariate t at each component's
@@ -121,7 +121,7 @@ class TestConditionalEntropy:
         ) + tc.class_log_prior
         log_norm = logsumexp(logs, axis=1)
         total = -np.sum(logs[np.arange(25), lab - 1] - log_norm)
-        assert conditional_entropy(nu_try, tc, valid) == pytest.approx(
+        assert conditional_entropy([nu_try], tc, valid)[0] == pytest.approx(
             total / 25, rel=1e-10
         )
 
@@ -135,7 +135,7 @@ class TestConditionalEntropy:
         grid = default_nu_grid()
         scores = conditional_entropy(grid, tc, valid)
         assert scores.shape == grid.shape
-        singles = np.array([conditional_entropy(nu, tc, valid) for nu in grid])
+        singles = np.array([conditional_entropy([nu], tc, valid)[0] for nu in grid])
         assert np.array_equal(scores, singles)
 
     def test_empty_validation_rejected(self):
@@ -144,7 +144,14 @@ class TestConditionalEntropy:
             np.empty((0, 2)), np.empty(0, int), np.empty(0, int), np.empty(0, int)
         )
         with pytest.raises(ValueError):
-            conditional_entropy(1.0, tc, empty)
+            conditional_entropy([1.0], tc, empty)
+
+    def test_grid_must_be_one_dimensional(self):
+        tc = two_class_classifier(sep=3.0)
+        valid = labeled(np.zeros((2, 2)), [1, 2])
+        for nus in (5.0, [[1.0, 5.0]]):
+            with pytest.raises(ValueError, match="1-d"):
+                conditional_entropy(nus, tc, valid)
 
     def test_finite_at_grid_extremes_with_far_points(self):
         # log-space evaluation keeps the criterion finite even for extreme
@@ -152,7 +159,7 @@ class TestConditionalEntropy:
         tc = two_class_classifier(sep=3.0, nu=5.0)
         valid = labeled(np.array([[500.0, -400.0], [1.0, 1.0]]), [1, 2])
         for nu in (1e-3, 200.0):
-            j = conditional_entropy(nu, tc, valid)
+            j = conditional_entropy([nu], tc, valid)[0]
             assert np.isfinite(j) and j >= 0.0
 
 
