@@ -7,8 +7,8 @@ byte-reproducibility). Each setting is declared once, in
 ``key = value`` lines, keyed by the subcommand's own flag names, replaces
 those defaults; flags on the command line win over it.
 
-Exit codes: 0 success, 1 output-formatting worker failure, 2 usage error,
-3 data error, 4 numeric failure, 5 non-convergence.
+Exit codes: 0 success, 1 worker process failure, 2 usage error, 3 data
+error, 4 numeric failure, 5 non-convergence.
 """
 
 import argparse
@@ -23,12 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
+from . import data as _data
 from .data import (
     DataFormatError,
-    FormatWorkerError,
+    WorkerError,
     generate_simulation,
     iter_csv,
     load_csv,
+    map_in_workers,
     save_csv,
     split_by_trials,
     subsample,
@@ -356,6 +358,66 @@ def _load_baseline(path, participants):
     return out
 
 
+def _run_combination(train_part, test_features, args, seed, search):
+    """One combination of ``evaluate``: train, then label the test rows.
+
+    Returns ``(pred, tune_s, train_s, predict_s)``, the predicted labels and
+    the seconds spent tuning ν, training and predicting. It runs in a
+    worker process when the combinations are spread over several.
+    """
+    start = time.perf_counter()
+    classifier, _, tune_s = _train_classifier(train_part, args, seed, search)
+    train_s = time.perf_counter() - start - tune_s
+    start = time.perf_counter()
+    _, pred = predict_batch(classifier, test_features)
+    return pred, tune_s, train_s, time.perf_counter() - start
+
+
+def _combinations(data, trials_train, args, search):
+    """The jobs of ``evaluate``, each checked before any fit.
+
+    Returns ``(combos, jobs)``: per combination, ``(pid, combo_idx,
+    train_trials, n_train, test_labels)`` and the arguments of
+    :func:`_run_combination`, in participant then combination order.
+    Every training side, after ``--subsample`` (which keeps at least one
+    row of each class), must hold every class, and with ``--select-nu``
+    at least ``--folds`` rows of each.
+    """
+    all_class_ids = data.class_ids
+    combos, jobs = [], []
+    for pid in sorted(trials_train):
+        part = data.subset(data.participants == pid)
+        for combo_idx, (train_trials, train_part, test_part) in enumerate(
+            split_by_trials(part, trials_train[pid])
+        ):
+            where = f"participant {pid} combination {combo_idx}"
+            if train_part.class_ids != all_class_ids:
+                raise DataFormatError(
+                    f"{where}: training side is missing some class; more trials are needed"
+                )
+            child_seed = int(
+                np.random.SeedSequence([args.seed, pid, combo_idx]).generate_state(1)[0]
+            )
+            if args.subsample < 1.0:
+                train_part = subsample(train_part, args.subsample, child_seed)
+            run_search = None
+            if search is not None:
+                class_ids, counts = np.unique(train_part.labels, return_counts=True)
+                if counts.min() < search.folds:
+                    cid = int(class_ids[np.argmin(counts)])
+                    raise DataFormatError(
+                        f"{where}: class {cid} has {counts.min()} training rows, "
+                        f"fewer than {search.folds} folds"
+                    )
+                run_search = replace(search, seed=child_seed)
+            combos.append(
+                (pid, combo_idx, ";".join(map(str, train_trials)), train_part.n_rows,
+                 test_part.labels)
+            )
+            jobs.append((train_part, test_part.features, args, child_seed, run_search))
+    return combos, jobs
+
+
 def cmd_evaluate(args):
     if not args.data:
         raise UsageError("--data is required")
@@ -365,8 +427,8 @@ def cmd_evaluate(args):
     if data.n_rows == 0:
         raise DataFormatError(f"{args.data}: no rows")
     participants = sorted(int(v) for v in np.unique(data.participants))
-    # the split sizes and the baseline are checked before any fit and
-    # before anything is created
+    # the split sizes, the baseline and every training side are checked
+    # before any fit and before anything is created
     trials_train = {}
     for pid in participants:
         t_count = np.unique(data.trials[data.participants == pid]).size
@@ -375,68 +437,34 @@ def cmd_evaluate(args):
             raise DataFormatError(f"participant {pid}: cannot train on {s} of {t_count} trials")
         trials_train[pid] = s
     baseline = _load_baseline(args.baseline, participants) if args.baseline else None
-    all_class_ids = data.class_ids
-    n_classes = max(all_class_ids)
-    # every combination's training side is checked for every class before
-    # any fit; subsampling keeps at least one row of each class
-    for pid in participants:
-        part = data.subset(data.participants == pid)
-        for combo_idx, (_, train_part, _) in enumerate(split_by_trials(part, trials_train[pid])):
-            if sorted(train_part.class_ids) != all_class_ids:
-                raise DataFormatError(
-                    f"participant {pid} combination {combo_idx}: training side is "
-                    f"missing some class; more trials are needed"
-                )
+    n_classes = max(data.class_ids)
+    combos, jobs = _combinations(data, trials_train, args, search)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+
+    # each combination is an independent job, so they spread over one
+    # worker process per usable CPU; results come back in job order
+    workers = min(_data._format_workers(), len(jobs))
+    if workers < 2:
+        results = [_run_combination(*job) for job in jobs]
+    else:
+        results = list(map_in_workers(_run_combination, jobs, workers))
 
     combo_rows = []
     timing_rows = []
     per_participant = {}
     pooled_pred = []
     pooled_truth = []
-    for pid in participants:
-        part = data.subset(data.participants == pid)
-        accs = []
-        for combo_idx, (train_trials, train_part, test_part) in enumerate(
-            split_by_trials(part, trials_train[pid])
-        ):
-            child_seed = int(
-                np.random.SeedSequence([args.seed, pid, combo_idx]).generate_state(1)[0]
-            )
-            if args.subsample < 1.0:
-                train_part = subsample(train_part, args.subsample, child_seed)
-            run_search = replace(search, seed=child_seed) if search else None
-            start = time.perf_counter()
-            classifier, nu, tune_s = _train_classifier(train_part, args, child_seed, run_search)
-            train_s = time.perf_counter() - start - tune_s
-            start = time.perf_counter()
-            _, pred = predict_batch(classifier, test_part.features)
-            predict_s = time.perf_counter() - start
-            acc = accuracy(pred, test_part.labels)
-            accs.append(acc)
-            pooled_pred.append(pred)
-            pooled_truth.append(test_part.labels)
-            combo_rows.append(
-                (
-                    pid,
-                    combo_idx,
-                    ";".join(map(str, train_trials)),
-                    train_part.n_rows,
-                    test_part.n_rows,
-                    acc,
-                )
-            )
-            timing_rows.append(
-                (
-                    pid,
-                    combo_idx,
-                    tune_s,
-                    train_s,
-                    predict_s * 1e6 / max(test_part.n_rows, 1),
-                )
-            )
-        per_participant[pid] = np.asarray(accs)
+    for (pid, combo_idx, train_trials, n_train, truth), result in zip(combos, results):
+        pred, tune_s, train_s, predict_s = result
+        acc = accuracy(pred, truth)
+        per_participant.setdefault(pid, []).append(acc)
+        pooled_pred.append(pred)
+        pooled_truth.append(truth)
+        combo_rows.append((pid, combo_idx, train_trials, n_train, truth.shape[0], acc))
+        n_test = max(truth.shape[0], 1)
+        timing_rows.append((pid, combo_idx, tune_s, train_s, predict_s * 1e6 / n_test))
+    per_participant = {pid: np.asarray(accs) for pid, accs in per_participant.items()}
 
     def render(v):
         return repr(float(v)) if isinstance(v, float) else str(v)
@@ -494,7 +522,7 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
         p.add_argument(
             "--threads", type=int, default=1,
-            help="accepted for compatibility; training runs on one thread",
+            help="accepted for compatibility and ignored",
         )
 
     def add_out_dir(p):
@@ -596,7 +624,7 @@ def main(argv=None):
     except (NumericalFailure, NotPositiveDefiniteError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FormatWorkerError as exc:
+    except WorkerError as exc:
         print(f"worker failure: {exc}", file=sys.stderr)
         return EXIT_WORKER
     except ValueError as exc:

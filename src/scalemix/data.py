@@ -21,11 +21,15 @@ rows. ``write_chunks`` hands the slices of a long, chunked output (one
 whose first chunk is full) to forked worker processes, one per usable CPU,
 while the caller produces the next chunk, and writes their text in input
 order: the bytes are those ``write_rows`` gives, on any CPU count.
+``map_in_workers`` is that pool, for any jobs: ``evaluate`` runs its trial
+combinations through it too.
 """
 
 import itertools
 import os
+import sys
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +37,12 @@ import numpy as np
 __all__ = [
     "DataFormatError",
     "FeatureDataset",
-    "FormatWorkerError",
+    "WorkerError",
     "format_rows",
     "generate_simulation",
     "iter_csv",
     "load_csv",
+    "map_in_workers",
     "save_csv",
     "split_by_trials",
     "subsample",
@@ -205,15 +210,18 @@ def write_rows(fh, *blocks):
         fh.write(format_rows(*piece))
 
 
-class FormatWorkerError(RuntimeError):
-    """A worker process formatting output rows raised or died."""
+class WorkerError(RuntimeError):
+    """A worker process died, or a worker formatting output rows raised."""
 
 
 def _format_workers():
-    """Processes to format a long output in: one per usable CPU, where fork exists.
+    """Worker processes for a pool: one per usable CPU, where fork exists.
 
-    A forked worker starts with the package already imported; a spawned one
-    would import scipy again, which costs more than formatting a chunk.
+    Both pools take this count: ``write_chunks``, which formats a long
+    output, and ``evaluate``, which runs its trial combinations (at most
+    one worker per combination). A forked worker starts with the package
+    already imported; a spawned one would import scipy again, which costs
+    more than formatting a chunk or training a small combination.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -226,16 +234,67 @@ def _format_workers():
     return cpus if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
+def map_in_workers(fn, jobs, workers):
+    """``fn(*job)`` for each of ``jobs``, in order, from ``workers`` forked processes.
+
+    Jobs are taken from ``jobs`` as results are collected, at most two per
+    worker in flight, and each result is yielded in the order of its job.
+    An exception that ``jobs`` raises, or that ``fn`` raises in a worker, is
+    raised here as itself; of the workers' exceptions, the one of the
+    earliest job in that order. A worker that dies raises ``WorkerError``.
+    Either way the pending jobs are cancelled, and every worker has exited
+    once this generator finishes, raises or is closed.
+
+    A forked worker calls ``fn`` with the parent's modules as they were at
+    the fork, patched attributes included. ``fn`` may call BLAS: the test
+    ``test_blas_threads_survive_the_fork`` runs a pool after the parent has
+    started OpenBLAS's threads.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # a worker flushes the standard streams as it exits, so text buffered
+    # at the fork would be written once more by each worker
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pending = deque()
+
+    def oldest():
+        try:
+            return pending.popleft().result()
+        except BrokenProcessPool as exc:
+            raise WorkerError(f"a worker process died: {exc}") from exc
+
+    try:
+        for job in jobs:
+            pending.append(pool.submit(fn, *job))
+            if len(pending) == 2 * workers:
+                yield oldest()
+        while pending:
+            yield oldest()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _format_in_worker(*blocks):
+    """``format_rows`` for ``write_chunks``'s pool: a failure is a ``WorkerError``."""
+    try:
+        return format_rows(*blocks)
+    except Exception as exc:
+        raise WorkerError(f"formatting worker failed: {exc!r}") from None
+
+
 def write_chunks(fh, chunks):
     """Write each chunk, a sequence of column blocks, as ``write_rows`` does, in order.
 
     When the first chunk is full (``CHUNK_ROWS`` rows, so more may follow)
     and more than one worker is available, the slices of ``FORMAT_ROWS``
-    rows are formatted in forked worker processes while ``chunks`` yields
-    the next chunk, with at most two slices per worker in flight; the text
-    is the same. An exception from ``chunks`` cancels the pending slices,
-    and a worker that raises or dies raises ``FormatWorkerError``; every
-    worker has exited when this returns or raises.
+    rows are formatted by ``map_in_workers`` while ``chunks`` yields the
+    next chunk; the text is the same. An exception from ``chunks`` cancels
+    the pending slices, and a worker that raises or dies raises
+    ``WorkerError``; every worker has exited when this returns or raises.
     """
     chunks = iter(chunks)
     first = next(chunks, None)
@@ -247,31 +306,11 @@ def write_chunks(fh, chunks):
         for blocks in chunks:
             write_rows(fh, *blocks)
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork is safe here only because workers run nothing but format_rows:
-    # no BLAS call and no lock that another thread may hold at the fork
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    pending = deque()
-
-    def write_oldest():
-        try:
-            text = pending.popleft().result()
-        except Exception as exc:
-            raise FormatWorkerError(f"formatting worker failed: {exc!r}") from exc
-        fh.write(text)
-
-    try:
-        for blocks in chunks:
-            for piece in _row_slices(blocks):
-                pending.append(pool.submit(format_rows, *piece))
-                if len(pending) == 2 * workers:
-                    write_oldest()
-        while pending:
-            write_oldest()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    pieces = (piece for blocks in chunks for piece in _row_slices(blocks))
+    # closing: a failed write must not leave the pool to the garbage collector
+    with closing(map_in_workers(_format_in_worker, pieces, workers)) as texts:
+        for text in texts:
+            fh.write(text)
 
 
 def save_csv(dataset, path):

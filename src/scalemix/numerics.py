@@ -57,6 +57,11 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
         what = "matrix" if component is None else f"component {component}"
         super().__init__(f"{what} is not positive definite (pivot {pivot_index})")
 
+    def __reduce__(self):
+        # rebuilt from its attributes, not from its message, so that it
+        # survives the trip back from a worker process
+        return type(self), (self.pivot_index, self.component)
+
 
 class CholeskyFactor:
     """Lower-triangular factor ``L`` with ``L @ L.T`` equal to the source matrix.

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import scalemix
 from scalemix.cli import (
     EXIT_DATA,
     EXIT_NO_CONVERGENCE,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_WORKER,
@@ -21,21 +23,30 @@ from scalemix.cli import (
     build_parser,
     main,
 )
-from scalemix.data import CHUNK_ROWS, FORMAT_ROWS, FeatureDataset, format_rows, save_csv
+from scalemix.data import (
+    CHUNK_ROWS,
+    FORMAT_ROWS,
+    DataFormatError,
+    FeatureDataset,
+    format_rows,
+    save_csv,
+)
 from scalemix.model import load_model
+from scalemix.numerics import NotPositiveDefiniteError
 from scalemix.predict import predict_batch
+from scalemix.vb import NumericalFailure
 
 from conftest import two_blob_dataset
 
 
-def write_protocol_csv(path, seed=5, participants=(1, 2), trials=4, n=20):
+def write_protocol_csv(path, seed=5, participants=(1, 2), trials=4, n=20, spread=0.4):
     rng = np.random.default_rng(seed)
     centers = {1: (0.0, 0.0), 2: (8.0, 0.0), 3: (0.0, 8.0)}
     feats, labels, trial_col, part_col = [], [], [], []
     for pid in participants:
         for trial in range(1, trials + 1):
             for cid, ctr in centers.items():
-                feats.append(rng.standard_normal((n, 2)) * 0.4 + np.asarray(ctr))
+                feats.append(rng.standard_normal((n, 2)) * spread + np.asarray(ctr))
                 labels += [cid] * n
                 trial_col += [trial] * n
                 part_col += [pid] * n
@@ -860,6 +871,167 @@ class TestEvaluate:
             in capsys.readouterr().err
         )
         assert not out.exists()
+
+    def test_too_few_rows_for_the_folds_fails_before_any_fit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # 4 rows per class and trial: a training side of one trial cannot
+        # be dealt into the default 5 folds
+        data_path = tmp_path / "proto.csv"
+        write_protocol_csv(data_path, participants=(1,), trials=3, n=4)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before every training side was checked")
+
+        monkeypatch.setattr("scalemix.cli.fit", no_fit)
+        out = tmp_path / "ev"
+        code = main(["evaluate", "--data", str(data_path), "--select-nu", "--out-dir", str(out)])
+        assert code == EXIT_DATA
+        assert (
+            "participant 1 combination 0: class 1 has 4 training rows, fewer than 5 folds"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def evaluate_outputs(self, out, capsys):
+        """Every output of an evaluate run but timings.csv, then stdout and stderr."""
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "timings.csv"}
+        assert sorted(files) == [
+            "combinations.csv", "confusion.csv", "metrics.csv", "participants.csv", "report.txt",
+        ]
+        return files, capsys.readouterr()
+
+    def test_pooled_combinations_are_byte_identical_to_in_process(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # overlapping classes, so that each combination scores differently
+        data_path = tmp_path / "proto.csv"
+        write_protocol_csv(data_path, trials=3, spread=6.0)
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr("scalemix.data._format_workers", lambda: workers)
+            out = tmp_path / f"ev{workers}"
+            argv = ["evaluate", "--data", str(data_path), "--select-nu", "--out-dir", str(out)]
+            assert main(argv + ["--seed", "4"]) == EXIT_OK
+            assert multiprocessing.active_children() == []
+            outputs.append(self.evaluate_outputs(out, capsys))
+        assert outputs[0] == outputs[1]
+
+    def test_pool_has_at_most_one_worker_per_combination(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class SizedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr("scalemix.data._format_workers", lambda: 8)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SizedPool)
+        data_path = tmp_path / "proto.csv"
+        write_protocol_csv(data_path, participants=(1,), trials=3)
+        argv = ["evaluate", "--data", str(data_path), "--nu", "5"]
+        assert main(argv + ["--out-dir", str(tmp_path / "ev")]) == EXIT_OK
+        assert sizes == [3]
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_builds_no_pool(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built for one worker")
+
+        monkeypatch.setattr("scalemix.data._format_workers", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        data_path = tmp_path / "proto.csv"
+        write_protocol_csv(data_path, participants=(1,), trials=3)
+        out = tmp_path / "ev"
+        argv = ["evaluate", "--data", str(data_path), "--nu", "5", "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        assert len((out / "combinations.csv").read_text().splitlines()) == 1 + 3
+
+    @staticmethod
+    def failing_training(error):
+        """A ``_train_classifier`` that fails with ``error(trial)`` on every combination.
+
+        Each combination of a 3-trial participant trains on one trial. The
+        first one fails last, so the failure reported is the first in job
+        order, not the first in time. ``error`` None ends the worker process.
+        """
+
+        def train(data, *args, **kwargs):
+            (trial,) = np.unique(data.trials).tolist()
+            if trial == 1:
+                time.sleep(0.3)
+            if error is None:
+                os._exit(1)
+            raise error(trial)
+
+        return train
+
+    @pytest.mark.parametrize(
+        "error, code, message",
+        [
+            (
+                lambda t: NumericalFailure(f"class 2 diverged on trial {t}"),
+                EXIT_NUMERIC,
+                "numeric failure: class 2 diverged on trial 1\n",
+            ),
+            (
+                lambda t: NotPositiveDefiniteError(0, t),
+                EXIT_NUMERIC,
+                "numeric failure: component 1 is not positive definite (pivot 0)\n",
+            ),
+            (
+                lambda t: DataFormatError(f"no rows left in trial {t}"),
+                EXIT_DATA,
+                "data error: no rows left in trial 1\n",
+            ),
+        ],
+        ids=["numerical_failure", "not_positive_definite", "data_format"],
+    )
+    def test_failure_in_a_worker_exits_as_in_process(
+        self, tmp_path, capsys, monkeypatch, error, code, message
+    ):
+        data_path = tmp_path / "proto.csv"
+        write_protocol_csv(data_path, participants=(1,), trials=3)
+        monkeypatch.setattr("scalemix.cli._train_classifier", self.failing_training(error))
+        for workers in (1, 2):
+            monkeypatch.setattr("scalemix.data._format_workers", lambda: workers)
+            out = tmp_path / f"ev{workers}"
+            argv = ["evaluate", "--data", str(data_path), "--nu", "5", "--out-dir", str(out)]
+            assert main(argv) == code
+            assert capsys.readouterr() == ("", message)
+            assert multiprocessing.active_children() == []
+
+    def test_dead_worker_exits_with_worker_failure(self, tmp_path, capsys, monkeypatch):
+        data_path = tmp_path / "proto.csv"
+        write_protocol_csv(data_path, participants=(1,), trials=3)
+        monkeypatch.setattr("scalemix.cli._train_classifier", self.failing_training(None))
+        monkeypatch.setattr("scalemix.data._format_workers", lambda: 2)
+        argv = ["evaluate", "--data", str(data_path), "--nu", "5"]
+        assert main(argv + ["--out-dir", str(tmp_path / "ev")]) == EXIT_WORKER
+        assert capsys.readouterr().err.startswith("worker failure: a worker process died")
+        assert multiprocessing.active_children() == []
+
+    def test_blas_threads_survive_the_fork(self, tmp_path):
+        # the workers train, so they call BLAS; here the parent has just run
+        # a product large enough to set OpenBLAS's threads to work
+        data_path = tmp_path / "proto.csv"
+        write_protocol_csv(data_path, trials=3)
+        argv = ["evaluate", "--data", str(data_path), "--select-nu", "--out-dir", str(tmp_path)]
+        probe = (
+            "import sys, numpy as np, scalemix.cli, scalemix.data\n"
+            "a = np.random.default_rng(0).random((600, 600))\n"
+            "(a @ a).sum()\n"
+            "scalemix.data._format_workers = lambda: 2\n"
+            f"sys.exit(scalemix.cli.main({argv!r}))\n"
+        )
+        src = str(Path(scalemix.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+            env=dict(env, PYTHONPATH=src),
+        )
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert len((tmp_path / "combinations.csv").read_text().splitlines()) == 1 + 2 * 3
 
     def test_deterministic_artifacts_across_threads(self, tmp_path):
         data_path = tmp_path / "proto.csv"

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,6 +29,15 @@ class TestCholesky:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             cholesky([[1.0, 0.5], [0.2, 1.0]])
+
+    @pytest.mark.parametrize("component", [None, 2])
+    def test_error_survives_pickling(self, component):
+        # a worker process sends it back to the parent pickled
+        err = NotPositiveDefiniteError(3, component)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is NotPositiveDefiniteError
+        assert str(back) == str(err)
+        assert (back.pivot_index, back.component) == (3, component)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("pivot", [0, 1])
