@@ -15,8 +15,10 @@ The models of all L folds are fit in one pass, one
 the lockstep batches of the variational fit.
 
 The whole grid is scored from one whitening per fold: the validation
-points are whitened once per class, and each candidate value swaps only
-the normaliser of every component.
+points are whitened once per class, and every candidate value is then
+scored in one broadcast pass, a leading grid axis on the degrees of
+freedom and normalisers (:func:`~scalemix.predict.log_posteriors_over_nu`).
+Only the true class's log posterior is kept, one row per candidate.
 """
 
 import math
@@ -103,18 +105,17 @@ def conditional_entropy(nus, fold_classifier, validation):
         raise ValueError(f"nus must be a 1-d grid, got shape {grid.shape}")
     if validation.n_rows == 0:
         raise ValueError("validation fold is empty")
-    col = {cid: i for i, cid in enumerate(fold_classifier.class_ids)}
-    try:
-        idx = np.asarray([col[int(lbl)] for lbl in validation.labels])
-    except KeyError as exc:
-        raise ValueError(f"validation label {exc} missing from the fold model") from None
-    rows = np.arange(validation.n_rows)
-    return np.array(
-        [
-            -log_post[idx, rows].mean()
-            for log_post in log_posteriors_over_nu(fold_classifier, validation.features, grid)
-        ]
-    )
+    ids = np.asarray(fold_classifier.class_ids)
+    labels = np.asarray(validation.labels)
+    order = np.argsort(ids)
+    found = np.searchsorted(ids, labels, sorter=order)
+    columns = order[np.minimum(found, ids.size - 1)]
+    missing = ids[columns] != labels
+    if missing.any():
+        label = int(labels[np.argmax(missing)])
+        raise ValueError(f"validation label {label} missing from the fold model")
+    log_post = log_posteriors_over_nu(fold_classifier, validation.features, grid, columns)
+    return -log_post.mean(axis=1)
 
 
 def select_nu(data, prior, cfg=None, vb_config=None, table_sink=None):

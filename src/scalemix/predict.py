@@ -16,12 +16,13 @@ their inverse factors from one batched ``CholeskyFactor.inverse`` and the
 stacked whitening of every component), and batch prediction reuses it
 for every block of rows, which is what makes microsecond-scale
 per-record throughput possible. The degrees of freedom enter only
-through three small per-component arrays, so :meth:`_Mixture.with_nu`
-swaps them without refactorising, and :func:`log_posteriors_over_nu`
-scores a grid of values from one whitening of the points.
+through three small per-component arrays, so one log-density kernel,
+:meth:`_Mixture.log_density_d2`, serves both a classifier's own values
+and a grid of shared ones: :func:`log_posteriors_over_nu` whitens each
+block of points once per class and scores the whole grid on it in
+broadcast passes over a leading grid axis, without refactorising.
 """
 
-import copy
 import math
 from typing import NamedTuple
 
@@ -38,6 +39,11 @@ __all__ = [
     "prepare",
     "sample",
 ]
+
+# numbers in one (values, k, width) array of grid log densities, which sets
+# how many values log_posteriors_over_nu scores per pass; from an
+# in-process sweep
+_GRID_NUMBERS = 2**15
 
 
 class _Mixture:
@@ -83,20 +89,6 @@ class _Mixture:
         self.stacked_inv = f.inverse.reshape(-1, d)
         self.stacked_offset = (f.inverse @ self.means[:, :, None]).reshape(-1, 1)
 
-    def with_nu(self, nu):
-        """The same mixture with every component's degrees of freedom at ``nu``.
-
-        Shares the whitening arrays with ``self``; only ``nus``,
-        ``log_norms`` and ``half_exponents`` are recomputed, bit-identical
-        to a mixture built from components that carry ``nu``.
-        """
-        nu = float(nu)
-        out = copy.copy(self)
-        out.nus = np.full(self.n_components, nu)
-        out.log_norms = log_t_kernel(0.0, self.log_dets, self.dim, nu)
-        out.half_exponents = 0.5 * (out.nus + self.dim)
-        return out
-
     def whiten(self, pts_t):
         """Squared Mahalanobis distances ``(k, n)`` of points given as ``(dim, n)``."""
         y = self.stacked_inv @ pts_t
@@ -104,17 +96,28 @@ class _Mixture:
         y *= y
         return y.reshape(self.n_components, self.dim, pts_t.shape[1]).sum(axis=1)
 
-    def log_density_d2(self, d2):
-        """Log mixture density from the squared distances :meth:`whiten` gives."""
-        comp_log = np.log1p(d2 / self.nus[:, None])
-        comp_log *= -self.half_exponents[:, None]
-        comp_log += (self.log_w + self.log_norms)[:, None]
+    def log_density_d2(self, d2, grid=None):
+        """Log mixture density from the squared distances :meth:`whiten` gives.
+
+        ``d2`` is ``(k, n)``. With no ``grid`` each component takes its own
+        degrees of freedom and the result is ``(n,)``. A grid of ``G``
+        shared values (:func:`_grid_terms`) gives ``(G, n)``, row ``g``
+        bit-identical to a mixture built with ``nus[g]`` in every component.
+        """
+        if grid is None:
+            nus, half_exponents, log_norms = self.nus, self.half_exponents, self.log_norms
+        else:
+            nus, half_exponents, log_consts = grid
+            log_norms = log_consts - 0.5 * self.log_dets
+        comp_log = np.log1p(d2 / nus[..., None])
+        comp_log *= -half_exponents[..., None]
+        comp_log += (self.log_w + log_norms)[..., None]
         if self.n_components == 1:
-            return comp_log[0]
-        top = comp_log.max(axis=0)
-        comp_log -= top
+            return comp_log[..., 0, :]
+        top = comp_log.max(axis=-2)
+        comp_log -= top[..., None, :]
         np.exp(comp_log, out=comp_log)
-        total = comp_log.sum(axis=0)
+        total = comp_log.sum(axis=-2)
         np.log(total, out=total)
         total += top
         return total
@@ -164,15 +167,15 @@ def _column_blocks(pts):
 
 
 def _normalise(joint, class_log_prior):
-    """Class log posteriors, in place, from per-class log densities ``(c, n)``."""
+    """Class log posteriors, in place, from per-class log densities ``(..., c, n)``."""
     joint += class_log_prior[:, None]
-    top = joint.max(axis=0)
-    shifted = joint - top
+    top = joint.max(axis=-2)
+    shifted = joint - top[..., None, :]
     np.exp(shifted, out=shifted)
-    log_norm = shifted.sum(axis=0)
+    log_norm = shifted.sum(axis=-2)
     np.log(log_norm, out=log_norm)
     log_norm += top
-    joint -= log_norm
+    joint -= log_norm[..., None, :]
     return joint
 
 
@@ -197,28 +200,47 @@ def predict_batch(classifier, points):
     return np.ascontiguousarray(joint.T), labels
 
 
-def log_posteriors_over_nu(classifier, points, nus):
-    """Class log posteriors ``(c, n)`` at each shared degrees of freedom in turn.
+def _grid_terms(nus, dim):
+    """``(nus, half_exponents, log_consts)``, each ``(G, 1)``, for shared values.
 
-    The points are whitened once per class; each value of ``nus`` then
-    swaps only the normalisers (:meth:`_Mixture.with_nu`). Each yielded
-    array equals, bit for bit, the transposed posteriors
+    ``log_consts`` holds ``log_t_kernel(0, 0, dim, nu)``: less half a
+    component's log-determinant, it is bit for bit the normaliser
+    ``log_t_kernel(0, log_det, dim, nu)`` a mixture built at ``nu`` holds.
+    """
+    grid = np.asarray(nus, dtype=float).reshape(-1, 1)
+    log_consts = [log_t_kernel(0.0, 0.0, dim, nu) for nu in grid[:, 0].tolist()]
+    return grid, 0.5 * (grid + dim), np.array(log_consts).reshape(-1, 1)
+
+
+def log_posteriors_over_nu(classifier, points, nus, columns):
+    """Log posterior ``(G, n)`` of class column ``columns[i]`` at row ``i``, per value.
+
+    Row ``g`` takes ``nus[g]`` as every component's degrees of freedom and
+    equals, bit for bit, the same entries of the posteriors
     :func:`predict_batch` gives for the classifier with that value in
-    every component.
+    every component. The points are whitened once per class in the same
+    blocks as :func:`predict_batch`; each block is then scored for many
+    values at once, in broadcast passes whose ``(values, k, block width)``
+    arrays hold at most ``_GRID_NUMBERS`` numbers (one value at a time when
+    a block alone is larger).
     """
     prepared = prepare(classifier)
     pts = _as_points(points, prepared.dim)
-    blocks = [
-        (lo, hi, [mix.whiten(pts_t) for mix in prepared.mixtures])
-        for lo, hi, pts_t in _column_blocks(pts)
-    ]
-    for nu in nus:
-        mixes = [mix.with_nu(nu) for mix in prepared.mixtures]
-        joint = np.empty((len(mixes), pts.shape[0]))
-        for lo, hi, d2s in blocks:
-            for i, (mix, d2) in enumerate(zip(mixes, d2s)):
-                joint[i, lo:hi] = mix.log_density_d2(d2)
-        yield _normalise(joint, prepared.class_log_prior)
+    grid = _grid_terms(nus, prepared.dim)
+    out = np.empty((grid[0].shape[0], pts.shape[0]))
+    k_max = max(mix.n_components for mix in prepared.mixtures)
+    for lo, hi, pts_t in _column_blocks(pts):
+        d2s = [mix.whiten(pts_t) for mix in prepared.mixtures]
+        cols, at = columns[lo:hi], np.arange(hi - lo)
+        step = max(1, _GRID_NUMBERS // (k_max * (hi - lo)))
+        for g in range(0, out.shape[0], step):
+            part = tuple(terms[g : g + step] for terms in grid)
+            joint = np.empty((part[0].shape[0], len(d2s), hi - lo))
+            for i, (mix, d2) in enumerate(zip(prepared.mixtures, d2s)):
+                joint[:, i] = mix.log_density_d2(d2, part)
+            _normalise(joint, prepared.class_log_prior)
+            out[g : g + step, lo:hi] = joint[:, cols, at]
+    return out
 
 
 def sample(cm, n, seed):

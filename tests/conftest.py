@@ -56,10 +56,13 @@ def components_of(cm, index):
     )
 
 
-def mixture_log_density(mix, points):
-    """Log plug-in predictive of a prepared class mixture at each row of ``points``."""
+def mixture_log_density(mix, points, grid=None):
+    """Log plug-in predictive of a prepared class mixture at each row of ``points``.
+
+    ``grid``, from ``predict._grid_terms``, gives one row per shared value.
+    """
     pts_t = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)).T)
-    return mix.log_density_d2(mix.whiten(pts_t))
+    return mix.log_density_d2(mix.whiten(pts_t), grid)
 
 
 def two_blob_dataset(seed, n_per_class=200, centers=((0.0, 0.0), (4.0, 4.0)), scale=0.7):

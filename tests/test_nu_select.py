@@ -15,6 +15,7 @@ from scalemix.nu_select import (
     select_nu,
     stratified_folds,
 )
+import scalemix.predict as predict_module
 from scalemix.predict import sample
 from scalemix.vb import VbConfig, fit
 
@@ -137,6 +138,41 @@ class TestConditionalEntropy:
         assert scores.shape == grid.shape
         singles = np.array([conditional_entropy([nu], tc, valid)[0] for nu in grid])
         assert np.array_equal(scores, singles)
+
+    def test_grid_scores_over_many_passes_equal_single_value_calls(self, monkeypatch):
+        # seven values per pass over the full block, all 40 over the last one
+        monkeypatch.setattr(predict_module, "_GRID_NUMBERS", 7 * CHUNK_ROWS)
+        tc = two_class_classifier(sep=2.0, nu=4.0)
+        rng = np.random.default_rng(9)
+        n = CHUNK_ROWS + 3
+        valid = labeled(rng.standard_normal((n, 2)) * 2 + 1.0, rng.integers(1, 3, size=n))
+        grid = default_nu_grid()
+        scores = conditional_entropy(grid, tc, valid)
+        singles = np.array([conditional_entropy([nu], tc, valid)[0] for nu in grid])
+        assert np.array_equal(scores, singles)
+
+    def test_empty_grid_gives_no_scores(self):
+        tc = two_class_classifier(sep=3.0)
+        valid = labeled(np.zeros((2, 2)), [1, 2])
+        assert conditional_entropy([], tc, valid).shape == (0,)
+
+    def test_label_missing_from_fold_model_rejected(self):
+        tc = two_class_classifier(sep=3.0)
+        valid = labeled(np.zeros((3, 2)), [2, 3, 1])
+        with pytest.raises(ValueError, match="validation label 3 missing from the fold model"):
+            conditional_entropy([1.0], tc, valid)
+
+    def test_class_ids_need_not_be_sorted(self):
+        tc = two_class_classifier(sep=3.0)
+        swapped = replace(
+            tc, classes=tc.classes[::-1], class_log_prior=tc.class_log_prior[::-1]
+        )
+        rng = np.random.default_rng(3)
+        valid = labeled(rng.standard_normal((30, 2)) * 2, rng.integers(1, 3, size=30))
+        grid = default_nu_grid()
+        assert np.array_equal(
+            conditional_entropy(grid, swapped, valid), conditional_entropy(grid, tc, valid)
+        )
 
     def test_empty_validation_rejected(self):
         tc = two_class_classifier(sep=3.0)

@@ -12,8 +12,10 @@ from scalemix.model import (
     TrainedClassifier,
 )
 from scalemix.data import CHUNK_ROWS
+import scalemix.predict as predict_module
 from scalemix.predict import (
     _Mixture,
+    _grid_terms,
     log_posteriors_over_nu,
     predict_batch,
     prepare,
@@ -190,9 +192,33 @@ def random_spd(rng, d):
     return a @ a.T + d * np.eye(d)
 
 
-class TestWithNu:
-    @pytest.mark.parametrize("nu", [1e-3, 0.3, 5.0, 200.0])
-    def test_matches_mixture_built_at_that_nu(self, rng, nu):
+def at_shared_nu(tc, nu):
+    """``tc`` with ``nu`` in every component of every class."""
+    return replace(
+        tc, classes=tuple(replace(cm, nu=np.full(cm.n_components, nu)) for cm in tc.classes)
+    )
+
+
+def default_grid():
+    return np.geomspace(1e-3, 200.0, 40)
+
+
+def mixture_classes(rng, d, k, c):
+    """``c`` classes of ``k`` components each, every component at nu = 5."""
+    return [
+        make_mixture_class(
+            mus=rng.standard_normal((k, d)) * 2,
+            sigmas=[random_spd(rng, d) for _ in range(k)],
+            nus=[5.0] * k,
+            counts=list(1.0 + np.arange(k)),
+            class_id=i + 1,
+        )
+        for i in range(c)
+    ]
+
+
+class TestGridKernel:
+    def test_rows_match_mixtures_built_at_each_nu(self, rng):
         d = 8
         cm = make_mixture_class(
             mus=rng.standard_normal((3, d)),
@@ -200,27 +226,42 @@ class TestWithNu:
             nus=[2.0, 7.0, 40.0],
             counts=[1.0, 2.5, 0.5],
         )
-        at_nu = replace(cm, nu=np.full(3, nu))
+        nus = [1e-3, 0.3, 5.0, 200.0]
         pts = rng.standard_normal((300, d)) * 3
-        swapped = _Mixture(cm).with_nu(nu)
-        assert np.array_equal(
-            mixture_log_density(swapped, pts), mixture_log_density(_Mixture(at_nu), pts)
-        )
+        rows = mixture_log_density(_Mixture(cm), pts, _grid_terms(nus, d))
+        assert rows.shape == (len(nus), 300)
+        for nu, row in zip(nus, rows):
+            at_nu = replace(cm, nu=np.full(3, nu))
+            assert np.array_equal(row, mixture_log_density(_Mixture(at_nu), pts))
 
-    def test_shares_whitening_and_leaves_source_untouched(self, rng):
-        cm = make_mixture_class(
-            mus=[[0.0, 1.0], [2.0, -1.0]],
-            sigmas=[np.eye(2), random_spd(rng, 2)],
-            nus=[3.0, 3.0],
-            counts=[1.0, 1.0],
-        )
-        mix = _Mixture(cm)
-        before = mixture_log_density(mix, [[0.5, 0.5]])
-        swapped = mix.with_nu(50.0)
-        assert swapped.stacked_inv is mix.stacked_inv
-        assert swapped.log_dets is mix.log_dets
-        assert np.all(swapped.nus == 50.0)
-        assert np.array_equal(mixture_log_density(mix, [[0.5, 0.5]]), before)
+    def test_one_whitening_per_class_per_block_and_mixtures_untouched(self, rng, monkeypatch):
+        whitened = []
+        whiten = _Mixture.whiten
+
+        def recording_whiten(mix, pts_t):
+            whitened.append((mix, pts_t.shape[1]))
+            return whiten(mix, pts_t)
+
+        d = 3
+        prepared = prepare(uniform_classifier(mixture_classes(rng, d, 2, 3)))
+        pts = rng.standard_normal((CHUNK_ROWS + 5, d))
+        before = predict_batch(prepared, pts)[0]
+        slots = [
+            {name: getattr(mix, name) for name in _Mixture.__slots__}
+            for mix in prepared.mixtures
+        ]
+        copies = [{name: np.copy(value) for name, value in slot.items()} for slot in slots]
+        monkeypatch.setattr(_Mixture, "whiten", recording_whiten)
+        columns = rng.integers(0, 3, size=pts.shape[0])
+        log_posteriors_over_nu(prepared, pts, default_grid(), columns)
+        assert whitened == [(mix, CHUNK_ROWS) for mix in prepared.mixtures] + [
+            (mix, 5) for mix in prepared.mixtures
+        ]
+        for mix, slot, copied in zip(prepared.mixtures, slots, copies):
+            for name in _Mixture.__slots__:
+                assert getattr(mix, name) is slot[name]
+                assert np.array_equal(getattr(mix, name), copied[name])
+        assert np.array_equal(predict_batch(prepared, pts)[0], before)
 
 
 class TestMixtureBuild:
@@ -282,33 +323,47 @@ class TestLogPosteriorsOverNu:
             return whiten(mix, pts_t)
 
         monkeypatch.setattr(_Mixture, "whiten", recording_whiten)
-        d = 8
-        cms = [
-            make_mixture_class(
-                mus=rng.standard_normal((2, d)) * 2,
-                sigmas=[random_spd(rng, d) for _ in range(2)],
-                nus=[5.0, 5.0],
-                counts=[1.0, 2.0],
-                class_id=i + 1,
-            )
-            for i in range(3)
-        ]
-        tc = uniform_classifier(cms)
-        pts = rng.standard_normal((CHUNK_ROWS + 1, d)) * 3
+        tc = uniform_classifier(mixture_classes(rng, 8, 2, 3))
+        pts = rng.standard_normal((CHUNK_ROWS + 1, 8)) * 3
         nus = [1e-3, 0.3, 5.0, 200.0]
         predict_batch(tc, pts)
         batch_widths = list(widths)
         widths.clear()
-        grid = log_posteriors_over_nu(tc, pts, nus)
-        next(grid)  # every whitening happens before the first value is scored
+        columns = rng.integers(0, 3, size=pts.shape[0])
+        grid = log_posteriors_over_nu(tc, pts, nus, columns)
         assert widths == batch_widths == [CHUNK_ROWS] * 3 + [1] * 3
-        for nu, log_post in zip(nus, log_posteriors_over_nu(tc, pts, nus)):
-            at_nu = replace(
-                tc,
-                classes=tuple(replace(cm, nu=np.full(cm.n_components, nu)) for cm in tc.classes),
-            )
-            expected, _ = predict_batch(at_nu, pts)
-            assert np.array_equal(log_post, expected.T)
+        for nu, log_post in zip(nus, grid):
+            expected, _ = predict_batch(at_shared_nu(tc, nu), pts)
+            assert np.array_equal(log_post, expected[np.arange(pts.shape[0]), columns])
+
+    def test_empty_grid(self, rng):
+        tc = uniform_classifier(mixture_classes(rng, 2, 2, 2))
+        out = log_posteriors_over_nu(tc, np.zeros((7, 2)), [], np.zeros(7, int))
+        assert out.shape == (0, 7)
+
+    def test_single_component_classes_match_predict_batch(self, rng):
+        cms = [
+            make_student_class(rng.standard_normal(3) * 2, random_spd(rng, 3), 4.0, class_id=i + 1)
+            for i in range(3)
+        ]
+        tc = uniform_classifier(cms)
+        pts = rng.standard_normal((40, 3)) * 3
+        columns = rng.integers(0, 3, size=40)
+        nus = default_grid()
+        grid = log_posteriors_over_nu(tc, pts, nus, columns)
+        for nu, log_post in zip(nus, grid):
+            expected, _ = predict_batch(at_shared_nu(tc, nu), pts)
+            assert np.array_equal(log_post, expected[np.arange(40), columns])
+
+    @pytest.mark.parametrize("numbers", [1, 5000])
+    def test_values_per_pass_leave_every_bit(self, rng, monkeypatch, numbers):
+        # one value or four values per pass score what all 40 in one pass do
+        tc = uniform_classifier(mixture_classes(rng, 3, 4, 2))
+        pts = rng.standard_normal((301, 3)) * 3
+        columns = rng.integers(0, 2, size=301)
+        whole = log_posteriors_over_nu(tc, pts, default_grid(), columns)
+        monkeypatch.setattr(predict_module, "_GRID_NUMBERS", numbers)
+        assert np.array_equal(log_posteriors_over_nu(tc, pts, default_grid(), columns), whole)
 
 
 class TestPrepare:
