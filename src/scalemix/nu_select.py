@@ -15,8 +15,8 @@ The models of all L folds are fit in one pass, one
 the lockstep batches of the variational fit.
 
 The whole grid is scored from one whitening per fold: the validation
-points are whitened once per class, and every candidate value is then
-scored in one broadcast pass, a leading grid axis on the degrees of
+points are whitened once per class, and the candidates are then scored
+together in broadcast passes, a leading grid axis on the degrees of
 freedom and normalisers (:func:`~scalemix.predict.log_posteriors_over_nu`).
 Only the true class's log posterior is kept, one row per candidate.
 """
