@@ -88,7 +88,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # a component whose effective count falls below this is pruned
 _PRUNE_THRESHOLD = 1e-3
 
-# fit_ml_nu's coarse grid of nu values, refined around its best point
+# fit_ml_nu's grid of nu values; each class keeps its fit at the best one
 _ML_NU_GRID = np.geomspace(0.05, 1000.0, 25)
 
 
@@ -667,49 +667,17 @@ def fit(data, prior, config=None, log_sink=None):
 def fit_ml_nu(data, prior, config=None):
     """Experimental mode: per-class degrees of freedom by likelihood search.
 
-    For each class, runs the variational fit at 25 logarithmically spaced
-    ``nu`` values on [0.05, 1000] and refines the best one with a bounded
-    scalar search between its neighbours, scoring each candidate by the
-    converged evidence lower bound (the variational stand-in for the log
-    marginal likelihood). Selecting ``nu`` this way is known to hurt
-    generalization relative to a shared value; the mode exists to
-    reproduce that comparison, not for production use. Each class keeps
-    the fit it scored best: its fit alone (a batch of one) at that ``nu``
-    with the same seed, which :func:`fit` at that ``nu`` matches up to the
-    last bits (see the module docstring). The class prior is uniform, as
-    in :func:`fit`.
+    Runs :func:`fit` at each of 25 logarithmically spaced ``nu`` values on
+    [0.05, 1000], so all classes at one ``nu`` train in one lockstep batch,
+    and gives each class the fit whose final evidence lower bound (the
+    variational stand-in for the log marginal likelihood) is highest
+    across the grid; a tie goes to the smaller ``nu``. Each kept class model
+    is that of ``fit(data, replace(prior, nu_fixed=nu), config)`` at the
+    class's chosen ``nu``, bit for bit. Selecting ``nu`` this way is known
+    to hurt generalization relative to a shared value; the mode exists to
+    reproduce that comparison, not for production use. The class prior is
+    uniform, as in :func:`fit`.
     """
-    # imported here: only this training mode needs scipy.optimize
-    from scipy.optimize import minimize_scalar
-
-    config = config or VbConfig()
-
-    def best_fit_for(rows, cid, seed):
-        fits = {}
-
-        def fit_at(nu):
-            nu = float(nu)
-            if nu not in fits:
-                fits[nu] = _fit_lockstep(
-                    [rows], [cid], [seed], replace(prior, nu_fixed=nu), config
-                )[0]
-            return fits[nu]
-
-        scores = [fit_at(nu).elbo_trace[-1] for nu in _ML_NU_GRID]
-        j = int(np.argmax(scores))
-        left = _ML_NU_GRID[max(j - 1, 0)]
-        right = _ML_NU_GRID[min(j + 1, len(_ML_NU_GRID) - 1)]
-        res = minimize_scalar(
-            lambda t: -fit_at(math.exp(t)).elbo_trace[-1],
-            bounds=(math.log(left), math.log(right)),
-            method="bounded",
-            options={"xatol": 1e-3},
-        )
-        return fit_at(_ML_NU_GRID[j] if -res.fun < scores[j] else math.exp(res.x))
-
-    class_ids, blocks = _class_blocks(data)
-    classes = [
-        best_fit_for(rows, cid, [config.seed, i])
-        for i, (rows, cid) in enumerate(zip(blocks, class_ids))
-    ]
+    grid = [fit(data, replace(prior, nu_fixed=float(nu)), config).classes for nu in _ML_NU_GRID]
+    classes = [max(fits, key=lambda cm: cm.elbo_trace[-1]) for fits in zip(*grid)]
     return _classifier(data, prior, classes)

@@ -1153,6 +1153,20 @@ class TestUsage:
         )
         assert done.stdout.strip() == "[]"
 
+    def test_simulate_skips_scipy_optimize(self, tmp_path):
+        # fit_ml_nu picks each class's nu from a grid of fits, with no scalar search
+        argv = ["simulate", "--out-dir", str(tmp_path), "--grid-step", "0.5"]
+        probe = (
+            f"import sys, scalemix.cli; code = scalemix.cli.main({argv!r}); "
+            "print(code, 'scipy.optimize' in sys.modules)"
+        )
+        src = str(Path(scalemix.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(
         "command, flag, value",
