@@ -12,12 +12,12 @@ error, 4 numeric failure, 5 non-convergence.
 """
 
 import argparse
-import itertools
 import math
 import os
 import sys
 import time
 import warnings
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,16 +25,16 @@ import numpy as np
 
 from . import data as _data
 from .data import (
+    FORMAT_ROWS,
     DataFormatError,
     WorkerError,
+    format_rows,
     generate_simulation,
-    iter_csv,
     load_csv,
     map_in_workers,
     save_csv,
     split_by_trials,
     subsample,
-    write_chunks,
     write_rows,
 )
 from .metrics import (
@@ -281,37 +281,36 @@ def cmd_predict(args):
         raise UsageError("--model and --data are required")
     # a model that cannot predict fails here, before --data is read
     prepared = prepare(load_model(args.model))
-    chunks = iter_csv(args.data, schema=prepared.dim)
-    # the header and the first chunk are checked before anything is created
-    first = next(chunks)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     header = (
         [f"f{i + 1}" for i in range(prepared.dim)]
         + ["label", "trial", "participant", "pred_label"]
         + [f"log_posterior_{cid}" for cid in prepared.class_ids.tolist()]
     )
-    # rows go to a temporary file that replaces predictions.csv only once
-    # every row is written, so a bad row or a failed worker leaves no
-    # partial output
-    partial = out / f".predictions.csv.{os.getpid()}.tmp"
-
-    def classified():
-        for chunk in itertools.chain([first], chunks):
-            if chunk.n_rows:
-                log_post, labels = predict_batch(prepared, chunk.features)
-                row_ids = np.column_stack(
-                    [chunk.labels, chunk.trials, chunk.participants, labels]
-                )
-                yield chunk.features, row_ids, log_post
-
-    try:
-        with open(partial, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            write_chunks(fh, classified())
-        os.replace(partial, out / "predictions.csv")
-    finally:
-        partial.unlink(missing_ok=True)
+    with open(args.data, encoding="utf-8") as fh:
+        names = _data._read_header(fh, args.data, prepared.dim)
+        jobs = (
+            (lines, lineno, args.data, names, prepared)
+            for lines, lineno in _data._line_slices(fh, FORMAT_ROWS, 2)
+        )
+        # the header and the first slice are checked before anything is created
+        first = _predict_slice(*next(jobs))
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        # rows go to a temporary file that replaces predictions.csv only once
+        # every row is written, so a bad row or a failed worker leaves no
+        # partial output
+        partial = out / f".predictions.csv.{os.getpid()}.tmp"
+        try:
+            # closing: a failed write must not leave a pool to the garbage collector
+            with open(partial, "w", encoding="utf-8") as dest, closing(
+                map_in_workers(_predict_slice, jobs)
+            ) as texts:
+                dest.write(",".join(header) + "\n" + first)
+                for text in texts:
+                    dest.write(text)
+            os.replace(partial, out / "predictions.csv")
+        finally:
+            partial.unlink(missing_ok=True)
     return EXIT_OK
 
 
@@ -371,6 +370,19 @@ def _run_combination(train_part, test_features, args, seed, search):
     start = time.perf_counter()
     _, pred = predict_batch(classifier, test_features)
     return pred, tune_s, train_s, time.perf_counter() - start
+
+
+def _predict_slice(lines, first_lineno, path, names, prepared):
+    """``predict``'s output rows for one slice of input lines, as text.
+
+    ``lines`` are the physical lines of ``path`` numbered from
+    ``first_lineno``, with feature columns ``names``; they are parsed,
+    classified by ``prepared`` and formatted. The first slice runs in the
+    main process, the others through :func:`map_in_workers`.
+    """
+    feats, ids = _data._parse_chunk(lines, first_lineno, path, names)
+    log_post, labels = predict_batch(prepared, feats)
+    return format_rows(feats, np.column_stack([ids, labels]), log_post)
 
 
 def _combinations(data, trials_train, args, search):
@@ -444,11 +456,7 @@ def cmd_evaluate(args):
 
     # each combination is an independent job, so they spread over one
     # worker process per usable CPU; results come back in job order
-    workers = min(_data._format_workers(), len(jobs))
-    if workers < 2:
-        results = [_run_combination(*job) for job in jobs]
-    else:
-        results = list(map_in_workers(_run_combination, jobs, workers))
+    results = list(map_in_workers(_run_combination, jobs))
 
     combo_rows = []
     timing_rows = []

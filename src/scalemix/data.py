@@ -17,19 +17,16 @@ row by row, and the first bad cell is reported by physical line number and
 column name.
 
 Rows are written by one rule, ``format_rows``, in slices of ``FORMAT_ROWS``
-rows. ``write_chunks`` hands the slices of a long, chunked output (one
-whose first chunk is full) to forked worker processes, one per usable CPU,
-while the caller produces the next chunk, and writes their text in input
-order: the bytes are those ``write_rows`` gives, on any CPU count.
-``map_in_workers`` is that pool, for any jobs: ``evaluate`` runs its trial
-combinations through it too.
+rows. ``map_in_workers`` runs independent jobs, in process or in forked
+worker processes, one per usable CPU, and yields their results in job
+order: ``predict`` parses, classifies and formats each slice of its input
+there, and ``evaluate`` runs its trial combinations.
 """
 
 import itertools
 import os
 import sys
 from collections import deque
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,17 +43,17 @@ __all__ = [
     "save_csv",
     "split_by_trials",
     "subsample",
-    "write_chunks",
     "write_rows",
 ]
 
-# rows per chunk of CSV input; also the row block of batch prediction, so
-# a chunk-by-chunk predict runs the same matrix products as a whole-file one
+# rows per chunk of CSV input read by iter_csv; also the widest row block
+# of batch prediction
 CHUNK_ROWS = 16384
 
-# rows per formatting call; the text of one call and the floats of its
-# tolist() stay small, which also keeps a worker's reply through the pipe
-# from leaving large buffers behind in the caller
+# rows per formatting call, and per slice of predict's input; the text of
+# one call and the floats of its tolist() stay small, which also keeps a
+# worker's reply through the pipe from leaving large buffers behind in
+# the caller
 FORMAT_ROWS = 1024
 
 _ID_COLUMNS = ("label", "trial", "participant")
@@ -198,30 +195,22 @@ def format_rows(*blocks):
     return "".join(",".join(map(repr, itertools.chain(*row))) + "\n" for row in rows)
 
 
-def _row_slices(blocks):
-    """The column blocks cut into consecutive slices of ``FORMAT_ROWS`` rows."""
-    for start in range(0, blocks[0].shape[0], FORMAT_ROWS):
-        yield [block[start : start + FORMAT_ROWS] for block in blocks]
-
-
 def write_rows(fh, *blocks):
     """Write column blocks as ``format_rows`` text, ``FORMAT_ROWS`` rows at a time."""
-    for piece in _row_slices(blocks):
-        fh.write(format_rows(*piece))
+    for start in range(0, blocks[0].shape[0], FORMAT_ROWS):
+        fh.write(format_rows(*(block[start : start + FORMAT_ROWS] for block in blocks)))
 
 
 class WorkerError(RuntimeError):
-    """A worker process died, or a worker formatting output rows raised."""
+    """A worker process died."""
 
 
 def _format_workers():
-    """Worker processes for a pool: one per usable CPU, where fork exists.
+    """Usable CPUs for ``map_in_workers``'s pool; 1 where fork is missing.
 
-    Both pools take this count: ``write_chunks``, which formats a long
-    output, and ``evaluate``, which runs its trial combinations (at most
-    one worker per combination). A forked worker starts with the package
-    already imported; a spawned one would import scipy again, which costs
-    more than formatting a chunk or training a small combination.
+    A forked worker starts with the package already imported; a spawned
+    one would import scipy again, which costs more than a slice of
+    ``predict`` or a small ``evaluate`` combination.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -234,22 +223,31 @@ def _format_workers():
     return cpus if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
-def map_in_workers(fn, jobs, workers):
-    """``fn(*job)`` for each of ``jobs``, in order, from ``workers`` forked processes.
+def map_in_workers(fn, jobs):
+    """``fn(*job)`` for each of ``jobs``, in order, in process or in forked workers.
 
-    Jobs are taken from ``jobs`` as results are collected, at most two per
-    worker in flight, and each result is yielded in the order of its job.
-    An exception that ``jobs`` raises, or that ``fn`` raises in a worker, is
-    raised here as itself; of the workers' exceptions, the one of the
-    earliest job in that order. A worker that dies raises ``WorkerError``.
-    Either way the pending jobs are cancelled, and every worker has exited
-    once this generator finishes, raises or is closed.
+    The first jobs, at most one per usable CPU, are read ahead. With fewer
+    than two of them, every job runs here, one at a time. Otherwise that
+    many workers are forked; later jobs are taken from ``jobs`` as results
+    are collected, at most two per worker in flight, and each result is
+    yielded in the order of its job. An exception that ``jobs`` or ``fn``
+    raises is raised here as itself; of the workers' exceptions, the one
+    of the earliest job in that order. A worker that dies raises
+    ``WorkerError``. Either way the pending jobs are cancelled, and every
+    worker has exited once this generator finishes, raises or is closed.
 
     A forked worker calls ``fn`` with the parent's modules as they were at
     the fork, patched attributes included. ``fn`` may call BLAS: the test
     ``test_blas_threads_survive_the_fork`` runs a pool after the parent has
     started OpenBLAS's threads.
     """
+    jobs = iter(jobs)
+    ahead = list(itertools.islice(jobs, _format_workers()))
+    if len(ahead) < 2:
+        for job in itertools.chain(ahead, jobs):
+            yield fn(*job)
+        return
+
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -258,6 +256,7 @@ def map_in_workers(fn, jobs, workers):
     # at the fork would be written once more by each worker
     sys.stdout.flush()
     sys.stderr.flush()
+    workers = len(ahead)
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     pending = deque()
 
@@ -268,7 +267,7 @@ def map_in_workers(fn, jobs, workers):
             raise WorkerError(f"a worker process died: {exc}") from exc
 
     try:
-        for job in jobs:
+        for job in itertools.chain(ahead, jobs):
             pending.append(pool.submit(fn, *job))
             if len(pending) == 2 * workers:
                 yield oldest()
@@ -276,41 +275,6 @@ def map_in_workers(fn, jobs, workers):
             yield oldest()
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _format_in_worker(*blocks):
-    """``format_rows`` for ``write_chunks``'s pool: a failure is a ``WorkerError``."""
-    try:
-        return format_rows(*blocks)
-    except Exception as exc:
-        raise WorkerError(f"formatting worker failed: {exc!r}") from None
-
-
-def write_chunks(fh, chunks):
-    """Write each chunk, a sequence of column blocks, as ``write_rows`` does, in order.
-
-    When the first chunk is full (``CHUNK_ROWS`` rows, so more may follow)
-    and more than one worker is available, the slices of ``FORMAT_ROWS``
-    rows are formatted by ``map_in_workers`` while ``chunks`` yields the
-    next chunk; the text is the same. An exception from ``chunks`` cancels
-    the pending slices, and a worker that raises or dies raises
-    ``WorkerError``; every worker has exited when this returns or raises.
-    """
-    chunks = iter(chunks)
-    first = next(chunks, None)
-    if first is None:
-        return
-    chunks = itertools.chain([first], chunks)
-    workers = _format_workers() if first[0].shape[0] == CHUNK_ROWS else 1
-    if workers < 2:
-        for blocks in chunks:
-            write_rows(fh, *blocks)
-        return
-    pieces = (piece for blocks in chunks for piece in _row_slices(blocks))
-    # closing: a failed write must not leave the pool to the garbage collector
-    with closing(map_in_workers(_format_in_worker, pieces, workers)) as texts:
-        for text in texts:
-            fh.write(text)
 
 
 def save_csv(dataset, path):
@@ -417,6 +381,29 @@ def _parse_chunk(lines, first_lineno, path, names):
     return _parse_rows(lines, first_lineno, path, names)
 
 
+def _line_slices(fh, rows, lineno):
+    """``(lines, first line number)`` of consecutive slices of ``fh``'s lines.
+
+    ``lineno`` numbers the next line of ``fh``. Each slice holds ``rows``
+    data rows (blank lines are kept but not counted), except the last,
+    which holds fewer (possibly none), so there is always at least one.
+    """
+    while True:
+        lines = list(itertools.islice(fh, rows))
+        short = len(lines) < rows
+        blank = sum(map(str.isspace, lines))
+        # top up past blank lines so every slice but the last is full
+        while blank and not short:
+            more = list(itertools.islice(fh, blank))
+            lines += more
+            short = len(more) < blank
+            blank = sum(map(str.isspace, more))
+        yield lines, lineno
+        if short:
+            return
+        lineno += len(lines)
+
+
 def iter_csv(path, schema=None):
     """Read a canonical CSV file as a sequence of ``FeatureDataset`` chunks.
 
@@ -426,24 +413,11 @@ def iter_csv(path, schema=None):
     """
     with open(path, "r", encoding="utf-8") as fh:
         names = _read_header(fh, path, schema)
-        lineno = 2
-        while True:
-            lines = list(itertools.islice(fh, CHUNK_ROWS))
-            blank = sum(map(str.isspace, lines))
-            # top up past blank lines so every chunk but the last is full
-            while blank:
-                more = list(itertools.islice(fh, blank))
-                if not more:
-                    break
-                lines += more
-                blank = sum(map(str.isspace, more))
+        for lines, lineno in _line_slices(fh, CHUNK_ROWS, 2):
             feats, ids = _parse_chunk(lines, lineno, path, names)
-            lineno += len(lines)
             yield FeatureDataset(
                 features=feats, labels=ids[:, 0], trials=ids[:, 1], participants=ids[:, 2]
             )
-            if feats.shape[0] < CHUNK_ROWS:
-                return
 
 
 def load_csv(path):

@@ -581,7 +581,7 @@ class TestPredict:
         model = self.make_model(tmp_path, train_csv)
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was built for one chunk")
+            raise AssertionError("a process pool was built for one slice")
 
         monkeypatch.setattr("scalemix.data._format_workers", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
@@ -590,29 +590,39 @@ class TestPredict:
         assert main(argv) == EXIT_OK
         assert (out / "predictions.csv").exists()
 
-    @pytest.mark.parametrize("formatter", [_raise_on_short_slice, _exit_on_short_slice])
+    # only a forked worker can die: in one process the exit would end the caller
+    @pytest.mark.parametrize(
+        "formatter, workers",
+        [(_raise_on_short_slice, 1), (_raise_on_short_slice, 2), (_exit_on_short_slice, 2)],
+    )
     def test_worker_failure_leaves_earlier_output(
-        self, tmp_path, train_csv, monkeypatch, capsys, formatter
+        self, tmp_path, train_csv, monkeypatch, capsys, formatter, workers
     ):
         model = self.make_model(tmp_path, train_csv)
         path = self.three_chunk_input(tmp_path)
-        monkeypatch.setattr("scalemix.data._format_workers", lambda: 2)
-        monkeypatch.setattr("scalemix.data.format_rows", formatter)
+        monkeypatch.setattr("scalemix.data._format_workers", lambda: workers)
+        monkeypatch.setattr("scalemix.cli.format_rows", formatter)
         kept = tmp_path / "kept"
         kept.mkdir()
         (kept / "predictions.csv").write_bytes(b"earlier output\n")
         argv = ["predict", "--model", str(model), "--data", str(path), "--out-dir", str(kept)]
-        assert main(argv) == EXIT_WORKER
-        assert "worker failure:" in capsys.readouterr().err
+        if formatter is _exit_on_short_slice:
+            assert main(argv) == EXIT_WORKER
+            assert "worker failure:" in capsys.readouterr().err
+        else:
+            # the job's own exception arrives as itself, in a worker as in process
+            with pytest.raises(RuntimeError, match="^formatter failed$"):
+                main(argv)
         assert (kept / "predictions.csv").read_bytes() == b"earlier output\n"
         assert sorted(p.name for p in kept.iterdir()) == ["predictions.csv"]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_data_error_leaves_no_partial_output(
-        self, tmp_path, train_csv, capsys, monkeypatch
+        self, tmp_path, train_csv, capsys, monkeypatch, workers
     ):
-        # the bad row lies past a full first chunk, so the pooled writer runs
-        monkeypatch.setattr("scalemix.data._format_workers", lambda: 2)
+        # the bad row lies past the first slice, so it is parsed by map_in_workers
+        monkeypatch.setattr("scalemix.data._format_workers", lambda: workers)
         model = self.make_model(tmp_path, train_csv)
         data = two_blob_dataset(seed=9, n_per_class=10_000)
         path = tmp_path / "bad.csv"

@@ -1,25 +1,23 @@
 import concurrent.futures
-import io
 import itertools
 import math
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
 
 from scalemix.data import (
     CHUNK_ROWS,
-    FORMAT_ROWS,
     DataFormatError,
     FeatureDataset,
-    format_rows,
     generate_simulation,
     iter_csv,
     load_csv,
+    map_in_workers,
     save_csv,
     split_by_trials,
     subsample,
-    write_chunks,
 )
 
 
@@ -239,47 +237,40 @@ class TestChunkedCsv:
 
 
 
-class TestWriteChunks:
-    class LineCounter(io.StringIO):
-        """An output that counts the rows written to it."""
+def _square_slowly(i):
+    """``i * i``, later for every third job, so replies arrive out of job order."""
+    if i % 3 == 0:
+        time.sleep(0.02)
+    return i * i
 
-        lines = 0
 
-        def write(self, text):
-            self.lines += text.count("\n")
-            return super().write(text)
-
-    def test_pooled_writer_bounds_what_it_holds(self, rng, monkeypatch):
+class TestMapInWorkers:
+    def test_pool_bounds_what_it_holds(self, monkeypatch):
         workers = 2
         monkeypatch.setattr("scalemix.data._format_workers", lambda: workers)
-        fh = self.LineCounter()
+        sizes = []
+
+        class SizedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SizedPool)
+        results = []
         held = []
-        submitted = []
 
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def submit(self, *args):
-                submitted.append(args[1].shape[0])
-                held.append(("slices", len(submitted) - fh.lines // FORMAT_ROWS))
-                return super().submit(*args)
+        def jobs():
+            for i in range(40):
+                # a job is held from when it is pulled until its result is yielded
+                held.append(i + 1 - len(results))
+                yield (i,)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        chunks = [
-            (rng.standard_normal((CHUNK_ROWS, 2)), rng.integers(1, 9, (CHUNK_ROWS, 1)))
-            for _ in range(5)
-        ]
-
-        def counting():
-            for pulled, chunk in enumerate(chunks, start=1):
-                # a chunk is held from when it is pulled until its last row is written
-                held.append(("chunks", pulled - fh.lines // CHUNK_ROWS))
-                yield chunk
-
-        write_chunks(fh, counting())
+        for result in map_in_workers(_square_slowly, jobs()):
+            results.append(result)
         assert multiprocessing.active_children() == []
-        assert len(submitted) == 5 * CHUNK_ROWS // FORMAT_ROWS
-        assert max(n for kind, n in held if kind == "chunks") <= 2 * workers
-        assert max(n for kind, n in held if kind == "slices") <= 2 * workers
-        assert fh.getvalue() == "".join(format_rows(*chunk) for chunk in chunks)
+        assert sizes == [workers]
+        assert results == [i * i for i in range(40)]
+        assert max(held) == 2 * workers
 
 
 class TestSplitByTrials:
