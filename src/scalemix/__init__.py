@@ -14,7 +14,6 @@ from .data import (
     DataFormatError,
     FeatureDataset,
     generate_simulation,
-    iter_csv,
     load_csv,
     save_csv,
     split_by_trials,

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import data as _data
 from .data import (
-    FORMAT_ROWS,
+    BLOCK_ROWS,
     DataFormatError,
     WorkerError,
     format_rows,
@@ -229,20 +229,14 @@ def _train_classifier(data, args, seed, search, log_sink=None, table_sink=None):
     """
     vb_cfg = VbConfig(seed=seed, max_iters=args.max_iters)
     tune_s = 0.0
-    nu = args.nu
+    nu = args.nu if search is None else search.nu_pre
+    prior = build_default_prior(data, nu_fixed=nu, k_init=args.k_init, alpha0=args.alpha0)
     if search is not None:
         start = time.perf_counter()
-        nu = select_nu(
-            data,
-            build_default_prior(
-                data, nu_fixed=search.nu_pre, k_init=args.k_init, alpha0=args.alpha0
-            ),
-            search,
-            vb_config=vb_cfg,
-            table_sink=table_sink,
-        )
+        nu = select_nu(data, prior, search, vb_config=vb_cfg, table_sink=table_sink)
         tune_s = time.perf_counter() - start
-    prior = build_default_prior(data, nu_fixed=nu, k_init=args.k_init, alpha0=args.alpha0)
+        # the data's mean, covariance and any jitter are kept; only nu changes
+        prior = replace(prior, nu_fixed=nu)
     classifier = fit(data, prior, vb_cfg, log_sink=log_sink)
     return classifier, nu, tune_s
 
@@ -290,7 +284,7 @@ def cmd_predict(args):
         names = _data._read_header(fh, args.data, prepared.dim)
         jobs = (
             (lines, lineno, args.data, names, prepared)
-            for lines, lineno in _data._line_slices(fh, FORMAT_ROWS, 2)
+            for lines, lineno in _data._line_slices(fh, BLOCK_ROWS, 2)
         )
         # the header and the first slice are checked before anything is created
         first = _predict_slice(*next(jobs))

@@ -7,17 +7,18 @@ label, a trial id, and a participant id. The CSV form uses the header
 semantics (up to 17 significant digits) so a save/load round trip is
 bit-exact.
 
-Files are read in chunks of ``CHUNK_ROWS`` data rows (blank lines are
-skipped and do not count), so memory stays bounded however long the file
-is. numpy parses each chunk of printable ASCII text: there it accepts no
+Files are read in slices of ``BLOCK_ROWS`` data rows (blank lines are
+skipped and do not count): ``load_csv`` parses every slice and keeps the
+whole dataset, ``predict`` classifies and writes each slice as it goes.
+numpy parses each slice of printable ASCII text: there it accepts no
 cell that Python's ``float`` and ``int`` reject, and reads the same values.
-When a chunk holds any other character, when numpy fails on it, or when it
-holds a non-finite feature or a label below 1, the chunk is parsed again
+When a slice holds any other character, when numpy fails on it, or when it
+holds a non-finite feature or a label below 1, the slice is parsed again
 row by row, and the first bad cell is reported by physical line number and
 column name.
 
-Rows are written by one rule, ``format_rows``, in slices of ``FORMAT_ROWS``
-rows. ``map_in_workers`` runs independent jobs, in process or in forked
+Rows are written by one rule, ``format_rows``, ``BLOCK_ROWS`` rows at a
+time. ``map_in_workers`` runs independent jobs, in process or in forked
 worker processes, one per usable CPU, and yields their results in job
 order: ``predict`` parses, classifies and formats each slice of its input
 there, and ``evaluate`` runs its trial combinations.
@@ -37,7 +38,6 @@ __all__ = [
     "WorkerError",
     "format_rows",
     "generate_simulation",
-    "iter_csv",
     "load_csv",
     "map_in_workers",
     "save_csv",
@@ -46,21 +46,17 @@ __all__ = [
     "write_rows",
 ]
 
-# rows per chunk of CSV input read by iter_csv; also the widest row block
-# of batch prediction
-CHUNK_ROWS = 16384
-
-# rows per formatting call, and per slice of predict's input; the text of
-# one call and the floats of its tolist() stay small, which also keeps a
-# worker's reply through the pipe from leaving large buffers behind in
-# the caller
-FORMAT_ROWS = 1024
+# rows per slice of CSV input, per formatting call and per whitening block
+# of batch prediction; the text of one slice and the floats of its
+# tolist() stay small, which also keeps a worker's reply through the pipe
+# from leaving large buffers behind in the caller
+BLOCK_ROWS = 1024
 
 _ID_COLUMNS = ("label", "trial", "participant")
 
 # numpy's cell parser reads some text outside printable ASCII differently
 # from Python (it takes \x1c-\x1f for spaces and turns some non-ASCII
-# letters into digits), so a chunk holding any such character is parsed
+# letters into digits), so a slice holding any such character is parsed
 # row by row
 _PLAIN_ASCII = bytes(range(0x20, 0x7F)) + b"\n"
 
@@ -196,21 +192,23 @@ def format_rows(*blocks):
 
 
 def write_rows(fh, *blocks):
-    """Write column blocks as ``format_rows`` text, ``FORMAT_ROWS`` rows at a time."""
-    for start in range(0, blocks[0].shape[0], FORMAT_ROWS):
-        fh.write(format_rows(*(block[start : start + FORMAT_ROWS] for block in blocks)))
+    """Write column blocks as ``format_rows`` text, ``BLOCK_ROWS`` rows at a time."""
+    for start in range(0, blocks[0].shape[0], BLOCK_ROWS):
+        fh.write(format_rows(*(block[start : start + BLOCK_ROWS] for block in blocks)))
 
 
 class WorkerError(RuntimeError):
     """A worker process died."""
 
 
-def _format_workers():
-    """Usable CPUs for ``map_in_workers``'s pool; 1 where fork is missing.
+def _usable_cpus():
+    """CPUs this process may run on; 1 where fork is missing.
 
-    A forked worker starts with the package already imported; a spawned
-    one would import scipy again, which costs more than a slice of
-    ``predict`` or a small ``evaluate`` combination.
+    ``map_in_workers`` reads this many jobs ahead and forks at most this
+    many workers, whatever the jobs are. A forked worker starts with the
+    package already imported; a spawned one would import scipy again,
+    which costs more than a slice of ``predict`` or a small ``evaluate``
+    combination.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -242,7 +240,7 @@ def map_in_workers(fn, jobs):
     started OpenBLAS's threads.
     """
     jobs = iter(jobs)
-    ahead = list(itertools.islice(jobs, _format_workers()))
+    ahead = list(itertools.islice(jobs, _usable_cpus()))
     if len(ahead) < 2:
         for job in itertools.chain(ahead, jobs):
             yield fn(*job)
@@ -287,8 +285,11 @@ def save_csv(dataset, path):
         write_rows(fh, dataset.features, ids)
 
 
-def _read_header(fh, path, schema):
-    """Feature column names of a canonical CSV header, checked."""
+def _read_header(fh, path, dim=None):
+    """Feature column names of a canonical CSV header, checked.
+
+    ``dim``, when given, is the number of feature columns it must have.
+    """
     first = fh.readline()
     if not first:
         raise DataFormatError(f"{path}: empty file (missing header)")
@@ -304,8 +305,8 @@ def _read_header(fh, path, schema):
         raise DataFormatError(
             f"{path}: feature columns must be {','.join(expected)}, got {header[:d]}"
         )
-    if schema is not None and d != int(schema):
-        raise DataFormatError(f"{path}: expected {schema} feature columns, found {d}")
+    if dim is not None and d != dim:
+        raise DataFormatError(f"{path}: expected {dim} feature columns, found {d}")
     return header[:d]
 
 
@@ -360,7 +361,7 @@ def _parse_rows(lines, first_lineno, path, names):
 
 
 def _parse_chunk(lines, first_lineno, path, names):
-    """Features and id columns of one chunk: numpy first, per row on doubt."""
+    """Features and id columns of one slice: numpy first, per row on doubt."""
     rows = [ln for ln in lines if not ln.isspace()]
     text = "".join(rows)
     if rows and text.isascii() and not text.encode("ascii").translate(None, _PLAIN_ASCII):
@@ -404,34 +405,21 @@ def _line_slices(fh, rows, lineno):
         lineno += len(lines)
 
 
-def iter_csv(path, schema=None):
-    """Read a canonical CSV file as a sequence of ``FeatureDataset`` chunks.
-
-    The header is checked once; ``schema`` optionally pins the feature
-    dimension. Each chunk holds ``CHUNK_ROWS`` data rows, except the last,
-    which holds fewer (possibly none), so there is always at least one.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        names = _read_header(fh, path, schema)
-        for lines, lineno in _line_slices(fh, CHUNK_ROWS, 2):
-            feats, ids = _parse_chunk(lines, lineno, path, names)
-            yield FeatureDataset(
-                features=feats, labels=ids[:, 0], trials=ids[:, 1], participants=ids[:, 2]
-            )
-
-
 def load_csv(path):
     """Read a dataset written in the canonical CSV form, whole.
 
     The feature dimension is the header's. Errors name the offending row
     and column; non-finite cells are rejected.
     """
-    chunks = list(iter_csv(path))
+    with open(path, "r", encoding="utf-8") as fh:
+        names = _read_header(fh, path)
+        parsed = [
+            _parse_chunk(lines, lineno, path, names)
+            for lines, lineno in _line_slices(fh, BLOCK_ROWS, 2)
+        ]
+    feats, ids = (np.concatenate(cols) for cols in zip(*parsed))
     return FeatureDataset(
-        features=np.concatenate([c.features for c in chunks]),
-        labels=np.concatenate([c.labels for c in chunks]),
-        trials=np.concatenate([c.trials for c in chunks]),
-        participants=np.concatenate([c.participants for c in chunks]),
+        features=feats, labels=ids[:, 0], trials=ids[:, 1], participants=ids[:, 2]
     )
 
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import CHUNK_ROWS
+from .data import BLOCK_ROWS
 from .density import log_t_kernel
 from .numerics import cholesky, log_det
 
@@ -154,15 +154,17 @@ def _as_points(points, dim):
 
 
 def _column_blocks(pts):
-    """``(lo, hi, rows lo:hi transposed)`` for blocks of ``CHUNK_ROWS`` rows.
+    """``(lo, hi, rows lo:hi transposed)`` for blocks of ``BLOCK_ROWS`` rows.
 
-    Every whitening goes through these blocks: the block width is the
-    column count of the matrix product, and OpenBLAS can round the last
-    bit differently when that count changes.
+    Every whitening goes through these blocks. The log posteriors of a row
+    do not depend on the width of its block, except for a one-row block:
+    there numpy's one-column product in :meth:`_Mixture.whiten` and the
+    contiguous class-axis sum in :func:`_normalise` round the last bit
+    differently. So the ν grid still shares these block boundaries.
     """
     n = pts.shape[0]
-    for lo in range(0, n, CHUNK_ROWS):
-        hi = min(lo + CHUNK_ROWS, n)
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
         yield lo, hi, np.ascontiguousarray(pts[lo:hi].T)
 
 

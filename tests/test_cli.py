@@ -24,8 +24,7 @@ from scalemix.cli import (
     main,
 )
 from scalemix.data import (
-    CHUNK_ROWS,
-    FORMAT_ROWS,
+    BLOCK_ROWS,
     DataFormatError,
     FeatureDataset,
     format_rows,
@@ -57,14 +56,14 @@ def write_protocol_csv(path, seed=5, participants=(1, 2), trials=4, n=20, spread
 
 def _raise_on_short_slice(*blocks):
     """``format_rows``, except that the short slice ending an input raises."""
-    if blocks[0].shape[0] < FORMAT_ROWS:
+    if blocks[0].shape[0] < BLOCK_ROWS:
         raise RuntimeError("formatter failed")
     return format_rows(*blocks)
 
 
 def _exit_on_short_slice(*blocks):
     """``format_rows``, except that the short slice ending an input ends the process."""
-    if blocks[0].shape[0] < FORMAT_ROWS:
+    if blocks[0].shape[0] < BLOCK_ROWS:
         os._exit(1)
     return format_rows(*blocks)
 
@@ -376,6 +375,16 @@ class TestPredict:
             total = math.exp(float(r[6])) + math.exp(float(r[7]))
             assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_feature_count_must_match_the_model(self, tmp_path, train_csv, capsys):
+        model = self.make_model(tmp_path, train_csv)
+        wide = tmp_path / "wide.csv"
+        wide.write_text("f1,f2,f3,label,trial,participant\n0.5,1.5,2.5,1,1,1\n")
+        out = tmp_path / "pred"
+        argv = ["predict", "--model", str(model), "--data", str(wide), "--out-dir", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert f"{wide}: expected 2 feature columns, found 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_input_gives_header_only(self, tmp_path, train_csv):
         model = self.make_model(tmp_path, train_csv)
         empty = tmp_path / "empty.csv"
@@ -511,7 +520,7 @@ class TestPredict:
 
     def test_multi_chunk_output_matches_row_by_row_reference(self, tmp_path, train_csv):
         model = self.make_model(tmp_path, train_csv)
-        n = 2 * CHUNK_ROWS + 1
+        n = 2 * BLOCK_ROWS + 1
         rng = np.random.default_rng(4)
         data = FeatureDataset(
             rng.standard_normal((n, 2)) * 3.0 + 2.0,
@@ -542,11 +551,11 @@ class TestPredict:
         assert (out / "predictions.csv").read_bytes() == expected
 
     def three_chunk_input(self, tmp_path):
-        """2 full chunks and 5 rows, holding edge-case floats and large ids."""
-        n = 2 * CHUNK_ROWS + 5
+        """2 full slices and 5 rows, holding edge-case floats and large ids."""
+        n = 2 * BLOCK_ROWS + 5
         rng = np.random.default_rng(12)
         feats = rng.standard_normal((n, 2)) * 3.0 + 2.0
-        rows = [0, CHUNK_ROWS - 1, CHUNK_ROWS, n - 1]
+        rows = [0, BLOCK_ROWS - 1, BLOCK_ROWS, n - 1]
         feats[rows] = [[-0.0, 5e-324], [1e16, 1e-05], [-1e-05, -0.0], [5e-324, -1e16]]
         trials = rng.integers(1, 5, n)
         trials[rows] = 2**62
@@ -563,7 +572,7 @@ class TestPredict:
         path = self.three_chunk_input(tmp_path)
         outputs = []
         for workers in (1, 2):
-            monkeypatch.setattr("scalemix.data._format_workers", lambda: workers)
+            monkeypatch.setattr("scalemix.data._usable_cpus", lambda: workers)
             out = tmp_path / f"pred{workers}"
             argv = ["predict", "--model", str(model), "--data", str(path), "--out-dir", str(out)]
             assert main(argv) == EXIT_OK
@@ -583,7 +592,7 @@ class TestPredict:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was built for one slice")
 
-        monkeypatch.setattr("scalemix.data._format_workers", lambda: 2)
+        monkeypatch.setattr("scalemix.data._usable_cpus", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         out = tmp_path / "pred"
         argv = ["predict", "--model", str(model), "--data", str(train_csv), "--out-dir", str(out)]
@@ -600,7 +609,7 @@ class TestPredict:
     ):
         model = self.make_model(tmp_path, train_csv)
         path = self.three_chunk_input(tmp_path)
-        monkeypatch.setattr("scalemix.data._format_workers", lambda: workers)
+        monkeypatch.setattr("scalemix.data._usable_cpus", lambda: workers)
         monkeypatch.setattr("scalemix.cli.format_rows", formatter)
         kept = tmp_path / "kept"
         kept.mkdir()
@@ -622,7 +631,7 @@ class TestPredict:
         self, tmp_path, train_csv, capsys, monkeypatch, workers
     ):
         # the bad row lies past the first slice, so it is parsed by map_in_workers
-        monkeypatch.setattr("scalemix.data._format_workers", lambda: workers)
+        monkeypatch.setattr("scalemix.data._usable_cpus", lambda: workers)
         model = self.make_model(tmp_path, train_csv)
         data = two_blob_dataset(seed=9, n_per_class=10_000)
         path = tmp_path / "bad.csv"
@@ -919,7 +928,7 @@ class TestEvaluate:
         write_protocol_csv(data_path, trials=3, spread=6.0)
         outputs = []
         for workers in (1, 2):
-            monkeypatch.setattr("scalemix.data._format_workers", lambda: workers)
+            monkeypatch.setattr("scalemix.data._usable_cpus", lambda: workers)
             out = tmp_path / f"ev{workers}"
             argv = ["evaluate", "--data", str(data_path), "--select-nu", "--out-dir", str(out)]
             assert main(argv + ["--seed", "4"]) == EXIT_OK
@@ -935,7 +944,7 @@ class TestEvaluate:
                 sizes.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr("scalemix.data._format_workers", lambda: 8)
+        monkeypatch.setattr("scalemix.data._usable_cpus", lambda: 8)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SizedPool)
         data_path = tmp_path / "proto.csv"
         write_protocol_csv(data_path, participants=(1,), trials=3)
@@ -948,7 +957,7 @@ class TestEvaluate:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was built for one worker")
 
-        monkeypatch.setattr("scalemix.data._format_workers", lambda: 1)
+        monkeypatch.setattr("scalemix.data._usable_cpus", lambda: 1)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         data_path = tmp_path / "proto.csv"
         write_protocol_csv(data_path, participants=(1,), trials=3)
@@ -1004,7 +1013,7 @@ class TestEvaluate:
         write_protocol_csv(data_path, participants=(1,), trials=3)
         monkeypatch.setattr("scalemix.cli._train_classifier", self.failing_training(error))
         for workers in (1, 2):
-            monkeypatch.setattr("scalemix.data._format_workers", lambda: workers)
+            monkeypatch.setattr("scalemix.data._usable_cpus", lambda: workers)
             out = tmp_path / f"ev{workers}"
             argv = ["evaluate", "--data", str(data_path), "--nu", "5", "--out-dir", str(out)]
             assert main(argv) == code
@@ -1015,7 +1024,7 @@ class TestEvaluate:
         data_path = tmp_path / "proto.csv"
         write_protocol_csv(data_path, participants=(1,), trials=3)
         monkeypatch.setattr("scalemix.cli._train_classifier", self.failing_training(None))
-        monkeypatch.setattr("scalemix.data._format_workers", lambda: 2)
+        monkeypatch.setattr("scalemix.data._usable_cpus", lambda: 2)
         argv = ["evaluate", "--data", str(data_path), "--nu", "5"]
         assert main(argv + ["--out-dir", str(tmp_path / "ev")]) == EXIT_WORKER
         assert capsys.readouterr().err.startswith("worker failure: a worker process died")
@@ -1031,7 +1040,7 @@ class TestEvaluate:
             "import sys, numpy as np, scalemix.cli, scalemix.data\n"
             "a = np.random.default_rng(0).random((600, 600))\n"
             "(a @ a).sum()\n"
-            "scalemix.data._format_workers = lambda: 2\n"
+            "scalemix.data._usable_cpus = lambda: 2\n"
             f"sys.exit(scalemix.cli.main({argv!r}))\n"
         )
         src = str(Path(scalemix.__file__).resolve().parents[1])

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from scalemix.data import (
-    CHUNK_ROWS,
+    BLOCK_ROWS,
     DataFormatError,
     FeatureDataset,
+    _line_slices,
     generate_simulation,
-    iter_csv,
     load_csv,
     map_in_workers,
     save_csv,
@@ -119,13 +119,6 @@ class TestCsvRoundTrip:
         with pytest.raises(DataFormatError, match="header"):
             load_csv(path)
 
-    def test_schema_dimension_pin(self, tmp_path):
-        path = tmp_path / "ok.csv"
-        path.write_text("f1,f2,label,trial,participant\n0.5,1.5,1,1,1\n")
-        assert next(iter_csv(path, schema=2)).dim == 2
-        with pytest.raises(DataFormatError, match="expected 3"):
-            next(iter_csv(path, schema=3))
-
     def test_empty_data_section(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("f1,f2,label,trial,participant\n")
@@ -135,7 +128,7 @@ class TestCsvRoundTrip:
 
 
 class TestChunkedCsv:
-    """Files longer than one chunk, and cells the numpy fast path would misread."""
+    """Files longer than one slice, and cells the numpy fast path would misread."""
 
     def dataset(self, rng, n, d=3):
         return FeatureDataset(
@@ -152,11 +145,11 @@ class TestChunkedCsv:
         path.write_text("".join(lines))
 
     def test_round_trip_bit_exact_across_chunks(self, tmp_path, rng):
-        ds = self.dataset(rng, 2 * CHUNK_ROWS + 5)
+        ds = self.dataset(rng, 2 * BLOCK_ROWS + 5)
         path = tmp_path / "long.csv"
         save_csv(ds, path)
         # data row r sits on physical line r + 1; straddle the first boundary
-        self.with_blank_lines(path, [CHUNK_ROWS, CHUNK_ROWS + 2, CHUNK_ROWS + 3, CHUNK_ROWS + 6])
+        self.with_blank_lines(path, [BLOCK_ROWS, BLOCK_ROWS + 2, BLOCK_ROWS + 3, BLOCK_ROWS + 6])
         back = load_csv(path)
         assert np.array_equal(ds.features, back.features)
         assert np.array_equal(np.signbit(ds.features), np.signbit(back.features))
@@ -164,25 +157,37 @@ class TestChunkedCsv:
         assert np.array_equal(ds.trials, back.trials)
         assert np.array_equal(ds.participants, back.participants)
 
-    def test_chunks_hold_full_row_blocks_despite_blank_lines(self, tmp_path, rng):
-        ds = self.dataset(rng, 2 * CHUNK_ROWS + 5, d=1)
+    @staticmethod
+    def slice_rows(path):
+        """``(data rows, first line number)`` of each ``BLOCK_ROWS`` slice past the header."""
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            return [
+                (sum(not line.isspace() for line in lines), lineno)
+                for lines, lineno in _line_slices(fh, BLOCK_ROWS, 2)
+            ]
+
+    def test_slices_hold_full_row_blocks_despite_blank_lines(self, tmp_path, rng):
+        ds = self.dataset(rng, 2 * BLOCK_ROWS + 5, d=1)
         path = tmp_path / "long.csv"
         save_csv(ds, path)
-        self.with_blank_lines(path, [3, 10, CHUNK_ROWS + 1, CHUNK_ROWS + 9])
-        sizes = [chunk.n_rows for chunk in iter_csv(path)]
-        assert sizes == [CHUNK_ROWS, CHUNK_ROWS, 5]
+        self.with_blank_lines(path, [3, 10, BLOCK_ROWS + 1, BLOCK_ROWS + 9])
+        # three blank lines in the first slice and one in the second
+        assert self.slice_rows(path) == [
+            (BLOCK_ROWS, 2), (BLOCK_ROWS, BLOCK_ROWS + 5), (5, 2 * BLOCK_ROWS + 6)
+        ]
 
-    def test_exact_multiple_ends_with_empty_chunk(self, tmp_path, rng):
+    def test_exact_multiple_ends_with_empty_slice(self, tmp_path, rng):
         path = tmp_path / "exact.csv"
-        save_csv(self.dataset(rng, CHUNK_ROWS, d=1), path)
-        assert [chunk.n_rows for chunk in iter_csv(path)] == [CHUNK_ROWS, 0]
+        save_csv(self.dataset(rng, BLOCK_ROWS, d=1), path)
+        assert self.slice_rows(path) == [(BLOCK_ROWS, 2), (0, BLOCK_ROWS + 2)]
 
     def test_nan_past_first_chunk_named_by_physical_line(self, tmp_path, rng):
         path = tmp_path / "nan.csv"
-        save_csv(self.dataset(rng, CHUNK_ROWS + 100, d=2), path)
+        save_csv(self.dataset(rng, BLOCK_ROWS + 100, d=2), path)
         self.with_blank_lines(path, [50])
         lines = path.read_text().splitlines(keepends=True)
-        target = CHUNK_ROWS + 40
+        target = BLOCK_ROWS + 40
         cells = lines[target - 1].split(",")
         cells[1] = "nan"
         lines[target - 1] = ",".join(cells)
@@ -192,10 +197,10 @@ class TestChunkedCsv:
 
     def test_label_below_one_past_first_chunk_named_by_physical_line(self, tmp_path, rng):
         path = tmp_path / "label.csv"
-        save_csv(self.dataset(rng, CHUNK_ROWS + 100, d=2), path)
+        save_csv(self.dataset(rng, BLOCK_ROWS + 100, d=2), path)
         self.with_blank_lines(path, [50])
         lines = path.read_text().splitlines(keepends=True)
-        target = CHUNK_ROWS + 40
+        target = BLOCK_ROWS + 40
         cells = lines[target - 1].split(",")
         cells[2] = "0"
         lines[target - 1] = ",".join(cells)
@@ -247,7 +252,7 @@ def _square_slowly(i):
 class TestMapInWorkers:
     def test_pool_bounds_what_it_holds(self, monkeypatch):
         workers = 2
-        monkeypatch.setattr("scalemix.data._format_workers", lambda: workers)
+        monkeypatch.setattr("scalemix.data._usable_cpus", lambda: workers)
         sizes = []
 
         class SizedPool(concurrent.futures.ProcessPoolExecutor):

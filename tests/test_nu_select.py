@@ -6,7 +6,7 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_t
 
-from scalemix.data import CHUNK_ROWS, FeatureDataset
+from scalemix.data import BLOCK_ROWS, FeatureDataset
 from scalemix.model import PriorHyperparameters, TrainedClassifier, build_default_prior
 from scalemix.nu_select import (
     NuSearchConfig,
@@ -131,7 +131,7 @@ class TestConditionalEntropy:
         # block its matrix products exactly as predict_batch does
         tc = two_class_classifier(sep=2.0, nu=4.0)
         rng = np.random.default_rng(8)
-        n = CHUNK_ROWS + 1
+        n = BLOCK_ROWS + 1
         valid = labeled(rng.standard_normal((n, 2)) * 2 + 1.0, rng.integers(1, 3, size=n))
         grid = default_nu_grid()
         scores = conditional_entropy(grid, tc, valid)
@@ -141,10 +141,10 @@ class TestConditionalEntropy:
 
     def test_grid_scores_over_many_passes_equal_single_value_calls(self, monkeypatch):
         # seven values per pass over the full block, all 40 over the last one
-        monkeypatch.setattr(predict_module, "_GRID_NUMBERS", 7 * CHUNK_ROWS)
+        monkeypatch.setattr(predict_module, "_GRID_NUMBERS", 7 * BLOCK_ROWS)
         tc = two_class_classifier(sep=2.0, nu=4.0)
         rng = np.random.default_rng(9)
-        n = CHUNK_ROWS + 3
+        n = BLOCK_ROWS + 3
         valid = labeled(rng.standard_normal((n, 2)) * 2 + 1.0, rng.integers(1, 3, size=n))
         grid = default_nu_grid()
         scores = conditional_entropy(grid, tc, valid)

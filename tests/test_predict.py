@@ -11,7 +11,7 @@ from scalemix.model import (
     PriorHyperparameters,
     TrainedClassifier,
 )
-from scalemix.data import CHUNK_ROWS
+from scalemix.data import BLOCK_ROWS
 import scalemix.predict as predict_module
 from scalemix.predict import (
     _Mixture,
@@ -180,6 +180,16 @@ class TestClassify:
             assert label[0] == labels[i]
             assert np.allclose(row[0], log_post[i], rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("width", [2, 3, 7, 1000, BLOCK_ROWS])
+    def test_block_width_leaves_every_bit(self, rng, width):
+        # no block of one row, whose product numpy rounds differently
+        tc = prepare(uniform_classifier(mixture_classes(rng, 3, 3, 4)))
+        pts = rng.standard_normal((2 * BLOCK_ROWS + 100, 3)) * 3
+        whole, labels = predict_batch(tc, pts)
+        blocks = [predict_batch(tc, pts[lo : lo + width]) for lo in range(0, len(pts), width)]
+        assert np.array_equal(np.concatenate([b[0] for b in blocks]), whole)
+        assert np.array_equal(np.concatenate([b[1] for b in blocks]), labels)
+
     def test_dimension_mismatch(self):
         cm = make_student_class([0.0, 0.0], np.eye(2), 5.0)
         tc = uniform_classifier([cm])
@@ -244,7 +254,7 @@ class TestGridKernel:
 
         d = 3
         prepared = prepare(uniform_classifier(mixture_classes(rng, d, 2, 3)))
-        pts = rng.standard_normal((CHUNK_ROWS + 5, d))
+        pts = rng.standard_normal((BLOCK_ROWS + 5, d))
         before = predict_batch(prepared, pts)[0]
         slots = [
             {name: getattr(mix, name) for name in _Mixture.__slots__}
@@ -254,7 +264,7 @@ class TestGridKernel:
         monkeypatch.setattr(_Mixture, "whiten", recording_whiten)
         columns = rng.integers(0, 3, size=pts.shape[0])
         log_posteriors_over_nu(prepared, pts, default_grid(), columns)
-        assert whitened == [(mix, CHUNK_ROWS) for mix in prepared.mixtures] + [
+        assert whitened == [(mix, BLOCK_ROWS) for mix in prepared.mixtures] + [
             (mix, 5) for mix in prepared.mixtures
         ]
         for mix, slot, copied in zip(prepared.mixtures, slots, copies):
@@ -324,14 +334,14 @@ class TestLogPosteriorsOverNu:
 
         monkeypatch.setattr(_Mixture, "whiten", recording_whiten)
         tc = uniform_classifier(mixture_classes(rng, 8, 2, 3))
-        pts = rng.standard_normal((CHUNK_ROWS + 1, 8)) * 3
+        pts = rng.standard_normal((BLOCK_ROWS + 1, 8)) * 3
         nus = [1e-3, 0.3, 5.0, 200.0]
         predict_batch(tc, pts)
         batch_widths = list(widths)
         widths.clear()
         columns = rng.integers(0, 3, size=pts.shape[0])
         grid = log_posteriors_over_nu(tc, pts, nus, columns)
-        assert widths == batch_widths == [CHUNK_ROWS] * 3 + [1] * 3
+        assert widths == batch_widths == [BLOCK_ROWS] * 3 + [1] * 3
         for nu, log_post in zip(nus, grid):
             expected, _ = predict_batch(at_shared_nu(tc, nu), pts)
             assert np.array_equal(log_post, expected[np.arange(pts.shape[0]), columns])
