@@ -62,8 +62,10 @@ class StudentParams:
             raise ValueError(
                 f"mu has dim {mu.shape[0]} but sigma is {sigma.shape[0]}x{sigma.shape[1]}"
             )
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu!r}")
+        if not np.isfinite(mu).all():
+            raise ValueError(f"mu must be finite, got {mu.tolist()!r}")
+        if not (self.nu > 0 and math.isfinite(self.nu)):
+            raise ValueError(f"nu must be positive and finite, got {self.nu!r}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "nu", float(self.nu))

@@ -103,6 +103,9 @@ def conditional_entropy(nus, fold_classifier, validation):
     grid = np.asarray(nus, dtype=float)
     if grid.ndim != 1:
         raise ValueError(f"nus must be a 1-d grid, got shape {grid.shape}")
+    bad = grid[~(np.isfinite(grid) & (grid > 0))]
+    if bad.size:
+        raise ValueError(f"nus must be positive and finite, got {float(bad[0])!r}")
     if validation.n_rows == 0:
         raise ValueError("validation fold is empty")
     ids = np.asarray(fold_classifier.class_ids)

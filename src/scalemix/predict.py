@@ -112,8 +112,6 @@ class _Mixture:
         comp_log = np.log1p(d2 / nus[..., None])
         comp_log *= -half_exponents[..., None]
         comp_log += (self.log_w + log_norms)[..., None]
-        if self.n_components == 1:
-            return comp_log[..., 0, :]
         top = comp_log.max(axis=-2)
         comp_log -= top[..., None, :]
         np.exp(comp_log, out=comp_log)

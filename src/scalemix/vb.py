@@ -4,7 +4,9 @@ Each class has its own model. One iteration alternates two updates:
 
 1. Latent update. Given the current parameter posteriors, compute per-point
    responsibilities ``r`` (a categorical posterior over components) and the
-   inverse-gamma posterior ``IG(a, b)`` over each point's latent scale.
+   inverse-gamma posterior ``IG(a, b)`` over each point's latent scale. Under
+   the shared ``nu`` conjugacy fixes the shape at ``a = (nu + dim) / 2`` for
+   every point and component, so only the rate ``b`` is carried.
 2. Parameter update. Given the latent posteriors, accumulate the
    responsibility-weighted statistics and refresh the Dirichlet and
    Gaussian-inverse-Wishart posteriors in closed form.
@@ -31,8 +33,7 @@ components are always its first columns. Pruning moves a class's
 survivors to the front, in order, and the batch keeps as many columns
 as its widest class; the columns past a class's own are
 masked: they hold no responsibility, the parameter update leaves them at
-the prior and the bound skips them. A batch with no padding row or no
-masked column skips the padding or the masking.
+the prior and the bound skips them.
 
 After each parameter update, :func:`component_cache` factorises the whole
 ``(B * k, d, d)`` stack once and derives every quantity both the bound at
@@ -41,7 +42,7 @@ determinants, E[log |Sigma|], E[log pi] and the ``(B, n, k)`` expected
 squared Mahalanobis distances (the bound is assembled from the latent
 update's quantities, as in Bishop's construction). Distances are whitened
 by the inverse factors, which one batched inverse of the stack gives. The
-latent posteriors share one shape per column, so the bound reduces its
+latent scale posteriors share one constant shape, so the bound reduces its
 ``(n, k)`` arrays to a few per-column sums.
 
 Each class keeps its own bound trace, convergence flag and pruned count.
@@ -103,6 +104,11 @@ def _log_multigamma(a, d):
     return (d * (d - 1) * 0.25) * np.log(np.pi) + gammaln(a - 0.5 * j).sum(axis=0)
 
 
+def _scale_shape(prior):
+    """Shape ``(nu + dim) / 2`` of every point's inverse-gamma scale posterior."""
+    return 0.5 * (prior.nu_fixed + prior.dim)
+
+
 def _sum_rows(values):
     """Per-class column sums of a ``(B, n, k)`` array, rows added in order.
 
@@ -138,8 +144,7 @@ class ClassBatch:
     ``x (B, n, d)`` holds class ``b``'s ``n_rows[b]`` rows, then copies of
     its first row up to the longest class; ``weight (B, n, 1)`` is 1 on a
     class's own rows and 0 on the copies, which therefore carry no
-    responsibility and no weight in any update. ``weight`` is None when no
-    class is padded.
+    responsibility and no weight in any update.
     """
 
     class_ids: tuple
@@ -156,16 +161,13 @@ class ClassBatch:
         x = np.stack(
             [np.concatenate([rows, np.repeat(rows[:1], n - len(rows), axis=0)]) for rows in blocks]
         )
-        weight = None
-        if (n_rows < n).any():
-            weight = (np.arange(n) < n_rows[:, None]).astype(float)[:, :, None]
+        weight = (np.arange(n) < n_rows[:, None]).astype(float)[:, :, None]
         return cls(tuple(int(cid) for cid in class_ids), x, n_rows, weight)
 
     def take(self, keep):
         """The batch of the classes where the boolean ``keep`` is True."""
         ids = tuple(cid for cid, kept in zip(self.class_ids, keep.tolist()) if kept)
-        weight = None if self.weight is None else self.weight[keep]
-        return ClassBatch(ids, self.x[keep], self.n_rows[keep], weight)
+        return ClassBatch(ids, self.x[keep], self.n_rows[keep], self.weight[keep])
 
 
 @dataclass(frozen=True)
@@ -241,15 +243,11 @@ def component_cache(batch, post, prior, live):
     log_det_w = log_det(factor).reshape(n_classes, k)
     psi = digamma(0.5 * (post.eta[:, :, None] + 1.0 - np.arange(1, d + 1)))
     log_sigma = -d * math.log(2.0) + log_det_w - psi.sum(axis=2)
-    masked = not live.all()
     # summed in order over a class's live components, as ClassModel.alpha_hat is
-    alphas = post.alpha.tolist()
-    if masked:
-        alphas = [row[:count] for row, count in zip(alphas, live.sum(axis=1).tolist())]
-    alpha_hat = np.array([sum(row) for row in alphas])
-    log_pi = digamma(post.alpha) - digamma(alpha_hat)[:, None]
-    if masked:
-        log_pi = np.where(live, log_pi, -np.inf)
+    alpha_hat = np.array(
+        [sum(row[:count]) for row, count in zip(post.alpha.tolist(), live.sum(axis=1).tolist())]
+    )
+    log_pi = np.where(live, digamma(post.alpha) - digamma(alpha_hat)[:, None], -np.inf)
     d2 = d / post.beta[:, None, :] + post.eta[:, None, :] * mahalanobis_sq_batch(
         batch.x, post.m, factor
     )
@@ -267,16 +265,15 @@ def component_cache(batch, post, prior, live):
 def e_step(cache, nu):
     """Latent update: responsibilities and scale posteriors for a batch's rows.
 
-    Returns ``(r, a, b)``, each ``(B, n, k)``: row-normalized
-    responsibilities and the shape and rate of the inverse-gamma posterior
-    over each point's latent scale, conditional on the component. Masked
-    components and padding rows get zero responsibility. Responsibilities
-    are computed in log space with row-max subtraction; exact ties keep
-    proportional weights.
+    Returns ``(r, b)``, each ``(B, n, k)``: row-normalized
+    responsibilities and the rate of the inverse-gamma posterior over each
+    point's latent scale, conditional on the component; its shape is the
+    constant ``(nu + dim) / 2``. Masked components and padding rows get
+    zero responsibility. Responsibilities are computed in log space with
+    row-max subtraction; exact ties keep proportional weights.
     """
-    d = cache.dim
     log_rho = cache.log_pi[:, None, :] + log_t_kernel(
-        cache.d2, cache.log_sigma[:, None, :], d, nu
+        cache.d2, cache.log_sigma[:, None, :], cache.dim, nu
     )
     row_max = log_rho.max(axis=2)
     dead = ~np.isfinite(row_max)
@@ -289,25 +286,23 @@ def e_step(cache, nu):
         )
     shifted = np.exp(log_rho - row_max[:, :, None])
     r = shifted / shifted.sum(axis=2, keepdims=True)
-    if cache.batch.weight is not None:
-        r *= cache.batch.weight
-    a = np.full(r.shape, 0.5 * (nu + d))
-    b = 0.5 * cache.d2 + 0.5 * nu
-    return r, a, b
+    r *= cache.batch.weight
+    return r, 0.5 * cache.d2 + 0.5 * nu
 
 
-def m_step(points, r, a, b, prior):
+def m_step(points, r, b, prior):
     """Parameter update: closed-form posterior refresh from the latent posteriors.
 
-    ``points`` is a batch's ``(B, n, d)`` rows and ``r, a, b`` its
-    ``(B, n, k)`` latent posteriors; returns the ``(B, k, ...)`` posterior
-    stack. Accumulates the responsibility-weighted counts, scale-weighted
-    means and scatters of all components at once. A component with zero
+    ``points`` is a batch's ``(B, n, d)`` rows and ``r, b`` its
+    ``(B, n, k)`` responsibilities and scale rates, whose shape comes from
+    ``prior``; returns the ``(B, k, ...)`` posterior stack. Accumulates the
+    responsibility-weighted counts, scale-weighted means and scatters of
+    all components at once. A component with zero
     scale-weighted mass (a masked one among them) keeps the prior values
     so the update never divides by zero.
     """
     x = np.asarray(points, dtype=float)
-    zeta = r * (a / b)  # <z> <1/u>
+    zeta = r * (_scale_shape(prior) / b)  # <z> <1/u>
     counts = _sum_rows(r)
     omega = _sum_rows(zeta)
     live = omega > 0.0
@@ -339,13 +334,14 @@ def m_step(points, r, a, b, prior):
 _ELBO_TERMS = ("log_likelihood", "latent_prior", "param_prior", "latent_entropy", "param_entropy")
 
 
-def elbo(r, a, b, post, cache, terms):
+def elbo(r, b, post, cache, terms):
     """Evidence lower bound of each class of a batch under the current posteriors.
 
-    ``r, a, b`` are the ``(B, n, k)`` latent posteriors the parameter
-    update ``post`` was computed from, ``cache`` is ``post``'s
-    :func:`component_cache` and ``terms`` the fit's :func:`prior_terms`;
-    returns one bound per class, summed over its live components.
+    ``r, b`` are the ``(B, n, k)`` responsibilities and scale rates the
+    parameter update ``post`` was computed from, ``cache`` is ``post``'s
+    :func:`component_cache` and ``terms`` the fit's :func:`prior_terms`,
+    whose prior gives the scale shape; returns one bound per class, summed
+    over its live components.
     Assembled from five pieces: the expected data log-likelihood, the
     expected latent prior, the expected parameter prior, and the negative
     entropies of the latent and parameter posteriors. With no data and
@@ -356,44 +352,38 @@ def elbo(r, a, b, post, cache, terms):
     live = cache.live
     k = live.sum(axis=1)
     alpha, beta, eta = post.alpha, post.beta, post.eta
-    masked = not live.all()
-    lpi = np.where(live, cache.log_pi, 0.0) if masked else cache.log_pi
+    lpi = np.where(live, cache.log_pi, 0.0)
     lsig = cache.log_sigma
 
     def over_live(values):
-        return (np.where(live, values, 0.0) if masked else values).sum(axis=1)
+        return np.where(live, values, 0.0).sum(axis=1)
 
-    if r.shape[1]:
-        # a is constant down each column, so every latent term but r log r
-        # folds into per-column sums of r, r <1/u>, r <1/u> d2 and r log b;
-        # a masked component's sums are all 0
-        a_col = a[:, 0]
-        psi_a = digamma(a_col)
-        counts = _sum_rows(r)
-        zeta = r * (a / b)
-        s_inv_u = _sum_rows(zeta)
-        s_inv_u_d2 = _sum_rows(zeta * cache.d2)
-        s_log_b = _sum_rows(r * np.log(b))
-        # sum of r <log u>, with <log u> = log b - psi(a)
-        s_log_u = s_log_b - counts * psi_a
+    # the shape a is one constant, so every latent term but r log r folds
+    # into per-column sums of r, r <1/u>, r <1/u> d2 and r log b; a masked
+    # component's sums are all 0
+    a = _scale_shape(prior)
+    psi_a = digamma(a)
+    counts = _sum_rows(r)
+    zeta = r * (a / b)
+    s_inv_u = _sum_rows(zeta)
+    s_inv_u_d2 = _sum_rows(zeta * cache.d2)
+    s_log_b = _sum_rows(r * np.log(b))
+    # sum of r <log u>, with <log u> = log b - psi(a)
+    s_log_u = s_log_b - counts * psi_a
 
-        log_lik = (
-            counts * (-0.5 * d * _LOG_2PI - 0.5 * lsig) - 0.5 * d * s_log_u - 0.5 * s_inv_u_d2
-        ).sum(axis=1)
-        half_nu = 0.5 * prior.nu_fixed
-        latent_prior = (
-            counts * (lpi + half_nu * math.log(half_nu) - gammaln(half_nu))
-            - (half_nu + 1.0) * s_log_u
-            - half_nu * s_inv_u
-        ).sum(axis=1)
-        # minus the expected log of q(z) IG(u | a, b); its a log b terms cancel
-        latent_entropy = (
-            s_log_b
-            - _sum_rows(xlogy(r, r))
-            + counts * (gammaln(a_col) - (a_col + 1.0) * psi_a + a_col)
-        ).sum(axis=1)
-    else:
-        log_lik = latent_prior = latent_entropy = np.zeros(k.shape)
+    log_lik = (
+        counts * (-0.5 * d * _LOG_2PI - 0.5 * lsig) - 0.5 * d * s_log_u - 0.5 * s_inv_u_d2
+    ).sum(axis=1)
+    half_nu = 0.5 * prior.nu_fixed
+    latent_prior = (
+        counts * (lpi + half_nu * math.log(half_nu) - gammaln(half_nu))
+        - (half_nu + 1.0) * s_log_u
+        - half_nu * s_inv_u
+    ).sum(axis=1)
+    # minus the expected log of q(z) IG(u | a, b); its a log b terms cancel
+    latent_entropy = (
+        s_log_b - _sum_rows(xlogy(r, r)) + counts * (gammaln(a) - (a + 1.0) * psi_a + a)
+    ).sum(axis=1)
 
     param_prior = gammaln(k * prior.alpha0) - k * gammaln(prior.alpha0)
     param_prior += over_live(
@@ -439,16 +429,16 @@ def elbo(r, a, b, post, cache, terms):
     return total
 
 
-def prune(r, a, b, live, threshold):
+def prune(r, b, live, threshold):
     """Drop the components whose effective count fell below ``threshold``.
 
-    ``r, a, b`` are a batch's ``(B, n, k)`` latent posteriors and ``live``
-    its ``(B, k)`` component mask, where each class's live components are
-    its first columns. Returns ``(r, a, b, live)`` in the same layout: a
-    class that lost components has its survivors moved to its first
-    columns, in order, and its rows renormalized over them; the batch
-    keeps as many columns as its widest class, and the columns past a
-    class's survivors are masked with zero responsibility. A class never
+    ``r, b`` are a batch's ``(B, n, k)`` responsibilities and scale rates
+    and ``live`` its ``(B, k)`` component mask, where each class's live
+    components are its first columns. Returns ``(r, b, live)`` in the same
+    layout: a class that lost components has its survivors moved to its
+    first columns, in order, and its rows renormalized over them; the
+    batch keeps as many columns as its widest class, and the columns past
+    a class's survivors are masked with zero responsibility. A class never
     loses its last component: if none reaches the threshold, the one with
     the largest effective count is kept. Components are independent in
     :func:`m_step`, so updating the survivors of a pruned latent posterior
@@ -456,8 +446,6 @@ def prune(r, a, b, live, threshold):
     """
     counts = _sum_rows(r)
     keep = live & (counts >= threshold)
-    if np.count_nonzero(keep) == np.count_nonzero(live):
-        return r, a, b, live
     n_keep = keep.sum(axis=1)
     if not n_keep.all():
         lost = np.flatnonzero(n_keep == 0)
@@ -465,7 +453,7 @@ def prune(r, a, b, live, threshold):
         n_keep[lost] = 1
     cut = (n_keep < live.sum(axis=1)).tolist()
     if not any(cut):
-        return r, a, b, live
+        return r, b, live
     width = int(n_keep.max())
     # a stable sort puts each class's survivors first, in order; an uncut
     # class's live columns already come first and the rest hold nothing
@@ -473,7 +461,7 @@ def prune(r, a, b, live, threshold):
     parts = []
     for j, n_live in enumerate(n_keep.tolist()):
         if not cut[j]:
-            parts.append((r[j, :, :width], a[j, :, :width], b[j, :, :width]))
+            parts.append((r[j, :, :width], b[j, :, :width]))
             continue
         cols = order[j]
         r_j = r[j][:, cols]
@@ -481,24 +469,25 @@ def prune(r, a, b, live, threshold):
         # a padding row holds no responsibility and stays at zero
         total = r_j.sum(axis=1, keepdims=True)
         r_j /= np.where(total > 0.0, total, 1.0)
-        parts.append((r_j, a[j][:, cols], b[j][:, cols]))
-    r, a, b = (np.stack(v) if len(v) > 1 else v[0][None] for v in zip(*parts))
-    return r, a, b, np.arange(width) < n_keep[:, None]
+        parts.append((r_j, b[j][:, cols]))
+    r, b = (np.stack(v) for v in zip(*parts))
+    return r, b, np.arange(width) < n_keep[:, None]
 
 
-def _init_latent(batch, k0, nu, seeds):
-    """Initial latent posteriors: each class's draws from its own seeded stream."""
-    n_classes, n, d = batch.x.shape
+def _init_latent(batch, k0, prior, seeds):
+    """Initial ``(r, b)``: each class's draws from its own seeded stream.
+
+    The rates equal the shape ``prior`` gives, so the latent scales start
+    at unit mean.
+    """
+    n_classes, n, _ = batch.x.shape
     r = np.zeros((n_classes, n, int(k0.max())))
     for member, (rows, k, seed) in enumerate(zip(batch.n_rows.tolist(), k0.tolist(), seeds)):
         if k > 1:
             r[member, :rows, :k] = np.random.default_rng(seed).dirichlet(np.ones(k), size=rows)
         else:
             r[member, :rows, 0] = 1.0
-    # unit-mean latent scales at initialization, with the shape already at
-    # its fixed-point value 0.5 * (nu + dim)
-    a = np.full(r.shape, 0.5 * (nu + d))
-    return r, a, a.copy()
+    return r, np.full(r.shape, _scale_shape(prior))
 
 
 def _fit_lockstep(blocks, class_ids, seeds, prior, config, sink=None):
@@ -511,8 +500,8 @@ def _fit_lockstep(blocks, class_ids, seeds, prior, config, sink=None):
     nu = prior.nu_fixed
     terms = prior_terms(prior)
     k0 = np.minimum(prior.k_init, batch.n_rows)
-    r, a, b = _init_latent(batch, k0, nu, seeds)
-    post = m_step(batch.x, r, a, b, prior)
+    r, b = _init_latent(batch, k0, prior, seeds)
+    post = m_step(batch.x, r, b, prior)
     cache = component_cache(batch, post, prior, np.arange(r.shape[2]) < k0[:, None])
     traces = [[] for _ in batch.class_ids]
     lines = [[] for _ in batch.class_ids]
@@ -520,11 +509,11 @@ def _fit_lockstep(blocks, class_ids, seeds, prior, config, sink=None):
     active = list(range(len(traces)))  # batch member j is class active[j]
     try:
         for iteration in range(1, config.max_iters + 1):
-            r, a, b = e_step(cache, nu)
-            r, a, b, live = prune(r, a, b, cache.live, _PRUNE_THRESHOLD)
-            post = m_step(cache.batch.x, r, a, b, prior)
+            r, b = e_step(cache, nu)
+            r, b, live = prune(r, b, cache.live, _PRUNE_THRESHOLD)
+            post = m_step(cache.batch.x, r, b, prior)
             cache = component_cache(cache.batch, post, prior, live)
-            bounds = elbo(r, a, b, post, cache, terms).tolist()
+            bounds = elbo(r, b, post, cache, terms).tolist()
             n_live = live.sum(axis=1).tolist()
             done = []
             for j, i in enumerate(active):
@@ -545,7 +534,7 @@ def _fit_lockstep(blocks, class_ids, seeds, prior, config, sink=None):
                             **{key: v[j, : n_live[j]] for key, v in vars(post).items()}
                         ),
                         nu=np.full(n_live[j], nu),
-                        alpha_hat=sum(post.alpha[j, : n_live[j]].tolist()),
+                        alpha_hat=cache.alpha_hat[j],
                         elbo_trace=tuple(trace),
                         n_pruned=int(k0[i]) - n_live[j],
                         converged=converged,

@@ -48,6 +48,16 @@ class TestClosedForm:
         with pytest.raises(Exception):
             StudentParams(mu=[0.0, 0.0], sigma=[[1.0, 2.0], [2.0, 1.0]], nu=1.0)
 
+    @pytest.mark.parametrize("nu", [math.inf, -math.inf, math.nan, 0.0, -2.0])
+    def test_nu_not_positive_and_finite_rejected(self, nu):
+        with pytest.raises(ValueError, match=r"^nu must be positive and finite, got "):
+            StudentParams(mu=[0.0], sigma=[[1.0]], nu=nu)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^mu must be finite, got "):
+            StudentParams(mu=[0.0, bad], sigma=np.eye(2), nu=3.0)
+
     def test_batch_matches_scalar(self, rng):
         p = StudentParams(mu=[0.5, -1.0], sigma=random_spd(rng, 2), nu=3.0)
         pts = rng.standard_normal((30, 2)) * 4

@@ -189,6 +189,18 @@ class TestConditionalEntropy:
             with pytest.raises(ValueError, match="1-d"):
                 conditional_entropy(nus, tc, valid)
 
+    @pytest.mark.parametrize("nus, bad", [
+        ([1.0, math.inf, 0.0], "inf"),
+        ([math.nan, 2.0], "nan"),
+        ([3.0, 0.0], "0.0"),
+        ([-1.5, -math.inf], "-1.5"),
+    ])
+    def test_grid_value_not_positive_and_finite_rejected(self, nus, bad):
+        tc = two_class_classifier(sep=3.0)
+        valid = labeled(np.zeros((2, 2)), [1, 2])
+        with pytest.raises(ValueError, match=f"^nus must be positive and finite, got {bad}$"):
+            conditional_entropy(nus, tc, valid)
+
     def test_finite_at_grid_extremes_with_far_points(self):
         # log-space evaluation keeps the criterion finite even for extreme
         # tail weights and validation points far from every class

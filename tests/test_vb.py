@@ -67,27 +67,30 @@ def cache_of(points, post, prior):
     return component_cache(ClassBatch.pad([x], [1]), batched(post), prior, live)
 
 
-def one_class_m_step(x, r, a, b, prior):
+def scale_shape(prior):
+    """Shape of the latent scale posteriors under ``prior``: (nu + D) / 2."""
+    return 0.5 * (prior.nu_fixed + prior.dim)
+
+
+def one_class_m_step(x, r, b, prior):
     """:func:`m_step` of one class, through a batch of one."""
-    return member(m_step(x[None], r[None], a[None], b[None], prior))
+    return member(m_step(x[None], r[None], b[None], prior))
 
 
 def one_class_e_step(x, post, prior):
     """:func:`e_step` of one class under ``prior.nu_fixed``, through a batch of one."""
-    r, a, b = e_step(cache_of(x, post, prior), prior.nu_fixed)
-    return r[0], a[0], b[0]
+    r, b = e_step(cache_of(x, post, prior), prior.nu_fixed)
+    return r[0], b[0]
 
 
 def latent_update(points, post, nu):
-    """``(r, a, b)`` of the latent update under the stacked posteriors ``post``."""
+    """``(r, b)`` of the latent update under the stacked posteriors ``post``."""
     x = np.atleast_2d(np.asarray(points, dtype=float))
     return one_class_e_step(x, post, replace(simple_prior(d=x.shape[1]), nu_fixed=nu))
 
 
-def bound(x, r, a, b, post, prior):
-    value = elbo(
-        r[None], a[None], b[None], batched(post), cache_of(x, post, prior), prior_terms(prior)
-    )
+def bound(x, r, b, post, prior):
+    value = elbo(r[None], b[None], batched(post), cache_of(x, post, prior), prior_terms(prior))
     return float(value[0])
 
 
@@ -97,10 +100,10 @@ def toy_state(seed=7):
     x = np.array([[0.3], [1.7], [-0.4], [2.2], [0.9]])
     prior = simple_prior()
     r = rng.dirichlet(np.ones(2), size=5)
-    post = one_class_m_step(x, r, np.full((5, 2), 2.0), np.full((5, 2), 2.0), prior)
-    r, a, b = one_class_e_step(x, post, prior)
-    post = one_class_m_step(x, r, a, b, prior)
-    return x, (r, a, b), post, prior
+    post = one_class_m_step(x, r, np.full((5, 2), 2.0), prior)
+    r, b = one_class_e_step(x, post, prior)
+    post = one_class_m_step(x, r, b, prior)
+    return x, (r, b), post, prior
 
 
 def random_state(rng, n, k, d):
@@ -112,9 +115,9 @@ def random_state(rng, n, k, d):
         eta0=d + 2.5, nu_fixed=4.0, k_init=k,
     )
     r = rng.dirichlet(np.ones(k), size=n)
-    post = one_class_m_step(x, r, np.full((n, k), 3.0), rng.uniform(1.0, 5.0, (n, k)), prior)
-    r, a, b = one_class_e_step(x, post, prior)
-    return x, (r, a, b), one_class_m_step(x, r, a, b, prior), prior
+    post = one_class_m_step(x, r, rng.uniform(1.0, 5.0, (n, k)), prior)
+    r, b = one_class_e_step(x, post, prior)
+    return x, (r, b), one_class_m_step(x, r, b, prior), prior
 
 
 EULER_MASCHERONI = 0.5772156649015329
@@ -131,7 +134,7 @@ class TestExpectations:
 
     def test_delta_sq_at_posterior_mean(self):
         post = posteriors([1.0], [2.5], [[0.4, -0.1]], [np.eye(2)], [6.0])
-        _, _, b = latent_update(np.array([[0.4, -0.1], [1.4, 0.9]]), post, 5.0)
+        _, b = latent_update(np.array([[0.4, -0.1], [1.4, 0.9]]), post, 5.0)
         # dim / beta, plus eta times the squared distance (2 at the second point)
         assert b[0, 0] == pytest.approx(0.5 * (2.0 / 2.5) + 2.5, rel=1e-12)
         assert b[1, 0] == pytest.approx(0.5 * (2.0 / 2.5 + 6.0 * 2.0) + 2.5, rel=1e-12)
@@ -140,7 +143,7 @@ class TestExpectations:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50
         post = posteriors([0.8, 1.9], [1.0, 1.0], [[0.0], [0.0]], [[[1.0]], [[1.0]]], [4.0, 4.0])
-        r, _, _ = latent_update(np.array([[0.0], [2.0]]), post, 5.0)
+        r, _ = latent_update(np.array([[0.0], [2.0]]), post, 5.0)
         expected = float(mp.digamma(mp.mpf(0.8)) - mp.digamma(mp.mpf(1.9)))
         log_ratio = np.log(r[:, 0] / r[:, 1])
         assert np.allclose(log_ratio, expected, rtol=0.0, atol=1e-12)
@@ -152,7 +155,7 @@ class TestExpectations:
         post = posteriors(
             [1.0, 1.0], [1.0, 1.0], np.zeros((2, 2)), [np.eye(2), 2.0 * np.eye(2)], [5.0, 7.0]
         )
-        r, _, _ = latent_update(np.zeros((1, 2)), post, 5.0)
+        r, _ = latent_update(np.zeros((1, 2)), post, 5.0)
         lsig_diff = 0.4 + 0.5 - 2.0 * math.log(2.0)  # narrow minus wide
         log_ratio = math.log(r[0, 0] / r[0, 1])
         assert log_ratio == pytest.approx(-0.5 * lsig_diff, abs=1e-12)
@@ -187,13 +190,12 @@ class TestComponentCache:
 class TestEStep:
     def test_single_component_gives_unit_responsibility(self):
         post = posteriors([1.0], [1.0], [[0.0]], [[[1.0]]], [3.0])
-        r, a, _ = latent_update(np.array([[0.1], [5.0], [-2.0]]), post, 5.0)
+        r, _ = latent_update(np.array([[0.1], [5.0], [-2.0]]), post, 5.0)
         assert np.allclose(r, 1.0)
-        assert np.allclose(a, (5.0 + 1.0) / 2.0)
 
     def test_symmetric_components_on_axis(self):
         post = posteriors([1.0, 1.0], [2.0, 2.0], [[-1.0], [1.0]], [[[1.0]], [[1.0]]], [3.0, 3.0])
-        r, _, _ = latent_update(np.array([[0.0]]), post, 5.0)
+        r, _ = latent_update(np.array([[0.0]]), post, 5.0)
         assert r[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_high_precision_reference(self):
@@ -201,7 +203,7 @@ class TestEStep:
         mp.mp.dps = 50
         post = posteriors([0.8, 1.9], [1.5, 0.7], [[-0.5], [1.2]], [[[0.9]], [[1.8]]], [3.2, 4.1])
         x = np.array([[0.0], [1.0], [-2.0]])
-        r, _, _ = latent_update(x, post, 2.5)
+        r, _ = latent_update(x, post, 2.5)
         alpha_hat = mp.mpf(0.8) + mp.mpf(1.9)
         rows = []
         for xi in x[:, 0]:
@@ -237,7 +239,7 @@ class TestEStep:
             [5.0, 6.0, 4.0],
         )
         x = rng.standard_normal((200, 2)) * 3
-        r, _, _ = latent_update(x, post, 4.0)
+        r, _ = latent_update(x, post, 4.0)
         assert np.allclose(r.sum(axis=1), 1.0, atol=1e-12)
         assert r.sum(axis=0).sum() == pytest.approx(200.0, abs=1e-8)
 
@@ -247,13 +249,12 @@ class TestMStep:
         # the statistics, read back from the posteriors they produce
         x = np.array([[1.0], [3.0], [5.0]])
         r = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
-        a = np.full((3, 2), 2.0)
         b = np.array([[2.0, 2.0], [4.0, 1.0], [2.0, 2.0]])
         prior = simple_prior(alpha0=0.5, beta0=2.0, eta0=3.0)
-        post = one_class_m_step(x, r, a, b, prior)
+        post = one_class_m_step(x, r, b, prior)
         assert np.allclose(post.alpha - prior.alpha0, [1.5, 1.5])
         assert np.allclose(post.eta - prior.eta0, [1.5, 1.5])
-        # zeta = r * a / b per column
+        # zeta = r * a / b per column, with a = (nu + D) / 2 = 2
         zeta0 = np.array([1.0, 0.25, 0.0])
         zeta1 = np.array([0.0, 1.0, 1.0])
         omega = post.beta - prior.beta0
@@ -273,7 +274,7 @@ class TestMStep:
         x = rng.standard_normal((100, 2))
         prior = simple_prior(d=2, alpha0=0.001, eta0=3.0)
         scale = np.full((100, 1), 3.5)
-        post = one_class_m_step(x, np.ones((100, 1)), scale, scale.copy(), prior)
+        post = one_class_m_step(x, np.ones((100, 1)), scale, prior)
         assert post.alpha[0] == pytest.approx(100.001, rel=1e-12)
         assert post.eta[0] == pytest.approx(103.0, rel=1e-12)
 
@@ -281,12 +282,11 @@ class TestMStep:
         # 1-d, 4 points, hand-set responsibilities and scale posteriors
         x = np.array([[0.5], [1.5], [-1.0], [2.0]])
         r = np.array([[0.9, 0.1], [0.3, 0.7], [0.6, 0.4], [0.2, 0.8]])
-        a = np.array([[2.0, 2.0]] * 4)
         b = np.array([[1.5, 2.5], [2.0, 1.0], [3.0, 2.0], [1.0, 4.0]])
         prior = simple_prior(alpha0=0.5, beta0=2.0, eta0=3.0, nu=3.0)
-        post = one_class_m_step(x, r, a, b, prior)
+        post = one_class_m_step(x, r, b, prior)
         for k in range(2):
-            zeta = r[:, k] * (a[:, k] / b[:, k])
+            zeta = r[:, k] * (2.0 / b[:, k])  # the shape (3 + 1) / 2
             count = r[:, k].sum()
             omega = zeta.sum()
             xbar = (zeta * x[:, 0]).sum() / omega
@@ -305,12 +305,11 @@ class TestMStep:
         # order numpy sums a column in, which depends on the column count)
         x = rng.standard_normal((40, 3))
         r = rng.dirichlet(np.ones(4), size=40)
-        a = np.full((40, 4), 2.5)
         b = rng.uniform(1.0, 4.0, size=(40, 4))
         prior = simple_prior(d=3)
-        full = one_class_m_step(x, r, a, b, prior)
+        full = one_class_m_step(x, r, b, prior)
         keep = np.array([True, False, True, True])
-        part = one_class_m_step(x, r[:, keep], a[:, keep], b[:, keep], prior)
+        part = one_class_m_step(x, r[:, keep], b[:, keep], prior)
         for name, values in vars(part).items():
             assert np.allclose(values, getattr(full, name)[keep], rtol=1e-14, atol=0), name
 
@@ -318,9 +317,7 @@ class TestMStep:
         x = np.array([[0.5], [1.5]])
         prior = simple_prior()
         r = np.array([[1.0, 0.0], [1.0, 0.0]])
-        a = np.full((2, 2), 2.0)
-        b = np.full((2, 2), 2.0)
-        post = one_class_m_step(x, r, a, b, prior)
+        post = one_class_m_step(x, r, np.full((2, 2), 2.0), prior)
         assert post.alpha[1] == prior.alpha0
         assert post.beta[1] == prior.beta0
         assert np.array_equal(post.m[1], prior.m0)
@@ -331,8 +328,19 @@ class TestMStep:
         prior = simple_prior(d=1, beta0=1.0, nu=5.0, k_init=1)
         x = np.array([[4.0]])
         scale = np.full((1, 1), 3.0)
-        post = one_class_m_step(x, np.ones((1, 1)), scale, scale.copy(), prior)
+        post = one_class_m_step(x, np.ones((1, 1)), scale, prior)
         assert prior.m0[0] <= post.m[0, 0] <= 4.0
+
+    @pytest.mark.parametrize("nu, d", [(3.0, 1), (7.5, 3), (0.4, 2)])
+    def test_scale_shape_comes_from_the_prior(self, rng, nu, d):
+        # the scale-weighted mass beta - beta0 sums r <1/u> = r (nu + D) / (2 b)
+        x = rng.standard_normal((30, d))
+        r = rng.dirichlet(np.ones(3), size=30)
+        b = rng.uniform(0.5, 4.0, size=(30, 3))
+        prior = simple_prior(d=d, nu=nu, k_init=3)
+        post = one_class_m_step(x, r, b, prior)
+        expected = (r * (nu + d) / (2.0 * b)).sum(axis=0)
+        assert np.allclose(post.beta - prior.beta0, expected, rtol=1e-12, atol=0.0)
 
 
 class TestElbo:
@@ -342,7 +350,7 @@ class TestElbo:
             [prior.alpha0] * 3, [prior.beta0] * 3, [prior.m0] * 3, [prior.W0] * 3, [prior.eta0] * 3
         )
         empty = np.zeros((0, 3))
-        value = bound(np.zeros((0, 2)), empty, empty, empty, post, prior)
+        value = bound(np.zeros((0, 2)), empty, empty, post, prior)
         assert value == pytest.approx(0.0, abs=1e-10)
 
     def test_wishart_normaliser_against_mpmath(self):
@@ -363,7 +371,7 @@ class TestElbo:
             prior = replace(base, eta0=2.0 * a)
             post = posteriors([base.alpha0], [base.beta0], [base.m0], [base.W0], [base.eta0])
             empty = np.zeros((0, 1))
-            value = bound(np.zeros((0, d)), empty, empty, empty, post, prior)
+            value = bound(np.zeros((0, d)), empty, empty, post, prior)
 
             eta = mp.mpf(base.eta0)
             psi_sum = sum(mp.digamma((eta + 1 - j) / 2) for j in range(1, d + 1))
@@ -375,8 +383,9 @@ class TestElbo:
 
     def test_matches_monte_carlo_oracle(self):
         # independent estimate of E_q[ln p(X, Z, U, theta) - ln q(Z, U, theta)]
-        x, (r, a, b), post, prior = toy_state(seed=7)
-        value = bound(x, r, a, b, post, prior)
+        x, (r, b), post, prior = toy_state(seed=7)
+        value = bound(x, r, b, post, prior)
+        a = scale_shape(prior)
 
         rng = np.random.default_rng(2024)
         m_draws = 200000
@@ -404,27 +413,27 @@ class TestElbo:
         rows = np.arange(m_draws)
         for n in range(x.shape[0]):
             z_n = (rng.random(m_draws)[:, None] > np.cumsum(r[n])[None, :-1]).sum(axis=1)
-            u_n = 1.0 / rng.gamma(a[n, z_n], 1.0 / b[n, z_n])
+            u_n = 1.0 / rng.gamma(a, 1.0 / b[n, z_n])
             lp += stats.norm.logpdf(
                 x[n, 0], mu_s[rows, z_n], np.sqrt(u_n * sig_s[rows, z_n])
             )
             lp += np.log(pi_s[rows, z_n])
             lp += stats.invgamma.logpdf(u_n, nu / 2, scale=nu / 2)
             lq += np.log(r[n, z_n])
-            lq += stats.invgamma.logpdf(u_n, a[n, z_n], scale=b[n, z_n])
+            lq += stats.invgamma.logpdf(u_n, a, scale=b[n, z_n])
         diff = lp - lq
         se = float(diff.std() / math.sqrt(m_draws))
         assert value == pytest.approx(float(diff.mean()), abs=max(5 * se, 0.02))
 
     def test_non_finite_term_is_named(self):
-        x, (r, a, b), post, prior = toy_state()
+        x, (r, b), post, prior = toy_state()
         with np.errstate(all="ignore"), pytest.raises(
             NumericalFailure, match=r"^class 1: ELBO term 'log_likelihood' is not finite"
         ):
-            bound(x, r, a, np.full_like(b, np.inf), post, prior)
+            bound(x, r, np.full_like(b, np.inf), post, prior)
 
 
-def reference_elbo(r, a, b, post, cache, prior):
+def reference_elbo(r, b, post, cache, prior):
     """The bound of one class as a sum over every (point, component) element.
 
     ``cache`` is the class's batch-of-one :func:`component_cache`.
@@ -434,6 +443,7 @@ def reference_elbo(r, a, b, post, cache, prior):
     lpi, lsig = cache.log_pi[0], cache.log_sigma[0]
     d2, quad_prior, tr_prior = cache.d2[0], cache.quad_prior[0], cache.tr_prior[0]
     log_2pi = math.log(2.0 * math.pi)
+    a = scale_shape(prior)
     e_inv_u = a / b
     e_log_u = np.log(b) - digamma(a)
     log_lik = np.sum(
@@ -473,19 +483,19 @@ class TestElboColumnSums:
     """The bound folds its latent terms into per-column sums."""
 
     def test_matches_per_element_reference_on_toy_state(self):
-        x, (r, a, b), post, prior = toy_state()
-        value = bound(x, r, a, b, post, prior)
-        reference = reference_elbo(r, a, b, post, cache_of(x, post, prior), prior)
+        x, (r, b), post, prior = toy_state()
+        value = bound(x, r, b, post, prior)
+        reference = reference_elbo(r, b, post, cache_of(x, post, prior), prior)
         assert value == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 6])
     def test_matches_per_element_reference(self, rng, k):
-        x, (r, a, b), post, prior = random_state(rng, n=60, k=k, d=4)
+        x, (r, b), post, prior = random_state(rng, n=60, k=k, d=4)
         if k > 1:
             r[0, 0] = 0.0  # an exactly empty cell: r log r is 0 there
             r[0] /= r[0].sum()
-        value = bound(x, r, a, b, post, prior)
-        reference = reference_elbo(r, a, b, post, cache_of(x, post, prior), prior)
+        value = bound(x, r, b, post, prior)
+        reference = reference_elbo(r, b, post, cache_of(x, post, prior), prior)
         assert value == pytest.approx(reference, rel=1e-12)
 
     def test_log_multigamma_equals_scipy(self, rng):
@@ -499,26 +509,24 @@ class TestElboColumnSums:
 class TestPrune:
     def test_dead_component_removed(self):
         r = np.array([[[1.0 - 1e-12, 1e-12]] * 300])
-        a = np.tile([3.0, 4.0], (1, 300, 1))
-        r, a, b, live = prune(r, a, a.copy(), np.ones((1, 2), dtype=bool), threshold=1e-3)
-        assert r.shape == a.shape == b.shape == (1, 300, 1)
+        b = np.tile([3.0, 4.0], (1, 300, 1))
+        r, b, live = prune(r, b, np.ones((1, 2), dtype=bool), threshold=1e-3)
+        assert r.shape == b.shape == (1, 300, 1)
         assert np.allclose(r, 1.0)
-        assert np.array_equal(a, np.full((1, 300, 1), 3.0))
+        assert np.array_equal(b, np.full((1, 300, 1), 3.0))
         assert np.array_equal(live, [[True]])
 
     def test_no_op_when_all_alive(self):
         r = np.full((1, 20, 2), 0.5)
-        a = np.full((1, 20, 2), 3.0)
         b = np.full((1, 20, 2), 3.0)
         live = np.ones((1, 2), dtype=bool)
-        out = prune(r, a, b, live, threshold=1e-3)
-        assert all(got is given for got, given in zip(out, (r, a, b, live)))
+        out = prune(r, b, live, threshold=1e-3)
+        assert all(got is given for got, given in zip(out, (r, b, live), strict=True))
 
     def test_refuses_to_prune_everything(self):
         # no component reaches the threshold: the largest one is kept
-        r, _, b, live = prune(
+        r, b, live = prune(
             np.array([[[0.3, 0.7]]]),
-            np.full((1, 1, 2), 3.0),
             np.array([[[3.0, 4.0]]]),
             np.ones((1, 2), dtype=bool),
             threshold=10.0,
@@ -536,7 +544,7 @@ class TestPrune:
         r = np.stack([r0, np.hstack([r1, np.zeros((5, 1))])])
         b = rng.uniform(1.0, 4.0, r.shape)
         live = np.array([[True, True, True], [True, True, False]])
-        out, _, b_out, kept = prune(r, np.full(r.shape, 2.5), b, live, threshold=1e-3)
+        out, b_out, kept = prune(r, b, live, threshold=1e-3)
         assert np.array_equal(kept, [[True, True], [True, True]])
         assert np.array_equal(out[1], r[1, :, :2])
         assert np.array_equal(b_out[0], b[0][:, [0, 2]])
@@ -551,8 +559,7 @@ class TestPrune:
         # column is masked with zero responsibility
         r = np.array([[[0.5, 0.5, 0.0]] * 4, [[1.0 - 1e-9, 1e-9, 0.0]] * 4])
         live = np.array([[True, True, False], [True, True, False]])
-        a = np.full(r.shape, 2.0)
-        out, _, _, kept = prune(r, a, a.copy(), live, threshold=1e-3)
+        out, _, kept = prune(r, np.full(r.shape, 2.0), live, threshold=1e-3)
         assert np.array_equal(kept, [[True, True], [True, False]])
         assert np.array_equal(out[0], r[0, :, :2])
         assert np.array_equal(out[1], np.tile([1.0, 0.0], (4, 1)))
@@ -566,8 +573,8 @@ class TestPrune:
         r = np.stack([r0, rng.dirichlet(np.ones(3), size=6)])
         b = rng.uniform(1.0, 4.0, r.shape)
         live = np.ones((2, 3), dtype=bool)
-        out, _, b_out, kept = prune(r, np.full(r.shape, 2.5), b, live, threshold=1e-3)
-        alone, _, _, _ = prune(r[:1], np.full((1, 6, 3), 2.5), b[:1], live[:1], threshold=1e-3)
+        out, b_out, kept = prune(r, b, live, threshold=1e-3)
+        alone, _, _ = prune(r[:1], b[:1], live[:1], threshold=1e-3)
         sliced = r0[:, [0, 2]]
         assert np.array_equal(kept, [[True, True, False], [True, True, True]])
         assert np.array_equal(out[0, :, :2], sliced / sliced.sum(axis=1, keepdims=True))
@@ -614,13 +621,12 @@ class TestFit:
         prior = build_default_prior(data, nu_fixed=3.0, k_init=4)
         rows = data.features[data.labels == 1]
         r = np.random.default_rng(0).dirichlet(np.ones(4), size=rows.shape[0])
-        a = np.full((rows.shape[0], 4), 2.5)
-        post = one_class_m_step(rows, r, a, a.copy(), prior)
+        post = one_class_m_step(rows, r, np.full((rows.shape[0], 4), 2.5), prior)
         for _ in range(5):
-            r, a, b = one_class_e_step(rows, post, prior)
+            r, b = one_class_e_step(rows, post, prior)
             assert np.allclose(r.sum(axis=1), 1.0, atol=1e-12)
             assert r.sum(axis=0).sum() == pytest.approx(rows.shape[0], abs=1e-8)
-            post = one_class_m_step(rows, r, a, b, prior)
+            post = one_class_m_step(rows, r, b, prior)
 
     def test_permutation_equivariance_at_convergence(self, rng):
         data = two_blob_dataset(seed=31, n_per_class=200, centers=((0, 0), (6, 6)))
@@ -833,12 +839,17 @@ class TestLockstep:
         assert lines == alone
 
     def test_padding_rows_carry_no_weight(self):
-        batch, _, prior, cache = two_class_state()
+        batch, post, prior, cache = two_class_state()
         assert batch.n_rows.tolist() == [6, 4]
         assert np.array_equal(batch.x[1, 4:], np.repeat(batch.x[1, :1], 2, axis=0))
-        r, _, _ = e_step(cache, prior.nu_fixed)
+        r, _ = e_step(cache, prior.nu_fixed)
         assert np.array_equal(r[1, 4:], np.zeros((2, 2)))
         assert np.allclose(r[0].sum(axis=1), 1.0) and np.allclose(r[1, :4].sum(axis=1), 1.0)
+        # with no padding row every row weighs 1
+        unpadded = ClassBatch.pad([batch.x[0], batch.x[0][::-1]], (3, 7))
+        assert np.array_equal(unpadded.weight, np.ones((2, 6, 1)))
+        r, _ = e_step(component_cache(unpadded, post, prior, cache.live), prior.nu_fixed)
+        assert np.allclose(r.sum(axis=2), 1.0)
 
     def test_classes_are_batched_within_the_size_budget(self):
         # B * n * k * d of a batch stays within vb._BATCH_NUMBERS (2**16)
@@ -900,8 +911,7 @@ def two_class_state(ids=(3, 7)):
     prior = simple_prior(d=2, k_init=2)
     batch = ClassBatch.pad([rng.standard_normal((6, 2)), rng.standard_normal((4, 2))], ids)
     r = np.full((2, 6, 2), 0.5) * batch.weight
-    a = np.full(r.shape, 2.0)
-    post = m_step(batch.x, r, a, a.copy(), prior)
+    post = m_step(batch.x, r, np.full(r.shape, 2.0), prior)
     live = np.ones((2, 2), dtype=bool)
     return batch, post, prior, component_cache(batch, post, prior, live)
 
@@ -924,12 +934,12 @@ class TestFailuresNameTheClass:
     @pytest.mark.parametrize("bad, cid", [([1], 7), ([1, 0], 3)])
     def test_non_finite_bound(self, bad, cid):
         _, post, prior, cache = two_class_state()
-        r, a, b = e_step(cache, prior.nu_fixed)
+        r, b = e_step(cache, prior.nu_fixed)
         b[bad] = np.inf
         with np.errstate(all="ignore"), pytest.raises(
             NumericalFailure, match=f"^class {cid}: ELBO term 'log_likelihood' is not finite"
         ):
-            elbo(r, a, b, post, cache, prior_terms(prior))
+            elbo(r, b, post, cache, prior_terms(prior))
 
     def test_scale_that_is_not_positive_definite(self):
         batch, post, prior, cache = two_class_state()
