@@ -41,18 +41,17 @@ def make_data(nu, seed, n=400, sep=4.0):
 for name, nu_true in (("heavy-tailed (nu = 1)", 1.0), ("gaussian (nu = 1e6)", 1e6)):
     data = make_data(nu_true, seed=3)
     prior = build_default_prior(data, nu_fixed=200.0, k_init=1, alpha0=0.001)
-    lines = []
+    rows = []
     nu_hat = select_nu(
         data,
         prior,
-        NuSearchConfig(folds=5, seed=0),
+        NuSearchConfig(folds=5),
         vb_config=VbConfig(seed=0),
-        table_sink=lines.append,
+        table_sink=rows.append,
     )
     print(f"{name}: selected nu = {nu_hat:g}")
     # print fold 0's criterion at a few grid points
-    fold0 = [ln for ln in lines[1:] if ln.startswith("0,")]
+    fold0 = [(nu, j) for fold, nu, j in rows if fold == 0]
     print("  fold 0 J(nu) samples:")
-    for ln in fold0[::8]:
-        _, nu, j = ln.split(",")
-        print(f"    nu = {float(nu):9.4g}   J = {float(j):.4f}")
+    for nu, j in fold0[::8]:
+        print(f"    nu = {nu:9.4g}   J = {j:.4f}")

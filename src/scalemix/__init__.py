@@ -35,7 +35,6 @@ from .features import (
     rectify,
 )
 from .metrics import (
-    MetricsReport,
     accuracy,
     confusion_matrix,
     precision_recall,

@@ -37,17 +37,11 @@ from .data import (
     subsample,
     write_rows,
 )
-from .metrics import (
-    MetricsReport,
-    accuracy,
-    confusion_matrix,
-    precision_recall,
-    probability_of_superiority,
-)
+from .metrics import accuracy, confusion_matrix, precision_recall, probability_of_superiority
 from .model import build_default_prior, load_model, save_model
 from .nu_select import NuSearchConfig, select_nu
 from .numerics import NotPositiveDefiniteError
-from .predict import predict_batch, prepare
+from .predict import UnscorableRowError, predict_batch, prepare
 from .vb import NumericalFailure, VbConfig, fit, fit_ml_nu
 
 EXIT_OK = 0
@@ -138,6 +132,27 @@ def _parse_nu_grid(text):
     return np.asarray(values)
 
 
+def _write_table(path, header, rows):
+    """A small CSV table: floats as ``repr(float(v))``, other values as ``str(v)``."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _report_text(acc, precision, recall):
+    """``report.txt``: accuracy, macro precision and recall, then one line per class."""
+    lines = [
+        f"accuracy              {acc:.4f}",
+        f"macro precision       {precision.mean():.4f}",
+        f"macro recall          {recall.mean():.4f}",
+        "",
+        "class  precision  recall",
+        *(f"{c:>5}  {p:>9.4f}  {r:>6.4f}" for c, (p, r) in enumerate(zip(precision, recall), 1)),
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def _write_boundary_csv(path, grid, post, labels):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x1,x2,posterior_c1,posterior_c2,argmax\n")
@@ -217,7 +232,7 @@ def _search_config(args):
         return None
     try:
         grid = _parse_nu_grid(args.nu_grid) if args.nu_grid else None
-        return NuSearchConfig(folds=args.folds, nu_pre=args.nu_pre, grid=grid, seed=args.seed)
+        return NuSearchConfig(folds=args.folds, nu_pre=args.nu_pre, grid=grid)
     except ValueError as exc:
         raise UsageError(f"invalid selection settings: {exc}") from None
 
@@ -249,19 +264,18 @@ def cmd_train(args):
     data = load_csv(args.data)
     if data.n_rows == 0:
         raise DataFormatError(f"{args.data}: no training rows")
-    table_lines = []
+    table_rows = []
     classifier, nu, _ = _train_classifier(
         data,
         args,
         args.seed,
         search,
         log_sink=lambda line: print(line, file=sys.stderr),
-        table_sink=table_lines.append,
+        table_sink=table_rows.append,
     )
     if args.select_nu:
         print(f"selected nu = {nu!r}", file=sys.stderr)
-        table_path = Path(args.model_out + ".nu_search.csv")
-        table_path.write_text("\n".join(table_lines) + "\n", encoding="utf-8")
+        _write_table(args.model_out + ".nu_search.csv", "fold,nu,J", table_rows)
     save_model(classifier, args.model_out)
     if not all(cm.converged for cm in classifier.classes):
         bad = [cm.class_id for cm in classifier.classes if not cm.converged]
@@ -375,7 +389,12 @@ def _predict_slice(lines, first_lineno, path, names, prepared):
     main process, the others through :func:`map_in_workers`.
     """
     feats, ids = _data._parse_chunk(lines, first_lineno, path, names)
-    log_post, labels = predict_batch(prepared, feats)
+    try:
+        log_post, labels = predict_batch(prepared, feats)
+    except UnscorableRowError as exc:
+        # blank lines hold no row
+        lineno = [n for n, line in enumerate(lines, first_lineno) if not line.isspace()][exc.row]
+        raise DataFormatError(f"{path}: row {lineno}: a feature is too large to score") from None
     return format_rows(feats, np.column_stack([ids, labels]), log_post)
 
 
@@ -406,7 +425,6 @@ def _combinations(data, trials_train, args, search):
             )
             if args.subsample < 1.0:
                 train_part = subsample(train_part, args.subsample, child_seed)
-            run_search = None
             if search is not None:
                 class_ids, counts = np.unique(train_part.labels, return_counts=True)
                 if counts.min() < search.folds:
@@ -415,12 +433,11 @@ def _combinations(data, trials_train, args, search):
                         f"{where}: class {cid} has {counts.min()} training rows, "
                         f"fewer than {search.folds} folds"
                     )
-                run_search = replace(search, seed=child_seed)
             combos.append(
                 (pid, combo_idx, ";".join(map(str, train_trials)), train_part.n_rows,
                  test_part.labels)
             )
-            jobs.append((train_part, test_part.features, args, child_seed, run_search))
+            jobs.append((train_part, test_part.features, args, child_seed, search))
     return combos, jobs
 
 
@@ -452,63 +469,57 @@ def cmd_evaluate(args):
     # worker process per usable CPU; results come back in job order
     results = list(map_in_workers(_run_combination, jobs))
 
-    combo_rows = []
-    timing_rows = []
-    per_participant = {}
-    pooled_pred = []
-    pooled_truth = []
+    combo_rows, timing_rows, per_participant = [], [], {}
     for (pid, combo_idx, train_trials, n_train, truth), result in zip(combos, results):
         pred, tune_s, train_s, predict_s = result
         acc = accuracy(pred, truth)
         per_participant.setdefault(pid, []).append(acc)
-        pooled_pred.append(pred)
-        pooled_truth.append(truth)
         combo_rows.append((pid, combo_idx, train_trials, n_train, truth.shape[0], acc))
         n_test = max(truth.shape[0], 1)
         timing_rows.append((pid, combo_idx, tune_s, train_s, predict_s * 1e6 / n_test))
-    per_participant = {pid: np.asarray(accs) for pid, accs in per_participant.items()}
+    participant_rows = [(pid, len(a), np.mean(a), np.std(a)) for pid, a in per_participant.items()]
+    participant_means = np.array([row[2] for row in participant_rows])
 
-    def render(v):
-        return repr(float(v)) if isinstance(v, float) else str(v)
-
-    with open(out / "combinations.csv", "w", encoding="utf-8") as fh:
-        fh.write("participant,combination,train_trials,n_train,n_test,accuracy\n")
-        for row in combo_rows:
-            fh.write(",".join(render(v) for v in row) + "\n")
-    with open(out / "timings.csv", "w", encoding="utf-8") as fh:
-        fh.write("participant,combination,tune_s,train_s,predict_us_per_record\n")
-        for row in timing_rows:
-            fh.write(",".join(render(v) for v in row) + "\n")
-    with open(out / "participants.csv", "w", encoding="utf-8") as fh:
-        fh.write("participant,n_combinations,accuracy_mean,accuracy_std\n")
-        for pid, accs in per_participant.items():
-            fh.write(f"{pid},{accs.shape[0]},{float(accs.mean())!r},{float(accs.std())!r}\n")
-
-    pred = np.concatenate(pooled_pred)
-    truth = np.concatenate(pooled_truth)
+    pred = np.concatenate([result[0] for result in results])
+    truth = np.concatenate([combo[4] for combo in combos])
+    acc = accuracy(pred, truth)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         prec, rec = precision_recall(pred, truth, n_classes)
     conf = confusion_matrix(pred, truth, n_classes)
-    report = MetricsReport(
-        accuracy=accuracy(pred, truth),
-        per_class_precision=prec,
-        per_class_recall=rec,
-        confusion=conf,
-    )
-    metrics_lines = report.to_csv()
-    participant_means = np.asarray([float(v.mean()) for v in per_participant.values()])
-    metrics_lines += f"participant_accuracy_mean,{float(participant_means.mean())!r}\n"
-    metrics_lines += f"participant_accuracy_std,{float(participant_means.std())!r}\n"
+    class_ids = range(1, n_classes + 1)
+    metric_rows = [
+        ("accuracy", acc),
+        *((f"precision_{cid}", v) for cid, v in zip(class_ids, prec)),
+        *((f"recall_{cid}", v) for cid, v in zip(class_ids, rec)),
+        ("participant_accuracy_mean", participant_means.mean()),
+        ("participant_accuracy_std", participant_means.std()),
+    ]
     if baseline is not None:
-        ps = probability_of_superiority(
-            [float(accs.mean()) for accs in per_participant.values()],
-            [baseline[pid] for pid in per_participant],
-        )
-        metrics_lines += f"probability_of_superiority,{ps!r}\n"
-    (out / "metrics.csv").write_text(metrics_lines, encoding="utf-8")
-    (out / "confusion.csv").write_text(report.confusion_csv(), encoding="utf-8")
-    (out / "report.txt").write_text(report.to_table(), encoding="utf-8")
+        ps = probability_of_superiority(participant_means, [baseline[p] for p in per_participant])
+        metric_rows.append(("probability_of_superiority", ps))
+    _write_table(
+        out / "combinations.csv",
+        "participant,combination,train_trials,n_train,n_test,accuracy",
+        combo_rows,
+    )
+    _write_table(
+        out / "timings.csv",
+        "participant,combination,tune_s,train_s,predict_us_per_record",
+        timing_rows,
+    )
+    _write_table(
+        out / "participants.csv",
+        "participant,n_combinations,accuracy_mean,accuracy_std",
+        participant_rows,
+    )
+    _write_table(out / "metrics.csv", "metric,value", metric_rows)
+    _write_table(
+        out / "confusion.csv",
+        "true\\pred," + ",".join(map(str, class_ids)),
+        [(cid, *counts) for cid, counts in zip(class_ids, conf.tolist())],
+    )
+    (out / "report.txt").write_text(_report_text(acc, prec, rec), encoding="utf-8")
     return EXIT_OK
 
 

@@ -46,12 +46,11 @@ def default_nu_grid():
 
 @dataclass(frozen=True, eq=False)
 class NuSearchConfig:
-    """Fold count, pre-training value, candidate grid, and seed."""
+    """Fold count, pre-training value and candidate grid."""
 
     folds: int = 5
     nu_pre: float = 200.0
     grid: np.ndarray = None
-    seed: int = 0
 
     def __post_init__(self):
         grid = self.grid if self.grid is not None else default_nu_grid()
@@ -130,17 +129,17 @@ def select_nu(data, prior, cfg=None, vb_config=None, table_sink=None):
     :func:`~scalemix.vb.fit` of its complement alone up to the last bits.
     Then scans the grid on each held-out fold and records the per-fold
     minimizer; the smallest minimizer across folds is returned (always a
-    grid member). Deterministic for fixed seeds. ``table_sink``, when
-    given, receives CSV lines ``fold,nu,J`` for plotting, in fold order.
+    grid member). ``vb_config.seed`` seeds the folds as well as the fits,
+    so the result is deterministic for a fixed seed. ``table_sink``, when
+    given, receives one row ``(fold, nu, J)`` (an int and two floats) per
+    fold and grid value, in fold then grid order.
     """
     cfg = cfg or NuSearchConfig()
-    vb_config = vb_config or VbConfig(seed=cfg.seed)
-    fold_of = stratified_folds(data.labels, cfg.folds, cfg.seed)
+    vb_config = vb_config or VbConfig()
+    fold_of = stratified_folds(data.labels, cfg.folds, vb_config.seed)
     # every class has at least as many rows as folds and is dealt
     # round-robin, so every complement holds every class
     held = [fold_of == fold for fold in range(cfg.folds)]
-    if table_sink is not None:
-        table_sink("fold,nu,J")
     pre_prior = replace(prior, nu_fixed=float(cfg.nu_pre))
     fold_models = fit_each([data.subset(~mask) for mask in held], pre_prior, vb_config)
     winners = []
@@ -148,6 +147,6 @@ def select_nu(data, prior, cfg=None, vb_config=None, table_sink=None):
         scores = conditional_entropy(cfg.grid, fold_model, data.subset(mask))
         winners.append(float(cfg.grid[int(np.argmin(scores))]))
         if table_sink is not None:
-            for nu, score in zip(cfg.grid, scores):
-                table_sink(f"{fold},{float(nu)!r},{float(score)!r}")
+            for nu, score in zip(cfg.grid.tolist(), scores.tolist()):
+                table_sink((fold, nu, score))
     return min(winners)

@@ -34,6 +34,7 @@ from .numerics import cholesky, log_det
 
 __all__ = [
     "PreparedClassifier",
+    "UnscorableRowError",
     "log_posteriors_over_nu",
     "predict_batch",
     "prepare",
@@ -44,6 +45,18 @@ __all__ = [
 # how many values log_posteriors_over_nu scores per pass; from an
 # in-process sweep
 _GRID_NUMBERS = 2**15
+
+
+class UnscorableRowError(ValueError):
+    """Row ``args[0]`` has log posteriors that are not finite: a finite feature
+    so large that its squared distance to every component of a class overflows."""
+
+    @property
+    def row(self):
+        return self.args[0]
+
+    def __str__(self):
+        return f"row {self.row}: log posteriors are not finite; a feature is too large"
 
 
 class _Mixture:
@@ -179,6 +192,16 @@ def _normalise(joint, class_log_prior):
     return joint
 
 
+def _check_finite(log_post):
+    """Refuse the first column (row scored) of ``log_post`` ``(m, n)`` that is not finite.
+
+    Both scoring paths run with overflow and invalid warnings off and end here.
+    """
+    bad = ~np.isfinite(log_post).all(axis=0)
+    if bad.any():
+        raise UnscorableRowError(int(np.argmax(bad)))
+
+
 def predict_batch(classifier, points):
     """Log class posteriors and hard labels for a matrix of points.
 
@@ -186,16 +209,19 @@ def predict_batch(classifier, points):
     :func:`prepare`); prepare it once when predicting many batches.
     Returns ``(log_posteriors, labels)`` where ``log_posteriors`` has one
     column per class (normalized per row) and ``labels`` holds class ids,
-    ties resolved toward the lowest id.
+    ties resolved toward the lowest id. A row that cannot be scored raises
+    :class:`UnscorableRowError`.
     """
     prepared = prepare(classifier)
     pts = _as_points(points, prepared.dim)
     joint = np.empty((len(prepared.mixtures), pts.shape[0]))
-    # blocking keeps each class's whitened coordinates resident in cache
-    for lo, hi, pts_t in _column_blocks(pts):
-        for i, mix in enumerate(prepared.mixtures):
-            joint[i, lo:hi] = mix.log_density_d2(mix.whiten(pts_t))
-    _normalise(joint, prepared.class_log_prior)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # blocking keeps each class's whitened coordinates resident in cache
+        for lo, hi, pts_t in _column_blocks(pts):
+            for i, mix in enumerate(prepared.mixtures):
+                joint[i, lo:hi] = mix.log_density_d2(mix.whiten(pts_t))
+        _normalise(joint, prepared.class_log_prior)
+    _check_finite(joint)
     labels = prepared.class_ids[np.argmax(joint, axis=0)]
     return np.ascontiguousarray(joint.T), labels
 
@@ -222,24 +248,27 @@ def log_posteriors_over_nu(classifier, points, nus, columns):
     blocks as :func:`predict_batch`; each block is then scored for many
     values at once, in broadcast passes whose ``(values, k, block width)``
     arrays hold at most ``_GRID_NUMBERS`` numbers (one value at a time when
-    a block alone is larger).
+    a block alone is larger). A row that cannot be scored at some value
+    raises :class:`UnscorableRowError`.
     """
     prepared = prepare(classifier)
     pts = _as_points(points, prepared.dim)
     grid = _grid_terms(nus, prepared.dim)
     out = np.empty((grid[0].shape[0], pts.shape[0]))
     k_max = max(mix.n_components for mix in prepared.mixtures)
-    for lo, hi, pts_t in _column_blocks(pts):
-        d2s = [mix.whiten(pts_t) for mix in prepared.mixtures]
-        cols, at = columns[lo:hi], np.arange(hi - lo)
-        step = max(1, _GRID_NUMBERS // (k_max * (hi - lo)))
-        for g in range(0, out.shape[0], step):
-            part = tuple(terms[g : g + step] for terms in grid)
-            joint = np.empty((part[0].shape[0], len(d2s), hi - lo))
-            for i, (mix, d2) in enumerate(zip(prepared.mixtures, d2s)):
-                joint[:, i] = mix.log_density_d2(d2, part)
-            _normalise(joint, prepared.class_log_prior)
-            out[g : g + step, lo:hi] = joint[:, cols, at]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, pts_t in _column_blocks(pts):
+            d2s = [mix.whiten(pts_t) for mix in prepared.mixtures]
+            cols, at = columns[lo:hi], np.arange(hi - lo)
+            step = max(1, _GRID_NUMBERS // (k_max * (hi - lo)))
+            for g in range(0, out.shape[0], step):
+                part = tuple(terms[g : g + step] for terms in grid)
+                joint = np.empty((part[0].shape[0], len(d2s), hi - lo))
+                for i, (mix, d2) in enumerate(zip(prepared.mixtures, d2s)):
+                    joint[:, i] = mix.log_density_d2(d2, part)
+                _normalise(joint, prepared.class_log_prior)
+                out[g : g + step, lo:hi] = joint[:, cols, at]
+    _check_finite(out)
     return out
 
 

@@ -229,13 +229,13 @@ def test_c06_nu_selection_sanity():
     start = time.perf_counter()
     heavy = _scale_mixture_data(nu=1.0, seed=600, n_per_class=500, sep=4.0)
     prior = build_default_prior(heavy, nu_fixed=200.0, k_init=1, alpha0=0.001)
-    nu_heavy = select_nu(heavy, prior, NuSearchConfig(folds=5, seed=0), vb_config=VbConfig(seed=0))
+    nu_heavy = select_nu(heavy, prior, NuSearchConfig(folds=5), vb_config=VbConfig(seed=0))
     t_heavy = time.perf_counter() - start
 
     start = time.perf_counter()
     gauss = _scale_mixture_data(nu=1e6, seed=601, n_per_class=500, sep=6.0)
     prior = build_default_prior(gauss, nu_fixed=200.0, k_init=1, alpha0=0.001)
-    nu_gauss = select_nu(gauss, prior, NuSearchConfig(folds=5, seed=0), vb_config=VbConfig(seed=0))
+    nu_gauss = select_nu(gauss, prior, NuSearchConfig(folds=5), vb_config=VbConfig(seed=0))
     t_gauss = time.perf_counter() - start
 
     ok = nu_heavy <= 10.0 and nu_gauss >= 10.0 and t_heavy < 300.0 and t_gauss < 300.0

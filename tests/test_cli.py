@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,9 @@ from scalemix.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_WORKER,
+    _report_text,
     _subcommands,
+    _write_table,
     build_parser,
     main,
 )
@@ -657,6 +660,33 @@ class TestPredict:
         assert sorted(p.name for p in kept.iterdir()) == ["predictions.csv"]
         assert multiprocessing.active_children() == []
 
+    # line 3 is the first slice's first row, line 2 * BLOCK_ROWS lies in the second slice
+    @pytest.mark.parametrize("lineno", [3, 2 * BLOCK_ROWS])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_feature_too_large_to_score_is_data_error(
+        self, tmp_path, train_csv, capsys, monkeypatch, workers, lineno
+    ):
+        # finite, but its squared distances overflow: refused, never written as nan
+        monkeypatch.setattr("scalemix.data._usable_cpus", lambda: workers)
+        model = self.make_model(tmp_path, train_csv)
+        capsys.readouterr()
+        path = tmp_path / "huge.csv"
+        save_csv(two_blob_dataset(seed=9, n_per_class=BLOCK_ROWS), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines.insert(1, "\n")  # physical line 2 is blank
+        lines[lineno - 1] = "1e200," + lines[lineno - 1].split(",", 1)[1]
+        path.write_text("".join(lines))
+        out = tmp_path / "pred"
+        argv = ["predict", "--model", str(model), "--data", str(path), "--out-dir", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {path}: row {lineno}: a feature is too large to score\n"
+        )
+        assert list(out.glob("*")) == []  # no predictions.csv, no temporary file
+        assert multiprocessing.active_children() == []
+
 
 class TestEvaluate:
     def test_combination_enumeration_and_metrics(self, tmp_path):
@@ -1077,6 +1107,110 @@ class TestEvaluate:
                 )
             )
         assert blobs[0] == blobs[1]
+
+    def test_small_tables_are_pinned_byte_for_byte(self, tmp_path, monkeypatch):
+        # three separated classes; three rows sitting inside class 1 are
+        # labelled 2 or 3, so every table holds fractions other than 0 and 1
+        # while every prediction stays clear-cut
+        ds = write_protocol_csv(tmp_path / "raw.csv", trials=3, n=10)
+        labels = ds.labels.copy()
+        labels[[0, 31, 95]] = [2, 3, 2]
+        data_path = tmp_path / "proto.csv"
+        save_csv(FeatureDataset(ds.features, labels, ds.trials, ds.participants), data_path)
+        baseline = tmp_path / "base.csv"
+        baseline.write_text("participant,accuracy\n1,0.98\n2,0.95\n")
+        out = tmp_path / "ev"
+        argv = ["evaluate", "--data", str(data_path), "--nu", "5", "--out-dir", str(out)]
+        assert main(argv + ["--baseline", str(baseline)]) == EXIT_OK
+        assert {f: (out / f).read_text() for f in PINNED_TABLES} == PINNED_TABLES
+        # the search table's scores are stand-ins, so it pins only the rendering
+        monkeypatch.setattr(
+            "scalemix.nu_select.conditional_entropy",
+            lambda nus, model, valid: np.asarray(nus) / 3.0 + valid.n_rows,
+        )
+        model = tmp_path / "m.json"
+        argv = ["train", "--data", str(data_path), "--model-out", str(model), "--select-nu"]
+        assert main(argv + ["--folds", "2", "--nu-grid", "0.5,5,50"]) == EXIT_OK
+        assert Path(str(model) + ".nu_search.csv").read_text() == (
+            "fold,nu,J\n"
+            "0,0.5,91.16666666666667\n0,5.0,92.66666666666667\n0,50.0,107.66666666666667\n"
+            "1,0.5,89.16666666666667\n1,5.0,90.66666666666667\n1,50.0,105.66666666666667\n"
+        )
+
+    def test_class_never_predicted_reads_zero_precision(self, tmp_path, monkeypatch):
+        def never_three(classifier, points):
+            log_post, pred = predict_batch(classifier, points)
+            return log_post, np.minimum(pred, 2)
+
+        monkeypatch.setattr("scalemix.cli.predict_batch", never_three)
+        data_path = tmp_path / "proto.csv"
+        write_protocol_csv(data_path, participants=(1,), trials=3)
+        out = tmp_path / "ev"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["evaluate", "--data", str(data_path), "--nu", "5", "--out-dir", str(out)])
+        assert code == EXIT_OK
+        metrics = dict(ln.split(",") for ln in (out / "metrics.csv").read_text().splitlines())
+        assert (metrics["precision_3"], metrics["recall_3"]) == ("0.0", "0.0")
+        assert metrics["precision_2"] == "0.5"
+        assert (out / "confusion.csv").read_text().splitlines()[3] == "3,0,120,0"
+
+
+class TestTables:
+    def test_csv_and_table_render(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rows = [
+            ("accuracy", 0.7), ("precision_1", 4 / 6), ("precision_2", np.float64(0.75)),
+            ("n_test", np.int64(12)), ("train_trials", "1;3"),
+        ]
+        _write_table(path, "metric,value", rows)
+        assert path.read_text() == (
+            f"metric,value\naccuracy,0.7\nprecision_1,{4 / 6!r}\nprecision_2,0.75\n"
+            "n_test,12\ntrain_trials,1;3\n"
+        )
+        _write_table(path, "fold,nu,J", [])
+        assert path.read_text() == "fold,nu,J\n"
+        table = _report_text(0.7, np.array([4 / 6, 0.75]), np.array([0.8, 0.6]))
+        # no wall-clock rows: the report is byte-reproducible
+        assert table.splitlines() == [
+            "accuracy              0.7000",
+            "macro precision       0.7083",
+            "macro recall          0.7000",
+            "",
+            "class  precision  recall",
+            "    1     0.6667  0.8000",
+            "    2     0.7500  0.6000",
+        ]
+
+
+# evaluate's tables for the input of test_small_tables_are_pinned_byte_for_byte
+PINNED_TABLES = {
+    "combinations.csv": (
+        "participant,combination,train_trials,n_train,n_test,accuracy\n"
+        "1,0,1,30,60,0.9833333333333333\n1,1,2,30,60,0.9833333333333333\n"
+        "1,2,3,30,60,0.9666666666666667\n2,0,1,30,60,1.0\n"
+        "2,1,2,30,60,0.9833333333333333\n2,2,3,30,60,0.9833333333333333\n"
+    ),
+    "participants.csv": (
+        "participant,n_combinations,accuracy_mean,accuracy_std\n"
+        "1,3,0.9777777777777777,0.007856742013183834\n"
+        "2,3,0.9888888888888889,0.007856742013183886\n"
+    ),
+    "metrics.csv": (
+        "metric,value\naccuracy,0.9833333333333333\n"
+        "precision_1,0.95\nprecision_2,1.0\nprecision_3,1.0\n"
+        "recall_1,1.0\nrecall_2,0.967741935483871\nrecall_3,0.9836065573770492\n"
+        "participant_accuracy_mean,0.9833333333333334\n"
+        "participant_accuracy_std,0.005555555555555591\n"
+        "probability_of_superiority,0.5\n"
+    ),
+    "confusion.csv": "true\\pred,1,2,3\n1,114,0,0\n2,4,120,0\n3,2,0,120\n",
+    "report.txt": (
+        "accuracy              0.9833\nmacro precision       0.9833\n"
+        "macro recall          0.9838\n\nclass  precision  recall\n"
+        "    1     0.9500  1.0000\n    2     1.0000  0.9677\n    3     1.0000  0.9836\n"
+    ),
+}
 
 
 def _options():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from scalemix.metrics import (
-    MetricsReport,
     accuracy,
     confusion_matrix,
     precision_recall,
@@ -62,6 +61,30 @@ class TestPrecisionRecall:
         assert np.allclose(prec, [0.5, 0.0])
         assert np.allclose(rec, [1.0, 0.0])
 
+    def test_undefined_ratios_warn_once_each_naming_classes(self):
+        # class 2 is predicted but never present; class 3 is neither
+        with pytest.warns(UserWarning) as record:
+            prec, rec = precision_recall([1, 2, 1], [1, 1, 1], 3)
+        assert [str(w.message) for w in record] == [
+            "precision undefined (no predictions) for classes [3]; reported as 0",
+            "recall undefined (no support) for classes [2, 3]; reported as 0",
+        ]
+        assert {w.filename for w in record} == {__file__}
+        assert prec.tolist() == [1.0, 0.0, 0.0]
+        assert rec.tolist() == [2 / 3, 0.0, 0.0]
+
+    def test_equals_per_class_ratios_bit_for_bit(self, rng):
+        # classes 5 and 6 are never predicted; class 6 is never present
+        truth = rng.integers(1, 6, 300)
+        pred = rng.integers(1, 5, 300)
+        conf = confusion_matrix(pred, truth, 6)
+        with pytest.warns(UserWarning):
+            prec, rec = precision_recall(pred, truth, 6)
+        for c in range(6):
+            col, row = conf[:, c].sum(), conf[c].sum()
+            assert prec[c] == (float(conf[c, c]) / float(col) if col else 0.0)
+            assert rec[c] == (float(conf[c, c]) / float(row) if row else 0.0)
+
     def test_hand_confusion_example(self):
         # confusion [[8,2],[1,9]] by construction
         truth = [1] * 10 + [2] * 10
@@ -102,33 +125,3 @@ class TestProbabilityOfSuperiority:
         with pytest.raises(ValueError):
             probability_of_superiority([0.5], [0.5, 0.6])
 
-
-class TestMetricsReport:
-    def test_consistency_check(self):
-        conf = np.array([[5, 0], [0, 5]])
-        MetricsReport(1.0, [1.0, 1.0], [1.0, 1.0], conf)
-        with pytest.raises(ValueError):
-            MetricsReport(0.5, [1.0, 1.0], [1.0, 1.0], conf)
-
-    def test_csv_and_table_render(self):
-        conf = np.array([[4, 1], [2, 3]])
-        report = MetricsReport(
-            accuracy=0.7,
-            per_class_precision=[4 / 6, 3 / 4],
-            per_class_recall=[0.8, 0.6],
-            confusion=conf,
-        )
-        # no wall-clock rows: both renderings are byte-reproducible
-        assert report.to_csv().splitlines() == [
-            "metric,value",
-            "accuracy,0.7",
-            f"precision_1,{4 / 6!r}",
-            "precision_2,0.75",
-            "recall_1,0.8",
-            "recall_2,0.6",
-        ]
-        table = report.to_table()
-        assert "accuracy" in table and "precision" in table
-        assert "time" not in table and "us/record" not in table
-        conf_csv = report.confusion_csv()
-        assert conf_csv.splitlines()[1] == "1,4,1"

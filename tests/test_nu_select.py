@@ -215,46 +215,46 @@ class TestSelectNu:
     def test_output_is_grid_member(self):
         data = scale_mixture_dataset(nu=2.0, seed=10, n_per_class=120)
         prior = build_default_prior(data, nu_fixed=200.0, k_init=1)
-        cfg = NuSearchConfig(folds=3, seed=0)
+        cfg = NuSearchConfig(folds=3)
         nu_hat = select_nu(data, prior, cfg, vb_config=VbConfig(seed=0))
         assert any(np.isclose(nu_hat, cfg.grid).tolist())
 
     def test_heavy_tailed_data_selects_small_nu(self):
         data = scale_mixture_dataset(nu=2.0, seed=20, n_per_class=300)
         prior = build_default_prior(data, nu_fixed=200.0, k_init=1)
-        nu_hat = select_nu(data, prior, NuSearchConfig(seed=1), vb_config=VbConfig(seed=1))
+        nu_hat = select_nu(data, prior, NuSearchConfig(), vb_config=VbConfig(seed=1))
         assert nu_hat <= 10.0
 
     def test_gaussian_data_selects_large_nu(self):
         data = scale_mixture_dataset(nu=1e6, seed=30, n_per_class=300, sep=6.0)
         prior = build_default_prior(data, nu_fixed=200.0, k_init=1)
-        nu_hat = select_nu(data, prior, NuSearchConfig(seed=2), vb_config=VbConfig(seed=2))
+        nu_hat = select_nu(data, prior, NuSearchConfig(), vb_config=VbConfig(seed=2))
         assert nu_hat >= 10.0
 
     def test_single_point_grid(self):
         data = scale_mixture_dataset(nu=5.0, seed=40, n_per_class=60)
         prior = build_default_prior(data, nu_fixed=200.0, k_init=1)
-        cfg = NuSearchConfig(folds=2, grid=np.array([3.7]), seed=0)
+        cfg = NuSearchConfig(folds=2, grid=np.array([3.7]))
         assert select_nu(data, prior, cfg, vb_config=VbConfig(seed=0)) == 3.7
 
-    def test_table_sink_lines(self):
+    def test_table_sink_rows(self):
         # the table equals per-fold fits scored one fold at a time, in fold order
         data = scale_mixture_dataset(nu=5.0, seed=50, n_per_class=60)
         prior = build_default_prior(data, nu_fixed=200.0, k_init=3)
-        cfg = NuSearchConfig(folds=3, grid=np.array([0.3, 1.0, 10.0, 100.0]), seed=0)
-        lines = []
-        nu_hat = select_nu(data, prior, cfg, vb_config=VbConfig(seed=0), table_sink=lines.append)
-        assert lines[0] == "fold,nu,J"
-        rows = [ln.split(",") for ln in lines[1:]]
-        fold_of = stratified_folds(data.labels, cfg.folds, cfg.seed)
+        cfg = NuSearchConfig(folds=3, grid=np.array([0.3, 1.0, 10.0, 100.0]))
+        rows = []
+        nu_hat = select_nu(data, prior, cfg, vb_config=VbConfig(seed=0), table_sink=rows.append)
+        # the folds are seeded by the fit's seed
+        fold_of = stratified_folds(data.labels, cfg.folds, 0)
         pre_prior = replace(prior, nu_fixed=cfg.nu_pre)
         want = []
         for fold in range(cfg.folds):
             model = fit(data.subset(fold_of != fold), pre_prior, VbConfig(seed=0))
             scores = conditional_entropy(cfg.grid, model, data.subset(fold_of == fold))
-            want.extend((str(fold), repr(float(nu)), j) for nu, j in zip(cfg.grid, scores))
-        assert [tuple(row[:2]) for row in rows] == [w[:2] for w in want]
-        table = np.array([float(row[2]) for row in rows])
+            want.extend((fold, float(nu), j) for nu, j in zip(cfg.grid, scores))
+        assert [row[:2] for row in rows] == [w[:2] for w in want]
+        assert all(type(row[0]) is int and type(row[2]) is float for row in rows)
+        table = np.array([row[2] for row in rows])
         assert np.allclose(table, [w[2] for w in want], rtol=1e-12, atol=0.0)
         assert np.all(table >= 0.0)
         per_fold = table.reshape(cfg.folds, cfg.grid.size)
@@ -269,7 +269,7 @@ class TestSelectNu:
             np.repeat(centres, 50, axis=0) + rng.standard_normal((150, 8)), np.repeat([1, 2, 3], 50)
         )
         prior = build_default_prior(data, nu_fixed=200.0, k_init=10)
-        select_nu(data, prior, NuSearchConfig(folds=5, seed=0), vb_config=VbConfig(seed=0))
+        select_nu(data, prior, NuSearchConfig(folds=5), vb_config=VbConfig(seed=0))
         assert lockstep_batches == [15]
 
     def test_grid_validation(self):

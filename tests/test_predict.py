@@ -1,4 +1,6 @@
 import math
+import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,10 +12,13 @@ from scalemix.model import (
     Posteriors,
     PriorHyperparameters,
     TrainedClassifier,
+    build_default_prior,
 )
 from scalemix.data import BLOCK_ROWS
+from scalemix.vb import VbConfig, fit
 import scalemix.predict as predict_module
 from scalemix.predict import (
+    UnscorableRowError,
     _Mixture,
     _grid_terms,
     log_posteriors_over_nu,
@@ -22,7 +27,13 @@ from scalemix.predict import (
     sample,
 )
 
-from conftest import components_of, make_mixture_class, make_student_class, mixture_log_density
+from conftest import (
+    components_of,
+    make_mixture_class,
+    make_student_class,
+    mixture_log_density,
+    two_blob_dataset,
+)
 
 
 def log_predictive(x, cm):
@@ -189,6 +200,26 @@ class TestClassify:
         blocks = [predict_batch(tc, pts[lo : lo + width]) for lo in range(0, len(pts), width)]
         assert np.array_equal(np.concatenate([b[0] for b in blocks]), whole)
         assert np.array_equal(np.concatenate([b[1] for b in blocks]), labels)
+
+    def test_feature_too_large_to_score_names_its_row(self):
+        # finite, yet its squared distance to every component overflows: the
+        # row is refused, on both scoring paths, never scored as NaN
+        data = two_blob_dataset(seed=2, n_per_class=80)
+        tc = fit(data, build_default_prior(data, nu_fixed=5.0, k_init=1), VbConfig(seed=0))
+        points = np.array([[0.0, 0.0], [1e155, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnscorableRowError, match="^row 1: ") as caught:
+                predict_batch(tc, points)
+            assert caught.value.row == 1
+            with pytest.raises(ValueError, match="^row 1: "):
+                log_posteriors_over_nu(tc, points, default_grid(), np.array([0, 0]))
+            # one still scores
+            log_post, labels = predict_batch(tc, points[:1])
+        assert np.isfinite(log_post).all() and labels.tolist() == [1]
+        # a worker's error reaches the parent process whole
+        again = pickle.loads(pickle.dumps(caught.value))
+        assert (type(again), again.row, str(again)) == (UnscorableRowError, 1, str(caught.value))
 
     def test_dimension_mismatch(self):
         cm = make_student_class([0.0, 0.0], np.eye(2), 5.0)
