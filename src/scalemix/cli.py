@@ -12,6 +12,7 @@ error, 4 numeric failure, 5 non-convergence.
 """
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -237,6 +238,29 @@ def _search_config(args):
         raise UsageError(f"invalid selection settings: {exc}") from None
 
 
+def _load_training_csv(path):
+    """``load_csv(path)``, refusing a file with no rows or a feature too large to train on.
+
+    A feature is too large when four times its square, times the file's row
+    count, overflows: below that the sample covariance of any subset of
+    the rows, and so the default prior of any training side, is finite.
+    The error names the first such row by its physical line.
+    """
+    data = load_csv(path)
+    if data.n_rows == 0:
+        raise DataFormatError(f"{path}: no rows")
+    limit = math.sqrt(np.finfo(float).max / (4 * data.n_rows))
+    too_large = np.flatnonzero((np.abs(data.features) > limit).any(axis=1))
+    if too_large.size:
+        with open(path, encoding="utf-8") as fh:
+            next(fh)  # the header
+            # blank lines hold no row
+            rows = (n for n, line in enumerate(fh, 2) if not line.isspace())
+            lineno = next(itertools.islice(rows, int(too_large[0]), None))
+        raise DataFormatError(f"{path}: row {lineno}: a feature is too large to train on")
+    return data
+
+
 def _train_classifier(data, args, seed, search, log_sink=None, table_sink=None):
     """Shared train path: returns (classifier, nu_used, tune_seconds).
 
@@ -261,9 +285,7 @@ def cmd_train(args):
         raise UsageError("--data and --model-out are required")
     _check_ranges(args)
     search = _search_config(args)
-    data = load_csv(args.data)
-    if data.n_rows == 0:
-        raise DataFormatError(f"{args.data}: no training rows")
+    data = _load_training_csv(args.data)
     table_rows = []
     classifier, nu, _ = _train_classifier(
         data,
@@ -446,9 +468,7 @@ def cmd_evaluate(args):
         raise UsageError("--data is required")
     _check_ranges(args)
     search = _search_config(args)
-    data = load_csv(args.data)
-    if data.n_rows == 0:
-        raise DataFormatError(f"{args.data}: no rows")
+    data = _load_training_csv(args.data)
     participants = sorted(int(v) for v in np.unique(data.participants))
     # the split sizes, the baseline and every training side are checked
     # before any fit and before anything is created

@@ -95,14 +95,20 @@ def as_psd(matrix):
     """Validate a symmetric matrix, or a stack of them, and symmetrize it.
 
     Symmetry is required within ``SYMMETRY_RTOL`` relative to the largest
-    entry (of each member of a stack); the returned array is
-    ``(M + M.T) / 2`` so that accumulated floating-point asymmetry never
-    propagates. A failing member of a stack is named by its index.
+    entry (of each member of a stack). The returned array is always a new
+    one: a copy of an exactly symmetric input, which is its own
+    ``(M + M.T) / 2``, and that average of any other, so that accumulated
+    floating-point asymmetry never propagates. A failing member of a stack
+    is named by its index.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     mt = np.swapaxes(m, -1, -2)
+    # an exactly symmetric input would pass the check below; NaN equals
+    # nothing, so a member holding one still takes it
+    if (m == mt).all():
+        return m.copy()
     scale = np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1.0)
     # inf - inf is NaN, which passes the check: a non-finite member is left
     # to fail in the factorisation, which names it

@@ -39,11 +39,12 @@ After each parameter update, :func:`component_cache` factorises the whole
 ``(B * k, d, d)`` stack once and derives every quantity both the bound at
 this iteration and the latent update at the next one read: log
 determinants, E[log |Sigma|], E[log pi] and the ``(B, n, k)`` expected
-squared Mahalanobis distances (the bound is assembled from the latent
-update's quantities, as in Bishop's construction). Distances are whitened
-by the inverse factors, which one batched inverse of the stack gives. The
-latent scale posteriors share one constant shape, so the bound reduces its
-``(n, k)`` arrays to a few per-column sums.
+squared Mahalanobis distances. Distances are whitened by the inverse
+factors, which one batched inverse of the stack gives. The bound is
+evaluated right after a parameter update, from the latent posteriors that
+update was computed from, where it collapses to ratios of the posterior
+and prior log-normalisers plus a few per-column sums of the latent
+posteriors (conjugate-exponential updates, as in Svensen and Bishop 2005).
 
 Each class keeps its own bound trace, convergence flag and pruned count.
 A class that converges leaves the batch, so the cost of an iteration
@@ -61,7 +62,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.special import digamma, gammaln, xlogy
+from scipy.special import digamma, gammaln
 
 from .density import log_t_kernel
 from .model import ClassModel, Posteriors, PriorHyperparameters, TrainedClassifier
@@ -177,12 +178,12 @@ class ComponentCache:
     ``batch`` is the :class:`ClassBatch` and ``live (B, k)`` the component
     mask the cache was computed for. Per class and component, ``log_det_w``
     is log |W_k|, ``log_sigma`` E[log |Sigma_k|], ``log_pi`` E[log pi_k]
-    over the live components (-inf for a masked one, which has no weight),
-    ``alpha_hat`` the per-class sum of the live components' alpha,
-    ``quad_prior`` ``eta_k (m_k - m0)' W_k^{-1} (m_k - m0)`` and
-    ``tr_prior`` ``tr(W0 W_k^{-1})``. ``d2`` holds the ``(B, n, k)``
-    expected squared Mahalanobis distances
-    ``dim / beta_k + eta_k (x - m_k)' W_k^{-1} (x - m_k)``.
+    over the live components (-inf for a masked one, which has no weight)
+    and ``alpha_hat`` the per-class sum of the live components' alpha.
+    ``d2`` holds the ``(B, n, k)`` expected squared Mahalanobis distances
+    ``dim / beta_k + eta_k (x - m_k)' W_k^{-1} (x - m_k)``. The latent
+    update reads ``log_sigma``, ``log_pi`` and ``d2``; the bound reads
+    ``log_det_w`` and ``alpha_hat``.
     """
 
     dim: int
@@ -193,8 +194,6 @@ class ComponentCache:
     alpha_hat: np.ndarray
     log_pi: np.ndarray
     d2: np.ndarray
-    quad_prior: np.ndarray
-    tr_prior: np.ndarray
 
     def take(self, keep):
         """The cache of the batch's classes where the boolean ``keep`` is True."""
@@ -208,21 +207,35 @@ class ComponentCache:
 
 @dataclass(frozen=True)
 class PriorTerms:
-    """A prior with the constants of the bound that depend on it alone."""
+    """A prior with the constants of the bound that depend on it alone.
+
+    ``latent_const`` is what each unit of responsibility adds to the
+    latent terms of the bound: ``-(d/2) log 2 pi + (nu/2) log(nu/2)
+    - log Gamma(nu/2) + log Gamma(a) + a`` with ``a = (nu + d) / 2``.
+    """
 
     prior: PriorHyperparameters
     log_det_w0: float
     log_gamma_eta0: float  # log Gamma_d(eta0 / 2)
+    latent_const: float
 
 
 def prior_terms(prior):
     """Per-fit constants of the bound (see :class:`PriorTerms`)."""
+    half_nu, a = 0.5 * prior.nu_fixed, _scale_shape(prior)
+    latent_const = (
+        -0.5 * prior.dim * _LOG_2PI + half_nu * math.log(half_nu) - gammaln(half_nu)
+        + gammaln(a) + a
+    )
     return PriorTerms(
-        prior, log_det(prior.W0_factor), _log_multigamma(0.5 * prior.eta0, prior.dim)
+        prior,
+        log_det(prior.W0_factor),
+        _log_multigamma(0.5 * prior.eta0, prior.dim),
+        latent_const,
     )
 
 
-def component_cache(batch, post, prior, live):
+def component_cache(batch, post, live):
     """Factorise the stacked scales once and derive what the updates share.
 
     ``post`` is the batch's ``(B, k, ...)`` posterior stack and ``live``
@@ -251,15 +264,7 @@ def component_cache(batch, post, prior, live):
     d2 = d / post.beta[:, None, :] + post.eta[:, None, :] * mahalanobis_sq_batch(
         batch.x, post.m, factor
     )
-    # the prior terms whiten m0 - m_k and W0's factor L0 by the same inverse
-    # factors: tr(W0 W^{-1}) = |L^{-1} L0|_F^2
-    inverse = factor.inverse.reshape(n_classes, k, d, d)
-    offset = inverse @ (prior.m0 - post.m)[:, :, :, None]
-    quad_prior = post.eta * np.square(offset).sum(axis=(2, 3))
-    tr_prior = np.square(inverse @ prior.W0_factor.lower).sum(axis=(2, 3))
-    return ComponentCache(
-        d, batch, live, log_det_w, log_sigma, alpha_hat, log_pi, d2, quad_prior, tr_prior
-    )
+    return ComponentCache(d, batch, live, log_det_w, log_sigma, alpha_hat, log_pi, d2)
 
 
 def e_step(cache, nu):
@@ -331,96 +336,64 @@ def m_step(points, r, b, prior):
     )
 
 
-_ELBO_TERMS = ("log_likelihood", "latent_prior", "param_prior", "latent_entropy", "param_entropy")
+_ELBO_TERMS = ("dirichlet", "gauss_wishart", "latent")
 
 
 def elbo(r, b, post, cache, terms):
-    """Evidence lower bound of each class of a batch under the current posteriors.
+    """Evidence lower bound of each class of a batch right after a parameter update.
 
-    ``r, b`` are the ``(B, n, k)`` responsibilities and scale rates the
-    parameter update ``post`` was computed from, ``cache`` is ``post``'s
-    :func:`component_cache` and ``terms`` the fit's :func:`prior_terms`,
-    whose prior gives the scale shape; returns one bound per class, summed
-    over its live components.
-    Assembled from five pieces: the expected data log-likelihood, the
-    expected latent prior, the expected parameter prior, and the negative
-    entropies of the latent and parameter posteriors. With no data and
-    posteriors equal to the prior every piece cancels and the bound is 0.
+    Requires ``post`` to be ``m_step(x, r, b, terms.prior)`` for the same
+    ``(B, n, k)`` responsibilities and scale rates ``r, b``; ``cache`` is
+    ``post``'s :func:`component_cache` and ``terms`` the fit's
+    :func:`prior_terms`. Returns one bound per class, summed over its live
+    components. Under that precondition every expectation over the
+    parameters cancels against the parameter posteriors' own normalisers,
+    and the bound of Bishop (PRML, section 10.2.2) collapses to three
+    pieces: the Dirichlet ratio ``sum_k log G(alpha_k) - log G(alpha_hat)
+    + log G(K alpha0) - K log G(alpha0)``; per component, the
+    Gaussian-inverse-Wishart ratio of the posterior's log-normaliser to the
+    prior's; and the latent terms ``N_k c - a sum r log b - (nu/2) sum r a/b
+    - sum r log r``, with ``c`` the ``latent_const`` of ``terms`` (the
+    expected log scales' digamma terms cancel). With no data, posteriors
+    equal the prior and the bound is 0.
     """
     prior = terms.prior
     d = prior.dim
     live = cache.live
     k = live.sum(axis=1)
     alpha, beta, eta = post.alpha, post.beta, post.eta
-    lpi = np.where(live, cache.log_pi, 0.0)
-    lsig = cache.log_sigma
 
     def over_live(values):
         return np.where(live, values, 0.0).sum(axis=1)
 
-    # the shape a is one constant, so every latent term but r log r folds
-    # into per-column sums of r, r <1/u>, r <1/u> d2 and r log b; a masked
-    # component's sums are all 0
-    a = _scale_shape(prior)
-    psi_a = digamma(a)
-    counts = _sum_rows(r)
-    zeta = r * (a / b)
-    s_inv_u = _sum_rows(zeta)
-    s_inv_u_d2 = _sum_rows(zeta * cache.d2)
-    s_log_b = _sum_rows(r * np.log(b))
-    # sum of r <log u>, with <log u> = log b - psi(a)
-    s_log_u = s_log_b - counts * psi_a
-
-    log_lik = (
-        counts * (-0.5 * d * _LOG_2PI - 0.5 * lsig) - 0.5 * d * s_log_u - 0.5 * s_inv_u_d2
-    ).sum(axis=1)
-    half_nu = 0.5 * prior.nu_fixed
-    latent_prior = (
-        counts * (lpi + half_nu * math.log(half_nu) - gammaln(half_nu))
-        - (half_nu + 1.0) * s_log_u
-        - half_nu * s_inv_u
-    ).sum(axis=1)
-    # minus the expected log of q(z) IG(u | a, b); its a log b terms cancel
-    latent_entropy = (
-        s_log_b - _sum_rows(xlogy(r, r)) + counts * (gammaln(a) - (a + 1.0) * psi_a + a)
-    ).sum(axis=1)
-
-    param_prior = gammaln(k * prior.alpha0) - k * gammaln(prior.alpha0)
-    param_prior += over_live(
-        (prior.alpha0 - 1.0) * lpi
-        - 0.5 * d * _LOG_2PI
-        + 0.5 * d * math.log(prior.beta0)
-        + 0.5 * prior.eta0 * terms.log_det_w0
-        - 0.5 * prior.eta0 * d * math.log(2.0)
+    dirichlet = (
+        over_live(gammaln(alpha))
+        - gammaln(cache.alpha_hat)
+        + gammaln(k * prior.alpha0)
+        - k * gammaln(prior.alpha0)
+    )
+    gauss_wishart = over_live(
+        0.5 * d * (math.log(prior.beta0) - np.log(beta))
+        + (0.5 * d * math.log(2.0)) * (eta - prior.eta0)
+        + _log_multigamma(0.5 * eta, d)
         - terms.log_gamma_eta0
-        - 0.5 * lsig
-        - 0.5 * prior.beta0 * (d / beta + cache.quad_prior)
-        - 0.5 * (prior.eta0 + d + 1.0) * lsig
-        - 0.5 * eta * cache.tr_prior
+        - 0.5 * eta * cache.log_det_w
+        + 0.5 * prior.eta0 * terms.log_det_w0
     )
+    # one sum over the rows of r times the per-element terms, in which
+    # r log r is 0 where r is; a masked component's sums are all 0
+    a = _scale_shape(prior)
+    log_r = np.log(np.where(r > 0.0, r, 1.0))
+    latent = (
+        _sum_rows(r) * terms.latent_const
+        - np.einsum("bnk,bnk->bk", r, a * np.log(b) + (0.5 * prior.nu_fixed * a) / b + log_r)
+    ).sum(axis=1)
 
-    # minus the expected log of q(pi) and of each q(mu_k, Sigma_k)
-    param_entropy = -gammaln(cache.alpha_hat)
-    param_entropy -= over_live(
-        (alpha - 1.0) * lpi
-        - gammaln(alpha)
-        - 0.5 * d * _LOG_2PI
-        - 0.5 * d
-        + 0.5 * d * np.log(beta)
-        - 0.5 * lsig
-        + 0.5 * eta * cache.log_det_w
-        - 0.5 * eta * d * math.log(2.0)
-        - _log_multigamma(0.5 * eta, d)
-        - 0.5 * (eta + d + 1.0) * lsig
-        - 0.5 * eta * d
-    )
-
-    pieces = (log_lik, latent_prior, param_prior, latent_entropy, param_entropy)
-    total = log_lik + latent_prior + param_prior + latent_entropy + param_entropy
+    total = dirichlet + gauss_wishart + latent
     if not np.isfinite(total).all():
         # a non-finite piece makes its class's total non-finite too
         for member, cid in enumerate(cache.batch.class_ids):
-            for name, piece in zip(_ELBO_TERMS, pieces):
+            for name, piece in zip(_ELBO_TERMS, (dirichlet, gauss_wishart, latent)):
                 if not np.isfinite(piece[member]):
                     raise NumericalFailure(
                         f"class {cid}: ELBO term {name!r} is not finite "
@@ -502,7 +475,7 @@ def _fit_lockstep(blocks, class_ids, seeds, prior, config, sink=None):
     k0 = np.minimum(prior.k_init, batch.n_rows)
     r, b = _init_latent(batch, k0, prior, seeds)
     post = m_step(batch.x, r, b, prior)
-    cache = component_cache(batch, post, prior, np.arange(r.shape[2]) < k0[:, None])
+    cache = component_cache(batch, post, np.arange(r.shape[2]) < k0[:, None])
     traces = [[] for _ in batch.class_ids]
     lines = [[] for _ in batch.class_ids]
     models = [None] * len(traces)
@@ -512,7 +485,7 @@ def _fit_lockstep(blocks, class_ids, seeds, prior, config, sink=None):
             r, b = e_step(cache, nu)
             r, b, live = prune(r, b, cache.live, _PRUNE_THRESHOLD)
             post = m_step(cache.batch.x, r, b, prior)
-            cache = component_cache(cache.batch, post, prior, live)
+            cache = component_cache(cache.batch, post, live)
             bounds = elbo(r, b, post, cache, terms).tolist()
             n_live = live.sum(axis=1).tolist()
             done = []

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -1154,6 +1155,33 @@ class TestEvaluate:
         assert (metrics["precision_3"], metrics["recall_3"]) == ("0.0", "0.0")
         assert metrics["precision_2"] == "0.5"
         assert (out / "confusion.csv").read_text().splitlines()[3] == "3,0,120,0"
+
+
+INPUTS = Path(__file__).resolve().parent.parent / "benchmarks" / "inputs.py"
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_feature_too_large_to_train_on_is_data_error(tmp_path, capsys, command):
+    # the benchmark's protocol input, seed 1, with one feature at 1e200: its
+    # covariance would overflow, so the prior could not be built
+    make_protocol = runpy.run_path(str(INPUTS))["make_protocol"]
+    path = make_protocol(tmp_path, 1, 0, participants=2, trials=4, rows_per_class=40)["data"]
+    lines = path.read_text().splitlines(keepends=True)
+    lines.insert(5, "\n")  # physical line 6 is blank
+    lines[100] = "1e200," + lines[100].split(",", 1)[1]
+    path.write_text("".join(lines))
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--model-out", str(out / "model.json")],
+        "evaluate": ["evaluate", "--out-dir", str(out)],
+    }[command] + ["--data", str(path), "--nu", "5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {path}: row 101: a feature is too large to train on\n"
+    )
+    assert not out.exists()
 
 
 class TestTables:

@@ -4,8 +4,11 @@ import pickle
 import numpy as np
 import pytest
 
+from scalemix.model import PriorHyperparameters
 from scalemix.numerics import (
+    SYMMETRY_RTOL,
     NotPositiveDefiniteError,
+    as_psd,
     cholesky,
     log_det,
     mahalanobis_sq_batch,
@@ -131,6 +134,44 @@ class TestMahalanobis:
 def spd_stack(rng, k, d):
     a = rng.standard_normal((k, d, d))
     return a @ a.transpose(0, 2, 1) + d * np.eye(d)
+
+
+class TestAsPsd:
+    """An exactly symmetric input is copied; any other is checked and averaged."""
+
+    def test_exactly_symmetric_stack_is_copied(self, rng):
+        m = spd_stack(rng, 4, 3)
+        m = 0.5 * (m + m.transpose(0, 2, 1))
+        out = as_psd(m)
+        assert np.array_equal(out, 0.5 * (m + m.transpose(0, 2, 1)))
+        assert not np.shares_memory(out, m)
+        # the prior freezes its own W0, not the caller's matrix
+        w0 = m[0].copy()
+        prior = PriorHyperparameters(
+            alpha0=0.1, beta0=1.0, m0=np.zeros(3), W0=w0, eta0=4.0, nu_fixed=5.0, k_init=1
+        )
+        assert np.array_equal(prior.W0, w0)
+        assert w0.flags.writeable and not prior.W0.flags.writeable
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_member_reaches_the_factorisation(self, rng, value):
+        m = spd_stack(rng, 3, 3)
+        m = 0.5 * (m + m.transpose(0, 2, 1))
+        m[1, 0, 2] = m[1, 2, 0] = value
+        out = as_psd(m)
+        assert np.array_equal(out, m, equal_nan=True)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky(m)
+        assert (err.value.component, err.value.pivot_index) == (1, 2)
+
+    def test_asymmetry_within_tolerance_is_symmetrised(self, rng):
+        m = spd_stack(rng, 3, 4)
+        m = 0.5 * (m + m.transpose(0, 2, 1))
+        m[2, 0, 3] += 0.5 * SYMMETRY_RTOL * np.abs(m[2]).max()
+        out = as_psd(m)
+        assert np.array_equal(out, 0.5 * (m + m.transpose(0, 2, 1)))
+        assert np.array_equal(out, out.transpose(0, 2, 1))
+        assert out[2, 0, 3] != m[2, 0, 3]
 
 
 class TestStackedFactorisation:

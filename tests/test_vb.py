@@ -60,11 +60,11 @@ def member(post, j=0):
     return Posteriors(**{key: value[j] for key, value in vars(post).items()})
 
 
-def cache_of(points, post, prior):
+def cache_of(points, post):
     """The batch-of-one :func:`component_cache` of one class, every component live."""
     x = np.atleast_2d(np.asarray(points, dtype=float))
     live = np.ones((1, post.alpha.shape[0]), dtype=bool)
-    return component_cache(ClassBatch.pad([x], [1]), batched(post), prior, live)
+    return component_cache(ClassBatch.pad([x], [1]), batched(post), live)
 
 
 def scale_shape(prior):
@@ -79,7 +79,7 @@ def one_class_m_step(x, r, b, prior):
 
 def one_class_e_step(x, post, prior):
     """:func:`e_step` of one class under ``prior.nu_fixed``, through a batch of one."""
-    r, b = e_step(cache_of(x, post, prior), prior.nu_fixed)
+    r, b = e_step(cache_of(x, post), prior.nu_fixed)
     return r[0], b[0]
 
 
@@ -90,7 +90,8 @@ def latent_update(points, post, nu):
 
 
 def bound(x, r, b, post, prior):
-    value = elbo(r[None], b[None], batched(post), cache_of(x, post, prior), prior_terms(prior))
+    """The bound of one class; ``post`` must be ``m_step`` of ``(x, r, b)``."""
+    value = elbo(r[None], b[None], batched(post), cache_of(x, post), prior_terms(prior))
     return float(value[0])
 
 
@@ -172,19 +173,13 @@ class TestComponentCache:
     @pytest.mark.parametrize("k", [1, 10])
     def test_whitened_terms_match_solve_reference(self, rng, k):
         x, _, post, prior = random_state(rng, n=40, k=k, d=5)
-        cache = cache_of(x, post, prior)
+        cache = cache_of(x, post)
         for j in range(k):
-            w_inv = np.linalg.inv(post.W[j])
             diff = x - post.m[j]
             d2 = 5 / post.beta[j] + post.eta[j] * np.einsum(
                 "ni,ni->n", diff, np.linalg.solve(post.W[j], diff.T).T
             )
-            off = post.m[j] - prior.m0
-            quad = post.eta[j] * off @ np.linalg.solve(post.W[j], off)
-            tr = np.trace(prior.W0 @ w_inv)
             assert np.allclose(cache.d2[0, :, j], d2, rtol=1e-12, atol=0.0)
-            assert cache.quad_prior[0, j] == pytest.approx(quad, rel=1e-12)
-            assert cache.tr_prior[0, j] == pytest.approx(tr, rel=1e-12)
 
 
 class TestEStep:
@@ -354,9 +349,11 @@ class TestElbo:
         assert value == pytest.approx(0.0, abs=1e-10)
 
     def test_wishart_normaliser_against_mpmath(self):
-        # With no data and a posterior equal to the prior except in eta, the
-        # bound is minus the KL divergence between two inverse-Wisharts of one
-        # scale: (eta0 - eta)/2 sum_j psi((eta + 1 - j)/2) - ln G_d(eta0/2) + ln G_d(eta/2)
+        # One component on three points: the Dirichlet ratio is 0, so the
+        # bound of the M-step state is the Gaussian-inverse-Wishart ratio
+        # (d/2) ln(beta0/beta) + (d/2) ln 2 (eta - eta0) + ln G_d(eta/2)
+        # - ln G_d(eta0/2) - (eta/2) ln |W| + (eta0/2) ln |W0|, plus the
+        # latent terms N c - (d/2 + nu/2 + 1) S_logu - (nu/2) S_invu + S_logb
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50
 
@@ -366,20 +363,37 @@ class TestElbo:
                 out += mp.loggamma(mp.mpf(a) + mp.mpf(1 - j) / 2)
             return out
 
-        for a, d in ((1.2, 2), (2.5, 4), (7.0, 5), (4.0, 8)):
-            base = simple_prior(d=d, k_init=1)
-            prior = replace(base, eta0=2.0 * a)
-            post = posteriors([base.alpha0], [base.beta0], [base.m0], [base.W0], [base.eta0])
-            empty = np.zeros((0, 1))
-            value = bound(np.zeros((0, d)), empty, empty, post, prior)
+        def log_det(w):
+            return mp.log(mp.det(mp.matrix(w.tolist())))
 
-            eta = mp.mpf(base.eta0)
-            psi_sum = sum(mp.digamma((eta + 1 - j) / 2) for j in range(1, d + 1))
-            lg_prior = log_multigamma(a, d)
+        for a, d in ((1.2, 2), (2.5, 4), (7.0, 5), (4.0, 8)):
+            prior = replace(simple_prior(d=d, k_init=1), eta0=2.0 * a)
+            rng = np.random.default_rng(d)
+            x = rng.standard_normal((3, d)) * 2.0
+            r, b = np.ones((3, 1)), rng.uniform(1.0, 4.0, (3, 1))
+            post = one_class_m_step(x, r, b, prior)
+            value = bound(x, r, b, post, prior)
+
+            eta0, eta = mp.mpf(prior.eta0), mp.mpf(post.eta[0])
+            lg_prior = log_multigamma(eta0 / 2, d)
             lg_post = log_multigamma(eta / 2, d)
-            ref = (mp.mpf(2.0 * a) - eta) / 2 * psi_sum - lg_prior + lg_post
+            ratio = (
+                mp.mpf(d) / 2 * (mp.log(prior.beta0) - mp.log(post.beta[0]))
+                + mp.mpf(d) / 2 * mp.log(2) * (eta - eta0)
+                + lg_post - lg_prior
+                - eta / 2 * log_det(post.W[0]) + eta0 / 2 * log_det(prior.W0)
+            )
+            h, shape = mp.mpf(prior.nu_fixed) / 2, mp.mpf(scale_shape(prior))
+            c = (
+                -mp.mpf(d) / 2 * mp.log(2 * mp.pi) + h * mp.log(h) - mp.loggamma(h)
+                + mp.loggamma(shape) - (1 + shape) * mp.digamma(shape) + shape
+            )
+            s_log_b = sum(mp.log(v) for v in b[:, 0])
+            s_log_u = s_log_b - 3 * mp.digamma(shape)
+            s_inv_u = sum(shape / v for v in b[:, 0])
+            latent = 3 * c - (mp.mpf(d) / 2 + h + 1) * s_log_u - h * s_inv_u + s_log_b
             scale = max(1.0, abs(float(lg_prior)), abs(float(lg_post)))
-            assert abs(value - float(ref)) <= 1e-12 * scale
+            assert abs(value - float(ratio + latent)) <= 1e-12 * scale
 
     def test_matches_monte_carlo_oracle(self):
         # independent estimate of E_q[ln p(X, Z, U, theta) - ln q(Z, U, theta)]
@@ -428,20 +442,29 @@ class TestElbo:
     def test_non_finite_term_is_named(self):
         x, (r, b), post, prior = toy_state()
         with np.errstate(all="ignore"), pytest.raises(
-            NumericalFailure, match=r"^class 1: ELBO term 'log_likelihood' is not finite"
+            NumericalFailure, match=r"^class 1: ELBO term 'latent' is not finite"
         ):
             bound(x, r, np.full_like(b, np.inf), post, prior)
 
 
-def reference_elbo(r, b, post, cache, prior):
-    """The bound of one class as a sum over every (point, component) element.
+def reference_elbo(x, r, b, post, prior):
+    """The full bound of one class as a sum over every (point, component) element.
 
-    ``cache`` is the class's batch-of-one :func:`component_cache`.
+    The five pieces of Bishop's construction (PRML, section 10.2.2), with
+    the expectations over the parameters taken from the class's batch-of-one
+    :func:`component_cache` and the prior's quadratic and trace terms solved
+    here. It holds for any state, so it checks the collapsed bound only
+    where that one holds: ``post`` is ``m_step`` of ``(x, r, b)``.
     """
+    cache = cache_of(x, post)
     d = prior.dim
     k = r.shape[1]
-    lpi, lsig = cache.log_pi[0], cache.log_sigma[0]
-    d2, quad_prior, tr_prior = cache.d2[0], cache.quad_prior[0], cache.tr_prior[0]
+    lpi, lsig, d2 = cache.log_pi[0], cache.log_sigma[0], cache.d2[0]
+    offset = post.m - prior.m0
+    quad_prior = post.eta * np.einsum(
+        "ki,ki->k", offset, np.linalg.solve(post.W, offset[:, :, None])[:, :, 0]
+    )
+    tr_prior = np.trace(np.linalg.solve(post.W, prior.W0), axis1=1, axis2=2)
     log_2pi = math.log(2.0 * math.pi)
     a = scale_shape(prior)
     e_inv_u = a / b
@@ -480,13 +503,12 @@ def reference_elbo(r, b, post, cache, prior):
 
 
 class TestElboColumnSums:
-    """The bound folds its latent terms into per-column sums."""
+    """The collapsed bound against the full per-element bound, on M-step states."""
 
     def test_matches_per_element_reference_on_toy_state(self):
         x, (r, b), post, prior = toy_state()
         value = bound(x, r, b, post, prior)
-        reference = reference_elbo(r, b, post, cache_of(x, post, prior), prior)
-        assert value == pytest.approx(reference, rel=1e-12)
+        assert value == pytest.approx(reference_elbo(x, r, b, post, prior), rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 6])
     def test_matches_per_element_reference(self, rng, k):
@@ -494,9 +516,9 @@ class TestElboColumnSums:
         if k > 1:
             r[0, 0] = 0.0  # an exactly empty cell: r log r is 0 there
             r[0] /= r[0].sum()
+            post = one_class_m_step(x, r, b, prior)
         value = bound(x, r, b, post, prior)
-        reference = reference_elbo(r, b, post, cache_of(x, post, prior), prior)
-        assert value == pytest.approx(reference, rel=1e-12)
+        assert value == pytest.approx(reference_elbo(x, r, b, post, prior), rel=1e-12)
 
     def test_log_multigamma_equals_scipy(self, rng):
         for d in range(1, 11):
@@ -838,6 +860,38 @@ class TestLockstep:
             vb._fit_lockstep([rows], [cid], [[3, idx]], prior, config, alone.append)
         assert lines == alone
 
+    def test_bound_matches_the_reference_at_every_iteration(self, monkeypatch):
+        # classes of 40, 90 and 4 rows, so two are padded and the small one
+        # starts with 4 of the batch's 6 columns; each class's bound, on its
+        # own rows and live columns, against the full per-element bound
+        data = class_sizes_dataset(0, (40, 90, 4), (0.0, 2.0, 1.0))
+        prior = build_default_prior(data, nu_fixed=5.0, k_init=6)
+        traces, seen = {}, set()
+        original = vb.elbo
+
+        def checked(r, b, post, cache, terms):
+            bounds = original(r, b, post, cache, terms)
+            for j, (cid, n, k) in enumerate(
+                zip(cache.batch.class_ids, cache.batch.n_rows, cache.live.sum(axis=1))
+            ):
+                seen.update({"padded"} if n < r.shape[1] else set())
+                seen.update({"masked"} if k < r.shape[2] else set())
+                own = Posteriors(**{key: value[j, :k] for key, value in vars(post).items()})
+                rows = (cache.batch.x[j, :n], r[j, :n, :k], b[j, :n, :k])
+                assert bounds[j] == pytest.approx(reference_elbo(*rows, own, prior), rel=1e-12)
+                trace = traces.setdefault(cid, [])
+                assert not trace or bounds[j] >= trace[-1]
+                trace.append(bounds[j])
+            return bounds
+
+        monkeypatch.setattr(vb, "elbo", checked)
+        blocks = [data.features[data.labels == cid] for cid in data.class_ids]
+        seeds = [[0, i] for i in range(len(blocks))]
+        models = vb._fit_lockstep(blocks, data.class_ids, seeds, prior, VbConfig(seed=0))
+        assert seen == {"padded", "masked"}
+        assert sum(cm.n_pruned for cm in models) > 0
+        assert [traces[cm.class_id] for cm in models] == [list(cm.elbo_trace) for cm in models]
+
     def test_padding_rows_carry_no_weight(self):
         batch, post, prior, cache = two_class_state()
         assert batch.n_rows.tolist() == [6, 4]
@@ -848,7 +902,7 @@ class TestLockstep:
         # with no padding row every row weighs 1
         unpadded = ClassBatch.pad([batch.x[0], batch.x[0][::-1]], (3, 7))
         assert np.array_equal(unpadded.weight, np.ones((2, 6, 1)))
-        r, _ = e_step(component_cache(unpadded, post, prior, cache.live), prior.nu_fixed)
+        r, _ = e_step(component_cache(unpadded, post, cache.live), prior.nu_fixed)
         assert np.allclose(r.sum(axis=2), 1.0)
 
     def test_classes_are_batched_within_the_size_budget(self):
@@ -913,7 +967,7 @@ def two_class_state(ids=(3, 7)):
     r = np.full((2, 6, 2), 0.5) * batch.weight
     post = m_step(batch.x, r, np.full(r.shape, 2.0), prior)
     live = np.ones((2, 2), dtype=bool)
-    return batch, post, prior, component_cache(batch, post, prior, live)
+    return batch, post, prior, component_cache(batch, post, live)
 
 
 class TestFailuresNameTheClass:
@@ -937,7 +991,7 @@ class TestFailuresNameTheClass:
         r, b = e_step(cache, prior.nu_fixed)
         b[bad] = np.inf
         with np.errstate(all="ignore"), pytest.raises(
-            NumericalFailure, match=f"^class {cid}: ELBO term 'log_likelihood' is not finite"
+            NumericalFailure, match=f"^class {cid}: ELBO term 'latent' is not finite"
         ):
             elbo(r, b, post, cache, prior_terms(prior))
 
@@ -948,4 +1002,4 @@ class TestFailuresNameTheClass:
         with pytest.raises(
             NumericalFailure, match=r"^class 7: component 1 is not positive definite \(pivot 1\)$"
         ):
-            component_cache(batch, replace(post, W=w), prior, cache.live)
+            component_cache(batch, replace(post, W=w), cache.live)
