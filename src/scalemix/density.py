@@ -98,7 +98,7 @@ def log_marginal_density(x, params):
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != params.dim:
         raise ValueError(f"x has dim {x.shape[0]}, params have dim {params.dim}")
-    d2 = mahalanobis_sq_batch(x, params.mu, params._factor)[0]
+    d2 = mahalanobis_sq_batch(x[:, None], params.mu, params._factor)[0]
     return float(log_t_kernel(d2, log_det(params._factor), params.dim, params.nu))
 
 
@@ -126,7 +126,7 @@ def quadrature_marginal_density(x, params):
     dim = params.dim
     nu = params.nu
     a = 0.5 * nu
-    d2 = float(mahalanobis_sq_batch(x, params.mu, params._factor)[0])
+    d2 = float(mahalanobis_sq_batch(x[:, None], params.mu, params._factor)[0])
 
     # log integrand in t: const - coef * t - rate * exp(-t)
     const = -0.5 * dim * _LOG_2PI - 0.5 * log_det(params._factor) + a * math.log(a) - gammaln(a)

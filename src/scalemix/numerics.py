@@ -3,9 +3,10 @@
 Every density and posterior-update formula in this package evaluates
 determinants and Mahalanobis distances through the Cholesky factor of a
 symmetric positive-definite matrix; this module holds those primitives.
-:func:`mahalanobis_sq_batch` is the one Mahalanobis kernel: a single
-point is a one-row batch. ``numpy.linalg`` is the only linear-algebra
-backend.
+:func:`mahalanobis_sq_batch` is the one Mahalanobis kernel, for
+variational training, prediction and the ν grid alike. It takes points
+as the columns of a ``(d, n)`` matrix; a single point is one column.
+``numpy.linalg`` is the only linear-algebra backend.
 
 SPD matrices are plain ``numpy`` arrays validated on entry (see
 :func:`as_psd`); Cholesky factors are wrapped in :class:`CholeskyFactor`
@@ -19,7 +20,9 @@ over the stack, and one ``np.linalg.cholesky`` call factorises each
 member by its own LAPACK call, so a member's factor is bit-identical to
 the factor of that matrix alone. Distances are whitened by inverse
 factors: one batched inverse of the whole stack, cached on the factor,
-then one batched matrix product for every member at once.
+then one batched matrix product of the centred points for every member
+at once. A point on a centre is at distance exactly 0, and member ``j``'s
+distances are bit-identical to a one-factor call with that member.
 
 All functions here are pure and safe for concurrent use.
 """
@@ -178,31 +181,31 @@ def log_det(factor):
 
 
 def mahalanobis_sq_batch(points, center, factor):
-    """Row-wise squared Mahalanobis distances for a matrix of points.
+    """Squared Mahalanobis distances of points given as columns.
 
-    With one factor, ``center`` is a ``(d,)`` vector and the result has
-    one entry per point. With a stack of ``k`` factors, ``center`` is
-    ``(k, d)`` and the result is ``(n, k)``: column ``j`` is the distance
-    to ``center[j]`` under member ``j``, bit-identical to the one-factor
-    result for that member. Points may also carry a leading batch axis,
-    ``(B, n, d)``: the stack then holds ``B * k`` factors, ``k`` per batch
-    member in member order, ``center`` is ``(B, k, d)`` and the result is
-    ``(B, n, k)``, each member's points against its own ``k`` factors.
-    Points are centred before they are whitened by the factor's cached
-    :attr:`~CholeskyFactor.inverse`, so a point equal to its centre is at
+    ``points`` is ``(d, n)``, one point per column. With one factor,
+    ``center`` is a ``(d,)`` vector and the result is ``(n,)``. With a
+    stack of ``k`` factors, ``center`` is ``(k, d)`` and the result is
+    ``(k, n)``: row ``j`` is the distance to ``center[j]`` under member
+    ``j``, bit-identical to the one-factor result for that member. Points
+    may also carry a leading batch axis, ``(B, d, n)``: the stack then
+    holds ``B * k`` factors, ``k`` per batch member in member order,
+    ``center`` is ``(B, k, d)`` and the result is ``(B, k, n)``, each
+    member's points against its own ``k`` factors, bit-identical to a
+    call per member. Points are centred, whitened by the factor's cached
+    :attr:`~CholeskyFactor.inverse` in one batched product, squared and
+    summed over the coordinate axis, so a point equal to its centre is at
     distance exactly 0.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[-1] != factor.dim:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim < 2 or pts.shape[-2] != factor.dim:
         raise ValueError(
-            f"dimension mismatch: points have dim {pts.shape[-1]}, factor dim {factor.dim}"
+            f"dimension mismatch: points {pts.shape} are not columns of dim {factor.dim}"
         )
     inverse = factor.inverse.reshape(pts.shape[:-2] + (-1,) + factor.lower.shape[-2:])
     centers = np.asarray(center, dtype=float).reshape(inverse.shape[:-1])
-    # y[..., j, :, :] holds member j's whitened differences as (n, d) rows
-    y = (pts[..., None, :, :] - centers[..., :, None, :]) @ np.swapaxes(inverse, -1, -2)
-    # C-ordered: arrays derived from the result inherit its layout, and
-    # numpy sums a column of a C-ordered array in another order than one of
-    # a Fortran-ordered array
-    d2 = np.einsum("...kji,...kji->...jk", y, y, order="C")
-    return d2 if factor.lower.ndim == 3 else d2[:, 0]
+    # y[..., j, :, :] holds member j's whitened differences as (d, n) columns
+    y = inverse @ (pts[..., None, :, :] - centers[..., None])
+    y *= y
+    d2 = y.sum(axis=-2)
+    return d2 if factor.lower.ndim == 3 else d2[0]

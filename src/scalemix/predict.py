@@ -11,16 +11,18 @@ precision for any reasonable query point.
 :func:`predict_batch` is the one classification path: it takes a matrix
 of points (one row for a single point) and returns log posteriors and
 labels. :func:`prepare` builds each class's mixture once from its stacked
-components (one stacked Cholesky factorisation of the expected scales,
-their inverse factors from one batched ``CholeskyFactor.inverse`` and the
-stacked whitening of every component), and batch prediction reuses it
-for every block of rows, which is what makes microsecond-scale
-per-record throughput possible. The degrees of freedom enter only
-through three small per-component arrays, so one log-density kernel,
-:meth:`_Mixture.log_density_d2`, serves both a classifier's own values
-and a grid of shared ones: :func:`log_posteriors_over_nu` whitens each
-block of points once per class and scores the whole grid on it in
-broadcast passes over a leading grid axis, without refactorising.
+components (one stacked Cholesky factorisation of the expected scales
+and one batched ``CholeskyFactor.inverse`` of its factors), and batch
+prediction reuses it for every block of rows, which is what makes
+microsecond-scale per-record throughput possible. The squared distances
+of a block come from :func:`~scalemix.numerics.mahalanobis_sq_batch`,
+the kernel variational training uses too. The degrees of freedom enter
+only through a triple of small arrays (:func:`_grid_terms`), so one
+log-density kernel, :meth:`_Mixture.log_density_d2`, serves both a
+classifier's own values and a grid of shared ones:
+:func:`log_posteriors_over_nu` takes each block's distances once per
+class and scores the whole grid on them in broadcast passes over a
+leading grid axis, without refactorising.
 """
 
 import math
@@ -30,7 +32,7 @@ import numpy as np
 
 from .data import BLOCK_ROWS
 from .density import log_t_kernel
-from .numerics import cholesky, log_det
+from .numerics import cholesky, log_det, mahalanobis_sq_batch
 
 __all__ = [
     "PreparedClassifier",
@@ -64,15 +66,13 @@ class _Mixture:
 
     Refuses a component with ``eta <= dim + 1``, whose expected scale is
     not finite. Factorises the expected scales of all components in one
-    stacked :func:`cholesky` call and stores the inverse factors that
-    :attr:`~scalemix.numerics.CholeskyFactor.inverse` gives, so a batch
-    Mahalanobis evaluation is a single matrix product per class.
+    stacked :func:`cholesky` call and inverts the factors once, so scoring
+    a block of points is one :func:`mahalanobis_sq_batch` call per class.
+    ``terms`` holds the components' own degrees of freedom as
+    :func:`_grid_terms` gives them.
     """
 
-    __slots__ = (
-        "log_w", "means", "lowers", "log_dets", "stacked_inv", "stacked_offset",
-        "log_norms", "nus", "half_exponents", "dim", "n_components",
-    )
+    __slots__ = ("log_w", "means", "factor", "log_dets", "terms", "dim", "n_components")
 
     def __init__(self, cm):
         d = cm.dim
@@ -85,46 +85,26 @@ class _Mixture:
             )
         self.dim = d
         self.n_components = cm.n_components
-        f = cholesky(post.W / (post.eta - d - 1.0)[:, None, None])
-        self.lowers = f.lower
-        self.log_dets = log_det(f)
+        self.factor = cholesky(post.W / (post.eta - d - 1.0)[:, None, None])
+        self.factor.inverse  # inverted here, so scoring never writes to a mixture
+        self.log_dets = log_det(self.factor)
         # math.log, not np.log: the two differ in the last bit for some weights
         self.log_w = np.array([math.log(w) for w in (post.alpha / cm.alpha_hat).tolist()])
         self.means = post.m
-        self.nus = cm.nu
-        # log_t_kernel takes one nu at a time
-        self.log_norms = np.array(
-            [log_t_kernel(0.0, ld, d, nu) for ld, nu in zip(self.log_dets, self.nus)]
-        )
-        self.half_exponents = 0.5 * (self.nus + d)
-        # all component whitening transforms stacked so a batch Mahalanobis
-        # evaluation is a single (k d, d) x (d, n) product
-        self.stacked_inv = f.inverse.reshape(-1, d)
-        self.stacked_offset = (f.inverse @ self.means[:, :, None]).reshape(-1, 1)
+        self.terms = _grid_terms(cm.nu, d)
 
-    def whiten(self, pts_t):
-        """Squared Mahalanobis distances ``(k, n)`` of points given as ``(dim, n)``."""
-        y = self.stacked_inv @ pts_t
-        y -= self.stacked_offset
-        y *= y
-        return y.reshape(self.n_components, self.dim, pts_t.shape[1]).sum(axis=1)
+    def log_density_d2(self, d2, terms):
+        """Log mixture density from the ``(k, n)`` squared distances ``d2``.
 
-    def log_density_d2(self, d2, grid=None):
-        """Log mixture density from the squared distances :meth:`whiten` gives.
-
-        ``d2`` is ``(k, n)``. With no ``grid`` each component takes its own
-        degrees of freedom and the result is ``(n,)``. A grid of ``G``
-        shared values (:func:`_grid_terms`) gives ``(G, n)``, row ``g``
+        ``terms`` is a :func:`_grid_terms` triple. The mixture's own
+        ``terms``, one value per component, give ``(n,)``; a grid of ``G``
+        shared values, each ``(G, 1)``, gives ``(G, n)``, row ``g``
         bit-identical to a mixture built with ``nus[g]`` in every component.
         """
-        if grid is None:
-            nus, half_exponents, log_norms = self.nus, self.half_exponents, self.log_norms
-        else:
-            nus, half_exponents, log_consts = grid
-            log_norms = log_consts - 0.5 * self.log_dets
+        nus, half_exponents, log_consts = terms
         comp_log = np.log1p(d2 / nus[..., None])
         comp_log *= -half_exponents[..., None]
-        comp_log += (self.log_w + log_norms)[..., None]
+        comp_log += (self.log_w + (log_consts - 0.5 * self.log_dets))[..., None]
         top = comp_log.max(axis=-2)
         comp_log -= top[..., None, :]
         np.exp(comp_log, out=comp_log)
@@ -167,11 +147,14 @@ def _as_points(points, dim):
 def _column_blocks(pts):
     """``(lo, hi, rows lo:hi transposed)`` for blocks of ``BLOCK_ROWS`` rows.
 
-    Every whitening goes through these blocks. The log posteriors of a row
-    do not depend on the width of its block, except for a one-row block:
-    there numpy's one-column product in :meth:`_Mixture.whiten` and the
-    contiguous class-axis sum in :func:`_normalise` round the last bit
-    differently. So the ν grid still shares these block boundaries.
+    Every distance here is taken on these blocks. A row's distances, and so
+    its log posteriors, do not depend on the width of its block, except in
+    a one-row block: there numpy's one-column product and contiguous sums,
+    in :func:`~scalemix.numerics.mahalanobis_sq_batch` and in
+    :func:`_normalise`, round the last bit differently. (Measured at d = 8,
+    k = 3 on 1024 rows: every width of 2-64, 100, 333, 1000 and 1023
+    leaves every bit; width 1 moves about half the distances.) So the ν
+    grid still shares these block boundaries.
     """
     n = pts.shape[0]
     for lo in range(0, n, BLOCK_ROWS):
@@ -219,7 +202,8 @@ def predict_batch(classifier, points):
         # blocking keeps each class's whitened coordinates resident in cache
         for lo, hi, pts_t in _column_blocks(pts):
             for i, mix in enumerate(prepared.mixtures):
-                joint[i, lo:hi] = mix.log_density_d2(mix.whiten(pts_t))
+                d2 = mahalanobis_sq_batch(pts_t, mix.means, mix.factor)
+                joint[i, lo:hi] = mix.log_density_d2(d2, mix.terms)
         _normalise(joint, prepared.class_log_prior)
     _check_finite(joint)
     labels = prepared.class_ids[np.argmax(joint, axis=0)]
@@ -227,15 +211,16 @@ def predict_batch(classifier, points):
 
 
 def _grid_terms(nus, dim):
-    """``(nus, half_exponents, log_consts)``, each ``(G, 1)``, for shared values.
+    """``(nus, half_exponents, log_consts)`` for degrees of freedom ``nus``.
 
-    ``log_consts`` holds ``log_t_kernel(0, 0, dim, nu)``: less half a
-    component's log-determinant, it is bit for bit the normaliser
-    ``log_t_kernel(0, log_det, dim, nu)`` a mixture built at ``nu`` holds.
+    Each has the shape of ``nus``. ``log_consts`` holds
+    ``log_t_kernel(0, 0, dim, nu)``: less half a component's
+    log-determinant, it is bit for bit the normaliser
+    ``log_t_kernel(0, log_det, dim, nu)``.
     """
-    grid = np.asarray(nus, dtype=float).reshape(-1, 1)
-    log_consts = [log_t_kernel(0.0, 0.0, dim, nu) for nu in grid[:, 0].tolist()]
-    return grid, 0.5 * (grid + dim), np.array(log_consts).reshape(-1, 1)
+    nus = np.asarray(nus, dtype=float)
+    log_consts = [log_t_kernel(0.0, 0.0, dim, nu) for nu in nus.ravel().tolist()]
+    return nus, 0.5 * (nus + dim), np.reshape(log_consts, nus.shape)
 
 
 def log_posteriors_over_nu(classifier, points, nus, columns):
@@ -244,21 +229,23 @@ def log_posteriors_over_nu(classifier, points, nus, columns):
     Row ``g`` takes ``nus[g]`` as every component's degrees of freedom and
     equals, bit for bit, the same entries of the posteriors
     :func:`predict_batch` gives for the classifier with that value in
-    every component. The points are whitened once per class in the same
-    blocks as :func:`predict_batch`; each block is then scored for many
-    values at once, in broadcast passes whose ``(values, k, block width)``
-    arrays hold at most ``_GRID_NUMBERS`` numbers (one value at a time when
-    a block alone is larger). A row that cannot be scored at some value
-    raises :class:`UnscorableRowError`.
+    every component. Each block's distances are taken once per class, in
+    the same blocks as :func:`predict_batch`; each block is then scored
+    for many values at once, in broadcast passes whose ``(values, k, block
+    width)`` arrays hold at most ``_GRID_NUMBERS`` numbers (one value at a
+    time when a block alone is larger). A row that cannot be scored at
+    some value raises :class:`UnscorableRowError`.
     """
     prepared = prepare(classifier)
     pts = _as_points(points, prepared.dim)
-    grid = _grid_terms(nus, prepared.dim)
+    grid = _grid_terms(np.reshape(nus, (-1, 1)), prepared.dim)
     out = np.empty((grid[0].shape[0], pts.shape[0]))
     k_max = max(mix.n_components for mix in prepared.mixtures)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, pts_t in _column_blocks(pts):
-            d2s = [mix.whiten(pts_t) for mix in prepared.mixtures]
+            d2s = [
+                mahalanobis_sq_batch(pts_t, mix.means, mix.factor) for mix in prepared.mixtures
+            ]
             cols, at = columns[lo:hi], np.arange(hi - lo)
             step = max(1, _GRID_NUMBERS // (k_max * (hi - lo)))
             for g in range(0, out.shape[0], step):
@@ -287,7 +274,7 @@ def sample(cm, n, seed):
     weights = np.exp(mix.log_w)
     weights = weights / weights.sum()
     k = rng.choice(weights.shape[0], size=n, p=weights)
-    shape = 0.5 * mix.nus[k]
+    shape = 0.5 * cm.nu[k]
     u = 1.0 / rng.gamma(shape=shape, scale=1.0 / shape)
     z = rng.standard_normal((n, mix.dim))
     out = np.empty((n, mix.dim))
@@ -296,6 +283,6 @@ def sample(cm, n, seed):
         if not rows.any():
             continue
         out[rows] = mix.means[j] + np.sqrt(u[rows])[:, None] * (
-            z[rows] @ mix.lowers[j].T
+            z[rows] @ mix.factor.lower[j].T
         )
     return out

@@ -6,6 +6,7 @@ import pytest
 import scalemix.vb as vb
 from scalemix.data import FeatureDataset
 from scalemix.model import ClassModel, Posteriors
+from scalemix.numerics import mahalanobis_sq_batch
 
 
 def make_mixture_class(mus, sigmas, nus, counts, class_id=1):
@@ -59,10 +60,12 @@ def components_of(cm, index):
 def mixture_log_density(mix, points, grid=None):
     """Log plug-in predictive of a prepared class mixture at each row of ``points``.
 
-    ``grid``, from ``predict._grid_terms``, gives one row per shared value.
+    ``grid``, from ``predict._grid_terms`` of a ``(G, 1)`` array, gives one
+    row per shared value; without it each component takes its own.
     """
     pts_t = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)).T)
-    return mix.log_density_d2(mix.whiten(pts_t), grid)
+    d2 = mahalanobis_sq_batch(pts_t, mix.means, mix.factor)
+    return mix.log_density_d2(d2, mix.terms if grid is None else grid)
 
 
 def two_blob_dataset(seed, n_per_class=200, centers=((0.0, 0.0), (4.0, 4.0)), scale=0.7):

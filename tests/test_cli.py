@@ -1267,6 +1267,49 @@ def _failing_argv(command, tmp_path):
     return junk, [command] + argv
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        ("train --data {header} --model-out {out}/m.json --nu 5", EXIT_DATA, "{header}: no rows"),
+        ("evaluate --data {header} --out-dir {out} --nu 5", EXIT_DATA, "{header}: no rows"),
+        ("train --data {proto} --nu 5", EXIT_USAGE, "--data and --model-out are required"),
+        ("predict --model {out}/m.json --out-dir {out}", EXIT_USAGE, "--model and --data are"),
+        ("evaluate --out-dir {out} --nu 5", EXIT_USAGE, "--data is required"),
+        (
+            "train --data {proto} --model-out {out}/m.json --nu 5 --config {missing}",
+            EXIT_DATA,
+            "data error: cannot read config file {missing}",
+        ),
+        (
+            "train --data {proto} --model-out {out}/m.json --config {no_equals}",
+            EXIT_USAGE,
+            "usage error: {no_equals}:3: expected 'key = value'",
+        ),
+        (
+            "evaluate --data {proto} --out-dir {out} --nu 5 --baseline {bad_header}",
+            EXIT_DATA,
+            "data error: {bad_header}: expected header participant,accuracy",
+        ),
+    ],
+    ids=[
+        "train-no-rows", "evaluate-no-rows", "train-no-model-out", "predict-no-data",
+        "evaluate-no-data", "missing-config", "config-line-without-equals", "baseline-header",
+    ],
+)
+def test_error_exit_code_and_message(tmp_path, capsys, argv, code, message):
+    files = {
+        name: tmp_path / name
+        for name in ("header", "proto", "missing", "no_equals", "bad_header", "out")
+    }
+    files["header"].write_text("f1,f2,label,trial,participant\n")
+    write_protocol_csv(files["proto"], trials=3)
+    files["no_equals"].write_text("# settings\nnu = 5\nseed 3\n")
+    files["bad_header"].write_text("participant,acc\n1,0.5\n2,0.5\n")
+    assert main([token.format(**files) for token in argv.split()]) == code
+    assert message.format(**files) in capsys.readouterr().err
+    assert not files["out"].exists()
+
+
 class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE

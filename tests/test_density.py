@@ -14,7 +14,7 @@ from scalemix.numerics import log_det, mahalanobis_sq_batch
 
 def log_density_rows(points, p):
     """Closed-form log density at each row: the kernel over batch distances."""
-    d2 = mahalanobis_sq_batch(points, p.mu, p._factor)
+    d2 = mahalanobis_sq_batch(np.asarray(points, dtype=float).T, p.mu, p._factor)
     return log_t_kernel(d2, log_det(p._factor), p.dim, p.nu)
 
 

@@ -92,15 +92,15 @@ class TestLogDet:
 class TestMahalanobis:
     def test_zero_at_center(self):
         f = cholesky([[2.0, 0.3], [0.3, 1.0]])
-        assert mahalanobis_sq_batch([1.0, -2.0], [1.0, -2.0], f)[0] == 0.0
+        assert mahalanobis_sq_batch([[1.0], [-2.0]], [1.0, -2.0], f)[0] == 0.0
 
     def test_identity_metric(self):
         f = cholesky(np.eye(2))
-        assert mahalanobis_sq_batch([3.0, 4.0], [0.0, 0.0], f)[0] == pytest.approx(25.0)
+        assert mahalanobis_sq_batch([[3.0], [4.0]], [0.0, 0.0], f)[0] == pytest.approx(25.0)
 
     def test_analytic_inverse(self):
         f = cholesky([[4.0, 2.0], [2.0, 3.0]])
-        assert mahalanobis_sq_batch([1.0, 0.0], [0.0, 0.0], f)[0] == pytest.approx(0.375)
+        assert mahalanobis_sq_batch([[1.0], [0.0]], [0.0, 0.0], f)[0] == pytest.approx(0.375)
 
     def test_nonnegative_and_zero_only_at_center(self, rng):
         for _ in range(50):
@@ -109,26 +109,29 @@ class TestMahalanobis:
             f = cholesky(a @ a.T + d * np.eye(d))
             x = rng.standard_normal(d)
             c = rng.standard_normal(d)
-            v = mahalanobis_sq_batch(x, c, f)[0]
+            v = mahalanobis_sq_batch(x[:, None], c, f)[0]
             assert v >= 0.0
             if not np.allclose(x, c):
                 assert v > 0.0
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("points", [[[1.0], [2.0], [3.0]], [[1.0, 2.0]], [1.0, 2.0]])
+    def test_dimension_mismatch(self, points):
+        # points are columns: a (1, 2) row and a bare vector are refused too
         f = cholesky(np.eye(2))
-        with pytest.raises(ValueError):
-            mahalanobis_sq_batch([1.0, 2.0, 3.0], [0.0, 0.0], f)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            mahalanobis_sq_batch(points, [0.0, 0.0], f)
 
     def test_batch_matches_scalar(self, rng):
         a = rng.standard_normal((3, 3))
         f = cholesky(a @ a.T + 3 * np.eye(3))
-        pts = rng.standard_normal((40, 3))
+        pts = rng.standard_normal((3, 40))
         center = rng.standard_normal(3)
         batch = mahalanobis_sq_batch(pts, center, f)
+        assert batch.shape == (40,)
         for i in range(40):
-            one_row = mahalanobis_sq_batch(pts[i : i + 1], center, f)
-            assert one_row.shape == (1,)
-            assert batch[i] == pytest.approx(one_row[0], rel=1e-12)
+            one_column = mahalanobis_sq_batch(pts[:, i : i + 1], center, f)
+            assert one_column.shape == (1,)
+            assert batch[i] == pytest.approx(one_column[0], rel=1e-12)
 
 
 def spd_stack(rng, k, d):
@@ -187,16 +190,16 @@ class TestStackedFactorisation:
     def test_members_equal_matrix_calls(self, rng):
         m = spd_stack(rng, 6, 4)
         f = cholesky(m)
-        pts = rng.standard_normal((30, 4)) * 3.0
+        pts = rng.standard_normal((4, 30)) * 3.0
         centers = rng.standard_normal((6, 4))
         d2 = mahalanobis_sq_batch(pts, centers, f)
-        assert d2.shape == (30, 6)
+        assert d2.shape == (6, 30)
         dets = log_det(f)
         for j in range(6):
             single = cholesky(m[j])
             assert np.array_equal(f.lower[j], single.lower)
             assert dets[j] == log_det(single)
-            assert np.array_equal(d2[:, j], mahalanobis_sq_batch(pts, centers[j], single))
+            assert np.array_equal(d2[j], mahalanobis_sq_batch(pts, centers[j], single))
 
     def test_batched_points_equal_per_member_stacks(self, rng):
         # a leading batch axis on the points: member b's points against its
@@ -204,10 +207,10 @@ class TestStackedFactorisation:
         n_batch, k, d = 3, 4, 5
         m = spd_stack(rng, n_batch * k, d)
         f = cholesky(m)
-        pts = rng.standard_normal((n_batch, 20, d)) * 3.0
+        pts = rng.standard_normal((n_batch, d, 20)) * 3.0
         centers = rng.standard_normal((n_batch, k, d))
         d2 = mahalanobis_sq_batch(pts, centers, f)
-        assert d2.shape == (n_batch, 20, k)
+        assert d2.shape == (n_batch, k, 20)
         assert d2.flags.c_contiguous
         for b in range(n_batch):
             alone = mahalanobis_sq_batch(pts[b], centers[b], cholesky(m[b * k : (b + 1) * k]))
@@ -263,9 +266,9 @@ class TestStackedFactorisation:
     def test_point_on_a_member_center_is_at_exact_zero(self, rng):
         f = cholesky(spd_stack(rng, 4, 5) * 1e3)
         centers = rng.standard_normal((4, 5)) * 1e4
-        d2 = mahalanobis_sq_batch(np.vstack([centers, centers[2] + 1.0]), centers, f)
-        assert np.all(np.diag(d2[:4]) == 0.0)
-        assert np.all(d2[4] > 0.0)
+        d2 = mahalanobis_sq_batch(np.vstack([centers, centers[2] + 1.0]).T, centers, f)
+        assert np.all(np.diag(d2[:, :4]) == 0.0)
+        assert np.all(d2[:, 4] > 0.0)
 
     def test_inverse_is_cached_and_inverts_each_member(self, rng):
         f = cholesky(spd_stack(rng, 3, 4))

@@ -15,6 +15,7 @@ from scalemix.model import (
     build_default_prior,
 )
 from scalemix.data import BLOCK_ROWS
+from scalemix.numerics import mahalanobis_sq_batch
 from scalemix.vb import VbConfig, fit
 import scalemix.predict as predict_module
 from scalemix.predict import (
@@ -240,6 +241,13 @@ def at_shared_nu(tc, nu):
     )
 
 
+def held_arrays(mix):
+    """Every array a prepared mixture holds, its factor's inverse among them."""
+    return [
+        mix.log_w, mix.means, mix.factor.lower, mix.factor.inverse, mix.log_dets, *mix.terms
+    ]
+
+
 def default_grid():
     return np.geomspace(1e-3, 200.0, 40)
 
@@ -269,39 +277,37 @@ class TestGridKernel:
         )
         nus = [1e-3, 0.3, 5.0, 200.0]
         pts = rng.standard_normal((300, d)) * 3
-        rows = mixture_log_density(_Mixture(cm), pts, _grid_terms(nus, d))
+        rows = mixture_log_density(_Mixture(cm), pts, _grid_terms(np.reshape(nus, (-1, 1)), d))
         assert rows.shape == (len(nus), 300)
         for nu, row in zip(nus, rows):
             at_nu = replace(cm, nu=np.full(3, nu))
             assert np.array_equal(row, mixture_log_density(_Mixture(at_nu), pts))
 
     def test_one_whitening_per_class_per_block_and_mixtures_untouched(self, rng, monkeypatch):
-        whitened = []
-        whiten = _Mixture.whiten
+        calls = []
+        kernel = predict_module.mahalanobis_sq_batch
 
-        def recording_whiten(mix, pts_t):
-            whitened.append((mix, pts_t.shape[1]))
-            return whiten(mix, pts_t)
+        def recording_kernel(pts_t, means, factor):
+            calls.append((factor, pts_t.shape[1]))
+            return kernel(pts_t, means, factor)
 
         d = 3
         prepared = prepare(uniform_classifier(mixture_classes(rng, d, 2, 3)))
         pts = rng.standard_normal((BLOCK_ROWS + 5, d))
         before = predict_batch(prepared, pts)[0]
-        slots = [
-            {name: getattr(mix, name) for name in _Mixture.__slots__}
-            for mix in prepared.mixtures
-        ]
-        copies = [{name: np.copy(value) for name, value in slot.items()} for slot in slots]
-        monkeypatch.setattr(_Mixture, "whiten", recording_whiten)
+        slots = [[getattr(mix, name) for name in _Mixture.__slots__] for mix in prepared.mixtures]
+        held = [held_arrays(mix) for mix in prepared.mixtures]
+        copies = [[np.copy(value) for value in arrays] for arrays in held]
+        monkeypatch.setattr(predict_module, "mahalanobis_sq_batch", recording_kernel)
         columns = rng.integers(0, 3, size=pts.shape[0])
         log_posteriors_over_nu(prepared, pts, default_grid(), columns)
-        assert whitened == [(mix, BLOCK_ROWS) for mix in prepared.mixtures] + [
-            (mix, 5) for mix in prepared.mixtures
+        assert calls == [(mix.factor, BLOCK_ROWS) for mix in prepared.mixtures] + [
+            (mix.factor, 5) for mix in prepared.mixtures
         ]
-        for mix, slot, copied in zip(prepared.mixtures, slots, copies):
-            for name in _Mixture.__slots__:
-                assert getattr(mix, name) is slot[name]
-                assert np.array_equal(getattr(mix, name), copied[name])
+        for mix, slot, arrays, copied in zip(prepared.mixtures, slots, held, copies):
+            assert all(getattr(mix, name) is v for name, v in zip(_Mixture.__slots__, slot))
+            for now, then, value in zip(held_arrays(mix), arrays, copied):
+                assert now is then and np.array_equal(now, value)
         assert np.array_equal(predict_batch(prepared, pts)[0], before)
 
 
@@ -330,7 +336,7 @@ class TestMixtureBuild:
         ]
         prepared = prepare(uniform_classifier(cms))
         assert calls == [(3, d, d), (3, d, d)]
-        assert prepared.mixtures[0].lowers.shape == (3, d, d)
+        assert prepared.mixtures[0].factor.lower.shape == (3, d, d)
 
     def test_components_match_single_component_mixtures(self, rng):
         d = 5
@@ -341,29 +347,30 @@ class TestMixtureBuild:
             counts=[1.0, 2.5, 0.5],
         )
         mix = _Mixture(cm)
+        pts_t = rng.standard_normal((d, 50)) * 3
+        d2 = mahalanobis_sq_batch(pts_t, mix.means, mix.factor)
         for j in range(cm.n_components):
             solo = _Mixture(components_of(cm, slice(j, j + 1)))
-            assert np.array_equal(mix.lowers[j], solo.lowers[0])
-            assert np.array_equal(mix.stacked_inv[j * d : (j + 1) * d], solo.stacked_inv)
-            assert np.array_equal(
-                mix.stacked_offset[j * d : (j + 1) * d], solo.stacked_offset
-            )
+            assert np.array_equal(mix.factor.lower[j], solo.factor.lower[0])
+            assert np.array_equal(mix.factor.inverse[j], solo.factor.inverse[0])
+            assert np.array_equal(d2[j], mahalanobis_sq_batch(pts_t, solo.means, solo.factor)[0])
             assert mix.log_dets[j] == solo.log_dets[0]
-            assert mix.log_norms[j] == solo.log_norms[0]
+            for terms, solo_terms in zip(mix.terms, solo.terms):
+                assert terms[j] == solo_terms[0]
 
 
 class TestLogPosteriorsOverNu:
     def test_match_predict_batch_at_each_value(self, rng, monkeypatch):
-        # one row past a whitening block: a one-column product takes another
-        # BLAS path, so the grid must block its rows exactly as predict_batch
+        # one row past a block: a one-column product takes another BLAS
+        # path, so the grid must block its rows exactly as predict_batch
         widths = []
-        whiten = _Mixture.whiten
+        kernel = predict_module.mahalanobis_sq_batch
 
-        def recording_whiten(mix, pts_t):
+        def recording_kernel(pts_t, means, factor):
             widths.append(pts_t.shape[1])
-            return whiten(mix, pts_t)
+            return kernel(pts_t, means, factor)
 
-        monkeypatch.setattr(_Mixture, "whiten", recording_whiten)
+        monkeypatch.setattr(predict_module, "mahalanobis_sq_batch", recording_kernel)
         tc = uniform_classifier(mixture_classes(rng, 8, 2, 3))
         pts = rng.standard_normal((BLOCK_ROWS + 1, 8)) * 3
         nus = [1e-3, 0.3, 5.0, 200.0]
