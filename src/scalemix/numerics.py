@@ -3,9 +3,11 @@
 Every density and posterior-update formula in this package evaluates
 determinants and Mahalanobis distances through the Cholesky factor of a
 symmetric positive-definite matrix; this module holds those primitives.
-:func:`mahalanobis_sq_batch` is the one Mahalanobis kernel, for
-variational training, prediction and the ν grid alike. It takes points
-as the columns of a ``(d, n)`` matrix; a single point is one column.
+:func:`mahalanobis_sq_batch` is the Mahalanobis kernel of prediction and
+the ν grid, and of variational training on its two-pass path (variational
+training otherwise expands its distances over statistics of the rows; see
+:mod:`scalemix.vb`). It takes points as the columns of a ``(d, n)``
+matrix; a single point is one column.
 ``numpy.linalg`` is the only linear-algebra backend.
 
 SPD matrices are plain ``numpy`` arrays validated on entry (see

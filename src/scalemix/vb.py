@@ -39,9 +39,17 @@ After each parameter update, :func:`component_cache` factorises the whole
 ``(B * k, d, d)`` stack once and derives every quantity both the bound at
 this iteration and the latent update at the next one read: log
 determinants, E[log |Sigma|], E[log pi] and the ``(B, n, k)`` expected
-squared Mahalanobis distances, from
-:func:`~scalemix.numerics.mahalanobis_sq_batch`, the kernel prediction
-uses too, on the inverse factors of one batched inverse. The bound is
+squared Mahalanobis distances. No update centres the rows on a component
+(Bishop, PRML, section 10.2.1: the statistics are sums over rows). Once
+per batch, each class's rows are shifted by the class mean and their
+outer products taken; the parameter update is two batched products of
+these with the latent posteriors, and the distances two with each
+component's precision, from the inverse factors of one batched inverse.
+Expanded this way, a statistic subtracts terms that grow with a row's
+distance from its class mean, so a batch with a class whose bound on the
+rounding loss is too large centres the rows instead, on the two-pass path
+(its distances from :func:`~scalemix.numerics.mahalanobis_sq_batch`, the
+kernel of prediction and the nu grid). The bound is
 evaluated right after a parameter update, from the latent posteriors that
 update was computed from, where it collapses to ratios of the posterior
 and prior log-normalisers plus a few per-column sums of the latent
@@ -56,7 +64,9 @@ Each class draws its initialization from its own seeded stream, and all
 reductions use a fixed summation order, so results are reproducible for a
 given seed. Padding and masking change the order in which numpy and BLAS
 sum some terms, so a class fit in a batch agrees with the same class fit
-alone (a batch of one) to about 1e-13 relative, not bit for bit.
+alone (a batch of one) to about 1e-13 relative, not bit for bit; a class
+that a two-pass batch carries, because another class of it is over the
+tolerance, agrees with its expanded fit to about 1e-12.
 """
 
 import math
@@ -95,6 +105,17 @@ _PRUNE_THRESHOLD = 1e-3
 # fraction of the bound
 _ELBO_REL_TOL = 1e-6
 
+# A batch computes its statistics from rows centred on each component, in
+# two passes, once some class's _expansion_loss exceeds this. On classes of
+# two standard-normal sub-clusters (d = 3, 80 to 18 000 rows, 10 to 1e5
+# sigma apart) the expanded statistics moved the fitted posteriors by at
+# most 0.06 times the bound, and changed an iteration count only at bounds
+# of 1.5e-2 and above. So a class takes the expanded path only where it
+# moves by at most about 6e-10 relative, far inside the 1e-6 change of the
+# bound at which a fit stops. The training sides of the benchmark's
+# protocol inputs bound at most 2.4e-11, and 18 000-row classes 4e-9.
+_EXPANSION_TOL = 1e-8
+
 # fit_ml_nu's grid of nu values; each class keeps its fit at the best one
 _ML_NU_GRID = np.geomspace(0.05, 1000.0, 25)
 
@@ -113,6 +134,29 @@ def _log_multigamma(a, d):
 def _scale_shape(prior):
     """Shape ``(nu + dim) / 2`` of every point's inverse-gamma scale posterior."""
     return 0.5 * (prior.nu_fixed + prior.dim)
+
+
+def _expansion_loss(xc, n_rows, shift, prior):
+    """Per class, a bound on what rounding costs the expanded statistics.
+
+    ``xc`` is a batch's shifted rows, ``n_rows`` its classes' row counts and
+    ``shift`` their shifts. The expanded distances (see
+    :func:`_expanded_sq_distances`) and scales (see :func:`_expanded_update`)
+    subtract terms as large as ``R^2`` in the metric of a component's
+    precision, where ``R`` bounds the shifted rows and the shifted prior
+    mean, and so every shifted component mean, a convex combination of
+    them. Every posterior scale satisfies ``W_k >= W0``, so that metric
+    stretches a length by at most ``1 / lambda_min(W0)``; a distance enters
+    the latent update times ``eta_k <= eta0 + N_c``, and a scale sums
+    ``N_c`` rounded products. So ``eps R^2 (eta0 + N_c) / lambda_min(W0)``
+    bounds the loss up to a small constant factor.
+    """
+    radius_sq = np.maximum(
+        np.einsum("bnd,bnd->bn", xc, xc).max(axis=1), ((prior.m0 - shift) ** 2).sum(axis=1)
+    )
+    return (
+        np.finfo(float).eps * radius_sq * (prior.eta0 + n_rows) / np.linalg.eigvalsh(prior.W0)[0]
+    )
 
 
 def _sum_rows(values):
@@ -147,17 +191,31 @@ class ClassBatch:
     ``x (B, n, d)`` holds class ``b``'s ``n_rows[b]`` rows, then copies of
     its first row up to the longest class; ``weight (B, n, 1)`` is 1 on a
     class's own rows and 0 on the copies, which therefore carry no
-    responsibility and no weight in any update.
+    responsibility and no weight in any update. ``shift (B, d)`` is each
+    class's own mean, ``xc (B, n, d)`` the rows less their class's shift
+    and ``xx (B, n, d * d)`` the row-major outer products of ``xc``: every
+    sum over rows an iteration needs, built once. ``two_pass`` is True
+    when some class's bound on the rounding loss of the expanded
+    statistics (see :func:`_expansion_loss`) exceeds ``_EXPANSION_TOL``;
+    the whole batch then centres its rows on each component instead, and
+    ``xx`` is empty.
     """
 
     class_ids: tuple
     x: np.ndarray
     n_rows: np.ndarray
     weight: np.ndarray
+    shift: np.ndarray
+    xc: np.ndarray
+    xx: np.ndarray
+    two_pass: bool
 
     @classmethod
-    def pad(cls, blocks, class_ids):
-        """The batch of the row blocks ``blocks``, one ``(n_b, d)`` block per class."""
+    def pad(cls, blocks, class_ids, prior):
+        """The batch of the row blocks ``blocks``, one ``(n_b, d)`` block per class.
+
+        ``prior`` is the fit's prior, whose scale bounds the rounding loss.
+        """
         blocks = [np.atleast_2d(np.asarray(rows, dtype=float)) for rows in blocks]
         n_rows = np.array([rows.shape[0] for rows in blocks])
         n = int(n_rows.max())
@@ -165,12 +223,22 @@ class ClassBatch:
             [np.concatenate([rows, np.repeat(rows[:1], n - len(rows), axis=0)]) for rows in blocks]
         )
         weight = (np.arange(n) < n_rows[:, None]).astype(float)[:, :, None]
-        return cls(tuple(int(cid) for cid in class_ids), x, n_rows, weight)
+        shift = np.stack([rows.mean(axis=0) for rows in blocks])
+        xc = x - shift[:, None, :]
+        two_pass = bool((_expansion_loss(xc, n_rows, shift, prior) > _EXPANSION_TOL).any())
+        if two_pass:  # the two-pass path never reads the products
+            xx = np.empty(xc.shape[:2] + (0,))
+        else:
+            xx = (xc[:, :, :, None] * xc[:, :, None, :]).reshape(xc.shape[:2] + (-1,))
+        return cls(
+            tuple(int(cid) for cid in class_ids), x, n_rows, weight, shift, xc, xx, two_pass
+        )
 
     def take(self, keep):
         """The batch of the classes where the boolean ``keep`` is True."""
         ids = tuple(cid for cid, kept in zip(self.class_ids, keep.tolist()) if kept)
-        return ClassBatch(ids, self.x[keep], self.n_rows[keep], self.weight[keep])
+        arrays = ("x", "n_rows", "weight", "shift", "xc", "xx")
+        return replace(self, class_ids=ids, **{name: getattr(self, name)[keep] for name in arrays})
 
 
 @dataclass(frozen=True)
@@ -183,7 +251,9 @@ class ComponentCache:
     over the live components (-inf for a masked one, which has no weight)
     and ``alpha_hat`` the per-class sum of the live components' alpha.
     ``d2`` holds the ``(B, n, k)`` expected squared Mahalanobis distances
-    ``dim / beta_k + eta_k (x - m_k)' W_k^{-1} (x - m_k)``. The latent
+    ``dim / beta_k + eta_k (x - m_k)' W_k^{-1} (x - m_k)``, expanded over
+    the batch's row statistics (or from centred rows in a ``two_pass``
+    batch). The latent
     update reads ``log_sigma``, ``log_pi`` and ``d2``; the bound reads
     ``log_det_w`` and ``alpha_hat``.
     """
@@ -263,13 +333,37 @@ def component_cache(batch, post, live):
         [sum(row[:count]) for row, count in zip(post.alpha.tolist(), live.sum(axis=1).tolist())]
     )
     log_pi = np.where(live, digamma(post.alpha) - digamma(alpha_hat)[:, None], -np.inf)
-    maha = mahalanobis_sq_batch(np.swapaxes(batch.x, 1, 2), post.m, factor)
-    # back to C-ordered (B, n, k): arrays derived from d2 inherit its layout,
-    # and numpy sums a column of a C-ordered array in another order than one
-    # of a Fortran-ordered array
-    maha = np.ascontiguousarray(np.swapaxes(maha, 1, 2))
+    if batch.two_pass:
+        maha = mahalanobis_sq_batch(np.swapaxes(batch.x, 1, 2), post.m, factor)
+        # back to C-ordered (B, n, k): arrays derived from d2 inherit its
+        # layout, and numpy sums a column of a C-ordered array in another
+        # order than one of a Fortran-ordered array
+        maha = np.ascontiguousarray(np.swapaxes(maha, 1, 2))
+    else:
+        maha = _expanded_sq_distances(batch, post.m, factor.inverse)
     d2 = d / post.beta[:, None, :] + post.eta[:, None, :] * maha
     return ComponentCache(d, batch, live, log_det_w, log_sigma, alpha_hat, log_pi, d2)
+
+
+def _expanded_sq_distances(batch, m, inverse):
+    """``(B, n, k)`` squared Mahalanobis distances from the batch's row statistics.
+
+    ``m`` is the ``(B, k, d)`` component means and ``inverse`` the
+    ``(B * k, d, d)`` inverse factors ``L^{-1}`` of their scales, so the
+    precision is ``Lambda = L^{-T} L^{-1}``. With ``m_c = m - shift``, a
+    distance is ``xx . vec(Lambda) - 2 xc' Lambda m_c + m_c' Lambda m_c``:
+    two batched products, no centred copy of the rows. Rounding can leave a
+    distance slightly below 0, which is clamped.
+    """
+    n_classes, k, d = m.shape
+    lower_inv = inverse.reshape(n_classes, k, d, d)
+    precision = np.swapaxes(lower_inv, 2, 3) @ lower_inv
+    m_c = m - batch.shift[:, None, :]
+    pm = (precision @ m_c[:, :, :, None])[:, :, :, 0]
+    maha = batch.xx @ precision.reshape(n_classes, k, d * d).transpose(0, 2, 1)
+    maha -= 2.0 * (batch.xc @ pm.transpose(0, 2, 1))
+    maha += np.einsum("bkd,bkd->bk", m_c, pm)[:, None, :]
+    return np.maximum(maha, 0.0, out=maha)
 
 
 def e_step(cache, nu):
@@ -300,29 +394,13 @@ def e_step(cache, nu):
     return r, 0.5 * cache.d2 + 0.5 * nu
 
 
-def m_step(points, r, b, prior):
-    """Parameter update: closed-form posterior refresh from the latent posteriors.
-
-    ``points`` is a batch's ``(B, n, d)`` rows and ``r, b`` its
-    ``(B, n, k)`` responsibilities and scale rates, whose shape comes from
-    ``prior``; returns the ``(B, k, ...)`` posterior stack. Accumulates the
-    responsibility-weighted counts, scale-weighted means and scatters of
-    all components at once. A component with zero
-    scale-weighted mass (a masked one among them) keeps the prior values
-    so the update never divides by zero.
-    """
-    x = np.asarray(points, dtype=float)
-    zeta = r * (_scale_shape(prior) / b)  # <z> <1/u>
-    counts = _sum_rows(r)
-    omega = _sum_rows(zeta)
-    live = omega > 0.0
-    mass = np.where(live, omega, 1.0)
-    zeta_t = zeta.transpose(0, 2, 1)
+def _two_pass_update(x, zeta_t, omega, beta, prior):
+    """Posterior means and scales from the rows ``x`` centred on each weighted mean."""
+    mass = np.where(omega > 0.0, omega, 1.0)
     xbar = (zeta_t[:, :, None, :] @ x[:, None, :, :])[:, :, 0] / mass[:, :, None]
     dev = x[:, None, :, :] - xbar[:, :, None, :]
     s = ((zeta_t[:, :, None, :] * dev.transpose(0, 1, 3, 2)) @ dev) / mass[:, :, None, None]
     scatter = 0.5 * (s + s.transpose(0, 1, 3, 2))
-    beta = prior.beta0 + omega
     m = (omega[:, :, None] * xbar + prior.beta0 * prior.m0) / beta[:, :, None]
     offset = xbar - prior.m0
     w = (
@@ -331,6 +409,52 @@ def m_step(points, r, b, prior):
         + (prior.beta0 * omega / beta)[:, :, None, None]
         * (offset[:, :, :, None] * offset[:, :, None, :])
     )
+    return m, w
+
+
+def _expanded_update(batch, zeta_t, beta, prior):
+    """Posterior means and scales from the batch's row statistics.
+
+    In coordinates shifted by each class's ``shift``, with ``v = m0 -
+    shift``: ``m = (zeta' xc + beta0 v) / beta`` and ``W = W0 + zeta' xx +
+    beta0 v v' - beta m m'``, the conjugate update of Bishop (PRML, section
+    10.2.1) summed before it is centred.
+    """
+    n_classes, k = beta.shape
+    d = batch.xc.shape[2]
+    v = prior.m0 - batch.shift
+    m_c = (zeta_t @ batch.xc + prior.beta0 * v[:, None, :]) / beta[:, :, None]
+    w = (
+        (zeta_t @ batch.xx).reshape(n_classes, k, d, d)
+        + (prior.W0 + prior.beta0 * (v[:, :, None] * v[:, None, :]))[:, None]
+        - beta[:, :, None, None] * (m_c[:, :, :, None] * m_c[:, :, None, :])
+    )
+    return m_c + batch.shift[:, None, :], w
+
+
+def m_step(batch, r, b, prior):
+    """Parameter update: closed-form posterior refresh from the latent posteriors.
+
+    ``batch`` is a :class:`ClassBatch` and ``r, b`` its ``(B, n, k)``
+    responsibilities and scale rates, whose shape comes from ``prior``;
+    returns the ``(B, k, ...)`` posterior stack. With ``zeta = r a / b``,
+    the responsibility-weighted counts and scale-weighted sums of all
+    components come at once, from two batched products of ``zeta`` with the
+    batch's row statistics (or from rows centred on each component's
+    weighted mean when the batch is ``two_pass``). A component with zero
+    scale-weighted mass (a masked one among them) keeps the prior values
+    so the update never divides by zero.
+    """
+    zeta = r * (_scale_shape(prior) / b)  # <z> <1/u>
+    counts = _sum_rows(r)
+    omega = _sum_rows(zeta)
+    live = omega > 0.0
+    beta = prior.beta0 + omega
+    zeta_t = zeta.transpose(0, 2, 1)
+    if batch.two_pass:
+        m, w = _two_pass_update(batch.x, zeta_t, omega, beta, prior)
+    else:
+        m, w = _expanded_update(batch, zeta_t, beta, prior)
     w = 0.5 * (w + w.transpose(0, 1, 3, 2))
     return Posteriors(
         alpha=np.where(live, prior.alpha0 + counts, prior.alpha0),
@@ -347,9 +471,9 @@ _ELBO_TERMS = ("dirichlet", "gauss_wishart", "latent")
 def elbo(r, b, post, cache, terms):
     """Evidence lower bound of each class of a batch right after a parameter update.
 
-    Requires ``post`` to be ``m_step(x, r, b, terms.prior)`` for the same
-    ``(B, n, k)`` responsibilities and scale rates ``r, b``; ``cache`` is
-    ``post``'s :func:`component_cache` and ``terms`` the fit's
+    Requires ``post`` to be ``m_step(cache.batch, r, b, terms.prior)`` for
+    the same ``(B, n, k)`` responsibilities and scale rates ``r, b``;
+    ``cache`` is ``post``'s :func:`component_cache` and ``terms`` the fit's
     :func:`prior_terms`. Returns one bound per class, summed over its live
     components. Under that precondition every expectation over the
     parameters cancels against the parameter posteriors' own normalisers,
@@ -474,12 +598,12 @@ def _fit_lockstep(blocks, class_ids, seeds, prior, config, sink=None):
     ``seeds[i]`` seeds class ``i``'s initialization. ``sink`` receives each
     class's iteration lines, in class order, when the batch ends.
     """
-    batch = ClassBatch.pad(blocks, class_ids)
+    batch = ClassBatch.pad(blocks, class_ids, prior)
     nu = prior.nu_fixed
     terms = prior_terms(prior)
     k0 = np.minimum(prior.k_init, batch.n_rows)
     r, b = _init_latent(batch, k0, prior, seeds)
-    post = m_step(batch.x, r, b, prior)
+    post = m_step(batch, r, b, prior)
     cache = component_cache(batch, post, np.arange(r.shape[2]) < k0[:, None])
     traces = [[] for _ in batch.class_ids]
     lines = [[] for _ in batch.class_ids]
@@ -489,7 +613,7 @@ def _fit_lockstep(blocks, class_ids, seeds, prior, config, sink=None):
         for iteration in range(1, config.max_iters + 1):
             r, b = e_step(cache, nu)
             r, b, live = prune(r, b, cache.live, _PRUNE_THRESHOLD)
-            post = m_step(cache.batch.x, r, b, prior)
+            post = m_step(cache.batch, r, b, prior)
             cache = component_cache(cache.batch, post, live)
             bounds = elbo(r, b, post, cache, terms).tolist()
             n_live = live.sum(axis=1).tolist()
@@ -534,12 +658,14 @@ def _fit_lockstep(blocks, class_ids, seeds, prior, config, sink=None):
 
 
 # Lockstep saves the fixed cost of each numpy call, which dominates small
-# fits, but pads every class of a batch to the longest and widest one, and
-# its (B, k, n, d) temporaries grow with the batch. Classes share a batch
-# while those hold at most this many numbers (512 KB). Timed in one process
-# on a 2-vCPU x86 host (k_init 10, d = 8), batches within it took 0.34-0.82x
-# the time of their classes fit alone, and batches of 2 or 3 classes stopped
-# paying between 96000 and 144000 numbers.
+# fits, but pads every class of a batch to the longest and widest one, and a
+# padding row costs as much as a real one. Classes share a batch while it
+# holds at most this many numbers (B * n * k * d). Timed in one process on a
+# 2-vCPU x86 host (k_init 10, d = 8, 30 iterations, one BLAS thread),
+# batches of 2 or 3 equal classes took 0.48-0.72x the time of their classes
+# fit alone up to 72000 numbers, and still 0.88-0.91x at 160000-480000;
+# but a batch that pads a 40-row class to 500 rows (80000 numbers) only
+# broke even, and one that pads it to 1000 or 2000 rows took 1.25x or 1.5x.
 _BATCH_NUMBERS = 2**16
 
 

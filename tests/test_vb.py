@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -60,11 +61,11 @@ def member(post, j=0):
     return Posteriors(**{key: value[j] for key, value in vars(post).items()})
 
 
-def cache_of(points, post):
+def cache_of(points, post, prior):
     """The batch-of-one :func:`component_cache` of one class, every component live."""
     x = np.atleast_2d(np.asarray(points, dtype=float))
     live = np.ones((1, post.alpha.shape[0]), dtype=bool)
-    return component_cache(ClassBatch.pad([x], [1]), batched(post), live)
+    return component_cache(ClassBatch.pad([x], [1], prior), batched(post), live)
 
 
 def scale_shape(prior):
@@ -74,12 +75,12 @@ def scale_shape(prior):
 
 def one_class_m_step(x, r, b, prior):
     """:func:`m_step` of one class, through a batch of one."""
-    return member(m_step(x[None], r[None], b[None], prior))
+    return member(m_step(ClassBatch.pad([x], [1], prior), r[None], b[None], prior))
 
 
 def one_class_e_step(x, post, prior):
     """:func:`e_step` of one class under ``prior.nu_fixed``, through a batch of one."""
-    r, b = e_step(cache_of(x, post), prior.nu_fixed)
+    r, b = e_step(cache_of(x, post, prior), prior.nu_fixed)
     return r[0], b[0]
 
 
@@ -91,7 +92,7 @@ def latent_update(points, post, nu):
 
 def bound(x, r, b, post, prior):
     """The bound of one class; ``post`` must be ``m_step`` of ``(x, r, b)``."""
-    value = elbo(r[None], b[None], batched(post), cache_of(x, post), prior_terms(prior))
+    value = elbo(r[None], b[None], batched(post), cache_of(x, post, prior), prior_terms(prior))
     return float(value[0])
 
 
@@ -173,13 +174,115 @@ class TestComponentCache:
     @pytest.mark.parametrize("k", [1, 10])
     def test_whitened_terms_match_solve_reference(self, rng, k):
         x, _, post, prior = random_state(rng, n=40, k=k, d=5)
-        cache = cache_of(x, post)
+        cache = cache_of(x, post, prior)
         for j in range(k):
             diff = x - post.m[j]
             d2 = 5 / post.beta[j] + post.eta[j] * np.einsum(
                 "ni,ni->n", diff, np.linalg.solve(post.W[j], diff.T).T
             )
             assert np.allclose(cache.d2[0, :, j], d2, rtol=1e-12, atol=0.0)
+
+
+def sub_cluster_class(offset):
+    """One class of 40 + 40 standard-normal rows in 3-d, the second 40 moved by ``offset``."""
+    x = np.random.default_rng(0).standard_normal((80, 3))
+    x[40:] += offset
+    ones = np.ones(80, int)
+    return FeatureDataset(x, ones, ones, ones)
+
+
+class TestExpandedStatistics:
+    """Distances and scatters from rows shifted and squared once per batch."""
+
+    def test_row_on_a_mean_is_clamped_at_zero(self):
+        # the expanded distance of row 2 to a mean placed exactly on it
+        # rounds to -5.3e-15 before the clamp
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((5, 3)) * 3.0
+        a = rng.standard_normal((3, 3))
+        prior = replace(simple_prior(d=3), W0=a @ a.T + 3.0 * np.eye(3))
+        post = posteriors([1.0], [2.0], [x[2]], [prior.W0 + np.eye(3)], [6.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = cache_of(x, post, prior)
+        assert not cache.batch.two_pass
+        # dim / beta plus eta times a distance of exactly 0
+        assert cache.d2[0, 2, 0] == 3.0 / 2.0
+
+    def test_row_statistics_are_built_once_and_follow_their_class(self, monkeypatch):
+        data = class_sizes_dataset(3, (40, 90, 30), (0.0, 2.0, 1.0))
+        prior = build_default_prior(data, nu_fixed=5.0, k_init=6)
+        built, seen = [], []
+        pad, cache = vb.ClassBatch.pad, vb.component_cache
+
+        def counted_pad(*args):
+            built.append(pad(*args))
+            return built[-1]
+
+        def recorded_cache(batch, *args):
+            seen.append(batch)
+            return cache(batch, *args)
+
+        monkeypatch.setattr(vb.ClassBatch, "pad", counted_pad)
+        monkeypatch.setattr(vb, "component_cache", recorded_cache)
+        blocks = [data.features[data.labels == cid] for cid in data.class_ids]
+        seeds = [[3, i] for i in range(len(blocks))]
+        vb._fit_lockstep(blocks, data.class_ids, seeds, prior, VbConfig(seed=3))
+        (first,) = built
+        assert not first.two_pass
+        for j, rows in enumerate(blocks):
+            assert np.array_equal(first.shift[j], rows.mean(axis=0))
+        xc = first.x - first.shift[:, None, :]
+        assert np.array_equal(first.xc, xc)
+        assert np.array_equal(first.xx, (xc[:, :, :, None] * xc[:, :, None, :]).reshape(3, 90, 4))
+        # classes leave the batch one by one, and each keeps its own rows
+        assert sorted({len(batch.class_ids) for batch in seen}) == [1, 2, 3]
+        for batch in seen:
+            for j, cid in enumerate(batch.class_ids):
+                i = first.class_ids.index(cid)
+                for name in ("x", "shift", "xc", "xx"):
+                    assert np.array_equal(getattr(batch, name)[j], getattr(first, name)[i]), name
+
+    @pytest.mark.parametrize("offset, iterations", [(1e2, 16), (1e4, 16), (1e6, 16), (1e7, 17)])
+    def test_far_apart_sub_clusters_fit_as_with_centred_rows(self, monkeypatch, offset, iterations):
+        # the bound on the expansion's rounding loss is 1.8e-10 at 1e2 and
+        # 1.8e-6, 1.8e-2 and 1.8 further out, so only the first class takes
+        # the expanded path; unguarded, the last two took 21 and 334 iterations
+        data = sub_cluster_class(offset)
+        prior = build_default_prior(data, nu_fixed=5.0, k_init=4)
+        (got,) = fit(data, prior, VbConfig(seed=0)).classes
+        assert (len(got.elbo_trace), got.n_components) == (iterations, 2)
+        with monkeypatch.context() as patch:
+            # no class is within a zero tolerance: every batch runs two-pass
+            patch.setattr(vb, "_EXPANSION_TOL", 0.0)
+            (want,) = fit(data, prior, VbConfig(seed=0)).classes
+        assert_fits_agree(got, want)
+
+    def test_a_class_over_the_tolerance_sends_its_batch_two_pass(self, monkeypatch):
+        # class 1 is within the tolerance, class 2 (sub-clusters 1e6 apart)
+        # is not; in one batch both take the two-pass path, and class 1
+        # still fits as it does alone, on the expanded path
+        near = np.random.default_rng(1).standard_normal((60, 3))
+        ones = np.ones(140, int)
+        data = FeatureDataset(
+            np.vstack([near, sub_cluster_class(1e6).features]), np.repeat([1, 2], [60, 80]),
+            ones, ones,
+        )
+        prior = build_default_prior(data.subset(data.labels == 1), nu_fixed=5.0, k_init=4)
+        paths = []
+        pad = vb.ClassBatch.pad
+
+        def recorded_pad(*args):
+            batch = pad(*args)
+            paths.append((batch.class_ids, batch.two_pass))
+            return batch
+
+        monkeypatch.setattr(vb.ClassBatch, "pad", recorded_pad)
+        config = VbConfig(seed=0)
+        got = fit(data, prior, config).classes[0]
+        (alone,) = vb._fit_lockstep([near], [1], [[0, 0]], prior, config)
+        assert paths == [((1, 2), True), ((1,), False)]
+        assert_fits_agree(got, alone)
 
 
 class TestEStep:
@@ -344,9 +447,16 @@ class TestElbo:
         post = posteriors(
             [prior.alpha0] * 3, [prior.beta0] * 3, [prior.m0] * 3, [prior.W0] * 3, [prior.eta0] * 3
         )
-        empty = np.zeros((0, 3))
-        value = bound(np.zeros((0, 2)), empty, empty, post, prior)
-        assert value == pytest.approx(0.0, abs=1e-10)
+        empty = np.zeros((1, 0, 3))
+        # a class with no rows has no mean for ClassBatch.pad to shift them by
+        batch = ClassBatch(
+            class_ids=(1,), x=np.zeros((1, 0, 2)), n_rows=np.zeros(1, int),
+            weight=np.zeros((1, 0, 1)), shift=np.zeros((1, 2)), xc=np.zeros((1, 0, 2)),
+            xx=np.zeros((1, 0, 4)), two_pass=False,
+        )
+        cache = component_cache(batch, batched(post), np.ones((1, 3), dtype=bool))
+        value = elbo(empty, empty, batched(post), cache, prior_terms(prior))
+        assert value[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_wishart_normaliser_against_mpmath(self):
         # One component on three points: the Dirichlet ratio is 0, so the
@@ -456,7 +566,7 @@ def reference_elbo(x, r, b, post, prior):
     here. It holds for any state, so it checks the collapsed bound only
     where that one holds: ``post`` is ``m_step`` of ``(x, r, b)``.
     """
-    cache = cache_of(x, post)
+    cache = cache_of(x, post, prior)
     d = prior.dim
     k = r.shape[1]
     lpi, lsig, d2 = cache.log_pi[0], cache.log_sigma[0], cache.d2[0]
@@ -768,7 +878,8 @@ class TestFit:
         assert calls["e_step"] == calls["elbo"] == iterations
         assert calls["m_step"] == calls["component_cache"] == iterations + 1
         assert calls["cholesky"] == calls["component_cache"]
-        assert calls["mahalanobis_sq_batch"] <= 2 * calls["component_cache"]
+        # the distances expand over the batch's row statistics, not the kernel
+        assert calls["mahalanobis_sq_batch"] == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -899,7 +1010,7 @@ class TestLockstep:
         assert np.array_equal(r[1, 4:], np.zeros((2, 2)))
         assert np.allclose(r[0].sum(axis=1), 1.0) and np.allclose(r[1, :4].sum(axis=1), 1.0)
         # with no padding row every row weighs 1
-        unpadded = ClassBatch.pad([batch.x[0], batch.x[0][::-1]], (3, 7))
+        unpadded = ClassBatch.pad([batch.x[0], batch.x[0][::-1]], (3, 7), prior)
         assert np.array_equal(unpadded.weight, np.ones((2, 6, 1)))
         r, _ = e_step(component_cache(unpadded, post, cache.live), prior.nu_fixed)
         assert np.allclose(r.sum(axis=2), 1.0)
@@ -962,9 +1073,9 @@ def two_class_state(ids=(3, 7)):
     """A batch of two classes (6 and 4 rows, so two padding rows) and its cache."""
     rng = np.random.default_rng(5)
     prior = simple_prior(d=2, k_init=2)
-    batch = ClassBatch.pad([rng.standard_normal((6, 2)), rng.standard_normal((4, 2))], ids)
+    batch = ClassBatch.pad([rng.standard_normal((6, 2)), rng.standard_normal((4, 2))], ids, prior)
     r = np.full((2, 6, 2), 0.5) * batch.weight
-    post = m_step(batch.x, r, np.full(r.shape, 2.0), prior)
+    post = m_step(batch, r, np.full(r.shape, 2.0), prior)
     live = np.ones((2, 2), dtype=bool)
     return batch, post, prior, component_cache(batch, post, live)
 
