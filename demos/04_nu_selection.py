@@ -26,7 +26,7 @@ def exact_student_class(mu, nu, class_id):
         W=np.eye(2)[None] * 4096.0,
         eta=np.full(1, 2 + 1 + 4096.0),
     )
-    return ClassModel(class_id, post, np.full(1, nu), 1.0, (0.0,), 0)
+    return ClassModel(class_id, post, np.full(1, nu), (0.0,), 0)
 
 
 def make_data(nu, seed, n=400, sep=4.0):

@@ -12,7 +12,6 @@ error, 4 numeric failure, 5 non-convergence.
 """
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -26,7 +25,6 @@ import numpy as np
 
 from . import data as _data
 from .data import (
-    BLOCK_ROWS,
     DataFormatError,
     WorkerError,
     format_rows,
@@ -171,10 +169,14 @@ def _heat_color(p):
     return f"rgb({r},{g},{b})"
 
 
-def _write_svg_heatmap(path, grid, post1, cell_px=4):
+# side of one grid cell of an SVG heatmap, in pixels
+_SVG_CELL_PX = 4
+
+
+def _write_svg_heatmap(path, grid, post1):
     xs = np.unique(grid.features[:, 0])
     n = xs.shape[0]
-    size = n * cell_px
+    size = n * _SVG_CELL_PX
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">'
@@ -182,10 +184,10 @@ def _write_svg_heatmap(path, grid, post1, cell_px=4):
     for i in range(grid.n_rows):
         col = int(round((grid.features[i, 0] - xs[0]) / (xs[1] - xs[0]))) if n > 1 else 0
         row = int(round((grid.features[i, 1] - xs[0]) / (xs[1] - xs[0]))) if n > 1 else 0
-        x = col * cell_px
-        y = size - (row + 1) * cell_px
+        x = col * _SVG_CELL_PX
+        y = size - (row + 1) * _SVG_CELL_PX
         lines.append(
-            f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" '
+            f'<rect x="{x}" y="{y}" width="{_SVG_CELL_PX}" height="{_SVG_CELL_PX}" '
             f'fill="{_heat_color(float(post1[i]))}"/>'
         )
     lines.append("</svg>")
@@ -238,6 +240,13 @@ def _search_config(args):
         raise UsageError(f"invalid selection settings: {exc}") from None
 
 
+def _row_error(path, row, problem):
+    """A ``DataFormatError`` naming data row ``row`` (from 0) of ``path`` by its line."""
+    with open(path, encoding="utf-8") as fh:
+        next(fh)  # the header
+        return DataFormatError(f"{path}: row {_data._row_lineno(fh, 2, row)}: {problem}")
+
+
 def _load_training_csv(path):
     """``load_csv(path)``, refusing a file with no rows or a feature too large to train on.
 
@@ -252,12 +261,7 @@ def _load_training_csv(path):
     limit = math.sqrt(np.finfo(float).max / (4 * data.n_rows))
     too_large = np.flatnonzero((np.abs(data.features) > limit).any(axis=1))
     if too_large.size:
-        with open(path, encoding="utf-8") as fh:
-            next(fh)  # the header
-            # blank lines hold no row
-            rows = (n for n, line in enumerate(fh, 2) if not line.isspace())
-            lineno = next(itertools.islice(rows, int(too_large[0]), None))
-        raise DataFormatError(f"{path}: row {lineno}: a feature is too large to train on")
+        raise _row_error(path, int(too_large[0]), "a feature is too large to train on")
     return data
 
 
@@ -299,8 +303,8 @@ def cmd_train(args):
         print(f"selected nu = {nu!r}", file=sys.stderr)
         _write_table(args.model_out + ".nu_search.csv", "fold,nu,J", table_rows)
     save_model(classifier, args.model_out)
-    if not all(cm.converged for cm in classifier.classes):
-        bad = [cm.class_id for cm in classifier.classes if not cm.converged]
+    bad = [cm.class_id for cm in classifier.classes if not cm.converged]
+    if bad:
         print(f"warning: classes {bad} hit the iteration cap", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
@@ -320,7 +324,7 @@ def cmd_predict(args):
         names = _data._read_header(fh, args.data, prepared.dim)
         jobs = (
             (lines, lineno, args.data, names, prepared)
-            for lines, lineno in _data._line_slices(fh, BLOCK_ROWS, 2)
+            for lines, lineno in _data._line_slices(fh)
         )
         # the header and the first slice are checked before anything is created
         first = _predict_slice(*next(jobs))
@@ -387,18 +391,23 @@ def _load_baseline(path, participants):
     return out
 
 
-def _run_combination(train_part, test_features, args, seed, search):
+def _run_combination(train_part, test_features, test_rows, args, seed, search):
     """One combination of ``evaluate``: train, then label the test rows.
 
-    Returns ``(pred, tune_s, train_s, predict_s)``, the predicted labels and
-    the seconds spent tuning ν, training and predicting. It runs in a
-    worker process when the combinations are spread over several.
+    ``test_rows`` holds the data row of ``args.data`` (from 0) of each test
+    row, which names a row that cannot be scored. Returns ``(pred, tune_s,
+    train_s, predict_s)``, the predicted labels and the seconds spent
+    tuning ν, training and predicting. It runs in a worker process when
+    the combinations are spread over several.
     """
     start = time.perf_counter()
     classifier, _, tune_s = _train_classifier(train_part, args, seed, search)
     train_s = time.perf_counter() - start - tune_s
     start = time.perf_counter()
-    _, pred = predict_batch(classifier, test_features)
+    try:
+        _, pred = predict_batch(classifier, test_features)
+    except UnscorableRowError as exc:
+        raise _row_error(args.data, test_rows[exc.row], "a feature is too large to score") from None
     return pred, tune_s, train_s, time.perf_counter() - start
 
 
@@ -414,8 +423,7 @@ def _predict_slice(lines, first_lineno, path, names, prepared):
     try:
         log_post, labels = predict_batch(prepared, feats)
     except UnscorableRowError as exc:
-        # blank lines hold no row
-        lineno = [n for n, line in enumerate(lines, first_lineno) if not line.isspace()][exc.row]
+        lineno = _data._row_lineno(lines, first_lineno, exc.row)
         raise DataFormatError(f"{path}: row {lineno}: a feature is too large to score") from None
     return format_rows(feats, np.column_stack([ids, labels]), log_post)
 
@@ -433,7 +441,8 @@ def _combinations(data, trials_train, args, search):
     all_class_ids = data.class_ids
     combos, jobs = [], []
     for pid in sorted(trials_train):
-        part = data.subset(data.participants == pid)
+        rows = np.flatnonzero(data.participants == pid)
+        part = data.subset(rows)
         for combo_idx, (train_trials, train_part, test_part) in enumerate(
             split_by_trials(part, trials_train[pid])
         ):
@@ -459,7 +468,8 @@ def _combinations(data, trials_train, args, search):
                 (pid, combo_idx, ";".join(map(str, train_trials)), train_part.n_rows,
                  test_part.labels)
             )
-            jobs.append((train_part, test_part.features, args, child_seed, search))
+            test_rows = rows[~np.isin(part.trials, train_trials)].tolist()
+            jobs.append((train_part, test_part.features, test_rows, args, child_seed, search))
     return combos, jobs
 
 

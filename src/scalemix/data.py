@@ -28,7 +28,7 @@ import itertools
 import os
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -115,12 +115,7 @@ class FeatureDataset:
 
     def subset(self, mask):
         mask = np.asarray(mask)
-        return FeatureDataset(
-            features=self.features[mask],
-            labels=self.labels[mask],
-            trials=self.trials[mask],
-            participants=self.participants[mask],
-        )
+        return FeatureDataset(*(getattr(self, f.name)[mask] for f in fields(self)))
 
 
 SIMULATION_MEANS = ((2.5, 2.5), (5.0, 5.0))
@@ -141,6 +136,11 @@ def generate_simulation(seed=0, with_outliers=True, grid_step=0.05):
     [0, 8]^2 at ``grid_step`` with the optimal labels of the clean
     generating mixture (equidistance ties go to class 1).
     """
+
+    def one_trial(feats, labels):
+        ones = np.ones(feats.shape[0], dtype=int)
+        return FeatureDataset(feats, labels, ones, ones)
+
     rng = np.random.default_rng(seed)
     sd = np.sqrt(SIMULATION_VAR)
     blocks = []
@@ -154,14 +154,7 @@ def generate_simulation(seed=0, with_outliers=True, grid_step=0.05):
         outliers = rng.uniform(lo, hi, size=(SIMULATION_N_OUTLIERS, 2))
         blocks.append(outliers)
         labels.extend([1] * SIMULATION_N_OUTLIERS)
-    feats = np.vstack(blocks)
-    n = feats.shape[0]
-    train = FeatureDataset(
-        features=feats,
-        labels=np.asarray(labels),
-        trials=np.ones(n, dtype=int),
-        participants=np.ones(n, dtype=int),
-    )
+    train = one_trial(np.vstack(blocks), np.asarray(labels))
 
     lo, hi = SIMULATION_RANGE
     steps = int(round((hi - lo) / grid_step))
@@ -171,14 +164,7 @@ def generate_simulation(seed=0, with_outliers=True, grid_step=0.05):
     mu1, mu2 = (np.asarray(m) for m in SIMULATION_MEANS)
     d1 = ((grid_pts - mu1) ** 2).sum(axis=1)
     d2 = ((grid_pts - mu2) ** 2).sum(axis=1)
-    grid_labels = np.where(d1 <= d2, 1, 2)
-    grid = FeatureDataset(
-        features=grid_pts,
-        labels=grid_labels,
-        trials=np.ones(grid_pts.shape[0], dtype=int),
-        participants=np.ones(grid_pts.shape[0], dtype=int),
-    )
-    return train, grid
+    return train, one_trial(grid_pts, np.where(d1 <= d2, 1, 2))
 
 
 def format_rows(*blocks):
@@ -382,16 +368,17 @@ def _parse_chunk(lines, first_lineno, path, names):
     return _parse_rows(lines, first_lineno, path, names)
 
 
-def _line_slices(fh, rows, lineno):
+def _line_slices(fh):
     """``(lines, first line number)`` of consecutive slices of ``fh``'s lines.
 
-    ``lineno`` numbers the next line of ``fh``. Each slice holds ``rows``
+    ``fh`` is past its header, at line 2. Each slice holds ``BLOCK_ROWS``
     data rows (blank lines are kept but not counted), except the last,
     which holds fewer (possibly none), so there is always at least one.
     """
+    lineno = 2
     while True:
-        lines = list(itertools.islice(fh, rows))
-        short = len(lines) < rows
+        lines = list(itertools.islice(fh, BLOCK_ROWS))
+        short = len(lines) < BLOCK_ROWS
         blank = sum(map(str.isspace, lines))
         # top up past blank lines so every slice but the last is full
         while blank and not short:
@@ -405,6 +392,15 @@ def _line_slices(fh, rows, lineno):
         lineno += len(lines)
 
 
+def _row_lineno(lines, first_lineno, row):
+    """Line number of data row ``row`` (from 0) of ``lines``, numbered from ``first_lineno``.
+
+    Blank lines hold no row.
+    """
+    rows = (n for n, line in enumerate(lines, first_lineno) if not line.isspace())
+    return next(itertools.islice(rows, row, None))
+
+
 def load_csv(path):
     """Read a dataset written in the canonical CSV form, whole.
 
@@ -415,7 +411,7 @@ def load_csv(path):
         names = _read_header(fh, path)
         parsed = [
             _parse_chunk(lines, lineno, path, names)
-            for lines, lineno in _line_slices(fh, BLOCK_ROWS, 2)
+            for lines, lineno in _line_slices(fh)
         ]
     feats, ids = (np.concatenate(cols) for cols in zip(*parsed))
     return FeatureDataset(

@@ -9,8 +9,8 @@ at the steady-state response of the first sample, which suppresses the
 startup transient on short records.
 """
 
-from dataclasses import dataclass
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,13 +69,7 @@ class SignalBlock:
         return self.samples.shape[1]
 
     def with_samples(self, samples):
-        return SignalBlock(
-            samples=samples,
-            fs=self.fs,
-            labels=self.labels,
-            trial=self.trial,
-            participant=self.participant,
-        )
+        return replace(self, samples=samples)
 
 
 @dataclass(frozen=True)
@@ -147,11 +141,6 @@ def butterworth2_lowpass(block, fc):
     return block.with_samples(y)
 
 
-def _majority_label(values):
-    counts = np.bincount(values)
-    return int(np.argmax(counts))
-
-
 def mav_window(block, window_ms, step_ms):
     """Windowed mean absolute value per channel.
 
@@ -178,7 +167,7 @@ def mav_window(block, window_ms, step_ms):
         lo = w * step
         hi = lo + window
         feats[w] = rect[lo:hi].mean(axis=0)
-        labels[w] = _majority_label(block.labels[lo:hi])
+        labels[w] = np.argmax(np.bincount(block.labels[lo:hi]))
     return FeatureDataset(
         features=feats,
         labels=labels,

@@ -19,19 +19,20 @@ __all__ = [
 ]
 
 
-def _as_labels(values, name):
-    arr = np.asarray(values, dtype=int)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d label vector")
-    return arr
+def _label_pair(pred, truth):
+    """``pred`` and ``truth`` as 1-d label vectors of one length."""
+    pred, truth = np.asarray(pred, dtype=int), np.asarray(truth, dtype=int)
+    for name, arr in (("pred", pred), ("truth", truth)):
+        if arr.ndim != 1:
+            raise ValueError(f"{name} must be a 1-d label vector")
+    if pred.shape != truth.shape:
+        raise ValueError(f"length mismatch: {pred.shape[0]} vs {truth.shape[0]}")
+    return pred, truth
 
 
 def accuracy(pred, truth):
     """Fraction of exactly matching labels."""
-    pred = _as_labels(pred, "pred")
-    truth = _as_labels(truth, "truth")
-    if pred.shape != truth.shape:
-        raise ValueError(f"length mismatch: {pred.shape[0]} vs {truth.shape[0]}")
+    pred, truth = _label_pair(pred, truth)
     if pred.shape[0] == 0:
         raise ValueError("cannot score an empty prediction vector")
     return float(np.mean(pred == truth))
@@ -39,10 +40,7 @@ def accuracy(pred, truth):
 
 def confusion_matrix(pred, truth, n_classes):
     """Counts indexed [true class - 1, predicted class - 1]."""
-    pred = _as_labels(pred, "pred")
-    truth = _as_labels(truth, "truth")
-    if pred.shape != truth.shape:
-        raise ValueError(f"length mismatch: {pred.shape[0]} vs {truth.shape[0]}")
+    pred, truth = _label_pair(pred, truth)
     for name, arr in (("pred", pred), ("truth", truth)):
         if arr.size and (arr.min() < 1 or arr.max() > n_classes):
             raise ValueError(f"{name} labels must lie in 1..{n_classes}")

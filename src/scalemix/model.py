@@ -31,8 +31,8 @@ __all__ = [
 MODEL_FORMAT_VERSION = 1
 
 
-def _frozen_array(values, dtype=float, ndim=None):
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values, ndim=None):
+    arr = np.array(values, dtype=float)
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -134,7 +134,6 @@ class ClassModel:
     class_id: int
     components: Posteriors
     nu: np.ndarray
-    alpha_hat: float
     elbo_trace: tuple
     n_pruned: int
     converged: bool = True
@@ -162,11 +161,6 @@ class ClassModel:
             cholesky(arrays["W"])  # scale matrices must be positive definite
         except ValueError as exc:  # NotPositiveDefiniteError is one too
             raise ValueError(f"class {cid}: {exc}") from exc
-        total = sum(arrays["alpha"].tolist())
-        if not abs(total - self.alpha_hat) <= 1e-10 * max(1.0, abs(total)):
-            raise ValueError(
-                f"class {cid}: alpha_hat {self.alpha_hat!r} does not match component sum {total!r}"
-            )
         trace = tuple(float(v) for v in self.elbo_trace)
         if not all(map(math.isfinite, trace)):
             raise ValueError(f"class {cid}: elbo_trace is not finite")
@@ -175,8 +169,8 @@ class ClassModel:
         nu = arrays.pop("nu")
         for name, value in (
             ("class_id", cid), ("components", Posteriors(**arrays)), ("nu", nu),
-            ("alpha_hat", float(self.alpha_hat)), ("elbo_trace", trace),
-            ("n_pruned", int(self.n_pruned)), ("converged", bool(self.converged)),
+            ("elbo_trace", trace), ("n_pruned", int(self.n_pruned)),
+            ("converged", bool(self.converged)),
         ):
             object.__setattr__(self, name, value)
 
@@ -188,23 +182,24 @@ class ClassModel:
     def n_components(self):
         return self.components.alpha.shape[0]
 
+    @property
+    def alpha_hat(self):
+        """The components' alpha summed in order, as the variational fit sums them."""
+        return sum(self.components.alpha.tolist())
+
 
 @dataclass(frozen=True, eq=False)
 class TrainedClassifier:
-    """All class models plus log class priors; immutable after training."""
+    """All class models, of one shared ``dim``, plus log class priors; immutable."""
 
     classes: tuple
     class_log_prior: np.ndarray
-    dim: int
     prior: PriorHyperparameters
 
     def __post_init__(self):
         classes = tuple(self.classes)
         object.__setattr__(self, "classes", classes)
-        object.__setattr__(
-            self, "class_log_prior", _frozen_array(self.class_log_prior, ndim=1)
-        )
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "class_log_prior", _frozen_array(self.class_log_prior, ndim=1))
         if len(classes) != self.class_log_prior.shape[0]:
             raise ValueError("class_log_prior length does not match class count")
         if not np.isfinite(self.class_log_prior).all():
@@ -215,12 +210,14 @@ class TrainedClassifier:
         first = {}
         for i, cm in enumerate(classes):
             if cm.dim != self.dim:
-                raise ValueError(
-                    f"class {cm.class_id} has dim {cm.dim}, classifier has {self.dim}"
-                )
+                raise ValueError(f"class {cm.class_id} has dim {cm.dim}, not {self.dim}")
             j = first.setdefault(cm.class_id, i)
             if j != i:
                 raise ValueError(f"class records {j} and {i} both have class_id {cm.class_id}")
+
+    @property
+    def dim(self):
+        return self.classes[0].dim
 
     @property
     def class_ids(self):
@@ -343,8 +340,9 @@ def classifier_from_dict(payload):
 
     Stacks each class's component records. Raises ``ValueError`` naming
     the record at fault: a missing field, a value of the wrong JSON type,
-    a number that is not finite or a component that breaks a rule of
-    :class:`ClassModel`.
+    a number that is not finite, a component that breaks a rule of
+    :class:`ClassModel` or an ``alpha_hat`` more than 1e-10 relative from
+    the sum of the class's alpha.
     """
     version = _fields(payload, "model", format_version=None)["format_version"]
     if version != MODEL_FORMAT_VERSION:
@@ -377,8 +375,15 @@ def classifier_from_dict(payload):
         ]
         stack = {key: np.array([c[key] for c in comps], dtype=float) for key in _COMPONENT_FIELDS}
         nu = stack.pop("nu")
-        classes.append(ClassModel(components=Posteriors(**stack), nu=nu, **record))
-    return TrainedClassifier(tuple(classes), top["class_log_prior"], top["dim"], prior)
+        alpha_hat = record.pop("alpha_hat")
+        cm = ClassModel(components=Posteriors(**stack), nu=nu, **record)
+        if not abs(cm.alpha_hat - alpha_hat) <= 1e-10 * max(1.0, abs(cm.alpha_hat)):
+            raise ValueError(
+                f"class {cm.class_id}: alpha_hat {alpha_hat!r} does not match component sum "
+                f"{cm.alpha_hat!r}"
+            )
+        classes.append(cm)
+    return TrainedClassifier(tuple(classes), top["class_log_prior"], prior)
 
 
 def save_model(classifier, path):

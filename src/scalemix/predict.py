@@ -72,7 +72,7 @@ class _Mixture:
     :func:`_grid_terms` gives them.
     """
 
-    __slots__ = ("log_w", "means", "factor", "log_dets", "terms", "dim", "n_components")
+    __slots__ = ("log_w", "means", "factor", "log_dets", "terms")
 
     def __init__(self, cm):
         d = cm.dim
@@ -83,8 +83,6 @@ class _Mixture:
                 f"component {j} of class {cm.class_id} has eta = {post.eta[j]}, "
                 f"needs eta > dim + 1 = {d + 1} for a finite expected scale"
             )
-        self.dim = d
-        self.n_components = cm.n_components
         self.factor = cholesky(post.W / (post.eta - d - 1.0)[:, None, None])
         self.factor.inverse  # inverted here, so scoring never writes to a mixture
         self.log_dets = log_det(self.factor)
@@ -123,7 +121,7 @@ class PreparedClassifier(NamedTuple):
 
     @property
     def dim(self):
-        return self.mixtures[0].dim
+        return self.mixtures[0].means.shape[1]
 
 
 def prepare(classifier):
@@ -240,7 +238,7 @@ def log_posteriors_over_nu(classifier, points, nus, columns):
     pts = _as_points(points, prepared.dim)
     grid = _grid_terms(np.reshape(nus, (-1, 1)), prepared.dim)
     out = np.empty((grid[0].shape[0], pts.shape[0]))
-    k_max = max(mix.n_components for mix in prepared.mixtures)
+    k_max = max(mix.means.shape[0] for mix in prepared.mixtures)
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, pts_t in _column_blocks(pts):
             d2s = [
@@ -276,8 +274,8 @@ def sample(cm, n, seed):
     k = rng.choice(weights.shape[0], size=n, p=weights)
     shape = 0.5 * cm.nu[k]
     u = 1.0 / rng.gamma(shape=shape, scale=1.0 / shape)
-    z = rng.standard_normal((n, mix.dim))
-    out = np.empty((n, mix.dim))
+    z = rng.standard_normal((n, cm.dim))
+    out = np.empty((n, cm.dim))
     for j in range(weights.shape[0]):
         rows = k == j
         if not rows.any():

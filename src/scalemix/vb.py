@@ -47,9 +47,10 @@ these with the latent posteriors, and the distances two with each
 component's precision, from the inverse factors of one batched inverse.
 Expanded this way, a statistic subtracts terms that grow with a row's
 distance from its class mean, so a batch with a class whose bound on the
-rounding loss is too large centres the rows instead, on the two-pass path
-(its distances from :func:`~scalemix.numerics.mahalanobis_sq_batch`, the
-kernel of prediction and the nu grid). The bound is
+rounding loss is too large keeps its rows unshifted and centres them
+instead, on the two-pass path (its distances from
+:func:`~scalemix.numerics.mahalanobis_sq_batch`, the kernel of prediction
+and the nu grid). The bound is
 evaluated right after a parameter update, from the latent posteriors that
 update was computed from, where it collapses to ratios of the posterior
 and prior log-normalisers plus a few per-column sums of the latent
@@ -64,11 +65,18 @@ Each class draws its initialization from its own seeded stream, and all
 reductions use a fixed summation order, so results are reproducible for a
 given seed. Padding and masking change the order in which numpy and BLAS
 sum some terms, so a class fit in a batch agrees with the same class fit
-alone (a batch of one) to about 1e-13 relative, not bit for bit; a class
-that a two-pass batch carries, because another class of it is over the
-tolerance, agrees with its expanded fit to about 1e-12.
+alone (a batch of one) not bit for bit, but to about 1e-13 relative when
+its rows lie near the prior mean. The scale update squares a class's
+distance from the prior mean, which amplifies those differences: the
+posteriors of a class of two 3-d sub-clusters 1e3, 1e4 or 1e6 apart,
+under the prior of a standard-normal class, moved by 1.8e-12, 9e-11 or
+6.5e-7 of an array's largest entry, with the same iterations, pruning
+and labels. A class that a two-pass batch carries,
+because another class of it is over the tolerance, agrees with its
+expanded fit to about 1e-12.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -188,21 +196,20 @@ class VbConfig:
 class ClassBatch:
     """The training rows of the classes fit together, padded to one length.
 
-    ``x (B, n, d)`` holds class ``b``'s ``n_rows[b]`` rows, then copies of
-    its first row up to the longest class; ``weight (B, n, 1)`` is 1 on a
-    class's own rows and 0 on the copies, which therefore carry no
-    responsibility and no weight in any update. ``shift (B, d)`` is each
-    class's own mean, ``xc (B, n, d)`` the rows less their class's shift
-    and ``xx (B, n, d * d)`` the row-major outer products of ``xc``: every
-    sum over rows an iteration needs, built once. ``two_pass`` is True
-    when some class's bound on the rounding loss of the expanded
-    statistics (see :func:`_expansion_loss`) exceeds ``_EXPANSION_TOL``;
-    the whole batch then centres its rows on each component instead, and
-    ``xx`` is empty.
+    ``shift (B, d)`` is each class's own mean, and ``xc (B, n, d)`` holds
+    class ``b``'s ``n_rows[b]`` rows less its shift, then copies of its
+    first up to the longest class; ``weight (B, n, 1)`` is 1 on a class's
+    own rows and 0 on the copies, which therefore carry no responsibility
+    and no weight in any update. ``xx (B, n, d * d)`` holds the row-major
+    outer products of ``xc``: every sum over rows an iteration needs,
+    built once. ``two_pass`` is True when some class's bound on the
+    rounding loss of the expanded statistics (see :func:`_expansion_loss`)
+    exceeds ``_EXPANSION_TOL``; the whole batch then centres its rows on
+    each component instead, ``xx`` is empty and ``shift`` is 0, so ``xc``
+    holds the rows as given.
     """
 
     class_ids: tuple
-    x: np.ndarray
     n_rows: np.ndarray
     weight: np.ndarray
     shift: np.ndarray
@@ -226,18 +233,18 @@ class ClassBatch:
         shift = np.stack([rows.mean(axis=0) for rows in blocks])
         xc = x - shift[:, None, :]
         two_pass = bool((_expansion_loss(xc, n_rows, shift, prior) > _EXPANSION_TOL).any())
-        if two_pass:  # the two-pass path never reads the products
-            xx = np.empty(xc.shape[:2] + (0,))
+        if two_pass:
+            # the two-pass path centres on each component and never reads the
+            # products; a shift would only round rows that lie near the origin
+            shift, xc, xx = np.zeros_like(shift), x, np.empty(x.shape[:2] + (0,))
         else:
             xx = (xc[:, :, :, None] * xc[:, :, None, :]).reshape(xc.shape[:2] + (-1,))
-        return cls(
-            tuple(int(cid) for cid in class_ids), x, n_rows, weight, shift, xc, xx, two_pass
-        )
+        return cls(tuple(int(cid) for cid in class_ids), n_rows, weight, shift, xc, xx, two_pass)
 
     def take(self, keep):
         """The batch of the classes where the boolean ``keep`` is True."""
         ids = tuple(cid for cid, kept in zip(self.class_ids, keep.tolist()) if kept)
-        arrays = ("x", "n_rows", "weight", "shift", "xc", "xx")
+        arrays = ("n_rows", "weight", "shift", "xc", "xx")
         return replace(self, class_ids=ids, **{name: getattr(self, name)[keep] for name in arrays})
 
 
@@ -253,12 +260,10 @@ class ComponentCache:
     ``d2`` holds the ``(B, n, k)`` expected squared Mahalanobis distances
     ``dim / beta_k + eta_k (x - m_k)' W_k^{-1} (x - m_k)``, expanded over
     the batch's row statistics (or from centred rows in a ``two_pass``
-    batch). The latent
-    update reads ``log_sigma``, ``log_pi`` and ``d2``; the bound reads
-    ``log_det_w`` and ``alpha_hat``.
+    batch). The latent update reads ``log_sigma``, ``log_pi`` and ``d2``;
+    the bound reads ``log_det_w`` and ``alpha_hat``.
     """
 
-    dim: int
     batch: ClassBatch
     live: np.ndarray
     log_det_w: np.ndarray
@@ -269,11 +274,7 @@ class ComponentCache:
 
     def take(self, keep):
         """The cache of the batch's classes where the boolean ``keep`` is True."""
-        arrays = {
-            f.name: getattr(self, f.name)[keep]
-            for f in fields(self)
-            if f.name not in ("dim", "batch")
-        }
+        arrays = {f.name: getattr(self, f.name)[keep] for f in fields(self) if f.name != "batch"}
         return replace(self, batch=self.batch.take(keep), **arrays)
 
 
@@ -333,32 +334,32 @@ def component_cache(batch, post, live):
         [sum(row[:count]) for row, count in zip(post.alpha.tolist(), live.sum(axis=1).tolist())]
     )
     log_pi = np.where(live, digamma(post.alpha) - digamma(alpha_hat)[:, None], -np.inf)
+    m_c = post.m - batch.shift[:, None, :]  # the means in the rows' shifted coordinates
     if batch.two_pass:
-        maha = mahalanobis_sq_batch(np.swapaxes(batch.x, 1, 2), post.m, factor)
+        maha = mahalanobis_sq_batch(np.swapaxes(batch.xc, 1, 2), m_c, factor)
         # back to C-ordered (B, n, k): arrays derived from d2 inherit its
         # layout, and numpy sums a column of a C-ordered array in another
         # order than one of a Fortran-ordered array
         maha = np.ascontiguousarray(np.swapaxes(maha, 1, 2))
     else:
-        maha = _expanded_sq_distances(batch, post.m, factor.inverse)
+        maha = _expanded_sq_distances(batch, m_c, factor.inverse)
     d2 = d / post.beta[:, None, :] + post.eta[:, None, :] * maha
-    return ComponentCache(d, batch, live, log_det_w, log_sigma, alpha_hat, log_pi, d2)
+    return ComponentCache(batch, live, log_det_w, log_sigma, alpha_hat, log_pi, d2)
 
 
-def _expanded_sq_distances(batch, m, inverse):
+def _expanded_sq_distances(batch, m_c, inverse):
     """``(B, n, k)`` squared Mahalanobis distances from the batch's row statistics.
 
-    ``m`` is the ``(B, k, d)`` component means and ``inverse`` the
-    ``(B * k, d, d)`` inverse factors ``L^{-1}`` of their scales, so the
-    precision is ``Lambda = L^{-T} L^{-1}``. With ``m_c = m - shift``, a
+    ``m_c`` is the ``(B, k, d)`` component means less their class's shift
+    and ``inverse`` the ``(B * k, d, d)`` inverse factors ``L^{-1}`` of
+    their scales, so the precision is ``Lambda = L^{-T} L^{-1}``. A
     distance is ``xx . vec(Lambda) - 2 xc' Lambda m_c + m_c' Lambda m_c``:
     two batched products, no centred copy of the rows. Rounding can leave a
     distance slightly below 0, which is clamped.
     """
-    n_classes, k, d = m.shape
+    n_classes, k, d = m_c.shape
     lower_inv = inverse.reshape(n_classes, k, d, d)
     precision = np.swapaxes(lower_inv, 2, 3) @ lower_inv
-    m_c = m - batch.shift[:, None, :]
     pm = (precision @ m_c[:, :, :, None])[:, :, :, 0]
     maha = batch.xx @ precision.reshape(n_classes, k, d * d).transpose(0, 2, 1)
     maha -= 2.0 * (batch.xc @ pm.transpose(0, 2, 1))
@@ -377,7 +378,7 @@ def e_step(cache, nu):
     row-max subtraction; exact ties keep proportional weights.
     """
     log_rho = cache.log_pi[:, None, :] + log_t_kernel(
-        cache.d2, cache.log_sigma[:, None, :], cache.dim, nu
+        cache.d2, cache.log_sigma[:, None, :], cache.batch.xc.shape[2], nu
     )
     row_max = log_rho.max(axis=2)
     dead = ~np.isfinite(row_max)
@@ -394,42 +395,47 @@ def e_step(cache, nu):
     return r, 0.5 * cache.d2 + 0.5 * nu
 
 
-def _two_pass_update(x, zeta_t, omega, beta, prior):
-    """Posterior means and scales from the rows ``x`` centred on each weighted mean."""
+def _two_pass_update(xc, zeta_t, omega, beta, v, prior):
+    """Shifted posterior means and scales from the rows centred on each weighted mean.
+
+    ``xc`` is a batch's shifted rows and ``v = m0 - shift`` the shifted
+    prior mean: ``m = (omega xbar + beta0 v) / beta`` and ``W = W0 +
+    omega S + (beta0 omega / beta) (xbar - v)(xbar - v)'``, with ``xbar``
+    and ``S`` the scale-weighted mean and scatter of each component.
+    """
     mass = np.where(omega > 0.0, omega, 1.0)
-    xbar = (zeta_t[:, :, None, :] @ x[:, None, :, :])[:, :, 0] / mass[:, :, None]
-    dev = x[:, None, :, :] - xbar[:, :, None, :]
+    xbar = (zeta_t[:, :, None, :] @ xc[:, None, :, :])[:, :, 0] / mass[:, :, None]
+    dev = xc[:, None, :, :] - xbar[:, :, None, :]
     s = ((zeta_t[:, :, None, :] * dev.transpose(0, 1, 3, 2)) @ dev) / mass[:, :, None, None]
     scatter = 0.5 * (s + s.transpose(0, 1, 3, 2))
-    m = (omega[:, :, None] * xbar + prior.beta0 * prior.m0) / beta[:, :, None]
-    offset = xbar - prior.m0
+    m_c = (omega[:, :, None] * xbar + prior.beta0 * v[:, None, :]) / beta[:, :, None]
+    offset = xbar - v[:, None, :]
     w = (
         prior.W0
         + omega[:, :, None, None] * scatter
         + (prior.beta0 * omega / beta)[:, :, None, None]
         * (offset[:, :, :, None] * offset[:, :, None, :])
     )
-    return m, w
+    return m_c, w
 
 
-def _expanded_update(batch, zeta_t, beta, prior):
-    """Posterior means and scales from the batch's row statistics.
+def _expanded_update(batch, zeta_t, beta, v, prior):
+    """Shifted posterior means and scales from the batch's row statistics.
 
-    In coordinates shifted by each class's ``shift``, with ``v = m0 -
-    shift``: ``m = (zeta' xc + beta0 v) / beta`` and ``W = W0 + zeta' xx +
-    beta0 v v' - beta m m'``, the conjugate update of Bishop (PRML, section
-    10.2.1) summed before it is centred.
+    With ``v = m0 - shift`` the shifted prior mean: ``m = (zeta' xc +
+    beta0 v) / beta`` and ``W = W0 + zeta' xx + beta0 v v' - beta m m'``,
+    the conjugate update of Bishop (PRML, section 10.2.1) summed before it
+    is centred.
     """
     n_classes, k = beta.shape
     d = batch.xc.shape[2]
-    v = prior.m0 - batch.shift
     m_c = (zeta_t @ batch.xc + prior.beta0 * v[:, None, :]) / beta[:, :, None]
     w = (
         (zeta_t @ batch.xx).reshape(n_classes, k, d, d)
         + (prior.W0 + prior.beta0 * (v[:, :, None] * v[:, None, :]))[:, None]
         - beta[:, :, None, None] * (m_c[:, :, :, None] * m_c[:, :, None, :])
     )
-    return m_c + batch.shift[:, None, :], w
+    return m_c, w
 
 
 def m_step(batch, r, b, prior):
@@ -441,9 +447,10 @@ def m_step(batch, r, b, prior):
     the responsibility-weighted counts and scale-weighted sums of all
     components come at once, from two batched products of ``zeta`` with the
     batch's row statistics (or from rows centred on each component's
-    weighted mean when the batch is ``two_pass``). A component with zero
-    scale-weighted mass (a masked one among them) keeps the prior values
-    so the update never divides by zero.
+    weighted mean when the batch is ``two_pass``), in coordinates shifted
+    by each class's ``shift``, which is added back to the means once. A
+    component with zero scale-weighted mass (a masked one among them)
+    keeps the prior values so the update never divides by zero.
     """
     zeta = r * (_scale_shape(prior) / b)  # <z> <1/u>
     counts = _sum_rows(r)
@@ -451,10 +458,12 @@ def m_step(batch, r, b, prior):
     live = omega > 0.0
     beta = prior.beta0 + omega
     zeta_t = zeta.transpose(0, 2, 1)
+    v = prior.m0 - batch.shift
     if batch.two_pass:
-        m, w = _two_pass_update(batch.x, zeta_t, omega, beta, prior)
+        m_c, w = _two_pass_update(batch.xc, zeta_t, omega, beta, v, prior)
     else:
-        m, w = _expanded_update(batch, zeta_t, beta, prior)
+        m_c, w = _expanded_update(batch, zeta_t, beta, v, prior)
+    m = m_c + batch.shift[:, None, :]
     w = 0.5 * (w + w.transpose(0, 1, 3, 2))
     return Posteriors(
         alpha=np.where(live, prior.alpha0 + counts, prior.alpha0),
@@ -531,8 +540,8 @@ def elbo(r, b, post, cache, terms):
     return total
 
 
-def prune(r, b, live, threshold):
-    """Drop the components whose effective count fell below ``threshold``.
+def prune(r, b, live):
+    """Drop the components whose effective count fell below ``_PRUNE_THRESHOLD``.
 
     ``r, b`` are a batch's ``(B, n, k)`` responsibilities and scale rates
     and ``live`` its ``(B, k)`` component mask, where each class's live
@@ -547,7 +556,7 @@ def prune(r, b, live, threshold):
     equals updating all, pruning and updating the survivors again.
     """
     counts = _sum_rows(r)
-    keep = live & (counts >= threshold)
+    keep = live & (counts >= _PRUNE_THRESHOLD)
     n_keep = keep.sum(axis=1)
     if not n_keep.all():
         lost = np.flatnonzero(n_keep == 0)
@@ -582,7 +591,7 @@ def _init_latent(batch, k0, prior, seeds):
     The rates equal the shape ``prior`` gives, so the latent scales start
     at unit mean.
     """
-    n_classes, n, _ = batch.x.shape
+    n_classes, n, _ = batch.xc.shape
     r = np.zeros((n_classes, n, int(k0.max())))
     for member, (rows, k, seed) in enumerate(zip(batch.n_rows.tolist(), k0.tolist(), seeds)):
         if k > 1:
@@ -612,7 +621,7 @@ def _fit_lockstep(blocks, class_ids, seeds, prior, config, sink=None):
     try:
         for iteration in range(1, config.max_iters + 1):
             r, b = e_step(cache, nu)
-            r, b, live = prune(r, b, cache.live, _PRUNE_THRESHOLD)
+            r, b, live = prune(r, b, cache.live)
             post = m_step(cache.batch, r, b, prior)
             cache = component_cache(cache.batch, post, live)
             bounds = elbo(r, b, post, cache, terms).tolist()
@@ -636,7 +645,6 @@ def _fit_lockstep(blocks, class_ids, seeds, prior, config, sink=None):
                             **{key: v[j, : n_live[j]] for key, v in vars(post).items()}
                         ),
                         nu=np.full(n_live[j], nu),
-                        alpha_hat=cache.alpha_hat[j],
                         elbo_trace=tuple(trace),
                         n_pruned=int(k0[i]) - n_live[j],
                         converged=converged,
@@ -695,14 +703,10 @@ def _class_blocks(data):
     return class_ids, [data.features[data.labels == cid] for cid in class_ids]
 
 
-def _classifier(data, prior, classes):
-    """The classifier of ``data``'s class models, with a uniform class prior."""
-    return TrainedClassifier(
-        classes=tuple(classes),
-        class_log_prior=np.full(len(classes), -math.log(len(classes))),
-        dim=data.dim,
-        prior=prior,
-    )
+def _classifier(prior, classes):
+    """The classifier of the class models ``classes``, with a uniform class prior."""
+    classes = tuple(classes)
+    return TrainedClassifier(classes, np.full(len(classes), -math.log(len(classes))), prior)
 
 
 def fit_each(datasets, prior, config=None, log_sink=None):
@@ -738,11 +742,8 @@ def fit_each(datasets, prior, config=None, log_sink=None):
             log_sink,
         )
     ]
-    classifiers, start = [], 0
-    for data, (ids, _) in zip(datasets, sets):
-        classifiers.append(_classifier(data, prior, models[start : start + len(ids)]))
-        start += len(ids)
-    return classifiers
+    models = iter(models)
+    return [_classifier(prior, itertools.islice(models, len(ids))) for ids, _ in sets]
 
 
 def fit(data, prior, config=None, log_sink=None):
@@ -773,4 +774,4 @@ def fit_ml_nu(data, prior, config=None):
     """
     grid = [fit(data, replace(prior, nu_fixed=float(nu)), config).classes for nu in _ML_NU_GRID]
     classes = [max(fits, key=lambda cm: cm.elbo_trace[-1]) for fits in zip(*grid)]
-    return _classifier(data, prior, classes)
+    return _classifier(prior, classes)

@@ -29,7 +29,6 @@ def make_mixture_class(mus, sigmas, nus, counts, class_id=1):
             eta=np.full(k, d + 1.0 + 4096.0),
         ),
         nu=np.asarray(nus, dtype=float),
-        alpha_hat=float(sum(counts)),
         elbo_trace=(0.0,),
         n_pruned=0,
     )
@@ -53,7 +52,6 @@ def components_of(cm, index):
             post.alpha[index], post.beta[index], post.m[index], post.W[index], post.eta[index]
         ),
         nu=cm.nu[index],
-        alpha_hat=sum(post.alpha[index].tolist()),
     )
 
 

@@ -295,13 +295,12 @@ def test_c08_prediction_throughput():
                 class_id=cid,
                 components=post,
                 nu=np.full(k, 5.0),
-                alpha_hat=sum(alphas),
                 elbo_trace=(0.0,),
                 n_pruned=0,
             )
         )
     prior = PriorHyperparameters(0.001, 1.0, np.zeros(d), np.eye(d), d + 1.0, 5.0, k)
-    tc = TrainedClassifier(tuple(classes), np.full(c, -math.log(c)), d, prior)
+    tc = TrainedClassifier(tuple(classes), np.full(c, -math.log(c)), prior)
     points = rng.standard_normal((100000, d)) * 3.0
     predict_batch(tc, points[:2000])  # warm caches
     per_record = []

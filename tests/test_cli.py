@@ -1184,6 +1184,39 @@ def test_feature_too_large_to_train_on_is_data_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("blank", [False, True])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluate_names_the_line_of_a_test_row_too_large_to_score(
+    tmp_path, capsys, monkeypatch, workers, blank
+):
+    # 3 trials of 40 rows at the 1e-4 scale; row 95 (trial 3) is the 56th
+    # test row of the first combination, which trains on trial 1 alone
+    monkeypatch.setattr("scalemix.data._usable_cpus", lambda: workers)
+    rng = np.random.default_rng(0)
+    centres = np.tile(np.repeat([[0.0, 0.0], [4.0, 0.0]], 20, axis=0), (3, 1))
+    feats = 1e-4 * (rng.standard_normal((120, 2)) + centres)
+    labels, trials = np.tile(np.repeat([1, 2], 20), 3), np.repeat([1, 2, 3], 40)
+    path = tmp_path / "data.csv"
+    save_csv(FeatureDataset(feats, labels, trials, np.ones(120, int)), path)
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[96].split(",")
+    lines[96] = ",".join([cells[0], "1e150"] + cells[2:])  # f2 on line 97
+    if blank:
+        lines.insert(5, "\n")  # physical line 6 is blank
+    path.write_text("".join(lines))
+    out = tmp_path / "out"
+    argv = ["evaluate", "--data", str(path), "--nu", "5", "--trials-train", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out-dir", str(out)]) == EXIT_DATA
+    lineno = 98 if blank else 97
+    assert capsys.readouterr().err == (
+        f"data error: {path}: row {lineno}: a feature is too large to score\n"
+    )
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
 class TestTables:
     def test_csv_and_table_render(self, tmp_path):
         path = tmp_path / "table.csv"

@@ -164,7 +164,7 @@ class TestChunkedCsv:
             fh.readline()
             return [
                 (sum(not line.isspace() for line in lines), lineno)
-                for lines, lineno in _line_slices(fh, BLOCK_ROWS, 2)
+                for lines, lineno in _line_slices(fh)
             ]
 
     def test_slices_hold_full_row_blocks_despite_blank_lines(self, tmp_path, rng):

@@ -1,4 +1,4 @@
-"""Every line of the package and of its tests fits in 100 characters."""
+"""Every line of the package, its tests and its demos fits in 100 characters."""
 
 from pathlib import Path
 
@@ -6,7 +6,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_no_line_is_over_100_characters():
-    files = sorted(ROOT.glob("src/scalemix/*.py")) + sorted(ROOT.glob("tests/*.py"))
+    files = [
+        path for pattern in ("src/scalemix/*.py", "tests/*.py", "demos/*.py")
+        for path in sorted(ROOT.glob(pattern))
+    ]
     long = [
         f"{path.relative_to(ROOT)}:{lineno} ({len(line)})"
         for path in files

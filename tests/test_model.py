@@ -22,10 +22,9 @@ from scalemix.vb import VbConfig, fit
 from conftest import two_blob_dataset
 
 
-def one_component_class(alpha, beta, m, W, eta, nu, alpha_hat=None, class_id=1):
+def one_component_class(alpha, beta, m, W, eta, nu, class_id=1):
     post = Posteriors([alpha], [beta], [m], [W], [eta])
-    alpha_hat = alpha if alpha_hat is None else alpha_hat
-    return ClassModel(class_id, post, [nu], alpha_hat, (0.0,), 0)
+    return ClassModel(class_id, post, [nu], (0.0,), 0)
 
 
 def tiny_dataset(rows, labels=None):
@@ -63,7 +62,7 @@ class TestPriorValidation:
         with pytest.raises(
             ValueError, match=rf"^class 4: component {j} is not positive definite \(pivot 1\)$"
         ):
-            ClassModel(4, post, np.full(3, 5.0), 3.0, (0.0,), 0)
+            ClassModel(4, post, np.full(3, 5.0), (0.0,), 0)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -83,23 +82,49 @@ class TestPriorValidation:
         columns[field][1] = value
         nu = columns.pop("nu")
         post = Posteriors(**columns)
-        alpha_hat = sum(columns["alpha"])
         with pytest.raises(ValueError, match=f"^component 1 of class 3: {re.escape(message)}$"):
-            ClassModel(3, post, nu, alpha_hat, (0.0,), 0)
+            ClassModel(3, post, nu, (0.0,), 0)
 
     def test_class_model_copies_and_freezes_its_arrays(self):
         post = Posteriors(
             np.ones(1), np.ones(1), np.zeros((1, 2)), np.eye(2)[None], np.full(1, 4.0)
         )
-        cm = ClassModel(1, post, np.full(1, 5.0), 1.0, (0.0,), 0)
+        cm = ClassModel(1, post, np.full(1, 5.0), (0.0,), 0)
         post.m[0, 0] = 7.0
         assert cm.components.m[0, 0] == 0.0
         for arr in (cm.components.alpha, cm.components.m, cm.components.W, cm.nu):
             assert not arr.flags.writeable
 
-    def test_class_model_checks_alpha_hat(self):
-        with pytest.raises(ValueError):
-            one_component_class(2.0, 1.0, [0.0], [[1.0]], 3.0, 5.0, alpha_hat=3.0)
+    def test_alpha_hat_is_the_in_order_sum_of_alpha(self):
+        post = Posteriors(
+            np.array([0.1, 0.2, 0.3]), np.ones(3), np.zeros((3, 1)), np.ones((3, 1, 1)),
+            np.full(3, 3.0),
+        )
+        cm = ClassModel(1, post, np.full(3, 5.0), (0.0,), 0)
+        assert cm.alpha_hat == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+
+    @pytest.mark.parametrize("relative, ok", [(5e-11, True), (2e-10, False)])
+    def test_model_file_alpha_hat_must_match_component_sum(self, relative, ok):
+        prior = PriorHyperparameters(0.1, 1.0, [0.0], [[1.0]], 1.5, 5.0)
+        cm = one_component_class(2.0, 1.0, [0.0], [[1.0]], 3.0, 5.0)
+        payload = classifier_to_dict(TrainedClassifier((cm,), np.zeros(1), prior))
+        assert payload["classes"][0]["alpha_hat"] == 2.0
+        stored = 2.0 * (1.0 + relative)
+        payload["classes"][0]["alpha_hat"] = stored
+        if ok:
+            assert classifier_from_dict(payload).classes[0].alpha_hat == 2.0
+        else:
+            message = f"class 1: alpha_hat {stored!r} does not match component sum 2.0"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                classifier_from_dict(payload)
+
+    def test_classes_must_share_one_dim(self):
+        prior = PriorHyperparameters(0.1, 1.0, [0.0], [[1.0]], 1.5, 5.0)
+        cm1 = one_component_class(1.0, 1.0, [0.0], [[1.0]], 3.0, 5.0)
+        cm2 = one_component_class(1.0, 1.0, [0.0, 0.0], np.eye(2), 4.0, 5.0, class_id=2)
+        assert TrainedClassifier((cm2,), np.zeros(1), prior).dim == 2
+        with pytest.raises(ValueError, match="^class 2 has dim 2, not 1$"):
+            TrainedClassifier((cm1, cm2), np.log([0.5, 0.5]), prior)
 
     @pytest.mark.parametrize(
         "class_ids, message",
@@ -115,7 +140,7 @@ class TestPriorValidation:
             for cid in (1, 2, 3)
         ]
         payload = classifier_to_dict(
-            TrainedClassifier(tuple(classes), np.log(np.full(3, 1 / 3)), 1, prior)
+            TrainedClassifier(tuple(classes), np.log(np.full(3, 1 / 3)), prior)
         )
         for record, cid in zip(payload["classes"], class_ids):
             record["class_id"] = cid
@@ -126,7 +151,7 @@ class TestPriorValidation:
         cm = one_component_class(2.0, 1.0, [0.0], [[1.0]], 3.0, 5.0)
         prior = PriorHyperparameters(0.1, 1.0, [0.0], [[1.0]], 1.5, 5.0)
         with pytest.raises(ValueError):
-            TrainedClassifier((cm,), np.array([-0.5]), 1, prior)
+            TrainedClassifier((cm,), np.array([-0.5]), prior)
 
 
 class TestBuildDefaultPrior:
@@ -196,7 +221,7 @@ class TestPersistence:
         )
         prior = PriorHyperparameters(0.1, 1.0, [0.0], [[1.0]], 1.5, 5.0)
         path = tmp_path / "model.json"
-        save_model(TrainedClassifier(classes, np.log([0.75, 0.25]), 1, prior), path)
+        save_model(TrainedClassifier(classes, np.log([0.75, 0.25]), prior), path)
         back = load_model(path)
         assert np.array_equal(back.class_log_prior, np.log([0.75, 0.25]))
         log_post, _ = predict_batch(back, [[0.3]])

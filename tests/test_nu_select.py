@@ -34,7 +34,6 @@ def two_class_classifier(sep, sigma_scale=1.0, nu=5.0):
     return TrainedClassifier(
         classes=(cm1, cm2),
         class_log_prior=np.full(2, -math.log(2.0)),
-        dim=2,
         prior=prior,
     )
 
@@ -95,7 +94,7 @@ class TestConditionalEntropy:
         cm1 = make_student_class([0.0, 0.0], np.eye(2), 5.0, class_id=1)
         cm2 = make_student_class([0.0, 0.0], np.eye(2), 5.0, class_id=2)
         prior = PriorHyperparameters(0.001, 1.0, np.zeros(2), np.eye(2), 3.0, 5.0)
-        tc = TrainedClassifier((cm1, cm2), np.full(2, -math.log(2.0)), 2, prior)
+        tc = TrainedClassifier((cm1, cm2), np.full(2, -math.log(2.0)), prior)
         valid = labeled(np.random.default_rng(0).standard_normal((40, 2)), [1, 2] * 20)
         assert conditional_entropy([5.0], tc, valid)[0] == pytest.approx(math.log(2.0), rel=1e-10)
 

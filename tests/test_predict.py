@@ -49,7 +49,6 @@ def uniform_classifier(class_models):
     return TrainedClassifier(
         classes=tuple(class_models),
         class_log_prior=np.full(c, -math.log(c)),
-        dim=d,
         prior=prior,
     )
 
@@ -111,7 +110,7 @@ class TestClassLogPredictive:
             alpha=[1.0, 1.0], beta=[1.0, 1.0], m=np.zeros((2, 2)), W=[np.eye(2)] * 2,
             eta=[5.0, 2.5],
         )
-        cm = ClassModel(7, post, [5.0, 5.0], 2.0, (0.0,), 0)
+        cm = ClassModel(7, post, [5.0, 5.0], (0.0,), 0)
         with pytest.raises(
             ValueError, match=r"component 1 of class 7 has eta = 2.5, needs eta > dim \+ 1 = 3"
         ):
@@ -153,7 +152,7 @@ class TestClassPosterior:
         d = 1
         prior = PriorHyperparameters(0.001, 1.0, np.zeros(d), np.eye(d), d + 1.0, 5.0)
         base = np.log(np.array([0.3, 0.7]))
-        tc = TrainedClassifier((cm1, cm2), base, d, prior)
+        tc = TrainedClassifier((cm1, cm2), base, prior)
         for x in rng.uniform(-2, 5, size=30):
             joint = np.array(
                 [

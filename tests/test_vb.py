@@ -167,7 +167,7 @@ class TestExpectations:
         # record already refuses to hold such a value
         with pytest.raises(ValueError, match="eta must exceed dim - 1"):
             post = posteriors([1.0], [1.0], [[0.0, 0.0]], [np.eye(2)], [0.9])
-            ClassModel(1, post, [5.0], 1.0, (), 0)
+            ClassModel(1, post, [5.0], (), 0)
 
 
 class TestComponentCache:
@@ -189,6 +189,16 @@ def sub_cluster_class(offset):
     x[40:] += offset
     ones = np.ones(80, int)
     return FeatureDataset(x, ones, ones, ones)
+
+
+def near_and_far_classes(offset):
+    """Class 1 of 60 standard-normal rows in 3-d, class 2 the sub-cluster class at ``offset``."""
+    near = np.random.default_rng(1).standard_normal((60, 3))
+    ones = np.ones(140, int)
+    return FeatureDataset(
+        np.vstack([near, sub_cluster_class(offset).features]), np.repeat([1, 2], [60, 80]),
+        ones, ones,
+    )
 
 
 class TestExpandedStatistics:
@@ -232,15 +242,17 @@ class TestExpandedStatistics:
         assert not first.two_pass
         for j, rows in enumerate(blocks):
             assert np.array_equal(first.shift[j], rows.mean(axis=0))
-        xc = first.x - first.shift[:, None, :]
-        assert np.array_equal(first.xc, xc)
+            own = rows - first.shift[j]
+            padded = np.concatenate([own, np.repeat(own[:1], 90 - len(rows), axis=0)])
+            assert np.array_equal(first.xc[j], padded)
+        xc = first.xc
         assert np.array_equal(first.xx, (xc[:, :, :, None] * xc[:, :, None, :]).reshape(3, 90, 4))
         # classes leave the batch one by one, and each keeps its own rows
         assert sorted({len(batch.class_ids) for batch in seen}) == [1, 2, 3]
         for batch in seen:
             for j, cid in enumerate(batch.class_ids):
                 i = first.class_ids.index(cid)
-                for name in ("x", "shift", "xc", "xx"):
+                for name in ("shift", "xc", "xx"):
                     assert np.array_equal(getattr(batch, name)[j], getattr(first, name)[i]), name
 
     @pytest.mark.parametrize("offset, iterations", [(1e2, 16), (1e4, 16), (1e6, 16), (1e7, 17)])
@@ -260,28 +272,29 @@ class TestExpandedStatistics:
 
     def test_a_class_over_the_tolerance_sends_its_batch_two_pass(self, monkeypatch):
         # class 1 is within the tolerance, class 2 (sub-clusters 1e6 apart)
-        # is not; in one batch both take the two-pass path, and class 1
-        # still fits as it does alone, on the expanded path
-        near = np.random.default_rng(1).standard_normal((60, 3))
-        ones = np.ones(140, int)
-        data = FeatureDataset(
-            np.vstack([near, sub_cluster_class(1e6).features]), np.repeat([1, 2], [60, 80]),
-            ones, ones,
-        )
+        # is not; in one batch both take the two-pass path, unshifted, and
+        # class 1 still fits as it does alone, on the expanded path
+        data = near_and_far_classes(1e6)
+        near = data.features[data.labels == 1]
         prior = build_default_prior(data.subset(data.labels == 1), nu_fixed=5.0, k_init=4)
-        paths = []
+        batches = []
         pad = vb.ClassBatch.pad
 
         def recorded_pad(*args):
-            batch = pad(*args)
-            paths.append((batch.class_ids, batch.two_pass))
-            return batch
+            batches.append(pad(*args))
+            return batches[-1]
 
         monkeypatch.setattr(vb.ClassBatch, "pad", recorded_pad)
         config = VbConfig(seed=0)
         got = fit(data, prior, config).classes[0]
         (alone,) = vb._fit_lockstep([near], [1], [[0, 0]], prior, config)
-        assert paths == [((1, 2), True), ((1,), False)]
+        assert [(batch.class_ids, batch.two_pass) for batch in batches] == [
+            ((1, 2), True), ((1,), False),
+        ]
+        both = batches[0]
+        assert not both.shift.any() and both.xx.size == 0
+        assert np.array_equal(both.xc[1], data.features[data.labels == 2])
+        assert batches[1].shift.any()
         assert_fits_agree(got, alone)
 
 
@@ -450,7 +463,7 @@ class TestElbo:
         empty = np.zeros((1, 0, 3))
         # a class with no rows has no mean for ClassBatch.pad to shift them by
         batch = ClassBatch(
-            class_ids=(1,), x=np.zeros((1, 0, 2)), n_rows=np.zeros(1, int),
+            class_ids=(1,), n_rows=np.zeros(1, int),
             weight=np.zeros((1, 0, 1)), shift=np.zeros((1, 2)), xc=np.zeros((1, 0, 2)),
             xx=np.zeros((1, 0, 4)), two_pass=False,
         )
@@ -642,7 +655,7 @@ class TestPrune:
     def test_dead_component_removed(self):
         r = np.array([[[1.0 - 1e-12, 1e-12]] * 300])
         b = np.tile([3.0, 4.0], (1, 300, 1))
-        r, b, live = prune(r, b, np.ones((1, 2), dtype=bool), threshold=1e-3)
+        r, b, live = prune(r, b, np.ones((1, 2), dtype=bool))
         assert r.shape == b.shape == (1, 300, 1)
         assert np.allclose(r, 1.0)
         assert np.array_equal(b, np.full((1, 300, 1), 3.0))
@@ -652,16 +665,13 @@ class TestPrune:
         r = np.full((1, 20, 2), 0.5)
         b = np.full((1, 20, 2), 3.0)
         live = np.ones((1, 2), dtype=bool)
-        out = prune(r, b, live, threshold=1e-3)
+        out = prune(r, b, live)
         assert all(got is given for got, given in zip(out, (r, b, live), strict=True))
 
     def test_refuses_to_prune_everything(self):
         # no component reaches the threshold: the largest one is kept
         r, b, live = prune(
-            np.array([[[0.3, 0.7]]]),
-            np.array([[[3.0, 4.0]]]),
-            np.ones((1, 2), dtype=bool),
-            threshold=10.0,
+            np.array([[[3e-4, 7e-4]]]), np.array([[[3.0, 4.0]]]), np.ones((1, 2), dtype=bool)
         )
         assert np.array_equal(r, [[[1.0]]])
         assert np.array_equal(b, [[[4.0]]])
@@ -676,7 +686,7 @@ class TestPrune:
         r = np.stack([r0, np.hstack([r1, np.zeros((5, 1))])])
         b = rng.uniform(1.0, 4.0, r.shape)
         live = np.array([[True, True, True], [True, True, False]])
-        out, b_out, kept = prune(r, b, live, threshold=1e-3)
+        out, b_out, kept = prune(r, b, live)
         assert np.array_equal(kept, [[True, True], [True, True]])
         assert np.array_equal(out[1], r[1, :, :2])
         assert np.array_equal(b_out[0], b[0][:, [0, 2]])
@@ -691,7 +701,7 @@ class TestPrune:
         # column is masked with zero responsibility
         r = np.array([[[0.5, 0.5, 0.0]] * 4, [[1.0 - 1e-9, 1e-9, 0.0]] * 4])
         live = np.array([[True, True, False], [True, True, False]])
-        out, _, kept = prune(r, np.full(r.shape, 2.0), live, threshold=1e-3)
+        out, _, kept = prune(r, np.full(r.shape, 2.0), live)
         assert np.array_equal(kept, [[True, True], [True, False]])
         assert np.array_equal(out[0], r[0, :, :2])
         assert np.array_equal(out[1], np.tile([1.0, 0.0], (4, 1)))
@@ -705,8 +715,8 @@ class TestPrune:
         r = np.stack([r0, rng.dirichlet(np.ones(3), size=6)])
         b = rng.uniform(1.0, 4.0, r.shape)
         live = np.ones((2, 3), dtype=bool)
-        out, b_out, kept = prune(r, b, live, threshold=1e-3)
-        alone, _, _ = prune(r[:1], b[:1], live[:1], threshold=1e-3)
+        out, b_out, kept = prune(r, b, live)
+        alone, _, _ = prune(r[:1], b[:1], live[:1])
         sliced = r0[:, [0, 2]]
         assert np.array_equal(kept, [[True, True, False], [True, True, True]])
         assert np.array_equal(out[0, :, :2], sliced / sliced.sum(axis=1, keepdims=True))
@@ -987,7 +997,7 @@ class TestLockstep:
                 seen.update({"padded"} if n < r.shape[1] else set())
                 seen.update({"masked"} if k < r.shape[2] else set())
                 own = Posteriors(**{key: value[j, :k] for key, value in vars(post).items()})
-                rows = (cache.batch.x[j, :n], r[j, :n, :k], b[j, :n, :k])
+                rows = (data.features[data.labels == cid], r[j, :n, :k], b[j, :n, :k])
                 assert bounds[j] == pytest.approx(reference_elbo(*rows, own, prior), rel=1e-12)
                 trace = traces.setdefault(cid, [])
                 assert not trace or bounds[j] >= trace[-1]
@@ -1005,12 +1015,12 @@ class TestLockstep:
     def test_padding_rows_carry_no_weight(self):
         batch, post, prior, cache = two_class_state()
         assert batch.n_rows.tolist() == [6, 4]
-        assert np.array_equal(batch.x[1, 4:], np.repeat(batch.x[1, :1], 2, axis=0))
+        assert np.array_equal(batch.xc[1, 4:], np.repeat(batch.xc[1, :1], 2, axis=0))
         r, _ = e_step(cache, prior.nu_fixed)
         assert np.array_equal(r[1, 4:], np.zeros((2, 2)))
         assert np.allclose(r[0].sum(axis=1), 1.0) and np.allclose(r[1, :4].sum(axis=1), 1.0)
         # with no padding row every row weighs 1
-        unpadded = ClassBatch.pad([batch.x[0], batch.x[0][::-1]], (3, 7), prior)
+        unpadded = ClassBatch.pad([batch.xc[0], batch.xc[0][::-1]], (3, 7), prior)
         assert np.array_equal(unpadded.weight, np.ones((2, 6, 1)))
         r, _ = e_step(component_cache(unpadded, post, cache.live), prior.nu_fixed)
         assert np.allclose(r.sum(axis=2), 1.0)
@@ -1032,6 +1042,38 @@ class TestLockstep:
         assert split_lines == one_lines
         for got, want in zip(split.classes, one.classes):
             assert_fits_agree(got, want)
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_a_class_far_from_the_prior_mean_agrees_less_closely(self, offset):
+        # the sub-cluster class lies about offset / 2 from the prior mean, in
+        # units of the prior's scale, and a batch sums some of its terms in
+        # another order than a lone fit does; the distance amplifies that.
+        # Measured, batched against alone: beta moved by 1.8e-12 of its
+        # largest entry at 1e3 (means and scales 3.9e-14, the bound 7.4e-11)
+        # and by 6.5e-7 at 1e6 (the bound 5.9e-6), the near class by 3.9e-16
+        data = near_and_far_classes(offset)
+        prior = build_default_prior(data.subset(data.labels == 1), nu_fixed=5.0, k_init=4)
+        config = VbConfig(seed=0)
+        tc = fit(data, prior, config)
+        alone = [
+            vb._fit_lockstep([data.features[data.labels == cid]], [cid], [[0, i]], prior, config)[0]
+            for i, cid in enumerate(tc.class_ids)
+        ]
+        near, far = tc.classes
+        assert_fits_agree(near, alone[0])
+        assert len(far.elbo_trace) == len(alone[1].elbo_trace)
+        assert (far.n_components, far.n_pruned, far.converged) == (
+            alone[1].n_components, alone[1].n_pruned, alone[1].converged,
+        )
+        _, labels = predict_batch(tc, data.features)
+        _, labels_alone = predict_batch(replace(tc, classes=tuple(alone)), data.features)
+        assert np.array_equal(labels, labels_alone)
+        if offset == 1e3:
+            assert np.allclose(far.elbo_trace, alone[1].elbo_trace, rtol=1e-9, atol=0.0)
+            for key, expected in vars(alone[1].components).items():
+                scale = np.abs(expected).max()
+                tol = 1e-13 if key in ("m", "W") else 1e-11
+                assert np.abs(getattr(far.components, key) - expected).max() <= tol * scale, key
 
 
 class TestFitEach:
