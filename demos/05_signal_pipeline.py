@@ -14,7 +14,7 @@ from scalemix import (
     pipeline_rect_smooth,
     predict_batch,
 )
-from scalemix.metrics import accuracy, precision_recall
+from scalemix.metrics import accuracy, confusion_matrix, precision_recall
 
 fs = 2000.0
 seconds = 4.0
@@ -67,6 +67,7 @@ prior = build_default_prior(train, nu_fixed=2.0, k_init=3, alpha0=0.001)
 tc = fit(train, prior, VbConfig(seed=0))
 _, pred = predict_batch(tc, test.features)
 print("held-out accuracy:", round(accuracy(pred, test.labels), 4))
-prec, rec = precision_recall(pred, test.labels, 2)
+conf = confusion_matrix(pred, test.labels, train.class_ids)
+prec, rec = precision_recall(conf, train.class_ids)
 print("precision per class:", np.round(prec, 4), " recall per class:", np.round(rec, 4))
 print("components per class:", [cm.n_components for cm in tc.classes])

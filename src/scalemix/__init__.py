@@ -26,7 +26,6 @@ from .density import (
     quadrature_marginal_density,
 )
 from .features import (
-    FilterCoeffs,
     SignalBlock,
     butter2_coeffs,
     butterworth2_lowpass,

@@ -126,8 +126,6 @@ def _parse_nu_grid(text):
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ValueError(f"nu_grid must list numbers, got {text!r}") from None
-    if not values:
-        raise ValueError("empty grid")
     return np.asarray(values)
 
 
@@ -139,15 +137,15 @@ def _write_table(path, header, rows):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _report_text(acc, precision, recall):
-    """``report.txt``: accuracy, macro precision and recall, then one line per class."""
+def _report_text(acc, class_ids, precision, recall):
+    """``report.txt``: accuracy, macro precision and recall, then one line per class id."""
     lines = [
         f"accuracy              {acc:.4f}",
         f"macro precision       {precision.mean():.4f}",
         f"macro recall          {recall.mean():.4f}",
         "",
         "class  precision  recall",
-        *(f"{c:>5}  {p:>9.4f}  {r:>6.4f}" for c, (p, r) in enumerate(zip(precision, recall), 1)),
+        *(f"{c:>5}  {p:>9.4f}  {r:>6.4f}" for c, p, r in zip(class_ids, precision, recall)),
     ]
     return "\n".join(lines) + "\n"
 
@@ -490,7 +488,6 @@ def cmd_evaluate(args):
             raise DataFormatError(f"participant {pid}: cannot train on {s} of {t_count} trials")
         trials_train[pid] = s
     baseline = _load_baseline(args.baseline, participants) if args.baseline else None
-    n_classes = max(data.class_ids)
     combos, jobs = _combinations(data, trials_train, args, search)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -512,12 +509,12 @@ def cmd_evaluate(args):
 
     pred = np.concatenate([result[0] for result in results])
     truth = np.concatenate([combo[4] for combo in combos])
-    acc = accuracy(pred, truth)
+    class_ids = data.class_ids
+    conf = confusion_matrix(pred, truth, class_ids)
+    acc = float(np.trace(conf) / conf.sum())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        prec, rec = precision_recall(pred, truth, n_classes)
-    conf = confusion_matrix(pred, truth, n_classes)
-    class_ids = range(1, n_classes + 1)
+        prec, rec = precision_recall(conf, class_ids)
     metric_rows = [
         ("accuracy", acc),
         *((f"precision_{cid}", v) for cid, v in zip(class_ids, prec)),
@@ -549,7 +546,7 @@ def cmd_evaluate(args):
         "true\\pred," + ",".join(map(str, class_ids)),
         [(cid, *counts) for cid, counts in zip(class_ids, conf.tolist())],
     )
-    (out / "report.txt").write_text(_report_text(acc, prec, rec), encoding="utf-8")
+    (out / "report.txt").write_text(_report_text(acc, class_ids, prec, rec), encoding="utf-8")
     return EXIT_OK
 
 
@@ -603,7 +600,10 @@ def build_parser():
     )
     add_prior(p)
     p.add_argument("--no-outliers", action="store_true")
-    p.add_argument("--grid-step", type=float, default=0.05, help="grid step (default %(default)s)")
+    p.add_argument(
+        "--grid-step", type=float, default=0.05,
+        help="grid step, rounded so that it divides 8 evenly (default %(default)s)",
+    )
     p.add_argument("--svg", action="store_true", help="emit SVG heatmaps")
     p.set_defaults(func=cmd_simulate)
 

@@ -133,8 +133,10 @@ def generate_simulation(seed=0, with_outliers=True, grid_step=0.05):
     isotropic Gaussians at (2.5, 2.5) and (5, 5) with variance 0.5; when
     ``with_outliers`` is set, 10 points uniform on [0, 7]^2 are appended to
     class 1 (110 class-1 rows total). The evaluation grid covers
-    [0, 8]^2 at ``grid_step`` with the optimal labels of the clean
-    generating mixture (equidistance ties go to class 1).
+    [0, 8]^2 with the optimal labels of the clean generating mixture
+    (equidistance ties go to class 1). Its step is ``grid_step`` rounded so
+    that it divides 8 evenly, into at least one step: 3 becomes 8/3, and
+    17 becomes 8.
     """
 
     def one_trial(feats, labels):
@@ -157,7 +159,7 @@ def generate_simulation(seed=0, with_outliers=True, grid_step=0.05):
     train = one_trial(np.vstack(blocks), np.asarray(labels))
 
     lo, hi = SIMULATION_RANGE
-    steps = int(round((hi - lo) / grid_step))
+    steps = max(1, int(round((hi - lo) / grid_step)))
     axis = np.linspace(lo, hi, steps + 1)
     g1, g2 = np.meshgrid(axis, axis, indexing="ij")
     grid_pts = np.column_stack([g1.ravel(), g2.ravel()])

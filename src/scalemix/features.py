@@ -18,7 +18,6 @@ from .data import FeatureDataset
 
 __all__ = [
     "SignalBlock",
-    "FilterCoeffs",
     "butter2_coeffs",
     "rectify",
     "butterworth2_lowpass",
@@ -72,42 +71,15 @@ class SignalBlock:
         return replace(self, samples=samples)
 
 
-@dataclass(frozen=True)
-class FilterCoeffs:
-    """Biquad coefficients (numerator b, denominator a with a[0] = 1)."""
-
-    b: tuple
-    a: tuple
-
-    def __post_init__(self):
-        b = tuple(float(v) for v in self.b)
-        a = tuple(float(v) for v in self.a)
-        if len(b) != 3 or len(a) != 3:
-            raise ValueError("expected 3 numerator and 3 denominator taps")
-        if a[0] != 1.0:
-            raise ValueError("denominator must be normalized (a[0] = 1)")
-        gain = sum(b) / sum(a)
-        if abs(gain - 1.0) > 1e-12:
-            raise ValueError(f"DC gain must be 1, got {gain!r}")
-        poles = np.roots(a)
-        if np.any(np.abs(poles) >= 1.0):
-            raise ValueError(f"unstable filter, pole magnitudes {np.abs(poles)}")
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a", a)
-
-    def steady_state(self):
-        # direct-form-II-transposed state for a unit constant input
-        b0, b1, b2 = self.b
-        _, a1, a2 = self.a
-        return np.array([b1 + b2 - a1 - a2, b2 - a2])
-
-
 def butter2_coeffs(fc, fs):
     """Second-order Butterworth low-pass, bilinear transform, prewarped cutoff.
 
+    Returns the biquad's taps ``(b, a)``, three each, with ``a[0] = 1``.
     The numerator taps are derived from the rounded denominator sum rather
     than computed independently, which pins the DC gain to exactly 1 even
     when ``fc / fs`` is tiny and the denominator sum cancels catastrophically.
+    A cutoff within a few ulps of ``fs / 2`` rounds a pole onto or outside
+    the unit circle and is refused.
     """
     if not 0 < fc < fs / 2:
         raise ValueError(f"cutoff must satisfy 0 < fc < fs/2, got fc={fc}, fs={fs}")
@@ -118,8 +90,11 @@ def butter2_coeffs(fc, fs):
     a1 = 2.0 * (k2 - 1.0) / denom
     a2 = (k2 - root2 * k + 1.0) / denom
     a_sum = 1.0 + a1 + a2  # 4 k^2 / denom up to rounding
-    b = (a_sum / 4.0, a_sum / 2.0, a_sum / 4.0)
-    return FilterCoeffs(b=b, a=(1.0, a1, a2))
+    a = (1.0, a1, a2)
+    poles = np.roots(a)
+    if np.any(np.abs(poles) >= 1.0):
+        raise ValueError(f"unstable filter, pole magnitudes {np.abs(poles)}")
+    return (a_sum / 4.0, a_sum / 2.0, a_sum / 4.0), a
 
 
 def rectify(block):
@@ -129,15 +104,16 @@ def rectify(block):
 
 def butterworth2_lowpass(block, fc):
     """Per-channel second-order Butterworth low-pass smoothing."""
-    coeffs = butter2_coeffs(fc, block.fs)
+    b, a = butter2_coeffs(fc, block.fs)
     x = block.samples
     if not x.shape[0]:
         return block.with_samples(x)
     # imported here: scipy.signal pulls in scipy.stats, which the CLI never needs
     from scipy.signal import lfilter
 
-    zi = np.outer(coeffs.steady_state(), x[0])
-    y, _ = lfilter(coeffs.b, coeffs.a, x, axis=0, zi=zi)
+    # direct-form-II-transposed state for a constant input at the first sample
+    zi = np.outer([b[1] + b[2] - a[1] - a[2], b[2] - a[2]], x[0])
+    y, _ = lfilter(b, a, x, axis=0, zi=zi)
     return block.with_samples(y)
 
 

@@ -38,32 +38,43 @@ def accuracy(pred, truth):
     return float(np.mean(pred == truth))
 
 
-def confusion_matrix(pred, truth, n_classes):
-    """Counts indexed [true class - 1, predicted class - 1]."""
+def confusion_matrix(pred, truth, class_ids):
+    """Counts indexed [true class, predicted class], in the order of ``class_ids``.
+
+    ``class_ids`` are the strictly increasing labels the matrix counts;
+    any other label in ``pred`` or ``truth`` is refused.
+    """
     pred, truth = _label_pair(pred, truth)
+    ids = np.asarray(class_ids, dtype=int)
+    if ids.ndim != 1 or not ids.size or np.any(np.diff(ids) <= 0):
+        raise ValueError(f"class_ids must be strictly increasing, got {list(class_ids)}")
+    at = {}
     for name, arr in (("pred", pred), ("truth", truth)):
-        if arr.size and (arr.min() < 1 or arr.max() > n_classes):
-            raise ValueError(f"{name} labels must lie in 1..{n_classes}")
-    out = np.zeros((n_classes, n_classes), dtype=int)
-    np.add.at(out, (truth - 1, pred - 1), 1)
+        at[name] = np.minimum(np.searchsorted(ids, arr), ids.size - 1)
+        if np.any(ids[at[name]] != arr):
+            raise ValueError(f"{name} labels must be among {ids.tolist()}")
+    out = np.zeros((ids.size, ids.size), dtype=int)
+    np.add.at(out, (at["truth"], at["pred"]), 1)
     return out
 
 
-def precision_recall(pred, truth, n_classes):
-    """Per-class precision and recall.
+def precision_recall(conf, class_ids):
+    """Per-class precision and recall of the confusion matrix ``conf``.
 
-    A class never predicted (or never present) has an undefined ratio; it
-    is reported as 0 and flagged through a warning naming the class.
+    ``conf`` is indexed as :func:`confusion_matrix` returns it, over
+    ``class_ids``. A class never predicted (or never present) has an
+    undefined ratio; it is reported as 0 and flagged through a warning
+    naming the class.
     """
-    conf = confusion_matrix(pred, truth, n_classes)
+    conf = np.asarray(conf)
     tp = np.diag(conf).astype(float)
     ratios = []
     for name, totals, why in (
         ("precision", conf.sum(axis=0), "no predictions"),
         ("recall", conf.sum(axis=1), "no support"),
     ):
-        ratios.append(np.divide(tp, totals, out=np.zeros(n_classes), where=totals > 0))
-        empty = (np.flatnonzero(totals == 0) + 1).tolist()
+        ratios.append(np.divide(tp, totals, out=np.zeros(tp.size), where=totals > 0))
+        empty = [int(class_ids[i]) for i in np.flatnonzero(totals == 0)]
         if empty:
             warnings.warn(
                 f"{name} undefined ({why}) for classes {empty}; reported as 0", stacklevel=2

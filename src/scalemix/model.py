@@ -229,9 +229,9 @@ def build_default_prior(data, nu_fixed, k_init=1, alpha0=0.001):
 
     Sets ``beta0 = 1``, ``eta0 = dim + 1``, the prior mean to the sample
     mean of all training features, and the inverse-Wishart scale to their
-    sample covariance (the unbiased 1/(N-1) estimator), symmetrized and
-    jittered when singular. A zero-variance feature therefore yields a
-    jittered diagonal rather than a silent NaN.
+    sample covariance (the unbiased 1/(N-1) estimator), jittered when
+    singular, so that a zero-variance feature yields a jittered diagonal
+    rather than a silent NaN. :class:`PriorHyperparameters` symmetrizes it.
     """
     n = data.n_rows
     if n == 0:
@@ -244,7 +244,6 @@ def build_default_prior(data, nu_fixed, k_init=1, alpha0=0.001):
         w0 = np.atleast_2d(np.asarray(w0, dtype=float))
     else:
         w0 = np.eye(d)
-    w0 = 0.5 * (w0 + w0.T)
     fields = dict(alpha0=alpha0, beta0=1.0, m0=m0, eta0=d + 1.0, nu_fixed=nu_fixed, k_init=k_init)
     # the constructor factorises W0; a failure after the jitter re-raises
     try:
@@ -394,6 +393,13 @@ def save_model(classifier, path):
 
 
 def load_model(path):
-    """Read a classifier written by :func:`save_model`."""
+    """Read a classifier written by :func:`save_model`.
+
+    A file that is not such a classifier raises ``ValueError``, its
+    message led by ``path``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return classifier_from_dict(json.load(fh))
+        try:
+            return classifier_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc

@@ -16,7 +16,8 @@ and one batched ``CholeskyFactor.inverse`` of its factors), and batch
 prediction reuses it for every block of rows, which is what makes
 microsecond-scale per-record throughput possible. The squared distances
 of a block come from :func:`~scalemix.numerics.mahalanobis_sq_batch`,
-the kernel variational training uses too. The degrees of freedom enter
+which variational training uses only for a batch it fits in two passes
+(see :func:`scalemix.vb._expansion_loss`). The degrees of freedom enter
 only through a triple of small arrays (:func:`_grid_terms`), so one
 log-density kernel, :meth:`_Mixture.log_density_d2`, serves both a
 classifier's own values and a grid of shared ones:

@@ -157,14 +157,17 @@ def _expansion_loss(xc, n_rows, shift, prior):
     stretches a length by at most ``1 / lambda_min(W0)``; a distance enters
     the latent update times ``eta_k <= eta0 + N_c``, and a scale sums
     ``N_c`` rounded products. So ``eps R^2 (eta0 + N_c) / lambda_min(W0)``
-    bounds the loss up to a small constant factor.
+    bounds the loss up to a small constant factor. A ``W0`` that factorises
+    can still have a computed ``lambda_min`` of 0 or below; no bound is
+    known then, and every class's loss is infinite.
     """
+    lambda_min = np.linalg.eigvalsh(prior.W0)[0]
+    if not lambda_min > 0:
+        return np.full(len(n_rows), np.inf)
     radius_sq = np.maximum(
         np.einsum("bnd,bnd->bn", xc, xc).max(axis=1), ((prior.m0 - shift) ** 2).sum(axis=1)
     )
-    return (
-        np.finfo(float).eps * radius_sq * (prior.eta0 + n_rows) / np.linalg.eigvalsh(prior.W0)[0]
-    )
+    return np.finfo(float).eps * radius_sq * (prior.eta0 + n_rows) / lambda_min
 
 
 def _sum_rows(values):

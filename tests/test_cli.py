@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -508,18 +509,22 @@ class TestPredict:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "payload, message",
-        [({"format_version": 1}, "model has no 'dim' field"), ([], "must be a JSON object")],
+        "text, message",
+        [
+            ('{"format_version": 1}', "model has no 'dim' field"),
+            ("[]", "model must be a JSON object, got list"),
+            ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        ],
     )
-    def test_malformed_model_file_is_a_data_error(
-        self, tmp_path, train_csv, capsys, payload, message
+    def test_malformed_model_file_is_a_data_error_naming_the_file(
+        self, tmp_path, train_csv, capsys, text, message
     ):
         model = tmp_path / "model.json"
-        model.write_text(json.dumps(payload))
+        model.write_text(text)
         out = tmp_path / "pred"
         argv = ["predict", "--model", str(model), "--data", str(train_csv), "--out-dir", str(out)]
         assert main(argv) == EXIT_DATA
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"data error: {model}: {message}\n"
         assert not out.exists()
 
     def test_multi_chunk_output_matches_row_by_row_reference(self, tmp_path, train_csv):
@@ -1138,6 +1143,32 @@ class TestEvaluate:
             "1,0.5,89.16666666666667\n1,5.0,90.66666666666667\n1,50.0,105.66666666666667\n"
         )
 
+    def test_tables_cover_only_the_classes_present(self, tmp_path):
+        # labels 1 and 3: no class 2 row, column or metric, and no class 2
+        # diluting the macro means (which read 0.6444 with one)
+        rng = np.random.default_rng(0)
+        feats, labels, trials = [], [], []
+        for cid, centre in ((1, 0.0), (3, 3.0)):
+            for trial in (1, 2, 3):
+                feats.append(centre + rng.standard_normal((30, 2)))
+                labels += [cid] * 30
+                trials += [trial] * 30
+        data_path = tmp_path / "skip.csv"
+        save_csv(FeatureDataset(np.vstack(feats), labels, trials, np.ones(180, int)), data_path)
+        out = tmp_path / "ev"
+        argv = ["evaluate", "--data", str(data_path), "--nu", "5", "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        metrics = [ln.split(",")[0] for ln in (out / "metrics.csv").read_text().splitlines()]
+        assert [m for m in metrics if m.startswith(("precision_", "recall_"))] == [
+            "precision_1", "precision_3", "recall_1", "recall_3",
+        ]
+        assert (out / "confusion.csv").read_text() == "true\\pred,1,3\n1,174,6\n3,6,174\n"
+        assert (out / "report.txt").read_text() == (
+            "accuracy              0.9667\nmacro precision       0.9667\n"
+            "macro recall          0.9667\n\nclass  precision  recall\n"
+            "    1     0.9667  0.9667\n    3     0.9667  0.9667\n"
+        )
+
     def test_class_never_predicted_reads_zero_precision(self, tmp_path, monkeypatch):
         def never_three(classifier, points):
             log_post, pred = predict_batch(classifier, points)
@@ -1231,7 +1262,7 @@ class TestTables:
         )
         _write_table(path, "fold,nu,J", [])
         assert path.read_text() == "fold,nu,J\n"
-        table = _report_text(0.7, np.array([4 / 6, 0.75]), np.array([0.8, 0.6]))
+        table = _report_text(0.7, [1, 3], np.array([4 / 6, 0.75]), np.array([0.8, 0.6]))
         # no wall-clock rows: the report is byte-reproducible
         assert table.splitlines() == [
             "accuracy              0.7000",
@@ -1240,7 +1271,7 @@ class TestTables:
             "",
             "class  precision  recall",
             "    1     0.6667  0.8000",
-            "    2     0.7500  0.6000",
+            "    3     0.7500  0.6000",
         ]
 
 
@@ -1272,6 +1303,45 @@ PINNED_TABLES = {
         "    1     0.9500  1.0000\n    2     1.0000  0.9677\n    3     1.0000  0.9836\n"
     ),
 }
+
+
+def _readme_flags():
+    """Each subcommand's flags as README's "Flags, by subcommand" list names them.
+
+    The list's first item holds the flags of every subcommand; ``evaluate``'s
+    "the same training flags as `train`" stands for those that ``train``'s
+    item lists after "the training flags".
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Flags, by subcommand:\n\n", 1)[1].split("\n\n", 1)[0]
+    items = [" ".join(item.split()) for item in section.split("\n- ")]
+    items[0] = items[0].removeprefix("- ")
+    flags = {}
+    for item in items:
+        name, text = item.split(": ", 1)
+        flags[name.strip("`")] = text
+    common = re.findall(r"`(--[\w-]+)`", flags.pop("every subcommand"))
+    training = re.findall(r"`(--[\w-]+)`", flags["train"].split("the training flags", 1)[1])
+    return {
+        name: sorted(
+            common + re.findall(r"`(--[\w-]+)`", text)
+            + (training if "the same training flags as `train`" in text else [])
+        )
+        for name, text in flags.items()
+    }
+
+
+def test_readme_lists_each_subcommands_flags():
+    declared = {
+        name: sorted(
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        )
+        for name, parser in _subcommands(build_parser()).items()
+    }
+    assert _readme_flags() == declared
 
 
 def _options():

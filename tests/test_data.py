@@ -55,6 +55,19 @@ class TestGenerateSimulation:
         d2 = ((grid.features - [5.0, 5.0]) ** 2).sum(axis=1)
         assert np.array_equal(grid.labels, np.where(d1 <= d2, 1, 2))
 
+    @pytest.mark.parametrize(
+        "step, axis",
+        [(0.05, np.linspace(0.0, 8.0, 161)), (3.0, np.linspace(0.0, 8.0, 4)),
+         (17.0, [0.0, 8.0])],
+    )
+    def test_grid_step_divides_the_range_in_at_least_one_step(self, step, axis):
+        # a step is rounded so that it divides 8 evenly: 3 becomes 8/3, and
+        # 17 becomes 8 rather than no step at all
+        _, grid = generate_simulation(seed=0, grid_step=step)
+        assert np.array_equal(np.unique(grid.features[:, 0]), axis)
+        assert np.array_equal(np.unique(grid.features[:, 1]), axis)
+        assert grid.n_rows == len(axis) ** 2
+
     def test_outliers_within_range(self):
         train, _ = generate_simulation(seed=5)
         outliers = train.features[100:110]
@@ -118,6 +131,24 @@ class TestCsvRoundTrip:
         path.write_text("f1,label,trial\n1.0,1,1\n")
         with pytest.raises(DataFormatError, match="header"):
             load_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file (missing header)"),
+            (
+                "f1,f3,label,trial,participant\n",
+                "feature columns must be f1,f2, got ['f1', 'f3']",
+            ),
+            ("f1,label,trial,participant\n1.0,1,1,1\n2.0,1,1\n", "row 3 has 3 cells, expected 4"),
+        ],
+    )
+    def test_malformed_file_named_with_its_fault(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == f"{path}: {message}"
 
     def test_empty_data_section(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -44,6 +44,15 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             log_marginal_density([0.0], p)
 
+    def test_quadrature_dimension_mismatch(self):
+        p = StudentParams(mu=[0.0, 0.0], sigma=np.eye(2), nu=4.0)
+        with pytest.raises(ValueError, match="^x has dim 3, params have dim 2$"):
+            quadrature_marginal_density([0.0, 0.0, 0.0], p)
+
+    def test_mu_and_sigma_dims_must_agree(self):
+        with pytest.raises(ValueError, match="^mu has dim 2 but sigma is 3x3$"):
+            StudentParams(mu=[0.0, 0.0], sigma=np.eye(3), nu=4.0)
+
     def test_non_pd_sigma_rejected(self):
         with pytest.raises(Exception):
             StudentParams(mu=[0.0, 0.0], sigma=[[1.0, 2.0], [2.0, 1.0]], nu=1.0)

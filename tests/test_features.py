@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from scalemix.features import (
-    FilterCoeffs,
     SignalBlock,
     butter2_coeffs,
     butterworth2_lowpass,
@@ -40,6 +39,18 @@ class TestSignalBlock:
         with pytest.raises(ValueError, match="matrix"):
             SignalBlock(samples=[], fs=1000.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_sample_rejected(self, value):
+        samples = np.zeros((10, 2))
+        samples[4, 1] = value
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            SignalBlock(samples, fs=100.0)
+
+    @pytest.mark.parametrize("labels", [np.ones(9, int), np.ones((10, 1), int)])
+    def test_labels_must_align_with_samples(self, labels):
+        with pytest.raises(ValueError, match="^labels must align with samples$"):
+            SignalBlock(np.zeros((10, 2)), fs=100.0, labels=labels)
+
     @pytest.mark.parametrize("fs", [math.inf, math.nan, 0.0])
     def test_rate_must_be_positive_and_finite(self, fs):
         with pytest.raises(ValueError, match="sampling rate"):
@@ -65,12 +76,13 @@ class TestRectify:
 class TestFilterDesign:
     def test_dc_gain_exactly_one(self):
         for fc, fs in ((2.0, 2000.0), (10.0, 1000.0), (0.5, 64.0)):
-            c = butter2_coeffs(fc, fs)
-            assert sum(c.b) / sum(c.a) == pytest.approx(1.0, abs=1e-12)
+            b, a = butter2_coeffs(fc, fs)
+            assert len(b) == len(a) == 3 and a[0] == 1.0
+            assert sum(b) / sum(a) == pytest.approx(1.0, abs=1e-12)
 
     def test_poles_inside_unit_circle(self):
-        c = butter2_coeffs(2.0, 2000.0)
-        assert np.all(np.abs(np.roots(c.a)) < 1.0)
+        _, a = butter2_coeffs(2.0, 2000.0)
+        assert np.all(np.abs(np.roots(a)) < 1.0)
 
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
@@ -78,9 +90,12 @@ class TestFilterDesign:
         with pytest.raises(ValueError):
             butter2_coeffs(60.0, 100.0)
 
-    def test_unstable_coeffs_rejected(self):
-        with pytest.raises(ValueError):
-            FilterCoeffs(b=(2.0, 0.0, 0.0), a=(1.0, -2.0, 2.0))
+    def test_near_nyquist_cutoff_rejected_as_unstable(self):
+        # two ulps below fs/2, the rounded taps put a pole outside the unit circle
+        fc = 499.9999999999999
+        assert fc == math.nextafter(math.nextafter(500.0, 0.0), 0.0)
+        with pytest.raises(ValueError, match="unstable filter, pole magnitudes"):
+            butter2_coeffs(fc, 1000.0)
 
 
 class TestFilterResponse:
@@ -170,6 +185,17 @@ class TestMavWindow:
         block = SignalBlock(np.zeros((100, 1)), fs=100.0, labels=np.ones(100, int))
         with pytest.raises(ValueError, match="step"):
             mav_window(block, window_ms=400.0, step_ms=step_ms)
+
+    def test_window_below_one_sample_rejected(self):
+        # at 100 Hz a 4 ms window rounds to 0 samples
+        block = SignalBlock(np.zeros((100, 1)), fs=100.0, labels=np.ones(100, int))
+        with pytest.raises(ValueError, match="^window of 4.0 ms spans no samples at fs=100.0$"):
+            mav_window(block, window_ms=4.0, step_ms=100.0)
+
+    def test_labels_required(self):
+        block = SignalBlock(np.zeros((100, 1)), fs=100.0)
+        with pytest.raises(ValueError, match="^mav_window needs per-sample labels$"):
+            mav_window(block, window_ms=400.0, step_ms=100.0)
 
     def test_window_longer_than_signal(self):
         block = SignalBlock(np.zeros((10, 1)), fs=100.0, labels=np.ones(10, int))

@@ -45,6 +45,17 @@ class TestPriorValidation:
         with pytest.raises(ValueError):
             PriorHyperparameters(0.1, 1.0, [0.0], [[1.0]], 1.5, 5.0, k_init=0)
 
+    @pytest.mark.parametrize(
+        "m0, w0, message",
+        [
+            ([0.0, 0.0], np.eye(3), "W0 shape (3, 3) does not match m0 dim 2"),
+            ([[0.0, 0.0]], np.eye(2), "expected a 1-d array, got shape (1, 2)"),
+        ],
+    )
+    def test_prior_shapes_checked(self, m0, w0, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PriorHyperparameters(0.1, 1.0, m0, w0, 3.5, 5.0)
+
     @pytest.mark.parametrize("nu", [0.0, float("nan"), float("inf")])
     def test_nu_fixed_must_be_positive_and_finite(self, nu):
         with pytest.raises(ValueError, match="nu_fixed must be positive and finite"):
@@ -84,6 +95,18 @@ class TestPriorValidation:
         post = Posteriors(**columns)
         with pytest.raises(ValueError, match=f"^component 1 of class 3: {re.escape(message)}$"):
             ClassModel(3, post, nu, (0.0,), 0)
+
+    @pytest.mark.parametrize(
+        "k, w, message",
+        [
+            (0, np.zeros((0, 2, 2)), "class 3 has no components"),
+            (2, np.ones((2, 3, 3)), "class 3: W has shape (2, 3, 3), expected (2, 2, 2)"),
+        ],
+    )
+    def test_class_model_shapes_checked(self, k, w, message):
+        post = Posteriors(np.ones(k), np.ones(k), np.zeros((k, 2)), w, np.full(k, 4.0))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ClassModel(3, post, np.full(k, 5.0), (0.0,), 0)
 
     def test_class_model_copies_and_freezes_its_arrays(self):
         post = Posteriors(
@@ -147,6 +170,12 @@ class TestPriorValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             classifier_from_dict(payload)
 
+    def test_class_log_prior_must_have_one_entry_per_class(self):
+        cm = one_component_class(2.0, 1.0, [0.0], [[1.0]], 3.0, 5.0)
+        prior = PriorHyperparameters(0.1, 1.0, [0.0], [[1.0]], 1.5, 5.0)
+        with pytest.raises(ValueError, match="^class_log_prior length does not match class count$"):
+            TrainedClassifier((cm,), np.log([0.5, 0.5]), prior)
+
     def test_classifier_checks_prior_normalization(self):
         cm = one_component_class(2.0, 1.0, [0.0], [[1.0]], 3.0, 5.0)
         prior = PriorHyperparameters(0.1, 1.0, [0.0], [[1.0]], 1.5, 5.0)
@@ -183,6 +212,11 @@ class TestBuildDefaultPrior:
         ds = tiny_dataset([[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
         prior = build_default_prior(ds, nu_fixed=5.0)
         assert np.all(np.isfinite(prior.W0))
+
+    def test_one_row_has_an_identity_scale(self):
+        prior = build_default_prior(tiny_dataset([[1.5, -2.0, 4.0]]), nu_fixed=5.0)
+        assert prior.m0.tolist() == [1.5, -2.0, 4.0]
+        assert np.array_equal(prior.W0, np.eye(3))
 
     def test_empty_dataset_rejected(self):
         ds = tiny_dataset(np.empty((0, 2)), labels=np.empty(0, dtype=int))

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,12 @@ def spd_stack(rng, k, d):
 
 class TestAsPsd:
     """An exactly symmetric input is copied; any other is checked and averaged."""
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 3, 2)])
+    def test_non_square_input_rejected(self, shape):
+        message = f"expected a square matrix or a stack of them, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            as_psd(np.ones(shape))
 
     def test_exactly_symmetric_stack_is_copied(self, rng):
         m = spd_stack(rng, 4, 3)

@@ -28,6 +28,9 @@ from scalemix.vb import (
 from conftest import two_blob_dataset
 
 
+EPS = np.finfo(float).eps
+
+
 def simple_prior(d=1, alpha0=0.4, beta0=1.3, eta0=None, nu=3.0, k_init=2):
     return PriorHyperparameters(
         alpha0=alpha0,
@@ -296,6 +299,28 @@ class TestExpandedStatistics:
         assert np.array_equal(both.xc[1], data.features[data.labels == 2])
         assert batches[1].shift.any()
         assert_fits_agree(got, alone)
+
+    @pytest.mark.parametrize(
+        "w0, sign",
+        [
+            # both factorise; their computed smallest eigenvalues are exactly
+            # 0 and about -4.7e-16, where the bound once divided by zero or
+            # came out negative and let the batch take the expanded path
+            ([[2.0, 2.0], [2.0, 2.0 + EPS]], 0.0),
+            (np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) + 2 * EPS * np.eye(3), -1.0),
+        ],
+    )
+    def test_a_prior_scale_without_a_positive_eigenvalue_sends_the_batch_two_pass(self, w0, sign):
+        d = len(w0)
+        prior = replace(simple_prior(d=d), W0=w0)
+        assert np.sign(np.linalg.eigvalsh(prior.W0)[0]) == sign
+        rows = np.random.default_rng(0).standard_normal((10, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = vb.ClassBatch.pad([rows, rows[:6]], [1, 2], prior)
+            loss = vb._expansion_loss(rows[None], np.array([10]), rows.mean(axis=0)[None], prior)
+        assert batch.two_pass and batch.xx.size == 0
+        assert loss.tolist() == [math.inf]
 
 
 class TestEStep:
@@ -726,6 +751,11 @@ class TestPrune:
 
 
 class TestFit:
+    def test_dataset_without_rows_rejected(self):
+        data = FeatureDataset(np.empty((0, 2)), [], [], [])
+        with pytest.raises(ValueError, match="^training data has no rows$"):
+            fit(data, simple_prior(d=2), VbConfig(seed=0))
+
     def test_elbo_traces_non_decreasing(self):
         data = two_blob_dataset(seed=11, n_per_class=250)
         prior = build_default_prior(data, nu_fixed=5.0, k_init=3)
