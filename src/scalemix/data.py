@@ -18,10 +18,10 @@ row by row, and the first bad cell is reported by physical line number and
 column name.
 
 Rows are written by one rule, ``format_rows``, ``BLOCK_ROWS`` rows at a
-time. ``map_in_workers`` runs independent jobs, in process or in forked
-worker processes, one per usable CPU, and yields their results in job
-order: ``predict`` parses, classifies and formats each slice of its input
-there, and ``evaluate`` runs its trial combinations.
+time; ``predict`` echoes its input rows instead. ``map_in_workers`` runs
+independent jobs, in process or in forked workers, one per usable CPU, and
+yields their results in job order: ``predict`` classifies each slice of
+its input there, and ``evaluate`` runs its trial combinations.
 """
 
 import itertools
@@ -47,9 +47,8 @@ __all__ = [
 ]
 
 # rows per slice of CSV input, per formatting call and per whitening block
-# of batch prediction; the text of one slice and the floats of its
-# tolist() stay small, which also keeps a worker's reply through the pipe
-# from leaving large buffers behind in the caller
+# of batch prediction; a slice's text and predict's output for it stay
+# small, so a worker's reply through the pipe leaves no large buffers behind
 BLOCK_ROWS = 1024
 
 _ID_COLUMNS = ("label", "trial", "participant")

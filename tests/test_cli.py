@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import scalemix
+from scalemix import data as _data
 from scalemix.cli import (
     EXIT_DATA,
     EXIT_NO_CONVERGENCE,
@@ -22,6 +23,10 @@ from scalemix.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_WORKER,
+    _GRID_MAX_SIDE,
+    _GRID_MIN_STEP,
+    _RANGES,
+    _predict_slice,
     _report_text,
     _subcommands,
     _write_table,
@@ -33,11 +38,12 @@ from scalemix.data import (
     DataFormatError,
     FeatureDataset,
     format_rows,
+    load_csv,
     save_csv,
 )
 from scalemix.model import load_model
 from scalemix.numerics import NotPositiveDefiniteError
-from scalemix.predict import predict_batch
+from scalemix.predict import predict_batch, prepare
 from scalemix.vb import NumericalFailure
 
 from conftest import two_blob_dataset
@@ -59,18 +65,18 @@ def write_protocol_csv(path, seed=5, participants=(1, 2), trials=4, n=20, spread
     return ds
 
 
-def _raise_on_short_slice(*blocks):
-    """``format_rows``, except that the short slice ending an input raises."""
-    if blocks[0].shape[0] < BLOCK_ROWS:
-        raise RuntimeError("formatter failed")
-    return format_rows(*blocks)
+def _raise_on_short_slice(classifier, points):
+    """``predict_batch``, except that the short slice ending an input raises."""
+    if points.shape[0] < BLOCK_ROWS:
+        raise RuntimeError("prediction failed")
+    return predict_batch(classifier, points)
 
 
-def _exit_on_short_slice(*blocks):
-    """``format_rows``, except that the short slice ending an input ends the process."""
-    if blocks[0].shape[0] < BLOCK_ROWS:
+def _exit_on_short_slice(classifier, points):
+    """``predict_batch``, except that the short slice ending an input ends the process."""
+    if points.shape[0] < BLOCK_ROWS:
         os._exit(1)
-    return format_rows(*blocks)
+    return predict_batch(classifier, points)
 
 
 @pytest.fixture
@@ -610,26 +616,26 @@ class TestPredict:
 
     # only a forked worker can die: in one process the exit would end the caller
     @pytest.mark.parametrize(
-        "formatter, workers",
+        "predictor, workers",
         [(_raise_on_short_slice, 1), (_raise_on_short_slice, 2), (_exit_on_short_slice, 2)],
     )
     def test_worker_failure_leaves_earlier_output(
-        self, tmp_path, train_csv, monkeypatch, capsys, formatter, workers
+        self, tmp_path, train_csv, monkeypatch, capsys, predictor, workers
     ):
         model = self.make_model(tmp_path, train_csv)
         path = self.three_chunk_input(tmp_path)
         monkeypatch.setattr("scalemix.data._usable_cpus", lambda: workers)
-        monkeypatch.setattr("scalemix.cli.format_rows", formatter)
+        monkeypatch.setattr("scalemix.cli.predict_batch", predictor)
         kept = tmp_path / "kept"
         kept.mkdir()
         (kept / "predictions.csv").write_bytes(b"earlier output\n")
         argv = ["predict", "--model", str(model), "--data", str(path), "--out-dir", str(kept)]
-        if formatter is _exit_on_short_slice:
+        if predictor is _exit_on_short_slice:
             assert main(argv) == EXIT_WORKER
             assert "worker failure:" in capsys.readouterr().err
         else:
             # the job's own exception arrives as itself, in a worker as in process
-            with pytest.raises(RuntimeError, match="^formatter failed$"):
+            with pytest.raises(RuntimeError, match="^prediction failed$"):
                 main(argv)
         assert (kept / "predictions.csv").read_bytes() == b"earlier output\n"
         assert sorted(p.name for p in kept.iterdir()) == ["predictions.csv"]
@@ -692,6 +698,124 @@ class TestPredict:
         )
         assert list(out.glob("*")) == []  # no predictions.csv, no temporary file
         assert multiprocessing.active_children() == []
+
+    def echo_input(self, tmp_path, unscorable_line=None):
+        """Three slices of CRLF lines, with no newline after the last.
+
+        The first slice holds non-canonical cells and blank lines, blank
+        lines lie about its end, and a non-ASCII cell that
+        Python's ``float`` reads sends the last slice down the per-row
+        parse. ``unscorable_line``, when given, is the physical line whose
+        first cell becomes ``1e200``. Returns the path and the lines.
+        """
+        n = 2 * BLOCK_ROWS + 6
+        rng = np.random.default_rng(21)
+        rows = [
+            f"{f1!r},{f2!r},{label},{trial},1"
+            for (f1, f2), label, trial in zip(
+                (rng.standard_normal((n, 2)) * 3.0 + 2.0).tolist(),
+                rng.integers(1, 3, n).tolist(),
+                rng.integers(1, 5, n).tolist(),
+            )
+        ]
+        rows[0] = "1.50, 2,1,+3,1"
+        rows[1] = "1E0,-0.0,+2, 4,1"
+        rows[2] = " 2,+3.0,1,1,+1"
+        rows[-3] = "\u0663.\u0665,1,2,1,1"  # Arabic-Indic digits: 3.5
+        # blanks inside the first slice, and about the end of its last row
+        for at, blank in [(BLOCK_ROWS, ""), (BLOCK_ROWS - 1, "  "), (5, ""), (3, "\t")]:
+            rows.insert(at, blank)
+        lines = ["f1,f2,label,trial,participant", *rows]
+        if unscorable_line is not None:
+            lines[unscorable_line - 1] = "1e200," + lines[unscorable_line - 1].split(",", 1)[1]
+        path = tmp_path / "echo.csv"
+        path.write_bytes("\r\n".join(lines).encode("utf-8"))
+        return path, lines
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_echo_their_input_text(self, tmp_path, train_csv, monkeypatch, workers):
+        monkeypatch.setattr("scalemix.data._usable_cpus", lambda: workers)
+        model = self.make_model(tmp_path, train_csv)
+        path, lines = self.echo_input(tmp_path)
+        with open(path, encoding="utf-8") as fh:
+            next(fh)
+            slices = [chunk for chunk, _ in _data._line_slices(fh)]
+        # a blank line among the lines that top up the first slice, one opening the second
+        assert len(slices) == 3 and slices[0][-2].isspace() and slices[1][0].isspace()
+        assert not slices[2][-1].endswith("\n")
+        out = tmp_path / "pred"
+        argv = ["predict", "--model", str(model), "--data", str(path), "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        assert multiprocessing.active_children() == []
+
+        text = (out / "predictions.csv").read_text(encoding="utf-8")
+        assert "\r" not in text and text.endswith("\n")
+        written = text.splitlines()[1:]
+        given = [line for line in lines[1:] if line.strip()]
+        assert len(written) == len(given)
+        data = load_csv(path)
+        log_post, labels = predict_batch(load_model(model), data.features)
+        tails = format_rows(labels[:, None], log_post).splitlines()
+        for row, line, tail in zip(written, given, tails):
+            assert row == f"{line},{tail}"
+        # the echoed cells read back to the values load_csv reads, bit for bit
+        cells = [row.split(",") for row in written]
+        feats = np.array([[float(c) for c in r[:2]] for r in cells])
+        ids = np.array([[int(c) for c in r[2:5]] for r in cells])
+        assert feats.tobytes() == data.features.tobytes()
+        assert np.array_equal(ids, np.column_stack([data.labels, data.trials, data.participants]))
+        assert written[0].startswith("1.50, 2,1,+3,1,")
+
+    # a blank line in the first slice; a row in the slice parsed row by row
+    @pytest.mark.parametrize("lineno", [7, 2 * BLOCK_ROWS + 6])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unscorable_row_among_echoed_rows_names_its_line(
+        self, tmp_path, train_csv, capsys, monkeypatch, workers, lineno
+    ):
+        monkeypatch.setattr("scalemix.data._usable_cpus", lambda: workers)
+        model = self.make_model(tmp_path, train_csv)
+        capsys.readouterr()
+        path, lines = self.echo_input(tmp_path, unscorable_line=lineno)
+        assert "\u0663" in "".join(lines[2 * BLOCK_ROWS + 1 :])
+        out = tmp_path / "pred"
+        argv = ["predict", "--model", str(model), "--data", str(path), "--out-dir", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {path}: row {lineno}: a feature is too large to score\n"
+        )
+        assert list(out.glob("*")) == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_echo_of_canonical_rows_is_format_rows_of_their_values(
+        self, tmp_path, train_csv, seed
+    ):
+        # the rows save_csv writes are format_rows text, so echoing them
+        # gives the bytes that formatting their parsed values would
+        model = self.make_model(tmp_path, train_csv)
+        prepared = prepare(load_model(model))
+        rng = np.random.default_rng(seed)
+        n = BLOCK_ROWS + 300
+        # full 53-bit mantissas over exponents from subnormal to 2**330
+        feats = np.ldexp(rng.uniform(-1.0, 1.0, (n, 2)), rng.integers(-1074, 331, (n, 2)))
+        feats[:6] = [[-0.0, 5e-324], [1e16, -1e16], [0.1, 1e-310], [-5e-324, 0.0],
+                     [2.0**-1022, -(2.0**-1023)], [1e-05, 123456789.0]]
+        top = np.iinfo(np.int64).max
+        ids = np.column_stack([
+            rng.integers(1, top, n, endpoint=True),
+            rng.integers(-top - 1, top, n, endpoint=True),
+            rng.integers(-top - 1, top, n, endpoint=True),
+        ])
+        ids[:3] = [[top, top, -top - 1], [1, 0, top], [top, -1, 1]]
+        path = tmp_path / "canonical.csv"
+        save_csv(FeatureDataset(feats, *ids.T), path)
+        with open(path, encoding="utf-8") as fh:
+            names = _data._read_header(fh, path, 2)
+            for lines, lineno in _data._line_slices(fh):
+                parsed, parsed_ids = _data._parse_chunk(lines, lineno, path, names)
+                log_post, labels = predict_batch(prepared, parsed)
+                expected = format_rows(parsed, np.column_stack([parsed_ids, labels]), log_post)
+                assert _predict_slice(lines, lineno, path, names, prepared) == expected
 
 
 class TestEvaluate:
@@ -1541,7 +1665,17 @@ class TestUsage:
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(
         "flag, value",
-        [("--seed", "-1"), ("--grid-step", "0"), ("--grid-step", "-0.5"), ("--grid-step", "nan")],
+        [
+            ("--seed", "-1"),
+            ("--grid-step", "0"),
+            ("--grid-step", "-0.5"),
+            ("--grid-step", "nan"),
+            ("--grid-step", "inf"),
+            # 8 / 1e-320 overflows to an infinite number of grid steps
+            ("--grid-step", "1e-320"),
+            # the largest double below the smallest step, 0.008
+            ("--grid-step", "0.007999999999999998"),
+        ],
     )
     def test_simulate_out_of_range_value_is_usage_error_before_creating_output(
         self, tmp_path, capsys, flag, value, source
@@ -1558,6 +1692,13 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and flag in err
         assert not out.exists()
+
+    def test_smallest_grid_step_gives_the_largest_grid(self):
+        ok, _ = _RANGES["grid_step"]
+        assert ok(0.05) and ok(_GRID_MIN_STEP) and _GRID_MIN_STEP == 0.008
+        assert not ok(np.nextafter(_GRID_MIN_STEP, 0.0))
+        # generate_simulation's point count a side at the smallest accepted step
+        assert round(8 / _GRID_MIN_STEP) + 1 == _GRID_MAX_SIDE
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command", ["train", "evaluate"])
