@@ -7,6 +7,13 @@ byte-reproducibility). Each setting is declared once, in
 ``key = value`` lines, keyed by the subcommand's own flag names, replaces
 those defaults; flags on the command line win over it.
 
+Importing this module before numpy sets ``OPENBLAS_NUM_THREADS=1`` unless
+one of ``_BLAS_THREAD_VARS`` is already set, so each process runs one BLAS
+thread and its outputs do not depend on the CPU count. An explicit value
+above 1 may move the last bits of a fit on a large class; a BLAS that
+ignores the variable (Accelerate, or MKL without ``MKL_NUM_THREADS``) keeps
+its own threads. A program that loaded numpy first keeps its own setting.
+
 Exit codes: 0 success, 1 worker process failure, 2 usage error, 3 data
 error, 4 numeric failure, 5 non-convergence.
 """
@@ -20,6 +27,19 @@ import warnings
 from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
+
+# the forked workers of `evaluate` and `predict` give the parallelism, and a
+# BLAS that splits a product over threads rounds it differently on each CPU
+# count; BLAS reads these as it loads, so this acts only before numpy does
+_BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+if "numpy" not in sys.modules and not any(os.environ.get(v) for v in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

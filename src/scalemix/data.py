@@ -222,7 +222,11 @@ def map_in_workers(fn, jobs):
     worker has exited once this generator finishes, raises or is closed.
 
     A forked worker calls ``fn`` with the parent's modules as they were at
-    the fork, patched attributes included. ``fn`` may call BLAS: the test
+    the fork, patched attributes included, and with the parent's BLAS thread
+    count: one under the CLI with no BLAS thread variable set, so results do
+    not depend on the CPU count. An explicit value above 1, or a BLAS that
+    ignores the variable (Accelerate, or MKL without ``MKL_NUM_THREADS``),
+    may move the last bits on large classes. The test
     ``test_blas_threads_survive_the_fork`` runs a pool after the parent has
     started OpenBLAS's threads.
     """

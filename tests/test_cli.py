@@ -23,6 +23,7 @@ from scalemix.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_WORKER,
+    _BLAS_THREAD_VARS,
     _GRID_MAX_SIDE,
     _GRID_MIN_STEP,
     _RANGES,
@@ -1191,8 +1192,10 @@ class TestEvaluate:
         assert multiprocessing.active_children() == []
 
     def test_blas_threads_survive_the_fork(self, tmp_path):
-        # the workers train, so they call BLAS; here the parent has just run
-        # a product large enough to set OpenBLAS's threads to work
+        # a program that embeds the package: numpy loads before scalemix.cli,
+        # so the CLI's one BLAS thread cannot apply, and the parent has just
+        # run a product large enough to set OpenBLAS's threads to work; the
+        # workers train, so they call BLAS after the fork
         data_path = tmp_path / "proto.csv"
         write_protocol_csv(data_path, trials=3)
         argv = ["evaluate", "--data", str(data_path), "--select-nu", "--out-dir", str(tmp_path)]
@@ -1731,3 +1734,73 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and named in err
         assert not out.exists()
+
+
+class TestBlasThreads:
+    """Fresh interpreters, with no BLAS thread variable set unless a test sets one."""
+
+    @staticmethod
+    def run(argv, preexec_fn=None, **env):
+        src = str(Path(scalemix.__file__).resolve().parents[1])
+        clean = {k: v for k, v in os.environ.items() if not k.endswith("_THREADS")}
+        return subprocess.run(
+            [sys.executable, *argv], capture_output=True, text=True, check=True, timeout=120,
+            env=dict(clean, PYTHONPATH=src, **env), preexec_fn=preexec_fn,
+        ).stdout.strip()
+
+    def test_package_import_loads_no_numpy(self):
+        assert self.run(["-c", "import sys, scalemix; print('numpy' in sys.modules)"]) == "False"
+
+    def test_cli_import_runs_one_thread(self):
+        # threads are counted where Linux lists them and the BLAS is OpenBLAS
+        probe = (
+            "import os, sys, scalemix.cli, numpy\n"
+            "blas = numpy.__config__.CONFIG['Build Dependencies']['blas']['name']\n"
+            "counted = sys.platform == 'linux' and 'openblas' in blas\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'],"
+            " len(os.listdir('/proc/self/task')) if counted else 1)\n"
+        )
+        assert self.run(["-c", probe]) == "1 1"
+
+    @pytest.mark.parametrize("name", ["OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"])
+    def test_explicit_thread_variable_wins(self, name):
+        probe = (
+            "import json, os, scalemix.cli\n"
+            "print(json.dumps({v: os.environ.get(v) for v in scalemix.cli._BLAS_THREAD_VARS}))\n"
+        )
+        shown = json.loads(self.run(["-c", probe], **{name: "2"}))
+        assert shown == {v: "2" if v == name else None for v in _BLAS_THREAD_VARS}
+
+    def test_program_that_loaded_numpy_first_keeps_its_environment(self):
+        # the variable could no longer reach BLAS, only the program's own children
+        probe = "import os, numpy, scalemix.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        assert self.run(["-c", probe]) == "None"
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two usable CPUs",
+    )
+    def test_train_writes_the_same_model_on_one_cpu_and_on_all(self, tmp_path):
+        # 1563 rows a class is the smallest at which OpenBLAS 0.3.31, given two
+        # threads, splits m_step's (10 x n) @ (n x 64) product zeta' xx so that it
+        # rounds differently from one thread (first over 1e6 multiply-adds)
+        rng = np.random.default_rng(0)
+        n, d = 1563, 8
+        rows = rng.standard_normal((2 * n, d)) / np.sqrt(rng.chisquare(5, (2 * n, 1)) / 5)
+        rows[n:] += 6.0
+        labels = [1] * n + [2] * n
+        data = tmp_path / "big.csv"
+        save_csv(FeatureDataset(rows, labels, [1] * (2 * n), [1] * (2 * n)), data)
+        cpus = os.sched_getaffinity(0)
+        models = []
+        for name, allowed in (("one", {min(cpus)}), ("all", cpus)):
+            model = tmp_path / f"{name}.json"
+            self.run(
+                [
+                    "-m", "scalemix.cli", "train", "--data", str(data), "--model-out",
+                    str(model), "--nu", "5", "--k-init", "10",
+                ],
+                preexec_fn=lambda allowed=allowed: os.sched_setaffinity(0, allowed),
+            )
+            models.append(model.read_bytes())
+        assert models[0] == models[1]

@@ -1,9 +1,7 @@
 """The package's public names: every exported name resolves where it is listed."""
 
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
 
 import pytest
 
@@ -15,14 +13,8 @@ MODULES = sorted(
 
 
 def reexports():
-    """``(module, name)`` for each ``from .module import name`` in ``scalemix/__init__.py``."""
-    tree = ast.parse(Path(scalemix.__file__).read_text(encoding="utf-8"))
-    return [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
+    """``(module, name)`` for each name the package loads from a submodule on first use."""
+    return [(module, name) for name, module in scalemix._EXPORTS.items()]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -45,3 +37,12 @@ def test_package_names_are_listed_by_their_modules():
     ]
     assert stale == []
     assert [name for _, name in names if not hasattr(scalemix, name)] == []
+
+
+def test_package_lists_every_name():
+    names = {name for _, name in reexports()}
+    assert sorted(scalemix.__all__) == sorted(names)
+    assert names <= set(dir(scalemix))
+    star = {}
+    exec("from scalemix import *", star)
+    assert names <= set(star)
