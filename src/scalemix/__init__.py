@@ -9,81 +9,38 @@ plug-in posterior predictive. A feature pipeline (rectification, low-pass
 smoothing, windowed mean absolute value), dataset utilities, evaluation
 metrics, and a command-line interface round out the package.
 
-The names below load their submodule, and with it numpy, on first use, so
-``import scalemix`` alone imports neither; this lets :mod:`scalemix.cli`
-choose the BLAS thread count before numpy is loaded.
+The public names are those the submodules list in ``__all__``. A name
+loads, on first use, the submodules in ``_SUBMODULES`` order up to the
+first that lists it, and with them numpy, so ``import scalemix`` alone
+imports neither; this lets :mod:`scalemix.cli` choose the BLAS thread
+count before numpy is loaded.
 """
 
 import importlib
 
-# public name -> the submodule that defines it
-_EXPORTS = {
-    **dict.fromkeys(
-        (
-            "DataFormatError", "FeatureDataset", "generate_simulation", "load_csv",
-            "save_csv", "split_by_trials", "subsample",
-        ),
-        "data",
-    ),
-    **dict.fromkeys(
-        (
-            "QuadratureError", "StudentParams", "log_marginal_density",
-            "quadrature_marginal_density",
-        ),
-        "density",
-    ),
-    **dict.fromkeys(
-        (
-            "SignalBlock", "butter2_coeffs", "butterworth2_lowpass", "mav_window",
-            "pipeline_rect_smooth", "rectify",
-        ),
-        "features",
-    ),
-    **dict.fromkeys(
-        ("accuracy", "confusion_matrix", "precision_recall", "probability_of_superiority"),
-        "metrics",
-    ),
-    **dict.fromkeys(
-        (
-            "ClassModel", "Posteriors", "PriorHyperparameters", "TrainedClassifier",
-            "build_default_prior", "classifier_from_dict", "classifier_to_dict",
-            "load_model", "save_model",
-        ),
-        "model",
-    ),
-    **dict.fromkeys(
-        (
-            "NuSearchConfig", "conditional_entropy", "default_nu_grid", "select_nu",
-            "stratified_folds",
-        ),
-        "nu_select",
-    ),
-    **dict.fromkeys(
-        (
-            "CholeskyFactor", "NotPositiveDefiniteError", "cholesky", "log_det",
-            "mahalanobis_sq_batch",
-        ),
-        "numerics",
-    ),
-    **dict.fromkeys(("predict_batch", "prepare", "sample"), "predict"),
-    **dict.fromkeys(
-        (
-            "NumericalFailure", "VbConfig", "e_step", "elbo", "fit", "fit_ml_nu", "m_step",
-            "prune",
-        ),
-        "vb",
-    ),
-}
+# searched in this order for a public name; the first five load no scipy
+_SUBMODULES = (
+    "data", "features", "metrics", "numerics", "model", "density", "predict", "vb", "nu_select",
+)
 
-__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
 
 
+def _modules():
+    """The submodules in search order, each imported when reached."""
+    return (importlib.import_module(f".{module}", __name__) for module in _SUBMODULES)
+
+
 def __getattr__(name):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name == "__all__":
+        return [public for module in _modules() for public in module.__all__]
+    # a module name is left to the import system, which loads that module alone
+    if name not in _SUBMODULES and name != "cli":
+        for module in _modules():
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__getattr__("__all__")))

@@ -445,13 +445,13 @@ def _predict_slice(lines, first_lineno, path, names, prepared):
     then its ``pred_label`` and log posteriors. The first slice runs in the
     main process, the others through :func:`map_in_workers`.
     """
-    feats, _ = _data._parse_chunk(lines, first_lineno, path, names)
+    feats, _, kept = _data._parse_chunk(lines, first_lineno, path, names)
     try:
         log_post, labels = predict_batch(prepared, feats)
     except UnscorableRowError as exc:
         lineno = _data._row_lineno(lines, first_lineno, exc.row)
         raise DataFormatError(f"{path}: row {lineno}: a feature is too large to score") from None
-    rows = (line.rstrip("\n") for line in lines if not line.isspace())
+    rows = (line.rstrip("\n") for line in kept)
     posts = (",".join(map(repr, post)) for post in log_post.tolist())
     return "".join(f"{r},{c},{p}\n" for r, c, p in zip(rows, labels.tolist(), posts))
 
@@ -512,6 +512,9 @@ def cmd_evaluate(args):
     # before any fit and before anything is created
     trials_train = {}
     for pid in participants:
+        if pid < 0:
+            # the id seeds the participant's combinations, as a SeedSequence entry
+            raise DataFormatError(f"participant {pid}: a participant id must be non-negative")
         t_count = np.unique(data.trials[data.participants == pid]).size
         s = args.trials_train if args.trials_train is not None else max(1, t_count // 3)
         if not 0 < s < t_count:

@@ -35,15 +35,11 @@ import numpy as np
 __all__ = [
     "DataFormatError",
     "FeatureDataset",
-    "WorkerError",
-    "format_rows",
     "generate_simulation",
     "load_csv",
-    "map_in_workers",
     "save_csv",
     "split_by_trials",
     "subsample",
-    "write_rows",
 ]
 
 # rows per slice of CSV input, per formatting call and per whitening block
@@ -352,7 +348,10 @@ def _parse_rows(lines, first_lineno, path, names):
 
 
 def _parse_chunk(lines, first_lineno, path, names):
-    """Features and id columns of one slice: numpy first, per row on doubt."""
+    """``(features, ids, rows)`` of one slice, ``rows`` its non-blank lines.
+
+    Parsed by numpy first, per row on doubt.
+    """
     rows = [ln for ln in lines if not ln.isspace()]
     text = "".join(rows)
     if rows and text.isascii() and not text.encode("ascii").translate(None, _PLAIN_ASCII):
@@ -369,8 +368,8 @@ def _parse_chunk(lines, first_lineno, path, names):
                 and np.isfinite(table["f"]).all()
                 and (table["ids"][:, 0] >= 1).all()
             ):
-                return np.ascontiguousarray(table["f"]), np.ascontiguousarray(table["ids"])
-    return _parse_rows(lines, first_lineno, path, names)
+                return np.ascontiguousarray(table["f"]), np.ascontiguousarray(table["ids"]), rows
+    return *_parse_rows(lines, first_lineno, path, names), rows
 
 
 def _line_slices(fh):
@@ -415,7 +414,7 @@ def load_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
         names = _read_header(fh, path)
         parsed = [
-            _parse_chunk(lines, lineno, path, names)
+            _parse_chunk(lines, lineno, path, names)[:2]
             for lines, lineno in _line_slices(fh)
         ]
     feats, ids = (np.concatenate(cols) for cols in zip(*parsed))

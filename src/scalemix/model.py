@@ -343,7 +343,7 @@ def classifier_from_dict(payload):
     :class:`ClassModel` or an ``alpha_hat`` more than 1e-10 relative from
     the sum of the class's alpha.
     """
-    version = _fields(payload, "model", format_version=None)["format_version"]
+    version = _fields(payload, "model", format_version=int)["format_version"]
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
     top = _fields(

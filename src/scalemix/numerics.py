@@ -34,7 +34,6 @@ import numpy as np
 __all__ = [
     "NotPositiveDefiniteError",
     "CholeskyFactor",
-    "as_psd",
     "cholesky",
     "log_det",
     "mahalanobis_sq_batch",

@@ -36,9 +36,6 @@ from .density import log_t_kernel
 from .numerics import cholesky, log_det, mahalanobis_sq_batch
 
 __all__ = [
-    "PreparedClassifier",
-    "UnscorableRowError",
-    "log_posteriors_over_nu",
     "predict_batch",
     "prepare",
     "sample",

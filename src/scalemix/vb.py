@@ -89,18 +89,12 @@ from .numerics import NotPositiveDefiniteError, cholesky, log_det, mahalanobis_s
 
 __all__ = [
     "VbConfig",
-    "ClassBatch",
-    "ComponentCache",
-    "PriorTerms",
     "NumericalFailure",
-    "component_cache",
-    "prior_terms",
     "e_step",
     "m_step",
     "elbo",
     "prune",
     "fit",
-    "fit_each",
     "fit_ml_nu",
 ]
 
@@ -613,7 +607,8 @@ def _fit_lockstep(blocks, class_ids, seeds, prior, config, sink=None):
     batch = ClassBatch.pad(blocks, class_ids, prior)
     nu = prior.nu_fixed
     terms = prior_terms(prior)
-    k0 = np.minimum(prior.k_init, batch.n_rows)
+    # in Python, so a k_init past int64 cannot overflow
+    k0 = np.array([min(prior.k_init, n) for n in batch.n_rows.tolist()])
     r, b = _init_latent(batch, k0, prior, seeds)
     post = m_step(batch, r, b, prior)
     cache = component_cache(batch, post, np.arange(r.shape[2]) < k0[:, None])

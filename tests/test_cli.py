@@ -186,6 +186,20 @@ class TestTrain:
         for cm in payload["classes"]:
             assert len(cm["components"]) <= 3
 
+    def test_k_init_past_int64_starts_one_component_per_row(self, tmp_path, train_csv):
+        model = tmp_path / "model.json"
+        argv = [
+            "train", "--data", str(train_csv), "--model-out", str(model), "--nu", "5",
+            "--k-init", str(10**20),
+        ]
+        assert main(argv) == EXIT_OK
+        payload = json.loads(model.read_text())
+        assert payload["prior"]["k_init"] == 10**20
+        labels = load_csv(train_csv).labels
+        for cm in payload["classes"]:
+            rows = int((labels == cm["class_id"]).sum())
+            assert cm["n_pruned"] == rows - len(cm["components"])
+
     def test_select_nu_reports_grid_member(self, tmp_path, train_csv, capsys):
         model = tmp_path / "model.json"
         code = main(
@@ -813,7 +827,7 @@ class TestPredict:
         with open(path, encoding="utf-8") as fh:
             names = _data._read_header(fh, path, 2)
             for lines, lineno in _data._line_slices(fh):
-                parsed, parsed_ids = _data._parse_chunk(lines, lineno, path, names)
+                parsed, parsed_ids, _ = _data._parse_chunk(lines, lineno, path, names)
                 log_post, labels = predict_batch(prepared, parsed)
                 expected = format_rows(parsed, np.column_stack([parsed_ids, labels]), log_post)
                 assert _predict_slice(lines, lineno, path, names, prepared) == expected
@@ -1016,6 +1030,29 @@ class TestEvaluate:
         assert code == EXIT_DATA
         assert "participant 2: cannot train on 2 of 2 trials" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_participant_is_named_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        data_path = tmp_path / "proto.csv"
+        write_protocol_csv(data_path, participants=(1, -3, -2), trials=3)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before every participant was checked")
+
+        monkeypatch.setattr("scalemix.cli.fit", no_fit)
+        out = tmp_path / "ev"
+        code = main(["evaluate", "--data", str(data_path), "--nu", "5", "--out-dir", str(out)])
+        assert code == EXIT_DATA
+        assert "participant -3: a participant id must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_k_init_past_int64_evaluates(self, tmp_path):
+        data_path = tmp_path / "proto.csv"
+        write_protocol_csv(data_path, participants=(1,), trials=3, n=10)
+        argv = [
+            "evaluate", "--data", str(data_path), "--nu", "5", "--out-dir", str(tmp_path / "ev"),
+            "--k-init", str(10**20),
+        ]
+        assert main(argv) == EXIT_OK
 
     def test_missing_class_on_a_training_side_fails_before_any_fit(
         self, tmp_path, capsys, monkeypatch

@@ -296,6 +296,9 @@ class TestPersistence:
         "payload, message",
         [
             ({"format_version": 1}, "model has no 'dim' field"),
+            ({"format_version": True}, "model: 'format_version' is not a JSON integer"),
+            ({"format_version": 1.0}, "model: 'format_version' is not a JSON integer"),
+            ({"format_version": "1"}, "model: 'format_version' is not a JSON integer"),
             ([], "model must be a JSON object, got list"),
         ],
     )
