@@ -184,15 +184,13 @@ def _write_boundary_csv(path, grid, post, labels):
         write_rows(fh, grid.features, post, labels[:, None])
 
 
-def _heat_color(p):
-    # diverging blue (class 2) -> white -> red (class 1)
-    if p >= 0.5:
-        w = (p - 0.5) * 2.0
-        r, g, b = 255, int(255 - 175 * w), int(255 - 175 * w)
-    else:
-        w = (0.5 - p) * 2.0
-        r, g, b = int(255 - 175 * w), int(255 - 175 * w), 255
-    return f"rgb({r},{g},{b})"
+def _heat_colors(post1):
+    """SVG fill per class-1 posterior: diverging blue (class 2) -> white -> red (class 1)."""
+    shades = (255 - 175 * (np.abs(post1 - 0.5) * 2.0)).astype(int).tolist()
+    return [
+        f"rgb(255,{v},{v})" if red else f"rgb({v},{v},255)"
+        for v, red in zip(shades, (post1 >= 0.5).tolist())
+    ]
 
 
 # side of one grid cell of an SVG heatmap, in pixels
@@ -200,23 +198,22 @@ _SVG_CELL_PX = 4
 
 
 def _write_svg_heatmap(path, grid, post1):
-    xs = np.unique(grid.features[:, 0])
-    n = xs.shape[0]
+    # point i of generate_simulation's n x n grid is column i // n and row i % n
+    n = math.isqrt(grid.n_rows)
     size = n * _SVG_CELL_PX
+    cols, rows = np.divmod(np.arange(grid.n_rows), n)
+    xs = (cols * _SVG_CELL_PX).tolist()
+    ys = (size - (rows + 1) * _SVG_CELL_PX).tolist()
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">'
-    ]
-    for i in range(grid.n_rows):
-        col = int(round((grid.features[i, 0] - xs[0]) / (xs[1] - xs[0]))) if n > 1 else 0
-        row = int(round((grid.features[i, 1] - xs[0]) / (xs[1] - xs[0]))) if n > 1 else 0
-        x = col * _SVG_CELL_PX
-        y = size - (row + 1) * _SVG_CELL_PX
-        lines.append(
+        f'viewBox="0 0 {size} {size}">',
+        *(
             f'<rect x="{x}" y="{y}" width="{_SVG_CELL_PX}" height="{_SVG_CELL_PX}" '
-            f'fill="{_heat_color(float(post1[i]))}"/>'
-        )
-    lines.append("</svg>")
+            f'fill="{fill}"/>'
+            for x, y, fill in zip(xs, ys, _heat_colors(post1))
+        ),
+        "</svg>",
+    ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -260,7 +257,7 @@ def _search_config(args):
     if not args.select_nu:
         return None
     try:
-        grid = _parse_nu_grid(args.nu_grid) if args.nu_grid else None
+        grid = _parse_nu_grid(args.nu_grid) if args.nu_grid is not None else None
         return NuSearchConfig(folds=args.folds, nu_pre=args.nu_pre, grid=grid)
     except ValueError as exc:
         raise UsageError(f"invalid selection settings: {exc}") from None
@@ -270,7 +267,10 @@ def _row_error(path, row, problem):
     """A ``DataFormatError`` naming data row ``row`` (from 0) of ``path`` by its line."""
     with open(path, encoding="utf-8") as fh:
         next(fh)  # the header
-        return DataFormatError(f"{path}: row {_data._row_lineno(fh, 2, row)}: {problem}")
+        for rows, linenos in _data._line_slices(fh):
+            if row < len(rows):
+                return DataFormatError(f"{path}: row {linenos[row]}: {problem}")
+            row -= len(rows)
 
 
 def _load_training_csv(path):
@@ -349,28 +349,27 @@ def cmd_predict(args):
     with open(args.data, encoding="utf-8") as fh:
         names = _data._read_header(fh, args.data, prepared.dim)
         jobs = (
-            (lines, lineno, args.data, names, prepared)
-            for lines, lineno in _data._line_slices(fh)
+            (rows, linenos, args.data, names, prepared)
+            for rows, linenos in _data._line_slices(fh)
         )
-        # the header and the first slice are checked before anything is created
-        first = _predict_slice(*next(jobs))
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        # rows go to a temporary file that replaces predictions.csv only once
-        # every row is written, so a bad row or a failed worker leaves no
-        # partial output
-        partial = out / f".predictions.csv.{os.getpid()}.tmp"
-        try:
-            # closing: a failed write must not leave a pool to the garbage collector
-            with open(partial, "w", encoding="utf-8") as dest, closing(
-                map_in_workers(_predict_slice, jobs)
-            ) as texts:
-                dest.write(",".join(header) + "\n" + first)
-                for text in texts:
-                    dest.write(text)
-            os.replace(partial, out / "predictions.csv")
-        finally:
-            partial.unlink(missing_ok=True)
+        # closing: a failed write must not leave a pool to the garbage collector
+        with closing(map_in_workers(_predict_slice, jobs)) as texts:
+            # the header and the first slice are checked before anything is created
+            first = next(texts)
+            out = Path(args.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            # rows go to a temporary file that replaces predictions.csv only
+            # once every row is written, so a bad row or a failed worker
+            # leaves no partial output
+            partial = out / f".predictions.csv.{os.getpid()}.tmp"
+            try:
+                with open(partial, "w", encoding="utf-8") as dest:
+                    dest.write(",".join(header) + "\n" + first)
+                    for text in texts:
+                        dest.write(text)
+                os.replace(partial, out / "predictions.csv")
+            finally:
+                partial.unlink(missing_ok=True)
     return EXIT_OK
 
 
@@ -437,23 +436,25 @@ def _run_combination(train_part, test_features, test_rows, args, seed, search):
     return pred, tune_s, train_s, time.perf_counter() - start
 
 
-def _predict_slice(lines, first_lineno, path, names, prepared):
-    """``predict``'s output rows for one slice of input lines, as text.
+def _predict_slice(rows, linenos, path, names, prepared):
+    """``predict``'s output rows for one slice of input rows, as text.
 
-    ``lines`` are the physical lines of ``path`` from ``first_lineno``, with
-    feature columns ``names``; each row is echoed as given, less its newline,
-    then its ``pred_label`` and log posteriors. The first slice runs in the
-    main process, the others through :func:`map_in_workers`.
+    ``rows`` are data rows of ``path`` on physical lines ``linenos``, as
+    :func:`~scalemix.data._line_slices` gives them, with feature columns
+    ``names``; each is echoed as given, less its newline, then its
+    ``pred_label`` and log posteriors. Every slice runs through
+    :func:`map_in_workers`.
     """
-    feats, _, kept = _data._parse_chunk(lines, first_lineno, path, names)
+    feats, _ = _data._parse_chunk(rows, linenos, path, names)
     try:
         log_post, labels = predict_batch(prepared, feats)
     except UnscorableRowError as exc:
-        lineno = _data._row_lineno(lines, first_lineno, exc.row)
-        raise DataFormatError(f"{path}: row {lineno}: a feature is too large to score") from None
-    rows = (line.rstrip("\n") for line in kept)
+        raise DataFormatError(
+            f"{path}: row {linenos[exc.row]}: a feature is too large to score"
+        ) from None
+    echoed = (row.rstrip("\n") for row in rows)
     posts = (",".join(map(repr, post)) for post in log_post.tolist())
-    return "".join(f"{r},{c},{p}\n" for r, c, p in zip(rows, labels.tolist(), posts))
+    return "".join(f"{r},{c},{p}\n" for r, c, p in zip(echoed, labels.tolist(), posts))
 
 
 def _combinations(data, trials_train, args, search):

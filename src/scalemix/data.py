@@ -7,9 +7,10 @@ label, a trial id, and a participant id. The CSV form uses the header
 semantics (up to 17 significant digits) so a save/load round trip is
 bit-exact.
 
-Files are read in slices of ``BLOCK_ROWS`` data rows (blank lines are
-skipped and do not count): ``load_csv`` parses every slice and keeps the
-whole dataset, ``predict`` classifies and writes each slice as it goes.
+Files are read in slices of ``BLOCK_ROWS`` data rows by ``_line_slices``,
+the one reader that drops blank lines and numbers each row by its physical
+line: ``load_csv`` parses every slice and keeps the whole dataset,
+``predict`` classifies and writes each slice as it goes.
 numpy parses each slice of printable ASCII text: there it accepts no
 cell that Python's ``float`` and ``int`` reject, and reads the same values.
 When a slice holds any other character, when numpy fails on it, or when it
@@ -20,7 +21,7 @@ column name.
 Rows are written by one rule, ``format_rows``, ``BLOCK_ROWS`` rows at a
 time; ``predict`` echoes its input rows instead. ``map_in_workers`` runs
 independent jobs, in process or in forked workers, one per usable CPU, and
-yields their results in job order: ``predict`` classifies each slice of
+yields their results in job order: ``predict`` classifies every slice of
 its input there, and ``evaluate`` runs its trial combinations.
 """
 
@@ -211,7 +212,8 @@ def map_in_workers(fn, jobs):
     than two of them, every job runs here, one at a time. Otherwise that
     many workers are forked; later jobs are taken from ``jobs`` as results
     are collected, at most two per worker in flight, and each result is
-    yielded in the order of its job. An exception that ``jobs`` or ``fn``
+    yielded in the order of its job, so a caller can check the first
+    result before it creates anything. An exception that ``jobs`` or ``fn``
     raises is raised here as itself; of the workers' exceptions, the one
     of the earliest job in that order. A worker that dies raises
     ``WorkerError``. Either way the pending jobs are cancelled, and every
@@ -297,19 +299,16 @@ def _read_header(fh, path, dim=None):
     return header[:d]
 
 
-def _parse_rows(lines, first_lineno, path, names):
-    """Per-row parse of physical lines numbered from ``first_lineno``.
+def _parse_rows(rows, linenos, path, names):
+    """Per-row parse of data ``rows``, on physical lines ``linenos``.
 
-    Blank lines are skipped. The first malformed cell raises a
-    ``DataFormatError`` naming its row (physical line) and column.
+    The first malformed cell raises a ``DataFormatError`` naming its row
+    (physical line) and column.
     """
     d = len(names)
-    feats = np.empty((len(lines), d))
-    ids = np.empty((len(lines), 3), dtype=np.int64)
-    row = 0
-    for lineno, line in enumerate(lines, start=first_lineno):
-        if line.isspace():
-            continue
+    feats = np.empty((len(rows), d))
+    ids = np.empty((len(rows), 3), dtype=np.int64)
+    for row, (lineno, line) in enumerate(zip(linenos, rows)):
         cells = line.rstrip("\n").split(",")
         if len(cells) != d + 3:
             raise DataFormatError(
@@ -343,16 +342,14 @@ def _parse_rows(lines, first_lineno, path, names):
                 raise DataFormatError(
                     f"{path}: row {lineno}, column {name}: not a positive integer ({cell!r})"
                 )
-        row += 1
-    return feats[:row], ids[:row]
+    return feats, ids
 
 
-def _parse_chunk(lines, first_lineno, path, names):
-    """``(features, ids, rows)`` of one slice, ``rows`` its non-blank lines.
+def _parse_chunk(rows, linenos, path, names):
+    """``(features, ids)`` of one slice's data ``rows``, on physical lines ``linenos``.
 
     Parsed by numpy first, per row on doubt.
     """
-    rows = [ln for ln in lines if not ln.isspace()]
     text = "".join(rows)
     if rows and text.isascii() and not text.encode("ascii").translate(None, _PLAIN_ASCII):
         try:
@@ -368,15 +365,17 @@ def _parse_chunk(lines, first_lineno, path, names):
                 and np.isfinite(table["f"]).all()
                 and (table["ids"][:, 0] >= 1).all()
             ):
-                return np.ascontiguousarray(table["f"]), np.ascontiguousarray(table["ids"]), rows
-    return *_parse_rows(lines, first_lineno, path, names), rows
+                return np.ascontiguousarray(table["f"]), np.ascontiguousarray(table["ids"])
+    return _parse_rows(rows, linenos, path, names)
 
 
 def _line_slices(fh):
-    """``(lines, first line number)`` of consecutive slices of ``fh``'s lines.
+    """``(rows, linenos)`` of consecutive slices of ``fh``'s data rows.
 
-    ``fh`` is past its header, at line 2. Each slice holds ``BLOCK_ROWS``
-    data rows (blank lines are kept but not counted), except the last,
+    ``fh`` is past its header, at line 2. ``rows`` are a slice's data rows
+    as read, blank and whitespace-only lines dropped, and ``linenos`` their
+    physical line numbers: a ``range`` when the slice held no blank line, a
+    list otherwise. Each slice holds ``BLOCK_ROWS`` rows, except the last,
     which holds fewer (possibly none), so there is always at least one.
     """
     lineno = 2
@@ -384,25 +383,20 @@ def _line_slices(fh):
         lines = list(itertools.islice(fh, BLOCK_ROWS))
         short = len(lines) < BLOCK_ROWS
         blank = sum(map(str.isspace, lines))
-        # top up past blank lines so every slice but the last is full
-        while blank and not short:
-            more = list(itertools.islice(fh, blank))
-            lines += more
-            short = len(more) < blank
-            blank = sum(map(str.isspace, more))
-        yield lines, lineno
+        if not blank:
+            yield lines, range(lineno, lineno + len(lines))
+        else:
+            # top up past blank lines so every slice but the last is full
+            while blank and not short:
+                more = list(itertools.islice(fh, blank))
+                lines += more
+                short = len(more) < blank
+                blank = sum(map(str.isspace, more))
+            kept = [i for i, line in enumerate(lines) if not line.isspace()]
+            yield [lines[i] for i in kept], [lineno + i for i in kept]
         if short:
             return
         lineno += len(lines)
-
-
-def _row_lineno(lines, first_lineno, row):
-    """Line number of data row ``row`` (from 0) of ``lines``, numbered from ``first_lineno``.
-
-    Blank lines hold no row.
-    """
-    rows = (n for n, line in enumerate(lines, first_lineno) if not line.isspace())
-    return next(itertools.islice(rows, row, None))
 
 
 def load_csv(path):
@@ -414,8 +408,7 @@ def load_csv(path):
     with open(path, "r", encoding="utf-8") as fh:
         names = _read_header(fh, path)
         parsed = [
-            _parse_chunk(lines, lineno, path, names)[:2]
-            for lines, lineno in _line_slices(fh)
+            _parse_chunk(rows, linenos, path, names) for rows, linenos in _line_slices(fh)
         ]
     feats, ids = (np.concatenate(cols) for cols in zip(*parsed))
     return FeatureDataset(

@@ -202,7 +202,9 @@ def predict_batch(classifier, points):
                 joint[i, lo:hi] = mix.log_density_d2(d2, mix.terms)
         _normalise(joint, prepared.class_log_prior)
     _check_finite(joint)
-    labels = prepared.class_ids[np.argmax(joint, axis=0)]
+    # argmax takes the first of tied rows, so they are read in class id order
+    order = np.argsort(prepared.class_ids, kind="stable")
+    labels = prepared.class_ids[order][np.argmax(joint[order], axis=0)]
     return np.ascontiguousarray(joint.T), labels
 
 

@@ -30,6 +30,7 @@ from scalemix.cli import (
     _predict_slice,
     _report_text,
     _subcommands,
+    _write_svg_heatmap,
     _write_table,
     build_parser,
     main,
@@ -39,6 +40,7 @@ from scalemix.data import (
     DataFormatError,
     FeatureDataset,
     format_rows,
+    generate_simulation,
     load_csv,
     save_csv,
 )
@@ -122,6 +124,36 @@ class TestSimulate:
         )
         svg = (out / "heatmap_shared_nu.svg").read_text()
         assert svg.startswith("<svg") and "<rect" in svg
+
+    @pytest.mark.parametrize("grid_step", [0.05, 0.3, 0.5, 3, 8])
+    def test_svg_cells_follow_the_per_point_rule(self, tmp_path, grid_step):
+        _, grid = generate_simulation(grid_step=grid_step)
+        rng = np.random.default_rng(4)
+        post1 = rng.uniform(0.0, 1.0, grid.n_rows)
+        post1[:4] = [0.5, 0.0, 1.0, np.nextafter(0.5, 0.0)]
+        # each point placed by its coordinates, and coloured by its own branch
+        xs = np.unique(grid.features[:, 0])
+        n, px = xs.shape[0], 4
+        lines = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{n * px}" height="{n * px}" '
+            f'viewBox="0 0 {n * px} {n * px}">'
+        ]
+        for (x1, x2), p in zip(grid.features.tolist(), post1.tolist()):
+            col = int(round((x1 - xs[0]) / (xs[1] - xs[0])))
+            row = int(round((x2 - xs[0]) / (xs[1] - xs[0])))
+            if p >= 0.5:
+                v = int(255 - 175 * ((p - 0.5) * 2.0))
+                fill = f"rgb(255,{v},{v})"
+            else:
+                v = int(255 - 175 * ((0.5 - p) * 2.0))
+                fill = f"rgb({v},{v},255)"
+            lines.append(
+                f'<rect x="{col * px}" y="{n * px - (row + 1) * px}" width="{px}" '
+                f'height="{px}" fill="{fill}"/>'
+            )
+        path = tmp_path / "heat.svg"
+        _write_svg_heatmap(path, grid, post1)
+        assert path.read_text() == "\n".join(lines + ["</svg>"]) + "\n"
 
     def test_deterministic_across_runs_and_threads(self, tmp_path):
         outs = []
@@ -754,10 +786,13 @@ class TestPredict:
         path, lines = self.echo_input(tmp_path)
         with open(path, encoding="utf-8") as fh:
             next(fh)
-            slices = [chunk for chunk, _ in _data._line_slices(fh)]
+            slices = list(_data._line_slices(fh))
         # a blank line among the lines that top up the first slice, one opening the second
-        assert len(slices) == 3 and slices[0][-2].isspace() and slices[1][0].isspace()
-        assert not slices[2][-1].endswith("\n")
+        assert [len(rows) for rows, _ in slices] == [BLOCK_ROWS, BLOCK_ROWS, 6]
+        assert lines[BLOCK_ROWS + 2].strip() == lines[BLOCK_ROWS + 4].strip() == ""
+        assert slices[0][1][-2:] == [BLOCK_ROWS + 2, BLOCK_ROWS + 4]
+        assert slices[1][1][0] == BLOCK_ROWS + 6
+        assert not slices[2][0][-1].endswith("\n")
         out = tmp_path / "pred"
         argv = ["predict", "--model", str(model), "--data", str(path), "--out-dir", str(out)]
         assert main(argv) == EXIT_OK
@@ -801,6 +836,50 @@ class TestPredict:
         assert list(out.glob("*")) == []
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blank_lines_leave_the_predictions_unchanged(
+        self, tmp_path, train_csv, monkeypatch, workers
+    ):
+        monkeypatch.setattr("scalemix.data._usable_cpus", lambda: workers)
+        model = self.make_model(tmp_path, train_csv)
+        rng = np.random.default_rng(3)
+        n = 2 * BLOCK_ROWS + 10
+        feats = rng.standard_normal((n, 2)) * 3.0 + 2.0
+        ones = np.ones(n, dtype=int)
+        plain = tmp_path / "plain.csv"
+        save_csv(FeatureDataset(feats, rng.integers(1, 3, n), ones, ones), plain)
+        lines = plain.read_text().splitlines(keepends=True)
+        # before data rows 1 and 4 in the first slice, among the lines that
+        # top it up, at the first slice boundary and before the last row
+        for row in sorted([0, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, n - 1])[::-1]:
+            lines.insert(row + 1, "\n" if row % 2 else " \t \n")
+        blank = tmp_path / "blank.csv"
+        blank.write_text("".join(lines) + "  ")
+        outputs = []
+        for path in (plain, blank):
+            out = tmp_path / path.stem
+            argv = ["predict", "--model", str(model), "--data", str(path), "--out-dir", str(out)]
+            assert main(argv) == EXIT_OK
+            outputs.append((out / "predictions.csv").read_bytes())
+        assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == n + 1
+        assert multiprocessing.active_children() == []
+
+    def test_tied_rows_take_the_lowest_class_id_in_the_model_column_order(
+        self, tmp_path, train_csv
+    ):
+        model = self.make_model(tmp_path, train_csv)
+        doc = json.loads(model.read_text())
+        # two identical classes, the higher id listed first: every row ties
+        doc["classes"] = [dict(doc["classes"][0], class_id=cid) for cid in (3, 1)]
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "pred"
+        argv = ["predict", "--model", str(model), "--data", str(train_csv), "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        header, *rows = (out / "predictions.csv").read_text().splitlines()
+        assert header.endswith(",pred_label,log_posterior_3,log_posterior_1")
+        cells = [row.split(",") for row in rows]
+        assert len(cells) == 160 and all(c[-3] == "1" and c[-2] == c[-1] for c in cells)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_echo_of_canonical_rows_is_format_rows_of_their_values(
         self, tmp_path, train_csv, seed
@@ -826,11 +905,11 @@ class TestPredict:
         save_csv(FeatureDataset(feats, *ids.T), path)
         with open(path, encoding="utf-8") as fh:
             names = _data._read_header(fh, path, 2)
-            for lines, lineno in _data._line_slices(fh):
-                parsed, parsed_ids, _ = _data._parse_chunk(lines, lineno, path, names)
+            for rows, linenos in _data._line_slices(fh):
+                parsed, parsed_ids = _data._parse_chunk(rows, linenos, path, names)
                 log_post, labels = predict_batch(prepared, parsed)
                 expected = format_rows(parsed, np.column_stack([parsed_ids, labels]), log_post)
-                assert _predict_slice(lines, lineno, path, names, prepared) == expected
+                assert _predict_slice(rows, linenos, path, names, prepared) == expected
 
 
 class TestEvaluate:
@@ -1749,6 +1828,8 @@ class TestUsage:
             ("--nu-pre", "0", "nu_pre"),
             ("--nu-grid", "abc", "nu_grid"),
             ("--nu-grid", "5,1", "grid"),
+            # an empty grid, not the default one
+            ("--nu-grid", "", "grid must be nonempty"),
         ],
     )
     def test_bad_selection_setting_is_usage_error_before_reading_data(

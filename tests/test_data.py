@@ -189,29 +189,61 @@ class TestChunkedCsv:
         assert np.array_equal(ds.participants, back.participants)
 
     @staticmethod
-    def slice_rows(path):
-        """``(data rows, first line number)`` of each ``BLOCK_ROWS`` slice past the header."""
+    def slices(path):
+        """``(rows, linenos)`` of each ``BLOCK_ROWS`` slice past the header."""
         with open(path, encoding="utf-8") as fh:
             fh.readline()
-            return [
-                (sum(not line.isspace() for line in lines), lineno)
-                for lines, lineno in _line_slices(fh)
-            ]
+            return list(_line_slices(fh))
 
     def test_slices_hold_full_row_blocks_despite_blank_lines(self, tmp_path, rng):
         ds = self.dataset(rng, 2 * BLOCK_ROWS + 5, d=1)
         path = tmp_path / "long.csv"
         save_csv(ds, path)
-        self.with_blank_lines(path, [3, 10, BLOCK_ROWS + 1, BLOCK_ROWS + 9])
+        blanks = [3, 10, BLOCK_ROWS + 1, BLOCK_ROWS + 9]
+        self.with_blank_lines(path, blanks)
         # three blank lines in the first slice and one in the second
-        assert self.slice_rows(path) == [
-            (BLOCK_ROWS, 2), (BLOCK_ROWS, BLOCK_ROWS + 5), (5, 2 * BLOCK_ROWS + 6)
+        slices = self.slices(path)
+        assert [len(rows) for rows, _ in slices] == [BLOCK_ROWS, BLOCK_ROWS, 5]
+        starts = [2, BLOCK_ROWS + 5, 2 * BLOCK_ROWS + 6, 2 * BLOCK_ROWS + 11]
+        assert [list(linenos) for _, linenos in slices] == [
+            [n for n in range(lo, hi) if n not in blanks] for lo, hi in zip(starts, starts[1:])
         ]
+        lines = path.read_text().splitlines(keepends=True)
+        for rows, linenos in slices:
+            assert rows == [lines[n - 1] for n in linenos]
 
     def test_exact_multiple_ends_with_empty_slice(self, tmp_path, rng):
         path = tmp_path / "exact.csv"
         save_csv(self.dataset(rng, BLOCK_ROWS, d=1), path)
-        assert self.slice_rows(path) == [(BLOCK_ROWS, 2), (0, BLOCK_ROWS + 2)]
+        assert [(len(rows), linenos) for rows, linenos in self.slices(path)] == [
+            (BLOCK_ROWS, range(2, BLOCK_ROWS + 2)), (0, range(BLOCK_ROWS + 2, BLOCK_ROWS + 2))
+        ]
+
+    def test_slice_without_blank_lines_is_numbered_by_a_range(self, tmp_path, rng):
+        path = tmp_path / "long.csv"
+        save_csv(self.dataset(rng, 2 * BLOCK_ROWS + 5, d=1), path)
+        self.with_blank_lines(path, [BLOCK_ROWS + 9])
+        (_, first), (_, second), (_, last) = self.slices(path)
+        assert type(first) is range and first == range(2, BLOCK_ROWS + 2)
+        assert type(second) is list and BLOCK_ROWS + 9 not in second
+        assert type(last) is range and last == range(2 * BLOCK_ROWS + 3, 2 * BLOCK_ROWS + 8)
+
+    def test_blank_and_whitespace_lines_are_not_numbered(self, tmp_path, rng):
+        path = tmp_path / "blank.csv"
+        save_csv(self.dataset(rng, BLOCK_ROWS + 5, d=1), path)
+        # "\n" at odd lines, "  \t\n" at even ones; lines 2-1025 hold two,
+        # so line 1026 is read to top up the first slice, and is blank too
+        blanks = [5, 8, BLOCK_ROWS + 2]
+        self.with_blank_lines(path, blanks)
+        with open(path, "a") as fh:
+            fh.write(" \t ")  # whitespace with no newline ends the file
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[BLOCK_ROWS + 1] == "  \t\n" and lines[4] == "\n"
+        (rows, first), (last_rows, last) = self.slices(path)
+        assert first == [n for n in range(2, BLOCK_ROWS + 5) if n not in blanks]
+        assert last == list(range(BLOCK_ROWS + 5, BLOCK_ROWS + 10))
+        assert rows + last_rows == [lines[n - 1] for n in [*first, *last]]
+        assert not any(row.isspace() for row in rows + last_rows)
 
     # past the first slice, or in the first slice after its blank line, which
     # the per-row parse then skips
