@@ -75,12 +75,16 @@ class UsageError(Exception):
 
 
 def _read_config_file(path):
+    """The ``key = value`` lines of the file at ``path``, by key; ``#`` starts a comment.
+
+    A line ends only at a newline, as in iterating the opened file, so errors name physical lines.
+    """
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataFormatError(f"cannot read config file {path}: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -231,13 +235,10 @@ def cmd_simulate(args):
     shared_prior = build_default_prior(
         train, nu_fixed=args.nu, k_init=args.k_init, alpha0=args.alpha0
     )
-    gaussian_prior = build_default_prior(
-        train, nu_fixed=1e6, k_init=args.k_init, alpha0=args.alpha0
-    )
     runs = {
         "shared_nu": fit(train, shared_prior, vb_cfg),
         "ml_nu": fit_ml_nu(train, shared_prior, vb_cfg),
-        "gaussian": fit(train, gaussian_prior, vb_cfg),
+        "gaussian": fit(train, replace(shared_prior, nu_fixed=1e6), vb_cfg),
     }
     for name, classifier in runs.items():
         log_post, labels = predict_batch(classifier, grid.features)
@@ -341,13 +342,12 @@ def cmd_predict(args):
         raise UsageError("--model and --data are required")
     # a model that cannot predict fails here, before --data is read
     prepared = prepare(load_model(args.model))
-    header = (
-        [f"f{i + 1}" for i in range(prepared.dim)]
-        + ["label", "trial", "participant", "pred_label"]
-        + [f"log_posterior_{cid}" for cid in prepared.class_ids.tolist()]
-    )
     with open(args.data, encoding="utf-8") as fh:
         names = _data._read_header(fh, args.data, prepared.dim)
+        header = [
+            *names, *_data._ID_COLUMNS, "pred_label",
+            *(f"log_posterior_{cid}" for cid in prepared.class_ids.tolist()),
+        ]
         jobs = (
             (rows, linenos, args.data, names, prepared)
             for rows, linenos in _data._line_slices(fh)
@@ -376,20 +376,21 @@ def cmd_predict(args):
 def _load_baseline(path, participants):
     """Baseline accuracy per participant, checked line by line.
 
-    Blank lines are skipped, as in the data CSV. Every participant in
+    The header ``participant,accuracy`` is line 1. The rows after it are
+    read by :func:`~scalemix.data._line_slices`, so blank lines are skipped
+    and lines numbered as in the data CSV. Every participant in
     ``participants`` must have a row.
     """
-    lines = [
-        (lineno, line)
-        for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), start=1
-        )
-        if line.strip()
-    ]
-    if not lines or lines[0][1] != "participant,accuracy":
-        raise DataFormatError(f"{path}: expected header participant,accuracy")
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n") != "participant,accuracy":
+            raise DataFormatError(f"{path}: expected header participant,accuracy")
+        lines = [
+            (lineno, row.rstrip("\n"))
+            for rows, linenos in _data._line_slices(fh)
+            for lineno, row in zip(linenos, rows)
+        ]
     out = {}
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         cells = line.split(",")
         if len(cells) != 2:
             raise DataFormatError(f"{path}: line {lineno}: {len(cells)} cells, expected 2")
@@ -410,7 +411,7 @@ def _load_baseline(path, participants):
         if pid in out:
             raise DataFormatError(f"{path}: line {lineno}: participant {pid} is listed twice")
         out[pid] = acc
-    missing = [pid for pid in participants if pid not in out]
+    missing = sorted(set(participants) - out.keys())
     if missing:
         raise DataFormatError(f"{path}: baseline is missing participants {missing}")
     return out
@@ -457,23 +458,33 @@ def _predict_slice(rows, linenos, path, names, prepared):
     return "".join(f"{r},{c},{p}\n" for r, c, p in zip(echoed, labels.tolist(), posts))
 
 
-def _combinations(data, trials_train, args, search):
-    """The jobs of ``evaluate``, each checked before any fit.
+def _combinations(data, args, search):
+    """The jobs of ``evaluate``, each checked as it is planned, before any fit.
 
     Returns ``(combos, jobs)``: per combination, ``(pid, combo_idx,
     train_trials, n_train, test_labels)`` and the arguments of
     :func:`_run_combination`, in participant then combination order.
+    Each participant, in id order, needs a non-negative id and a split size
+    s (``--trials-train``, by default a third of its T trials, at least 1)
+    with 0 < s < T, checked before its combinations are planned.
     Every training side, after ``--subsample`` (which keeps at least one
     row of each class), must hold every class, and with ``--select-nu``
     at least ``--folds`` rows of each.
     """
     all_class_ids = data.class_ids
     combos, jobs = [], []
-    for pid in sorted(trials_train):
+    for pid in np.unique(data.participants).tolist():
+        if pid < 0:
+            # the id seeds the participant's combinations, as a SeedSequence entry
+            raise DataFormatError(f"participant {pid}: a participant id must be non-negative")
         rows = np.flatnonzero(data.participants == pid)
         part = data.subset(rows)
+        t_count = np.unique(part.trials).size
+        s = args.trials_train if args.trials_train is not None else max(1, t_count // 3)
+        if not 0 < s < t_count:
+            raise DataFormatError(f"participant {pid}: cannot train on {s} of {t_count} trials")
         for combo_idx, (train_trials, train_part, test_part) in enumerate(
-            split_by_trials(part, trials_train[pid])
+            split_by_trials(part, s)
         ):
             where = f"participant {pid} combination {combo_idx}"
             if train_part.class_ids != all_class_ids:
@@ -508,21 +519,9 @@ def cmd_evaluate(args):
     _check_ranges(args)
     search = _search_config(args)
     data = _load_training_csv(args.data)
-    participants = sorted(int(v) for v in np.unique(data.participants))
-    # the split sizes, the baseline and every training side are checked
-    # before any fit and before anything is created
-    trials_train = {}
-    for pid in participants:
-        if pid < 0:
-            # the id seeds the participant's combinations, as a SeedSequence entry
-            raise DataFormatError(f"participant {pid}: a participant id must be non-negative")
-        t_count = np.unique(data.trials[data.participants == pid]).size
-        s = args.trials_train if args.trials_train is not None else max(1, t_count // 3)
-        if not 0 < s < t_count:
-            raise DataFormatError(f"participant {pid}: cannot train on {s} of {t_count} trials")
-        trials_train[pid] = s
-    baseline = _load_baseline(args.baseline, participants) if args.baseline else None
-    combos, jobs = _combinations(data, trials_train, args, search)
+    # the plan and the baseline are checked before any fit or output
+    combos, jobs = _combinations(data, args, search)
+    baseline = _load_baseline(args.baseline, [c[0] for c in combos]) if args.baseline else None
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -536,8 +535,7 @@ def cmd_evaluate(args):
         acc = accuracy(pred, truth)
         per_participant.setdefault(pid, []).append(acc)
         combo_rows.append((pid, combo_idx, train_trials, n_train, truth.shape[0], acc))
-        n_test = max(truth.shape[0], 1)
-        timing_rows.append((pid, combo_idx, tune_s, train_s, predict_s * 1e6 / n_test))
+        timing_rows.append((pid, combo_idx, tune_s, train_s, predict_s * 1e6 / truth.shape[0]))
     participant_rows = [(pid, len(a), np.mean(a), np.std(a)) for pid, a in per_participant.items()]
     participant_means = np.array([row[2] for row in participant_rows])
 

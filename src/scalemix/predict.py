@@ -278,8 +278,6 @@ def sample(cm, n, seed):
     out = np.empty((n, cm.dim))
     for j in range(weights.shape[0]):
         rows = k == j
-        if not rows.any():
-            continue
         out[rows] = mix.means[j] + np.sqrt(u[rows])[:, None] * (
             z[rows] @ mix.factor.lower[j].T
         )

@@ -1031,9 +1031,11 @@ class TestEvaluate:
             ("1,0.5\nx,0.5\n", "line 3: participant is not an integer ('x')"),
             ("1,0.5\n2,0.5\n1,0.6\n", "line 4: participant 1 is listed twice"),
             ("1,0.5\n", "baseline is missing participants [2]"),
+            # one line: str.splitlines would also end a line at the record separator
+            ("1,0.5\x1e2,0.5\n", "line 2: 3 cells, expected 2"),
         ],
         ids=["not_a_number", "nan", "above_one", "cell_count", "participant", "duplicate",
-             "missing"],
+             "missing", "record_separator"],
     )
     def test_bad_baseline_fails_before_any_fit(self, tmp_path, capsys, monkeypatch, rows, message):
         import scalemix.cli as cli
@@ -1434,15 +1436,18 @@ class TestEvaluate:
 INPUTS = Path(__file__).resolve().parent.parent / "benchmarks" / "inputs.py"
 
 
+@pytest.mark.parametrize("line", [101, 1101])
 @pytest.mark.parametrize("command", ["train", "evaluate"])
-def test_feature_too_large_to_train_on_is_data_error(tmp_path, capsys, command):
-    # the benchmark's protocol input, seed 1, with one feature at 1e200: its
-    # covariance would overflow, so the prior could not be built
+def test_feature_too_large_to_train_on_is_data_error(tmp_path, capsys, command, line):
+    # the benchmark's protocol input, seed 1 (1200 rows), with one feature at
+    # 1e200 on physical line `line`: its covariance would overflow, so the
+    # prior could not be built; line 1101 lies in the second slice of rows
     make_protocol = runpy.run_path(str(INPUTS))["make_protocol"]
-    path = make_protocol(tmp_path, 1, 0, participants=2, trials=4, rows_per_class=40)["data"]
+    path = make_protocol(tmp_path, 1, 0, participants=2, trials=4, rows_per_class=50)["data"]
     lines = path.read_text().splitlines(keepends=True)
     lines.insert(5, "\n")  # physical line 6 is blank
-    lines[100] = "1e200," + lines[100].split(",", 1)[1]
+    lines.insert(1049, "\n")  # and so is line 1050
+    lines[line - 1] = "1e200," + lines[line - 1].split(",", 1)[1]
     path.write_text("".join(lines))
     out = tmp_path / "out"
     argv = {
@@ -1453,28 +1458,31 @@ def test_feature_too_large_to_train_on_is_data_error(tmp_path, capsys, command):
         warnings.simplefilter("error")
         assert main(argv) == EXIT_DATA
     assert capsys.readouterr().err == (
-        f"data error: {path}: row 101: a feature is too large to train on\n"
+        f"data error: {path}: row {line}: a feature is too large to train on\n"
     )
     assert not out.exists()
 
 
 @pytest.mark.parametrize("blank", [False, True])
 @pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, row", [(20, 95), (200, 1100)])
 def test_evaluate_names_the_line_of_a_test_row_too_large_to_score(
-    tmp_path, capsys, monkeypatch, workers, blank
+    tmp_path, capsys, monkeypatch, workers, blank, n, row
 ):
-    # 3 trials of 40 rows at the 1e-4 scale; row 95 (trial 3) is the 56th
-    # test row of the first combination, which trains on trial 1 alone
+    # 3 trials of 2n rows at the 1e-4 scale, where a feature of 1e152 is too
+    # large to score but not to train on; data row `row` lies in trial 3, so
+    # it is a test row of the first combination, which trains on trial 1
+    # alone; row 1100 lies in the second slice of rows
     monkeypatch.setattr("scalemix.data._usable_cpus", lambda: workers)
     rng = np.random.default_rng(0)
-    centres = np.tile(np.repeat([[0.0, 0.0], [4.0, 0.0]], 20, axis=0), (3, 1))
-    feats = 1e-4 * (rng.standard_normal((120, 2)) + centres)
-    labels, trials = np.tile(np.repeat([1, 2], 20), 3), np.repeat([1, 2, 3], 40)
+    centres = np.tile(np.repeat([[0.0, 0.0], [4.0, 0.0]], n, axis=0), (3, 1))
+    feats = 1e-4 * (rng.standard_normal((6 * n, 2)) + centres)
+    labels, trials = np.tile(np.repeat([1, 2], n), 3), np.repeat([1, 2, 3], 2 * n)
     path = tmp_path / "data.csv"
-    save_csv(FeatureDataset(feats, labels, trials, np.ones(120, int)), path)
+    save_csv(FeatureDataset(feats, labels, trials, np.ones(6 * n, int)), path)
     lines = path.read_text().splitlines(keepends=True)
-    cells = lines[96].split(",")
-    lines[96] = ",".join([cells[0], "1e150"] + cells[2:])  # f2 on line 97
+    cells = lines[row + 1].split(",")
+    lines[row + 1] = ",".join([cells[0], "1e152"] + cells[2:])  # f2 on line row + 2
     if blank:
         lines.insert(5, "\n")  # physical line 6 is blank
     path.write_text("".join(lines))
@@ -1483,12 +1491,52 @@ def test_evaluate_names_the_line_of_a_test_row_too_large_to_score(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv + ["--out-dir", str(out)]) == EXIT_DATA
-    lineno = 98 if blank else 97
+    lineno = row + 2 + blank
     assert capsys.readouterr().err == (
         f"data error: {path}: row {lineno}: a feature is too large to score\n"
     )
     assert list(out.iterdir()) == []
     assert multiprocessing.active_children() == []
+
+
+# the characters other than a newline at which str.splitlines ends a line
+LINE_BREAKS_BUT_NEWLINE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("reader", ["data", "config", "baseline"])
+@pytest.mark.parametrize("char", LINE_BREAKS_BUT_NEWLINE, ids=lambda c: f"U+{ord(c):04X}")
+def test_every_reader_ends_a_line_only_at_a_newline(tmp_path, capsys, reader, char):
+    # line 2 holds the character, line 3 is blank and line 4 holds the fault;
+    # float() and int() refuse \x1c-\x1e, so in a data row or a baseline row
+    # the character sits on a line of its own, which both read as blank
+    data_path, config, baseline = tmp_path / "data.csv", tmp_path / "a.cfg", tmp_path / "b.csv"
+    write_protocol_csv(data_path, trials=3)
+    out = tmp_path / "out"
+    argv = ["train", "--data", str(data_path), "--model-out", str(out / "m.json")]
+    if reader == "data":
+        header, *rows = data_path.read_text().splitlines(keepends=True)
+        fault_row = "abc," + rows[0].split(",", 1)[1]
+        data_path.write_text("".join([header, char + "\n", "\n", fault_row, *rows]))
+        argv += ["--nu", "5"]
+        fault, path, code = "abc", data_path, EXIT_DATA
+        message = "data error: {path}: row {line}, column f1: not a number ('abc')"
+    elif reader == "config":
+        config.write_text(f"# settings{char}\n\nnu = 5\nseed 3\n")
+        argv += ["--config", str(config)]
+        fault, path, code = "seed 3", config, EXIT_USAGE
+        message = "usage error: {path}:{line}: expected 'key = value', got 'seed 3'"
+    else:
+        baseline.write_text(f"participant,accuracy\n{char}\n\n1,abc\n2,0.5\n")
+        argv = ["evaluate", "--data", str(data_path), "--out-dir", str(out), "--nu", "5"]
+        argv += ["--baseline", str(baseline)]
+        fault, path, code = "abc", baseline, EXIT_DATA
+        message = "data error: {path}: line {line}: accuracy must be a number in [0, 1] ('abc')"
+    with open(path, encoding="utf-8") as fh:
+        line = next(n for n, text in enumerate(fh, start=1) if fault in text)
+    assert line == 4
+    assert main(argv) == code
+    assert capsys.readouterr().err == message.format(path=path, line=line) + "\n"
+    assert not out.exists()
 
 
 class TestTables:
@@ -1636,21 +1684,28 @@ def _failing_argv(command, tmp_path):
             EXIT_DATA,
             "data error: {bad_header}: expected header participant,accuracy",
         ),
+        (
+            "evaluate --data {proto} --out-dir {out} --nu 5 --baseline {late_header}",
+            EXIT_DATA,
+            "data error: {late_header}: expected header participant,accuracy",
+        ),
     ],
     ids=[
         "train-no-rows", "evaluate-no-rows", "train-no-model-out", "predict-no-data",
         "evaluate-no-data", "missing-config", "config-line-without-equals", "baseline-header",
+        "baseline-header-not-on-line-1",
     ],
 )
 def test_error_exit_code_and_message(tmp_path, capsys, argv, code, message):
     files = {
         name: tmp_path / name
-        for name in ("header", "proto", "missing", "no_equals", "bad_header", "out")
+        for name in ("header", "proto", "missing", "no_equals", "bad_header", "late_header", "out")
     }
     files["header"].write_text("f1,f2,label,trial,participant\n")
     write_protocol_csv(files["proto"], trials=3)
     files["no_equals"].write_text("# settings\nnu = 5\nseed 3\n")
     files["bad_header"].write_text("participant,acc\n1,0.5\n2,0.5\n")
+    files["late_header"].write_text("\nparticipant,accuracy\n1,0.5\n2,0.5\n")
     assert main([token.format(**files) for token in argv.split()]) == code
     assert message.format(**files) in capsys.readouterr().err
     assert not files["out"].exists()
