@@ -417,24 +417,27 @@ def _load_baseline(path, participants):
     return out
 
 
-def _run_combination(train_part, test_features, test_rows, args, seed, search):
-    """One combination of ``evaluate``: train, then label the test rows.
+def _run_combination(train_part, test_part, test_rows, args, seed, search):
+    """One combination of ``evaluate``: train, then label and score the test side.
 
-    ``test_rows`` holds the data row of ``args.data`` (from 0) of each test
-    row, which names a row that cannot be scored. Returns ``(pred, tune_s,
-    train_s, predict_s)``, the predicted labels and the seconds spent
-    tuning ν, training and predicting. It runs in a worker process when
-    the combinations are spread over several.
+    ``test_rows`` is an index array of the data row of ``args.data`` (from
+    0) of each test row, which names a row that cannot be scored. Returns
+    ``(conf, acc, tune_s, train_s, predict_s)``: the confusion matrix over
+    every class, the accuracy, and the seconds spent tuning ν, training
+    and predicting. It runs in a worker process when the combinations are
+    spread over several.
     """
     start = time.perf_counter()
     classifier, _, tune_s = _train_classifier(train_part, args, seed, search)
     train_s = time.perf_counter() - start - tune_s
     start = time.perf_counter()
     try:
-        _, pred = predict_batch(classifier, test_features)
+        _, pred = predict_batch(classifier, test_part.features)
     except UnscorableRowError as exc:
         raise _row_error(args.data, test_rows[exc.row], "a feature is too large to score") from None
-    return pred, tune_s, train_s, time.perf_counter() - start
+    predict_s = time.perf_counter() - start
+    conf = confusion_matrix(pred, test_part.labels, train_part.class_ids)
+    return conf, accuracy(pred, test_part.labels), tune_s, train_s, predict_s
 
 
 def _predict_slice(rows, linenos, path, names, prepared):
@@ -459,20 +462,20 @@ def _predict_slice(rows, linenos, path, names, prepared):
 
 
 def _combinations(data, args, search):
-    """The jobs of ``evaluate``, each checked as it is planned, before any fit.
+    """The combinations of ``evaluate``, each checked and built as it is reached.
 
-    Returns ``(combos, jobs)``: per combination, ``(pid, combo_idx,
-    train_trials, n_train, test_labels)`` and the arguments of
-    :func:`_run_combination`, in participant then combination order.
-    Each participant, in id order, needs a non-negative id and a split size
-    s (``--trials-train``, by default a third of its T trials, at least 1)
-    with 0 < s < T, checked before its combinations are planned.
-    Every training side, after ``--subsample`` (which keeps at least one
-    row of each class), must hold every class, and with ``--select-nu``
-    at least ``--folds`` rows of each.
+    Yields ``(record, job)`` in participant then combination order:
+    ``record`` is ``(pid, combo_idx, train_trials, n_train)`` and ``job``
+    the arguments of :func:`_run_combination`. Each participant, in id
+    order, needs a non-negative id and a split size s (``--trials-train``,
+    by default a third of its T trials, at least 1) with 0 < s < T,
+    checked before its combinations are reached. Every training side,
+    after ``--subsample`` (which keeps at least one row of each class),
+    must hold every class, and with ``--select-nu`` at least ``--folds``
+    rows of each. One pass checks the whole plan before any fit; a second
+    builds each job's sides only when the job is taken.
     """
     all_class_ids = data.class_ids
-    combos, jobs = [], []
     for pid in np.unique(data.participants).tolist():
         if pid < 0:
             # the id seeds the participant's combinations, as a SeedSequence entry
@@ -483,7 +486,7 @@ def _combinations(data, args, search):
         s = args.trials_train if args.trials_train is not None else max(1, t_count // 3)
         if not 0 < s < t_count:
             raise DataFormatError(f"participant {pid}: cannot train on {s} of {t_count} trials")
-        for combo_idx, (train_trials, train_part, test_part) in enumerate(
+        for combo_idx, (train_trials, train_part, test_part, test_at) in enumerate(
             split_by_trials(part, s)
         ):
             where = f"participant {pid} combination {combo_idx}"
@@ -504,13 +507,8 @@ def _combinations(data, args, search):
                         f"{where}: class {cid} has {counts.min()} training rows, "
                         f"fewer than {search.folds} folds"
                     )
-            combos.append(
-                (pid, combo_idx, ";".join(map(str, train_trials)), train_part.n_rows,
-                 test_part.labels)
-            )
-            test_rows = rows[~np.isin(part.trials, train_trials)].tolist()
-            jobs.append((train_part, test_part.features, test_rows, args, child_seed, search))
-    return combos, jobs
+            record = (pid, combo_idx, ";".join(map(str, train_trials)), train_part.n_rows)
+            yield record, (train_part, test_part, rows[test_at], args, child_seed, search)
 
 
 def cmd_evaluate(args):
@@ -520,29 +518,28 @@ def cmd_evaluate(args):
     search = _search_config(args)
     data = _load_training_csv(args.data)
     # the plan and the baseline are checked before any fit or output
-    combos, jobs = _combinations(data, args, search)
-    baseline = _load_baseline(args.baseline, [c[0] for c in combos]) if args.baseline else None
+    plan = [record for record, _ in _combinations(data, args, search)]
+    baseline = _load_baseline(args.baseline, [r[0] for r in plan]) if args.baseline else None
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     # each combination is an independent job, so they spread over one
     # worker process per usable CPU; results come back in job order
-    results = list(map_in_workers(_run_combination, jobs))
-
+    jobs = (job for _, job in _combinations(data, args, search))
+    results = map_in_workers(_run_combination, jobs)
+    class_ids = data.class_ids
+    conf = np.zeros((len(class_ids), len(class_ids)), dtype=int)
     combo_rows, timing_rows, per_participant = [], [], {}
-    for (pid, combo_idx, train_trials, n_train, truth), result in zip(combos, results):
-        pred, tune_s, train_s, predict_s = result
-        acc = accuracy(pred, truth)
+    for (pid, combo_idx, train_trials, n_train), result in zip(plan, results):
+        combo_conf, acc, tune_s, train_s, predict_s = result
+        conf += combo_conf
+        n_test = int(combo_conf.sum())
         per_participant.setdefault(pid, []).append(acc)
-        combo_rows.append((pid, combo_idx, train_trials, n_train, truth.shape[0], acc))
-        timing_rows.append((pid, combo_idx, tune_s, train_s, predict_s * 1e6 / truth.shape[0]))
+        combo_rows.append((pid, combo_idx, train_trials, n_train, n_test, acc))
+        timing_rows.append((pid, combo_idx, tune_s, train_s, predict_s * 1e6 / n_test))
     participant_rows = [(pid, len(a), np.mean(a), np.std(a)) for pid, a in per_participant.items()]
     participant_means = np.array([row[2] for row in participant_rows])
 
-    pred = np.concatenate([result[0] for result in results])
-    truth = np.concatenate([combo[4] for combo in combos])
-    class_ids = data.class_ids
-    conf = confusion_matrix(pred, truth, class_ids)
     acc = float(np.trace(conf) / conf.sum())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -22,7 +22,8 @@ Rows are written by one rule, ``format_rows``, ``BLOCK_ROWS`` rows at a
 time; ``predict`` echoes its input rows instead. ``map_in_workers`` runs
 independent jobs, in process or in forked workers, one per usable CPU, and
 yields their results in job order: ``predict`` classifies every slice of
-its input there, and ``evaluate`` runs its trial combinations.
+its input there, and ``evaluate`` runs its trial combinations, each
+cut by ``split_by_trials`` only as its job is taken.
 """
 
 import itertools
@@ -417,22 +418,24 @@ def load_csv(path):
 
 
 def split_by_trials(dataset, s):
-    """All train/test partitions using ``s`` of the distinct trials for training.
+    """Every train/test partition using ``s`` of the distinct trials for training.
 
-    Returns a list of one ``(train_trials, train, test)`` entry per
-    size-``s`` combination of trial ids, in lexicographic order of the
-    sorted ids; ``train_trials`` is that combination, a sorted tuple. The
-    test side holds every other trial, so no trial appears on both sides.
+    Checks ``0 < s < T`` for its T distinct trials at once, then returns an
+    iterator that builds, as it is read, one ``(train_trials, train, test,
+    test_index)`` entry per size-``s`` combination of trial ids, in
+    lexicographic order, from one mask. ``train_trials`` is the combination,
+    a sorted tuple; ``test`` holds every other trial, and ``test_index`` is
+    the position in ``dataset`` of each of its rows.
     """
     trial_ids = sorted(int(t) for t in np.unique(dataset.trials))
     t = len(trial_ids)
     if not 0 < s < t:
         raise ValueError(f"need 0 < s < {t} distinct trials, got s = {s}")
-    out = []
-    for combo in itertools.combinations(trial_ids, s):
-        mask = np.isin(dataset.trials, list(combo))
-        out.append((combo, dataset.subset(mask), dataset.subset(~mask)))
-    return out
+    return (
+        (combo, dataset.subset(mask), dataset.subset(~mask), np.flatnonzero(~mask))
+        for combo in itertools.combinations(trial_ids, s)
+        for mask in [np.isin(dataset.trials, combo)]
+    )
 
 
 def subsample(dataset, fraction, seed):

@@ -3,12 +3,16 @@ and each of its workloads runs at its smallest size.
 
 ``benchmarks/spans.py`` replaces each ``(module, attribute)`` in its
 ``WRAPPED`` table at run time, so renaming or removing one of them breaks
-traced benchmark runs. The first test fails first instead. The file is
-read and executed without importing it, so nothing is written next to it.
+traced benchmark runs. The first test fails first instead. The second
+fails when a module only imports a wrapped name without calling it, so
+its span would read 0 and the import would stay only for the benchmark.
+The file is read and executed without importing it, so nothing is
+written next to it.
 The workload tests drive ``benchmarks/run.py`` in process, untraced, on
 ``--size tiny`` inputs; each command still runs in its own interpreter.
 """
 
+import ast
 import importlib
 import importlib.util
 import runpy
@@ -28,6 +32,32 @@ def wrapped_targets():
 def test_wrapped_attribute_is_callable(module, attr):
     target = getattr(importlib.import_module(module), attr, None)
     assert callable(target), f"{module}.{attr} is missing or not callable"
+
+
+# wrapped names a module imports but does not call, each until the span moves
+NOT_CALLED = {
+    # the fold fits go through nu_select.fit_each (ROADMAP item 1a)
+    ("scalemix.nu_select", "fit"),
+}
+
+
+def called_names(module):
+    """The names that ``module``'s source calls directly, as ``name(...)``."""
+    tree = ast.parse(Path(importlib.import_module(module).__file__).read_text(encoding="utf-8"))
+    return {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+@pytest.mark.parametrize("module, attr", wrapped_targets())
+def test_wrapped_attribute_is_called_in_its_module(module, attr):
+    called = attr in called_names(module)
+    if (module, attr) in NOT_CALLED:
+        assert not called, f"{module}.{attr} is called again; drop it from NOT_CALLED"
+    else:
+        assert called, f"{module} does not call {attr}, so its span would read 0"
 
 
 @pytest.fixture

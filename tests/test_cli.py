@@ -1432,6 +1432,34 @@ class TestEvaluate:
         assert metrics["precision_2"] == "0.5"
         assert (out / "confusion.csv").read_text().splitlines()[3] == "3,0,120,0"
 
+    def test_peak_memory_does_not_grow_with_the_combination_count(self, tmp_path, monkeypatch):
+        # each combination's sides are built as its job runs and only its
+        # confusion matrix is kept, so 70 combinations need no more memory
+        # than 8 (about 1.1x here); keeping every side and every
+        # prediction until the end would take about 6x
+        import tracemalloc
+
+        monkeypatch.setattr("scalemix.data._usable_cpus", lambda: 1)
+        data_path = tmp_path / "proto.csv"
+        write_protocol_csv(data_path, participants=(1,), trials=8, n=40)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for s in (1, 4):
+                tracemalloc.reset_peak()
+                argv = [
+                    "evaluate", "--data", str(data_path), "--nu", "5", "--k-init", "1",
+                    "--max-iters", "2", "--trials-train", str(s),
+                    "--out-dir", str(tmp_path / f"ev{s}"),
+                ]
+                assert main(argv) in (EXIT_OK, EXIT_NO_CONVERGENCE)
+                peaks[s] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        combos = (tmp_path / "ev4" / "combinations.csv").read_text().splitlines()[1:]
+        assert len(combos) == math.comb(8, 4)
+        assert peaks[4] < 1.5 * peaks[1], peaks
+
 
 INPUTS = Path(__file__).resolve().parent.parent / "benchmarks" / "inputs.py"
 

@@ -353,30 +353,31 @@ class TestSplitByTrials:
 
     def test_combination_count_t4_s1(self):
         ds = self.make(np.repeat([1, 2, 3, 4], 5))
-        assert len(split_by_trials(ds, 1)) == 4
+        assert len(list(split_by_trials(ds, 1))) == 4
 
     def test_combination_count_t6_s2(self):
         ds = self.make(np.repeat([1, 2, 3, 4, 5, 6], 2))
-        assert len(split_by_trials(ds, 2)) == math.comb(6, 2)
+        assert len(list(split_by_trials(ds, 2))) == math.comb(6, 2)
 
     def test_partition_property(self):
         ds = self.make(np.repeat([1, 2, 3, 4], 3))
-        for _, train, test in split_by_trials(ds, 2):
+        for _, train, test, test_index in split_by_trials(ds, 2):
             assert train.n_rows + test.n_rows == ds.n_rows
             joined = np.sort(
                 np.concatenate([train.features[:, 0], test.features[:, 0]])
             )
             assert np.array_equal(joined, ds.features[:, 0])
+            assert np.array_equal(test.features, ds.features[test_index])
 
     def test_no_trial_leakage(self):
         ds = self.make(np.repeat([1, 2, 3, 4, 5], 4))
-        for train_trials, train, test in split_by_trials(ds, 2):
+        for train_trials, train, test, _ in split_by_trials(ds, 2):
             assert set(np.unique(train.trials)) == set(train_trials)
             assert set(np.unique(test.trials)) == {1, 2, 3, 4, 5} - set(train_trials)
 
     def test_lexicographic_order(self):
         ds = self.make(np.repeat([1, 2, 3], 2))
-        combos = [train_trials for train_trials, _, _ in split_by_trials(ds, 2)]
+        combos = [train_trials for train_trials, *_ in split_by_trials(ds, 2)]
         assert combos == list(itertools.combinations([1, 2, 3], 2))
 
     def test_invalid_s(self):
@@ -385,6 +386,25 @@ class TestSplitByTrials:
             split_by_trials(ds, 2)
         with pytest.raises(ValueError):
             split_by_trials(ds, 0)
+
+    def test_invalid_s_raises_before_iteration(self):
+        # the check runs when the iterator is made, not when it is first read
+        ds = self.make(np.repeat([1, 2, 3], 2))
+        with pytest.raises(ValueError, match="got s = 0"):
+            split_by_trials(ds, 0)
+
+    def test_first_split_builds_one_pair_of_subsets(self, monkeypatch):
+        ds = self.make(np.repeat([1, 2, 3, 4, 5, 6], 2))
+        built = []
+        subset = FeatureDataset.subset
+        monkeypatch.setattr(
+            FeatureDataset, "subset", lambda self, mask: built.append(1) or subset(self, mask)
+        )
+        splits = split_by_trials(ds, 3)
+        assert built == []
+        train_trials, train, test, _ = next(splits)
+        assert train_trials == (1, 2, 3) and len(built) == 2
+        assert (train.n_rows, test.n_rows) == (6, 6)
 
 
 class TestSubsample:
