@@ -316,6 +316,9 @@ def cmd_train(args):
         raise UsageError("--data and --model-out are required")
     _check_ranges(args)
     search = _search_config(args)
+    # a model that cannot be written fails here, before the data is read and fit
+    if not Path(args.model_out).parent.is_dir():
+        raise DataFormatError(f"cannot write {args.model_out}: its directory does not exist")
     data = _load_training_csv(args.data)
     table_rows = []
     classifier, nu, _ = _train_classifier(

@@ -108,7 +108,7 @@ class FeatureDataset:
 
     @property
     def class_ids(self):
-        return sorted(int(v) for v in np.unique(self.labels))
+        return np.unique(self.labels).tolist()  # in increasing order
 
     def subset(self, mask):
         mask = np.asarray(mask)

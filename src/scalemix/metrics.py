@@ -38,6 +38,19 @@ def accuracy(pred, truth):
     return float(np.mean(pred == truth))
 
 
+def _label_columns(labels, class_ids, name):
+    """The index of each of ``labels`` in the nonempty, strictly increasing ``class_ids``.
+
+    A label not among them is refused, the error naming the labels ``name``.
+    """
+    ids, labels = np.asarray(class_ids), np.asarray(labels)
+    at = np.minimum(np.searchsorted(ids, labels), ids.size - 1)
+    missing = labels[ids[at] != labels]
+    if missing.size:
+        raise ValueError(f"{name} labels must be among {ids.tolist()}, got {missing[0]}")
+    return at
+
+
 def confusion_matrix(pred, truth, class_ids):
     """Counts indexed [true class, predicted class], in the order of ``class_ids``.
 
@@ -48,14 +61,8 @@ def confusion_matrix(pred, truth, class_ids):
     ids = np.asarray(class_ids, dtype=int)
     if ids.ndim != 1 or not ids.size or np.any(np.diff(ids) <= 0):
         raise ValueError(f"class_ids must be strictly increasing, got {list(class_ids)}")
-    at = {}
-    for name, arr in (("pred", pred), ("truth", truth)):
-        at[name] = np.minimum(np.searchsorted(ids, arr), ids.size - 1)
-        if np.any(ids[at[name]] != arr):
-            raise ValueError(f"{name} labels must be among {ids.tolist()}")
-    out = np.zeros((ids.size, ids.size), dtype=int)
-    np.add.at(out, (at["truth"], at["pred"]), 1)
-    return out
+    pred_at, truth_at = _label_columns(pred, ids, "pred"), _label_columns(truth, ids, "truth")
+    return np.bincount(truth_at * ids.size + pred_at, minlength=ids.size**2).reshape(ids.size, -1)
 
 
 def precision_recall(conf, class_ids):

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .metrics import _label_columns
 from .predict import log_posteriors_over_nu
 # fit is not called here; it stays importable until the benchmark wraps vb.fit_each
 from .vb import VbConfig, fit, fit_each
@@ -80,7 +81,7 @@ def stratified_folds(labels, n_folds, seed):
     labels = np.asarray(labels, dtype=int)
     rng = np.random.default_rng(seed)
     fold_of = np.empty(labels.shape[0], dtype=int)
-    for cid in sorted(int(v) for v in np.unique(labels)):
+    for cid in np.unique(labels).tolist():
         rows = np.flatnonzero(labels == cid)
         if rows.shape[0] < n_folds:
             raise ValueError(
@@ -96,8 +97,10 @@ def conditional_entropy(nus, fold_classifier, validation):
 
     ``nus`` is a 1-d grid of candidate degrees of freedom. Each candidate
     is swapped into every component's predictive density; the fitted
-    posteriors (and the expected scale they induce) stay fixed.
-    Nonnegative, zero only for a perfect classifier.
+    posteriors (and the expected scale they induce) stay fixed. Each
+    validation label finds its column among the classifier's increasing
+    class ids; a label that is not among them is refused. Nonnegative,
+    zero only for a perfect classifier.
     """
     grid = np.asarray(nus, dtype=float)
     if grid.ndim != 1:
@@ -107,15 +110,7 @@ def conditional_entropy(nus, fold_classifier, validation):
         raise ValueError(f"nus must be positive and finite, got {float(bad[0])!r}")
     if validation.n_rows == 0:
         raise ValueError("validation fold is empty")
-    ids = np.asarray(fold_classifier.class_ids)
-    labels = np.asarray(validation.labels)
-    order = np.argsort(ids)
-    found = np.searchsorted(ids, labels, sorter=order)
-    columns = order[np.minimum(found, ids.size - 1)]
-    missing = ids[columns] != labels
-    if missing.any():
-        label = int(labels[np.argmax(missing)])
-        raise ValueError(f"validation label {label} missing from the fold model")
+    columns = _label_columns(validation.labels, fold_classifier.class_ids, "validation")
     log_post = log_posteriors_over_nu(fold_classifier, validation.features, grid, columns)
     return -log_post.mean(axis=1)
 

@@ -187,9 +187,9 @@ def predict_batch(classifier, points):
     ``classifier`` is a trained or a prepared classifier (see
     :func:`prepare`); prepare it once when predicting many batches.
     Returns ``(log_posteriors, labels)`` where ``log_posteriors`` has one
-    column per class (normalized per row) and ``labels`` holds class ids,
-    ties resolved toward the lowest id. A row that cannot be scored raises
-    :class:`UnscorableRowError`.
+    column per class, by increasing class id (normalized per row), and
+    ``labels`` holds class ids, a tie going to the lowest id. A row that
+    cannot be scored raises :class:`UnscorableRowError`.
     """
     prepared = prepare(classifier)
     pts = _as_points(points, prepared.dim)
@@ -202,9 +202,8 @@ def predict_batch(classifier, points):
                 joint[i, lo:hi] = mix.log_density_d2(d2, mix.terms)
         _normalise(joint, prepared.class_log_prior)
     _check_finite(joint)
-    # argmax takes the first of tied rows, so they are read in class id order
-    order = np.argsort(prepared.class_ids, kind="stable")
-    labels = prepared.class_ids[order][np.argmax(joint[order], axis=0)]
+    # argmax takes the first of tied classes, which has the lowest id
+    labels = prepared.class_ids[np.argmax(joint, axis=0)]
     return np.ascontiguousarray(joint.T), labels
 
 

@@ -694,8 +694,8 @@ def _lockstep_groups(blocks, k_init):
 
 
 def _class_blocks(data):
-    """The sorted class ids of ``data`` and each class's rows, in that order."""
-    class_ids = sorted(int(v) for v in np.unique(data.labels))
+    """The class ids of ``data``, increasing, and each class's rows, in that order."""
+    class_ids = data.class_ids
     if not class_ids:
         raise ValueError("training data has no rows")
     return class_ids, [data.features[data.labels == cid] for cid in class_ids]

@@ -300,6 +300,26 @@ class TestTrain:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("nu", [["--nu", "5"], ["--select-nu", "--folds", "2"]])
+    def test_missing_model_directory_fails_before_any_fit(self, tmp_path, train_csv, capsys, nu):
+        model = tmp_path / "missing" / "m.json"
+        argv = ["train", "--data", str(train_csv), "--model-out", str(model), *nu]
+        assert main(argv) == EXIT_DATA
+        # no class= iteration line: nothing was fit
+        err = capsys.readouterr().err
+        assert err == f"data error: cannot write {model}: its directory does not exist\n"
+
+    def test_collinear_rows_train_on_a_jittered_prior(self, tmp_path):
+        # every row lies on x2 = x1 + 1, so the sample covariance is singular,
+        # yet it factorises on a second pivot of 2.1e-8
+        data = tmp_path / "line.csv"
+        data.write_text(
+            "f1,f2,label,trial,participant\n1,2,1,1,1\n3,4,2,1,1\n1.5,2.5,1,1,1\n3.5,4.5,2,1,1\n"
+        )
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--model-out", str(model), "--nu", "5"]) == 0
+        assert load_model(model).class_ids == [1, 2]
+
     def test_out_of_range_integer_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "big.csv"
         data.write_text("f1,label,trial,participant\n1.5,99999999999999999999,1,1\n")
@@ -506,7 +526,7 @@ class TestPredict:
             (("prior", "nu_fixed"), math.inf, "prior: nu_fixed must be positive and finite"),
             (("prior", "k_init"), 1.5, "prior: 'k_init' is not a JSON integer"),
             (("classes", 1, "class_id"), None, "class record 1: 'class_id' is not a JSON integer"),
-            (("classes", 1, "class_id"), 1, "class records 0 and 1 both have class_id 1"),
+            (("classes", 1, "class_id"), 1, "class records 0, 1: class_ids 1, 1 do not increase"),
             (("classes", 1, "class_id"), 0, "class 0: class_id must be at least 1"),
             (("classes", 1, "alpha_hat"), math.nan, "class 2: alpha_hat nan does not match"),
             (("classes", 1, "n_pruned"), None, "class record 1: 'n_pruned' is not a JSON integer"),
@@ -540,6 +560,7 @@ class TestPredict:
             (("classes", 1, "components", 0, "W", 0, 1), math.nan, "component 0 of class 2: W"),
             (("classes", 1, "components", 0, "eta"), math.nan, "component 0 of class 2: eta"),
             (("classes", 1, "components", 0, "nu"), math.inf, "component 0 of class 2: nu"),
+            (("classes", 0, "class_id"), 3, "class records 0, 1: class_ids 3, 2 do not increase"),
         ],
     )
     def test_bad_model_leaf_fails_before_reading_data(
@@ -864,19 +885,17 @@ class TestPredict:
         assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == n + 1
         assert multiprocessing.active_children() == []
 
-    def test_tied_rows_take_the_lowest_class_id_in_the_model_column_order(
-        self, tmp_path, train_csv
-    ):
+    def test_tied_rows_take_the_lowest_class_id(self, tmp_path, train_csv):
         model = self.make_model(tmp_path, train_csv)
         doc = json.loads(model.read_text())
-        # two identical classes, the higher id listed first: every row ties
-        doc["classes"] = [dict(doc["classes"][0], class_id=cid) for cid in (3, 1)]
+        # two identical classes: every row ties
+        doc["classes"] = [dict(doc["classes"][0], class_id=cid) for cid in (1, 3)]
         model.write_text(json.dumps(doc))
         out = tmp_path / "pred"
         argv = ["predict", "--model", str(model), "--data", str(train_csv), "--out-dir", str(out)]
         assert main(argv) == EXIT_OK
         header, *rows = (out / "predictions.csv").read_text().splitlines()
-        assert header.endswith(",pred_label,log_posterior_3,log_posterior_1")
+        assert header.endswith(",pred_label,log_posterior_1,log_posterior_3")
         cells = [row.split(",") for row in rows]
         assert len(cells) == 160 and all(c[-3] == "1" and c[-2] == c[-1] for c in cells)
 
@@ -1477,9 +1496,9 @@ def test_feature_too_large_to_train_on_is_data_error(tmp_path, capsys, command, 
     lines.insert(1049, "\n")  # and so is line 1050
     lines[line - 1] = "1e200," + lines[line - 1].split(",", 1)[1]
     path.write_text("".join(lines))
-    out = tmp_path / "out"
+    out, model = tmp_path / "out", tmp_path / "model.json"
     argv = {
-        "train": ["train", "--model-out", str(out / "model.json")],
+        "train": ["train", "--model-out", str(model)],
         "evaluate": ["evaluate", "--out-dir", str(out)],
     }[command] + ["--data", str(path), "--nu", "5"]
     with warnings.catch_warnings():
@@ -1488,7 +1507,7 @@ def test_feature_too_large_to_train_on_is_data_error(tmp_path, capsys, command, 
     assert capsys.readouterr().err == (
         f"data error: {path}: row {line}: a feature is too large to train on\n"
     )
-    assert not out.exists()
+    assert not out.exists() and not model.exists()
 
 
 @pytest.mark.parametrize("blank", [False, True])
@@ -1539,8 +1558,8 @@ def test_every_reader_ends_a_line_only_at_a_newline(tmp_path, capsys, reader, ch
     # the character sits on a line of its own, which both read as blank
     data_path, config, baseline = tmp_path / "data.csv", tmp_path / "a.cfg", tmp_path / "b.csv"
     write_protocol_csv(data_path, trials=3)
-    out = tmp_path / "out"
-    argv = ["train", "--data", str(data_path), "--model-out", str(out / "m.json")]
+    out, model = tmp_path / "out", tmp_path / "m.json"
+    argv = ["train", "--data", str(data_path), "--model-out", str(model)]
     if reader == "data":
         header, *rows = data_path.read_text().splitlines(keepends=True)
         fault_row = "abc," + rows[0].split(",", 1)[1]
@@ -1564,7 +1583,7 @@ def test_every_reader_ends_a_line_only_at_a_newline(tmp_path, capsys, reader, ch
     assert line == 4
     assert main(argv) == code
     assert capsys.readouterr().err == message.format(path=path, line=line) + "\n"
-    assert not out.exists()
+    assert not out.exists() and not model.exists()
 
 
 class TestTables:
@@ -1692,7 +1711,7 @@ def _failing_argv(command, tmp_path):
 @pytest.mark.parametrize(
     "argv, code, message",
     [
-        ("train --data {header} --model-out {out}/m.json --nu 5", EXIT_DATA, "{header}: no rows"),
+        ("train --data {header} --model-out {model} --nu 5", EXIT_DATA, "{header}: no rows"),
         ("evaluate --data {header} --out-dir {out} --nu 5", EXIT_DATA, "{header}: no rows"),
         ("train --data {proto} --nu 5", EXIT_USAGE, "--data and --model-out are required"),
         ("predict --model {out}/m.json --out-dir {out}", EXIT_USAGE, "--model and --data are"),
@@ -1727,7 +1746,9 @@ def _failing_argv(command, tmp_path):
 def test_error_exit_code_and_message(tmp_path, capsys, argv, code, message):
     files = {
         name: tmp_path / name
-        for name in ("header", "proto", "missing", "no_equals", "bad_header", "late_header", "out")
+        for name in (
+            "header", "proto", "missing", "no_equals", "bad_header", "late_header", "out", "model",
+        )
     }
     files["header"].write_text("f1,f2,label,trial,participant\n")
     write_protocol_csv(files["proto"], trials=3)
@@ -1736,7 +1757,7 @@ def test_error_exit_code_and_message(tmp_path, capsys, argv, code, message):
     files["late_header"].write_text("\nparticipant,accuracy\n1,0.5\n2,0.5\n")
     assert main([token.format(**files) for token in argv.split()]) == code
     assert message.format(**files) in capsys.readouterr().err
-    assert not files["out"].exists()
+    assert not files["out"].exists() and not files["model"].exists()
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
-"""Each demo script runs to completion against the package in this tree."""
+"""Each demo script, and README's library quickstart, runs against the package in this tree."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 import scalemix
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
@@ -25,3 +27,10 @@ def test_demo_runs(script, tmp_path):
 
 def test_demos_are_found():
     assert DEMOS, "no demo scripts under demos/"
+
+
+def test_readme_library_quickstart_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quickstart\n", 1)[1]
+    code = re.search(r"^```python\n(.*?)^```$", section, re.M | re.S).group(1)
+    exec(compile(code, "README.md quickstart", "exec"), {})

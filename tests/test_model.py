@@ -152,11 +152,12 @@ class TestPriorValidation:
     @pytest.mark.parametrize(
         "class_ids, message",
         [
-            ([1, 1, 3], "class records 0 and 1 both have class_id 1"),
+            ([1, 1, 3], "class records 0, 1: class_ids 1, 1 do not increase"),
+            ([1, 3, 2], "class records 1, 2: class_ids 3, 2 do not increase"),
             ([1, -7, 3], "class -7: class_id must be at least 1"),
         ],
     )
-    def test_class_ids_must_be_distinct_and_positive(self, class_ids, message):
+    def test_class_ids_must_increase_and_be_positive(self, class_ids, message):
         prior = PriorHyperparameters(0.1, 1.0, [0.0], [[1.0]], 1.5, 5.0)
         classes = [
             one_component_class(1.0, 1.0, [0.0], [[1.0]], 3.0, 5.0, class_id=cid)
@@ -169,6 +170,17 @@ class TestPriorValidation:
             record["class_id"] = cid
         with pytest.raises(ValueError, match=f"^{message}$"):
             classifier_from_dict(payload)
+
+    @pytest.mark.parametrize("class_ids, names", [([3, 1], "3, 1"), ([1, 1], "1, 1")])
+    def test_classifier_refuses_class_ids_that_do_not_increase(self, class_ids, names):
+        prior = PriorHyperparameters(0.1, 1.0, [0.0], [[1.0]], 1.5, 5.0)
+        classes = tuple(
+            one_component_class(1.0, 1.0, [0.0], [[1.0]], 3.0, 5.0, class_id=cid)
+            for cid in class_ids
+        )
+        message = f"class records 0, 1: class_ids {names} do not increase"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainedClassifier(classes, np.log([0.5, 0.5]), prior)
 
     def test_class_log_prior_must_have_one_entry_per_class(self):
         cm = one_component_class(2.0, 1.0, [0.0], [[1.0]], 3.0, 5.0)

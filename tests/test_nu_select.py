@@ -158,19 +158,18 @@ class TestConditionalEntropy:
     def test_label_missing_from_fold_model_rejected(self):
         tc = two_class_classifier(sep=3.0)
         valid = labeled(np.zeros((3, 2)), [2, 3, 1])
-        with pytest.raises(ValueError, match="validation label 3 missing from the fold model"):
+        with pytest.raises(ValueError, match=r"^validation labels must be among \[1, 2\], got 3$"):
             conditional_entropy([1.0], tc, valid)
 
-    def test_class_ids_need_not_be_sorted(self):
+    def test_class_ids_may_skip_values(self):
         tc = two_class_classifier(sep=3.0)
-        swapped = replace(
-            tc, classes=tc.classes[::-1], class_log_prior=tc.class_log_prior[::-1]
-        )
+        skipping = replace(tc, classes=(tc.classes[0], replace(tc.classes[1], class_id=5)))
         rng = np.random.default_rng(3)
-        valid = labeled(rng.standard_normal((30, 2)) * 2, rng.integers(1, 3, size=30))
+        feats, labels = rng.standard_normal((30, 2)) * 2, rng.integers(1, 3, size=30)
         grid = default_nu_grid()
         assert np.array_equal(
-            conditional_entropy(grid, swapped, valid), conditional_entropy(grid, tc, valid)
+            conditional_entropy(grid, skipping, labeled(feats, np.where(labels == 2, 5, labels))),
+            conditional_entropy(grid, tc, labeled(feats, labels)),
         )
 
     def test_empty_validation_rejected(self):

