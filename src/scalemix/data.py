@@ -8,9 +8,9 @@ semantics (up to 17 significant digits) so a save/load round trip is
 bit-exact.
 
 Files are read in slices of ``BLOCK_ROWS`` data rows by ``_line_slices``,
-the one reader that drops blank lines and numbers each row by its physical
-line: ``load_csv`` parses every slice and keeps the whole dataset,
-``predict`` classifies and writes each slice as it goes.
+the one reader that drops blank and whitespace-only lines and numbers each
+row by its physical line: ``load_csv`` parses every slice and keeps the
+whole dataset, ``predict`` classifies and writes each slice as it goes.
 numpy parses each slice of printable ASCII text: there it accepts no
 cell that Python's ``float`` and ``int`` reject, and reads the same values.
 When a slice holds any other character, when numpy fails on it, or when it
@@ -374,30 +374,20 @@ def _line_slices(fh):
     """``(rows, linenos)`` of consecutive slices of ``fh``'s data rows.
 
     ``fh`` is past its header, at line 2. ``rows`` are a slice's data rows
-    as read, blank and whitespace-only lines dropped, and ``linenos`` their
-    physical line numbers: a ``range`` when the slice held no blank line, a
-    list otherwise. Each slice holds ``BLOCK_ROWS`` rows, except the last,
-    which holds fewer (possibly none), so there is always at least one.
+    as read, blank and whitespace-only lines dropped, and ``linenos`` the
+    list of their physical line numbers. Each slice holds ``BLOCK_ROWS``
+    rows, except the last, which holds fewer (possibly none), so there is
+    always at least one.
     """
-    lineno = 2
-    while True:
-        lines = list(itertools.islice(fh, BLOCK_ROWS))
-        short = len(lines) < BLOCK_ROWS
-        blank = sum(map(str.isspace, lines))
-        if not blank:
-            yield lines, range(lineno, lineno + len(lines))
-        else:
-            # top up past blank lines so every slice but the last is full
-            while blank and not short:
-                more = list(itertools.islice(fh, blank))
-                lines += more
-                short = len(more) < blank
-                blank = sum(map(str.isspace, more))
-            kept = [i for i, line in enumerate(lines) if not line.isspace()]
-            yield [lines[i] for i in kept], [lineno + i for i in kept]
-        if short:
-            return
-        lineno += len(lines)
+    rows, linenos = [], []
+    for lineno, line in enumerate(fh, 2):
+        if not line.isspace():
+            rows.append(line)
+            linenos.append(lineno)
+            if len(rows) == BLOCK_ROWS:
+                yield rows, linenos
+                rows, linenos = [], []
+    yield rows, linenos
 
 
 def load_csv(path):

@@ -237,8 +237,10 @@ def build_default_prior(data, nu_fixed, k_init=1, alpha0=0.001):
     singular, so that a zero-variance feature yields a jittered diagonal
     rather than a silent NaN. A covariance counts as singular when it
     does not factorise, or when a pivot's square is at most 16 (dim + 1)
-    eps of its diagonal entry, a ratio that does not depend on the
-    features' scales. :class:`PriorHyperparameters` symmetrizes it.
+    eps of its diagonal entry, times the largest ``|mean| / std`` of a
+    feature when that exceeds 1: a ratio that does not depend on the
+    features' scales, against the rounding that centring them leaves.
+    :class:`PriorHyperparameters` symmetrizes it.
     """
     n = data.n_rows
     if n == 0:
@@ -257,9 +259,13 @@ def build_default_prior(data, nu_fixed, k_init=1, alpha0=0.001):
         prior = PriorHyperparameters(W0=w0, **fields)
         # a rank-deficient W0 may factorise on a pivot of rounding error: 16 (d + 1)
         # eps held 95-100% of those on exactly rank-deficient integer rows (d = 2-8),
-        # while benchmark inputs read 0.42-0.50 and two 3-d clusters 1e7 apart 5e-14
-        pivots = np.diagonal(prior.W0_factor.lower) ** 2 / np.diagonal(prior.W0)
-        if pivots.min() > 16 * (d + 1) * np.finfo(float).eps:
+        # while benchmark inputs read 0.42-0.50 and two 3-d clusters 1e7 apart 5e-14;
+        # centring loses about eps |mean| / std of a feature, so a feature far from
+        # zero for its spread raises the cutoff by that factor
+        var = np.diagonal(prior.W0)
+        pivots = np.diagonal(prior.W0_factor.lower) ** 2 / var
+        offset = max(1.0, float(np.max(np.abs(m0) / np.sqrt(var))))
+        if pivots.min() > 16 * (d + 1) * np.finfo(float).eps * offset:
             return prior
     trace = float(np.trace(w0))
     bump = 1e-8 * (trace / d if trace > 0 else 1.0)

@@ -320,6 +320,23 @@ class TestTrain:
         assert main(["train", "--data", str(data), "--model-out", str(model), "--nu", "5"]) == 0
         assert load_model(model).class_ids == [1, 2]
 
+    # the draws of seeds 0-199 whose W0 factorises on a pivot ratio of 3.0e-14 to
+    # 2.2e-13, under 16 (d + 1) eps times the features' largest |mean| / std (7e4-1.6e5)
+    @pytest.mark.parametrize("seed", [31, 50, 61, 87, 168])
+    def test_planar_rows_far_from_zero_train_on_a_jittered_prior(self, tmp_path, seed):
+        # 60 rows on a plane, features scaled 1e-3 to 1e3 about a mean of 100:
+        # centring rounds the smallest feature's spread away
+        rng = np.random.default_rng(seed)
+        basis = rng.standard_normal((2, 3))
+        coef = rng.standard_normal((60, 2))
+        feats = coef @ basis * np.array([1e-3, 1.0, 1e3])[rng.permutation(3)] + 100.0
+        ones = np.ones(60, int)
+        data = tmp_path / "plane.csv"
+        save_csv(FeatureDataset(feats, np.repeat([1, 2], 30), ones, ones), data)
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(data), "--model-out", str(model), "--nu", "5"]) == 0
+        assert load_model(model).class_ids == [1, 2]
+
     def test_out_of_range_integer_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "big.csv"
         data.write_text("f1,label,trial,participant\n1.5,99999999999999999999,1,1\n")
@@ -808,7 +825,7 @@ class TestPredict:
         with open(path, encoding="utf-8") as fh:
             next(fh)
             slices = list(_data._line_slices(fh))
-        # a blank line among the lines that top up the first slice, one opening the second
+        # a blank line among the first slice's last rows, one opening the second
         assert [len(rows) for rows, _ in slices] == [BLOCK_ROWS, BLOCK_ROWS, 6]
         assert lines[BLOCK_ROWS + 2].strip() == lines[BLOCK_ROWS + 4].strip() == ""
         assert slices[0][1][-2:] == [BLOCK_ROWS + 2, BLOCK_ROWS + 4]

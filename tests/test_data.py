@@ -216,23 +216,55 @@ class TestChunkedCsv:
         path = tmp_path / "exact.csv"
         save_csv(self.dataset(rng, BLOCK_ROWS, d=1), path)
         assert [(len(rows), linenos) for rows, linenos in self.slices(path)] == [
-            (BLOCK_ROWS, range(2, BLOCK_ROWS + 2)), (0, range(BLOCK_ROWS + 2, BLOCK_ROWS + 2))
+            (BLOCK_ROWS, list(range(2, BLOCK_ROWS + 2))), (0, [])
         ]
 
-    def test_slice_without_blank_lines_is_numbered_by_a_range(self, tmp_path, rng):
+    def test_every_slice_is_numbered_by_a_list(self, tmp_path, rng):
         path = tmp_path / "long.csv"
         save_csv(self.dataset(rng, 2 * BLOCK_ROWS + 5, d=1), path)
         self.with_blank_lines(path, [BLOCK_ROWS + 9])
         (_, first), (_, second), (_, last) = self.slices(path)
-        assert type(first) is range and first == range(2, BLOCK_ROWS + 2)
+        assert type(first) is list and first == list(range(2, BLOCK_ROWS + 2))
         assert type(second) is list and BLOCK_ROWS + 9 not in second
-        assert type(last) is range and last == range(2 * BLOCK_ROWS + 3, 2 * BLOCK_ROWS + 8)
+        assert type(last) is list and last == list(range(2 * BLOCK_ROWS + 3, 2 * BLOCK_ROWS + 8))
+
+    @staticmethod
+    def reference_slices(path):
+        """``_line_slices`` as a filter of ``enumerate(fh, 2)`` cut into ``BLOCK_ROWS`` pieces."""
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            kept = [(n, line) for n, line in enumerate(fh, 2) if not line.isspace()]
+        pieces = [kept[lo : lo + BLOCK_ROWS] for lo in range(0, len(kept) + 1, BLOCK_ROWS)]
+        return [([line for _, line in piece], [n for n, _ in piece]) for piece in pieces]
+
+    @pytest.mark.parametrize("n", [BLOCK_ROWS, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("blanks", ["none", "boundaries", "random"])
+    @pytest.mark.parametrize("newline_at_end", [True, False])
+    def test_slices_match_a_filtered_enumerate(self, tmp_path, rng, n, blanks, newline_at_end):
+        path = tmp_path / "ref.csv"
+        save_csv(self.dataset(rng, n, d=1), path)
+        lines = path.read_text().splitlines(keepends=True)
+        if blanks == "boundaries":
+            # about the first and second slice ends, counted in physical lines
+            at = [end - 1 + i for end in (BLOCK_ROWS, 2 * BLOCK_ROWS) for i in range(4)]
+            fill = ["\n", "  \n", "\t\n", " \x0c\n"]
+            for i, lineno in enumerate(at):
+                lines.insert(lineno - 1, fill[i % len(fill)])
+        elif blanks == "random":
+            fill = ["\n", " \n", "\t\t\n", "\r\n", " \x0c\n"]
+            for lineno in sorted(rng.choice(np.arange(2, n + 2), n // 50, replace=False)):
+                lines.insert(lineno - 1, fill[rng.integers(len(fill))])
+        text = "".join(lines)
+        path.write_text(text if newline_at_end else text[:-1], newline="")
+        slices = self.slices(path)
+        assert slices == self.reference_slices(path)
+        assert sum(len(rows) for rows, _ in slices) == n
 
     def test_blank_and_whitespace_lines_are_not_numbered(self, tmp_path, rng):
         path = tmp_path / "blank.csv"
         save_csv(self.dataset(rng, BLOCK_ROWS + 5, d=1), path)
         # "\n" at odd lines, "  \t\n" at even ones; lines 2-1025 hold two,
-        # so line 1026 is read to top up the first slice, and is blank too
+        # so the first slice reaches past line 1026, which is blank too
         blanks = [5, 8, BLOCK_ROWS + 2]
         self.with_blank_lines(path, blanks)
         with open(path, "a") as fh:
